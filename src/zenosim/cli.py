@@ -1,7 +1,8 @@
 """Scenario runner: configs in, tab-separated tables and reports out.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical assertion
-(truncation, positivity, norm drift), 4 fit or integrator non-convergence.
+(truncation, positivity, Hermiticity, norm or trace drift), 4 fit
+non-convergence.
 """
 
 from __future__ import annotations
@@ -9,7 +10,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,8 @@ from .hilbert import (
 )
 from .model import NoiseModel
 from .protocol import (
+    COMPOSITE_PULSE_SPONTANEOUS_DEFICIT,
+    SINGLE_PULSE_SPONTANEOUS_DEFICIT,
     ProtocolPlan,
     default_dims,
     error_budget,
@@ -76,7 +78,10 @@ def _build_plan(config: ScenarioConfig) -> ProtocolPlan:
         return plan_three_ion(omega_s, drive["omega_d"])
     scheme = "composite" if config.scenario == "two_ion_composite" else "single"
     m = drive.get("m", 1 if scheme == "composite" else 2)
-    plan = plan_composite(omega_s, m) if scheme == "composite" else plan_single(omega_s, m)
+    try:
+        plan = plan_composite(omega_s, m) if scheme == "composite" else plan_single(omega_s, m)
+    except ValueError as exc:
+        raise ConfigError(f"[drive] {exc}") from None
     overrides = {k: drive[k] for k in ("omega_d", "delta", "t1", "t2") if k in drive}
     if "omega_d" in overrides:
         # recompute the dependent times first, then apply explicit ones
@@ -92,9 +97,9 @@ def _build_noise(config: ScenarioConfig, plan: ProtocolPlan) -> NoiseModel:
     if preset_name == "none":
         base = NoiseModel()
     elif preset_name == "two_ion_single":
-        base = spontaneous_preset(plan, 8e-3)
+        base = spontaneous_preset(plan, SINGLE_PULSE_SPONTANEOUS_DEFICIT)
     elif preset_name == "two_ion_composite":
-        base = spontaneous_preset(plan, 5e-3)
+        base = spontaneous_preset(plan, COMPOSITE_PULSE_SPONTANEOUS_DEFICIT)
     elif preset_name == "three_ion":
         base = three_ion_preset(plan)
     else:
@@ -111,7 +116,12 @@ def _build_noise(config: ScenarioConfig, plan: ProtocolPlan) -> NoiseModel:
     if "stark" in section:
         fields["stark_shifts"] = section.pop("stark")
     fields.update(section)
-    return NoiseModel(**fields)
+    try:
+        noise = NoiseModel(**fields)
+        noise.shifts_or_zero(plan.n_ions)
+    except ValueError as exc:
+        raise ConfigError(f"[noise] {exc}") from None
+    return noise
 
 
 def _plan_header(plan: ProtocolPlan, noise: NoiseModel, dims: SystemDims, seed: int) -> dict:
@@ -153,7 +163,7 @@ def _trace_scenario(config: ScenarioConfig, out_dir: Path) -> dict:
     start_name = "uuu" if plan.n_ions == 3 else "uu"
     if noise.has_lindblad or noise.n_bar > 0:
         rho0 = thermal_product_state(dims, spin_state(dims, start_name), noise.n_bar)
-        traj = evolve_density(schedule, dims, geom, noise, rho0, tol=2e-5)
+        traj = evolve_density(schedule, dims, geom, noise, rho0)
     else:
         traj = evolve_pure(
             schedule, dims, geom, named_state(dims, start_name, 0), stark_shifts=noise.shifts_or_zero(plan.n_ions)
@@ -323,15 +333,14 @@ def _dressed_scan_scenario(config: ScenarioConfig, out_dir: Path) -> dict:
 
 def _tomography_demo_scenario(config: ScenarioConfig, out_dir: Path) -> dict:
     """Readout chain on synthetic data from the ideal entangled target."""
-    n_ions = 3 if config.drive.get("omega_s") and config.scenario == "three_ion_w" else 2
-    dims = SystemDims(n_ions, 1)
-    target = spin_state(dims, "T" if n_ions == 2 else "W")
+    dims = SystemDims(2, 1)
+    target = spin_state(dims, "T")
     rho = np.outer(target.amplitudes, target.amplitudes.conj())
     return _run_tomography(config, out_dir, rho, dims)
 
 
 def _sweep_values(config: ScenarioConfig, axis: str, start, stop, points: int, axis2=None, grid2=None):
-    """Fidelity over a parameter grid, evaluated concurrently.
+    """Fidelity over a parameter grid.
 
     Drive-ratio sweeps record the peak fidelity over the run, mirroring how
     the protocol is calibrated (the actual maximum shifts a few percent from
@@ -357,31 +366,22 @@ def _sweep_values(config: ScenarioConfig, axis: str, start, stop, points: int, a
 
     grid = np.linspace(start, stop, points)
     if axis == "omega_ratio" and axis2 is None:
-        with ThreadPoolExecutor() as pool:
-            fids = list(pool.map(fidelity, grid))
-        return grid, None, np.array(fids)
+        return grid, None, np.array([fidelity(r) for r in grid])
     if axis == "omega_ratio" and axis2 == "t1":
-        cells = [(r, f) for r in grid for f in grid2]
-        with ThreadPoolExecutor() as pool:
-            fids = list(pool.map(lambda c: fidelity(c[0], c[1]), cells))
+        fids = [fidelity(r, f) for r in grid for f in grid2]
         return grid, grid2, np.array(fids).reshape(len(grid), len(grid2))
     if axis == "t1":
         ratio = omega_s / drive["omega_d"] if "omega_d" in drive else 3 * np.sqrt(6)
-        with ThreadPoolExecutor() as pool:
-            fids = list(pool.map(lambda f: fidelity(ratio, f), grid))
-        return grid, None, np.array(fids)
+        return grid, None, np.array([fidelity(ratio, f) for f in grid])
     if axis == "n_bar":
         plan = _build_plan(config.copy()) if "omega_s" in drive else plan_single(omega_s, 2)
-        fids = [
-            simulate_plan_fidelity(plan, NoiseModel(n_bar=v), tol=2e-5) for v in grid
-        ]
-        return grid, None, np.array(fids)
+        return grid, None, np.array([simulate_plan_fidelity(plan, NoiseModel(n_bar=v)) for v in grid])
     if axis == "gamma":
         plan = _build_plan(config.copy()) if "omega_s" in drive else plan_single(omega_s, 2)
         fids = []
         for v in grid:
             noise = NoiseModel(gamma_du=v, gamma_ud=v, gamma_ou=v, gamma_od=v)
-            fids.append(simulate_plan_fidelity(plan, noise, tol=2e-5))
+            fids.append(simulate_plan_fidelity(plan, noise))
         return grid, None, np.array(fids)
     raise ConfigError(f"unsupported sweep axis {axis!r}; choose from {SWEEP_AXES}")
 

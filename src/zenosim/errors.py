@@ -30,4 +30,4 @@ class TruncationError(NumericsError):
 
 
 class ConvergenceError(ZenosimError):
-    """An iterative fit or integrator failed to converge (CLI exit code 4)."""
+    """An iterative fit failed to converge (CLI exit code 4)."""

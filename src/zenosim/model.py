@@ -174,6 +174,13 @@ def microwave_hamiltonian(dims: SystemDims, omega_d: float, phase: float = 0.0) 
     return OperatorMatrix(dims, h, True)
 
 
+def carrier_pi_time(omega_d: float, n_ions: int) -> float:
+    """Carrier pulse length pi / (2 sqrt(N) Omega_d) that maps the all-up
+    state onto the symmetric single-flip state through their sqrt(N) Omega_d
+    coupling (the triplet for two ions, W for three)."""
+    return np.pi / (2 * np.sqrt(float(n_ions)) * omega_d)
+
+
 def stark_hamiltonian(dims: SystemDims, shifts: Sequence[float]) -> OperatorMatrix:
     """Static per-ion qubit-frequency shifts, sum_i (shift_i / 2) sigma_i^z."""
     if len(shifts) != dims.n_ions:

@@ -24,7 +24,7 @@ from scipy.optimize import minimize_scalar
 from .dynamics import evolve_density, evolve_pure, state_fidelity
 from .dressed import balanced_detuning
 from .hilbert import SystemDims, named_state, spin_state, thermal_product_state
-from .model import IonGeometry, NoiseModel, PulseSchedule, PulseSegment, mean_decay_rate
+from .model import IonGeometry, NoiseModel, PulseSchedule, PulseSegment, carrier_pi_time, mean_decay_rate
 
 #: differential qubit-frequency shift (outer ions vs center) used by the
 #: three-ion noise preset.  A static sigma_z model reproduces the quoted
@@ -87,8 +87,7 @@ def plan_single(omega_s: float, m: int) -> ProtocolPlan:
     delta = balanced_detuning(omega_s)
     d1 = (2.0 / np.sqrt(3.0)) * abs(omega_s)
     omega_d = d1 / (np.sqrt(2.0) * (4 * m + 1))
-    t_pi = np.pi / (2 * np.sqrt(2.0) * omega_d)
-    return ProtocolPlan("single", m, omega_s, omega_d, delta, t_pi)
+    return ProtocolPlan("single", m, omega_s, omega_d, delta, carrier_pi_time(omega_d, 2))
 
 
 def plan_composite(omega_s: float, m: int) -> ProtocolPlan:
@@ -101,14 +100,13 @@ def plan_composite(omega_s: float, m: int) -> ProtocolPlan:
         raise ValueError("m must be >= 1 for the composite scheme")
     delta = balanced_detuning(omega_s)
     omega_d = abs(omega_s) / (3.0 * np.sqrt(6.0) * m)
-    t_pi = np.pi / (2 * np.sqrt(2.0) * omega_d)
+    t_pi = carrier_pi_time(omega_d, 2)
     return ProtocolPlan("composite", m, omega_s, omega_d, delta, t_pi, t1=t_pi / 3.0, t2=2.0 * t_pi / 3.0)
 
 
 def plan_three_ion(omega_s: float, omega_d: float) -> ProtocolPlan:
     """Resonant three-ion plan; the carrier sets the pi time."""
-    t_pi = np.pi / (2 * np.sqrt(3.0) * omega_d)
-    return ProtocolPlan("single", None, omega_s, omega_d, 0.0, t_pi, n_ions=3)
+    return ProtocolPlan("single", None, omega_s, omega_d, 0.0, carrier_pi_time(omega_d, 3), n_ions=3)
 
 
 def experimental_override(plan: ProtocolPlan, **fields) -> ProtocolPlan:
@@ -119,10 +117,7 @@ def experimental_override(plan: ProtocolPlan, **fields) -> ProtocolPlan:
     """
     updated = dataclasses.replace(plan, **fields)
     if "omega_d" in fields and "t_pi" not in fields:
-        if plan.n_ions == 3:
-            t_pi = np.pi / (2 * np.sqrt(3.0) * updated.omega_d)
-        else:
-            t_pi = np.pi / (2 * np.sqrt(2.0) * updated.omega_d)
+        t_pi = carrier_pi_time(updated.omega_d, plan.n_ions)
         updated = dataclasses.replace(updated, t_pi=t_pi)
         if plan.scheme == "composite":
             t1 = fields.get("t1", t_pi / 3.0)
@@ -178,7 +173,6 @@ def simulate_plan_fidelity(
     dims: SystemDims | None = None,
     at_end: bool = True,
     sample_dt: float | None = None,
-    tol: float = 1e-6,
 ) -> float:
     """End (or peak) fidelity of the plan against its entangled target."""
     if dims is None:
@@ -195,7 +189,7 @@ def simulate_plan_fidelity(
         )
     else:
         rho0 = thermal_product_state(dims, spin_state(dims, "uuu" if dims.n_ions == 3 else "uu"), noise.n_bar)
-        traj = evolve_density(schedule, dims, geom, noise, rho0, tol=tol, sample_dt=sample_dt)
+        traj = evolve_density(schedule, dims, geom, noise, rho0, sample_dt=sample_dt)
     fids = [state_fidelity(dims, s, target) for s in traj.states]
     return fids[-1] if at_end else max(fids)
 
@@ -310,9 +304,7 @@ def fine_tune(
         q = dataclasses.replace(p, **{name: value})
         if name == "omega_d" and plan.scheme == "single":
             # the pi time tracks the drive for a single pulse
-            q = dataclasses.replace(
-                q, t_pi=np.pi / (2 * (np.sqrt(3.0) if p.n_ions == 3 else np.sqrt(2.0)) * value)
-            )
+            q = dataclasses.replace(q, t_pi=carrier_pi_time(value, p.n_ions))
         return q
 
     start_fid = fidelity_of(plan)

@@ -112,7 +112,7 @@ def test_criterion_05_spontaneous_emission_consistency():
     ):
         noise = spontaneous_preset(plan, target)
         clean = simulate_plan_fidelity(plan)
-        noisy = simulate_plan_fidelity(plan, noise, tol=1e-7)
+        noisy = simulate_plan_fidelity(plan, noise)
         deficit = clean - noisy
         analytic = 1.0 - np.exp(-mean_decay_rate(2, noise) * plan.total_duration())
         ok = ok and abs(deficit - target) <= 0.15 * target and abs(deficit - analytic) <= 0.10 * analytic
@@ -126,7 +126,7 @@ def test_criterion_06_thermal_error_law():
     details = []
     ok = True
     for n_bar in (0.002, 0.006, 0.01):
-        noisy = simulate_plan_fidelity(plan, NoiseModel(n_bar=n_bar), tol=1e-7)
+        noisy = simulate_plan_fidelity(plan, NoiseModel(n_bar=n_bar))
         deficit = clean - noisy
         ok = ok and 0.6 * n_bar <= deficit <= 1.5 * n_bar
         details.append(f"n_bar={n_bar}: deficit={deficit:.5f}")
@@ -150,7 +150,7 @@ def test_criterion_07_three_ion_protocol():
     ok_time = abs(t_peak - plan.t_pi) <= 0.02 * plan.t_pi
     # full noise preset reproduces the predicted peak population
     noise = three_ion_preset(plan)
-    peak = simulate_plan_fidelity(plan, noise, duration=1.25 * plan.t_pi, at_end=False, tol=2e-5)
+    peak = simulate_plan_fidelity(plan, noise, duration=1.25 * plan.t_pi, at_end=False)
     ok_peak = abs(peak - 0.917) <= 0.015
     ok = dark_norm < 1e-12 and ok_time and ok_peak
     _report(

@@ -90,6 +90,12 @@ def test_cli_exit_codes(tmp_path):
     assert main(["run", str(good), "--out", str(tmp_path / "x"), "--override", "n_fock=3"]) == 3
 
 
+@pytest.mark.parametrize("override", ["noise.stark=1,2,3", "noise.gamma_du=-1", "drive.m=-1"])
+def test_invalid_override_exits_with_config_error(tmp_path, capsys, override):
+    assert main(["run", "--preset", "fig3", "--out", str(tmp_path), "--override", override]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_noiseless_trace_run(tmp_path):
     good = tmp_path / "good.cfg"
     good.write_text(GOOD_CONFIG)

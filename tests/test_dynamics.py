@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zenosim.dynamics import evolve_density, evolve_pure, extract_populations, state_fidelity
 from zenosim.hilbert import SystemDims, named_state, spin_state, thermal_product_state
@@ -90,7 +92,7 @@ def test_lindblad_without_noise_matches_pure():
     schedule = single_pulse()
     psi = named_state(dims, "uu", 0)
     pure = evolve_pure(schedule, dims, GEOM2, psi, T_PI / 20)
-    dens = evolve_density(schedule, dims, GEOM2, NoiseModel(), psi.to_density(), tol=1e-8, sample_dt=T_PI / 20)
+    dens = evolve_density(schedule, dims, GEOM2, NoiseModel(), psi.to_density(), sample_dt=T_PI / 20)
     target = named_state(dims, "T", 0)
     for sp, sd in zip(pure.states, dens.states):
         fp = state_fidelity(dims, sp, target)
@@ -111,7 +113,7 @@ def test_uniform_decay_reproduces_mean_rate_deficit():
     target = named_state(dims, "T", 0)
     psi = named_state(dims, "uu", 0)
     clean = evolve_pure(schedule, dims, GEOM2, psi, T_PI)
-    noisy = evolve_density(schedule, dims, GEOM2, noise, psi.to_density(), tol=1e-7, sample_dt=T_PI)
+    noisy = evolve_density(schedule, dims, GEOM2, noise, psi.to_density(), sample_dt=T_PI)
     deficit = state_fidelity(dims, clean.final, target) - state_fidelity(dims, noisy.final, target)
     expected = 1.0 - np.exp(-mean_decay_rate(2, noise) * T_PI)
     assert abs(deficit - expected) < 0.10 * expected
@@ -123,7 +125,7 @@ def test_thermal_initial_state_deficit_small():
     schedule = single_pulse()
     target = named_state(dims, "T", 0)
     rho0 = thermal_product_state(dims, spin_state(dims, "uu"), n_bar)
-    noisy = evolve_density(schedule, dims, GEOM2, NoiseModel(n_bar=n_bar), rho0, tol=1e-7, sample_dt=T_PI)
+    noisy = evolve_density(schedule, dims, GEOM2, NoiseModel(n_bar=n_bar), rho0, sample_dt=T_PI)
     clean = evolve_pure(schedule, dims, GEOM2, named_state(dims, "uu", 0), T_PI)
     deficit = state_fidelity(dims, clean.final, target) - state_fidelity(dims, noisy.final, target)
     assert 0.0 < deficit <= 6e-3
@@ -157,3 +159,81 @@ def test_sample_dt_validation():
     dims = SystemDims(2, 4)
     with pytest.raises(ValueError):
         evolve_pure(single_pulse(), dims, GEOM2, named_state(dims, "uu", 0), -1.0)
+
+
+def _full_noise(gamma, gamma_heat, stark=(), n_bar=0.0):
+    return NoiseModel(
+        gamma_du=gamma[0],
+        gamma_ud=gamma[1],
+        gamma_ou=gamma[2],
+        gamma_od=gamma[3],
+        gamma_heat=gamma_heat,
+        stark_shifts=stark,
+        n_bar=n_bar,
+    )
+
+
+def test_density_matches_matrix_form_ode_reference():
+    """Every sample of a two-segment noisy run against solve_ivp on the
+    matrix-form master equation, integrated segment by segment.  Scatter
+    out of the protected subspace climbs the motional ladder, so n_fock = 8
+    is the smallest space that keeps the top level below its limit."""
+    from scipy.integrate import solve_ivp
+
+    from zenosim.model import lindblad_operators, segment_hamiltonian
+
+    dims = SystemDims(2, 8, leak_level=True)
+    noise = _full_noise((300.0, 200.0, 150.0, 100.0), 40.0)
+    seg_a = PulseSegment(0.4 * T_PI, OMEGA_S, OMEGA_D, DELTA)
+    seg_b = PulseSegment(0.6 * T_PI, -OMEGA_S, OMEGA_D, -DELTA)
+    schedule = PulseSchedule((seg_a, seg_b))
+    rho0 = named_state(dims, "uu", 0).to_density()
+    traj = evolve_density(schedule, dims, GEOM2, noise, rho0, sample_dt=T_PI / 25)
+
+    collapse = [op.matrix for op in lindblad_operators(dims, noise)]
+    m = sum(l.conj().T @ l for l in collapse)
+    d = dims.dim
+
+    def rhs_for(h):
+        def rhs(_t, y):
+            rho = y.reshape(d, d)
+            out = -1j * (h @ rho - rho @ h) - 0.5 * (m @ rho + rho @ m)
+            for l in collapse:
+                out += l @ rho @ l.conj().T
+            return out.reshape(-1)
+
+        return rhs
+
+    y = rho0.matrix.reshape(-1)
+    start = 0.0
+    reference = [y]
+    for seg in schedule.segments:
+        stop = start + seg.duration  # every boundary is a sample time
+        t_eval = [t for t in traj.times if start < t <= stop]
+        h = segment_hamiltonian(dims, GEOM2, seg).matrix
+        sol = solve_ivp(rhs_for(h), (start, stop), y, method="DOP853", t_eval=t_eval, rtol=1e-12, atol=1e-14)
+        assert sol.success
+        reference += list(sol.y.T)
+        y, start = sol.y[:, -1], stop
+    assert len(reference) == len(traj.states)
+    for ref, state in zip(reference, traj.states):
+        assert np.max(np.abs(state.matrix - ref.reshape(d, d))) < 1e-9
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    gamma=st.tuples(*[st.floats(0.0, 300.0)] * 4),
+    gamma_heat=st.floats(0.0, 50.0),
+    stark=st.tuples(*[st.floats(-2e4, 2e4)] * 2),
+    n_bar=st.floats(0.0, 0.01),
+)
+def test_density_samples_stay_physical(gamma, gamma_heat, stark, n_bar):
+    """Rate ranges keep the n = 5 population below 3e-9 at every corner."""
+    dims = SystemDims(2, 6, leak_level=True)
+    noise = _full_noise(gamma, gamma_heat, stark, n_bar)
+    rho0 = thermal_product_state(dims, spin_state(dims, "uu"), n_bar)
+    traj = evolve_density(single_pulse(duration=0.5 * T_PI), dims, GEOM2, noise, rho0, sample_dt=T_PI / 20)
+    for rho in (s.matrix for s in traj.states):
+        assert abs(np.trace(rho).real - 1.0) < 1e-10
+        assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
+        assert np.linalg.eigvalsh(rho)[0] >= -1e-10
