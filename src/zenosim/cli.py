@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -223,22 +224,15 @@ def _qubit_projection_weights(rho_spin: np.ndarray, dims: SystemDims, design) ->
         return tom.design_weights(design, rho_spin)
     from .hilbert import UP
 
-    spin_dims = SystemDims(dims.n_ions, 1, True)
-    configs = spin_dims.spin_configurations()
+    configs = SystemDims(dims.n_ions, 1, True).spin_configurations()
+    bright = [sum(1 for s in config if s == UP) for config in configs]
+    u1 = np.eye(3, dtype=complex)
     out = np.empty((len(design.analysis_rotations), dims.n_ions + 1))
     for i, (theta, phi) in enumerate(design.analysis_rotations):
-        u1 = np.eye(3, dtype=complex)
         u1[:2, :2] = tom.rotation_2x2(theta, phi)
-        u = np.array([[1.0 + 0j]])
-        for _ in range(dims.n_ions):
-            u = np.kron(u, u1)
-        rotated = u @ rho_spin @ u.conj().T
-        diag = np.real(np.diag(rotated))
-        weights = np.zeros(dims.n_ions + 1)
-        for config, p in zip(configs, diag):
-            k = sum(1 for s in config if s == UP)
-            weights[k] += p
-        out[i] = weights
+        u = functools.reduce(np.kron, [u1] * dims.n_ions)
+        diag = np.real(np.diag(u @ rho_spin @ u.conj().T))
+        out[i] = np.bincount(bright, weights=diag, minlength=dims.n_ions + 1)
     total = out.sum(axis=1, keepdims=True)
     return np.clip(out, 0.0, None) / np.clip(total, 1e-300, None)
 

@@ -106,7 +106,9 @@ class BinnedHistogram:
 @dataclass(frozen=True)
 class MeasurementDesign:
     """Analysis rotations, bright-count projectors, and the certificate that
-    a real combination of their statistics equals the target projector."""
+    a real combination of their statistics equals the target projector.
+    transfer stacks the measured operators U_i^dag A_n U_i, shape
+    (rotations, classes, s, s)."""
 
     n_ions: int
     analysis_rotations: tuple[tuple[float, float], ...]
@@ -116,6 +118,7 @@ class MeasurementDesign:
     target_name: str
     fidelity_coefficients: np.ndarray
     residual: float
+    transfer: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -274,41 +277,58 @@ def rebin(hist: CountHistogram, boundaries) -> BinnedHistogram:
     bounds = tuple(int(b) for b in boundaries)
     if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])) or (bounds and bounds[0] < 1):
         raise ValueError("boundaries must be strictly increasing positive integers")
-    edges = (0,) + bounds + (max(hist.max_count + 1, (bounds[-1] + 1) if bounds else 1),)
-    counts = np.zeros(len(edges) - 1)
+    counts = np.zeros(len(bounds) + 1)
     for c, k in hist.counts_by_photon_number.items():
-        b = np.searchsorted(bounds, c, side="right")
-        counts[b] += k
+        counts[np.searchsorted(bounds, c, side="right")] += k
     return BinnedHistogram(bounds, counts, hist.shots)
 
 
-def _estimate_class_conditionals(
-    counts: np.ndarray, weights: np.ndarray, n_iter: int = 400
-) -> np.ndarray:
+def _initial_q(n_fits: int, n_classes: int, n_bins: int) -> np.ndarray:
+    """Flat class probabilities for each of n_fits problems, tilted so that
+    classes with more bright ions sit at larger counts and EM does not start
+    on the symmetric saddle."""
+    q = np.full((n_classes, n_bins), 1.0 / n_bins)
+    tilt = np.linspace(-0.5, 0.5, n_bins)
+    for n in range(n_classes):
+        q[n] *= 1.0 + tilt * (2.0 * n / max(n_classes - 1, 1) - 1.0)
+        q[n] /= q[n].sum()
+    return np.array(np.broadcast_to(q, (n_fits, n_classes, n_bins)))
+
+
+def _q_update(c: np.ndarray, w: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """One EM sweep for class-conditional bin probabilities q (..., classes,
+    bins) from counts c (..., histograms, bins) mixed with known weights w
+    (..., histograms, classes); leading axes index independent problems."""
+    p = np.maximum(w @ q, 1e-300)
+    q_new = q * (np.swapaxes(w, -1, -2) @ (c / p))
+    q_new /= np.maximum(q_new.sum(axis=-1, keepdims=True), 1e-300)
+    return q_new
+
+
+def _em_to_convergence(c: np.ndarray, w: np.ndarray, q: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+    """Repeat _q_update on a stack of problems (leading axis), at most
+    max_iter times; each problem is frozen once its largest change falls
+    below tol."""
+    q = np.array(q, dtype=float)
+    active = np.ones(len(q), dtype=bool)
+    for _ in range(max_iter):
+        q_new = _q_update(c, w, q)
+        change = np.abs(q_new - q).max(axis=(-2, -1))
+        q[active] = q_new[active]
+        active &= change >= tol
+        if not active.any():
+            break
+    return q
+
+
+def _estimate_class_conditionals(counts: np.ndarray, weights: np.ndarray, n_iter: int = 400) -> np.ndarray:
     """EM estimate of per-class count distributions from mixture histograms.
 
     counts is (histograms, count values), weights (histograms, classes) with
     known mixing proportions.  Returns f with rows summing to one.
     """
-    n_hist, n_vals = counts.shape
-    n_classes = weights.shape[1]
-    f = np.full((n_classes, n_vals), 1.0 / n_vals)
-    # bias the start so classes with larger mean bright weight sit at larger counts
-    grid = np.linspace(-1.0, 1.0, n_vals)
-    for n in range(n_classes):
-        f[n] *= 1.0 + 0.5 * grid * (2.0 * n / max(n_classes - 1, 1) - 1.0)
-        f[n] /= f[n].sum()
-    for _ in range(n_iter):
-        mix = weights @ f  # (hist, vals)
-        mix = np.clip(mix, 1e-300, None)
-        ratio = counts / mix
-        f_new = f * (weights.T @ ratio)
-        f_new /= np.clip(f_new.sum(axis=1, keepdims=True), 1e-300, None)
-        if np.max(np.abs(f_new - f)) < 1e-12:
-            f = f_new
-            break
-        f = f_new
-    return f
+    f = _initial_q(1, weights.shape[1], counts.shape[1])
+    return _em_to_convergence(counts, weights[None], f, 1e-12, n_iter)[0]
 
 
 def _binned_information(f: np.ndarray, priors: np.ndarray, starts: np.ndarray) -> float:
@@ -412,8 +432,9 @@ def analysis_design(n_ions: int, target: str = "T") -> MeasurementDesign:
     povm = _bright_projectors(n_ions)
     target_vec = named_state(_spin_dims(n_ions), target, 0).amplitudes
     projector = np.outer(target_vec, target_vec.conj())
-    ops = [u.conj().T @ a @ u for u in unitaries for a in povm]
-    basis = np.stack([np.concatenate([op.real.ravel(), op.imag.ravel()]) for op in ops], axis=1)
+    transfer = np.array([[u.conj().T @ a @ u for a in povm] for u in unitaries])
+    ops = transfer.reshape(-1, len(target_vec) ** 2)
+    basis = np.concatenate([ops.real, ops.imag], axis=1).T
     rhs = np.concatenate([projector.real.ravel(), projector.imag.ravel()])
     coeffs, *_ = np.linalg.lstsq(basis, rhs, rcond=None)
     residual = float(np.linalg.norm(basis @ coeffs - rhs))
@@ -428,46 +449,116 @@ def analysis_design(n_ions: int, target: str = "T") -> MeasurementDesign:
         target,
         coeffs.reshape(len(unitaries), len(povm)),
         residual,
+        transfer,
     )
 
 
 def design_weights(design: MeasurementDesign, rho: np.ndarray) -> np.ndarray:
-    """tr(A_n U_i rho U_i^dag) for every rotation i and bright class n."""
-    out = np.empty((len(design.unitaries), len(design.povm_elements)))
-    for i, u in enumerate(design.unitaries):
-        rotated = u @ rho @ u.conj().T
-        for n, a in enumerate(design.povm_elements):
-            out[i, n] = float(np.real(np.trace(a @ rotated)))
-    return np.clip(out, 0.0, None)
+    """tr(A_n U_i rho U_i^dag) for every rotation i and bright class n.
+
+    rho may carry leading batch axes, giving shape (..., rotations, classes).
+    One matrix product per state, so a state in a stack rounds as it would alone.
+    """
+    n_rot, n_cls, s, _ = design.transfer.shape
+    rho_t = np.swapaxes(rho, -1, -2).reshape(rho.shape[:-2] + (s * s, 1))
+    w = (design.transfer.reshape(n_rot * n_cls, s * s) @ rho_t).real
+    return np.maximum(w.reshape(rho.shape[:-2] + (n_rot, n_cls)), 0.0)
 
 
 # ---------------------------------------------------------------------------
 # maximum-likelihood fit
 
 
-def _log_likelihood(c_ref, w_ref, c_data, w_data, q) -> float:
-    p_ref = np.clip(w_ref @ q, 1e-300, None)
-    p_data = np.clip(w_data @ q, 1e-300, None)
-    return float(np.sum(c_ref * np.log(p_ref)) + np.sum(c_data * np.log(p_data)))
+def _binned_counts(references, data, design: MeasurementDesign, boundaries, ref_weights) -> np.ndarray:
+    """Checked and rebinned histograms, references first: (refs + rotations, bins)."""
+    references, data, boundaries = tuple(references), tuple(data), tuple(boundaries)
+    if len(references) != ref_weights.shape[0]:
+        raise ValueError("reference histogram count does not match the weight table")
+    if len(data) != len(design.unitaries):
+        raise ValueError(f"expected {len(design.unitaries)} data histograms, got {len(data)}")
+    if any(h.shots == 0 for h in references + data):
+        raise ValueError("empty histogram supplied")
+    return np.stack([rebin(h, boundaries).bin_counts for h in references + data])
 
 
-def _q_update(c_all: np.ndarray, w_all: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """One EM sweep for the class-conditional bin probabilities."""
-    p = np.clip(w_all @ q, 1e-300, None)
-    ratio = c_all / p
-    q_new = q * (w_all.T @ ratio)
-    q_new /= np.clip(q_new.sum(axis=1, keepdims=True), 1e-300, None)
-    return q_new
+def _log_likelihood(c: np.ndarray, p: np.ndarray, n_ref: int) -> np.ndarray:
+    """Log-likelihood of each fit in a stack; reference and data terms are summed apart."""
+    terms = c * np.log(p)
+    return terms[:, :n_ref].reshape(len(c), -1).sum(-1) + terms[:, n_ref:].reshape(len(c), -1).sum(-1)
 
 
-def _transfer_operators(design: MeasurementDesign) -> np.ndarray:
-    """Stack of U_i^dag A_n U_i, shape (rotations, classes, s, s)."""
-    s = design.povm_elements[0].shape[0]
-    out = np.empty((len(design.unitaries), len(design.povm_elements), s, s), dtype=complex)
-    for i, u in enumerate(design.unitaries):
-        for n, a in enumerate(design.povm_elements):
-            out[i, n] = u.conj().T @ a @ u
-    return out
+def _fit_stack(c, w_ref, design: MeasurementDesign, stop: float, max_outer: int, rho_init=None):
+    """Joint maximum-likelihood fits of a stack of binned problems.
+
+    c (B, refs + rotations, bins) holds each fit's counts, references first,
+    and w_ref (B, refs, classes) its reference weights.  Each fit runs
+    fit_ml's iteration, diluting or rejecting its own R rho R steps, and
+    stops by its own rule; it is then frozen and leaves the working stack,
+    so it takes exactly the path it would take alone.  Returns rho (B, s, s),
+    iteration counts, converged flags and the log-likelihood after every
+    iteration (B, max_outer), valid up to each fit's iteration count.
+    """
+    n_fits, n_ref = w_ref.shape[:2]
+    s = design.transfer.shape[-1]
+    flat = design.transfer.reshape(-1, s * s)
+    eye = np.eye(s)
+    rho = np.array(np.broadcast_to(eye / s if rho_init is None else rho_init, (n_fits, s, s)), dtype=complex)
+    q = _initial_q(n_fits, design.n_ions + 1, c.shape[-1])
+    rho_out = rho.copy()
+    iterations, converged = np.full(n_fits, max_outer), np.zeros(n_fits, dtype=bool)
+    history = np.empty((n_fits, max_outer))
+
+    def weights_and_p(w_ref, rho, q):
+        w_all = np.concatenate([w_ref, design_weights(design, rho)], axis=1)
+        return w_all, np.maximum(w_all @ q, 1e-300)
+
+    def r_rho_r(r, rho):
+        out = r @ rho @ r
+        return out / np.trace(out, axis1=-2, axis2=-1).real[:, None, None]
+
+    idx = np.arange(n_fits)
+    shots = np.maximum(c[:, n_ref:].sum(axis=(1, 2)), 1.0)
+    w_all, p = weights_and_p(w_ref, rho, q)
+    ll = _log_likelihood(c, p, n_ref)
+    for it in range(max_outer):
+        # (a) class probabilities given the state
+        for _ in range(3):
+            q = _q_update(c, w_all, q)
+        p = np.maximum(w_all @ q, 1e-300)
+        ll_q = _log_likelihood(c, p, n_ref)
+        # (b) R rho R step given the class probabilities
+        coeff = (c[:, n_ref:] / p[:, n_ref:]) @ np.swapaxes(q, -1, -2)  # (B, rotations, classes)
+        r = (coeff.reshape(len(idx), 1, -1) @ flat).reshape(-1, s, s) / shots[:, None, None]
+        cand = r_rho_r(r, rho)
+        w_cand, p = weights_and_p(w_ref, cand, q)
+        ll_cand = _log_likelihood(c, p, n_ref)
+        worse = ll_cand < ll_q
+        if worse.any():
+            # diluted step keeps monotonicity when the plain update overshoots
+            dil = r_rho_r(0.5 * (r[worse] + eye), rho[worse])
+            w_dil, p = weights_and_p(w_ref[worse], dil, q[worse])
+            ll_dil = _log_likelihood(c[worse], p, n_ref)
+            # and when that overshoots too, the state stays
+            stay = ll_dil < ll_q[worse]
+            dil[stay], w_dil[stay], ll_dil[stay] = rho[worse][stay], w_all[worse][stay], ll_q[worse][stay]
+            cand[worse], w_cand[worse], ll_cand[worse] = dil, w_dil, ll_dil
+        rho = 0.5 * (cand + np.swapaxes(cand.conj(), -1, -2))
+        w_all = w_cand
+        history[idx, it] = ll_cand
+        done = (ll_cand - ll < stop * np.maximum(np.abs(ll), 1.0)) & (it > 2)
+        ll = ll_cand
+        if done.any():
+            rho_out[idx[done]], iterations[idx[done]], converged[idx[done]] = rho[done], it + 1, True
+            keep = ~done
+            idx, rho, q, w_all, ll, shots, c, w_ref = (a[keep] for a in (idx, rho, q, w_all, ll, shots, c, w_ref))
+            if not idx.size:
+                break
+    rho_out[idx] = rho
+    return rho_out, iterations, converged, history
+
+
+def _fidelity(design: MeasurementDesign, rho: np.ndarray) -> float:
+    return float(np.real(design.target @ rho @ design.target.conj()))
 
 
 def fit_ml(
@@ -489,82 +580,19 @@ def fit_ml(
     the joint likelihood non-decreasing, until the relative gain drops below
     stop.  Returns the estimate flagged unconverged if max_outer is hit.
     """
-    references = tuple(references)
-    data = tuple(data)
     if ref_weights is None:
         ref_weights = reference_weights(design.n_ions)
-    if len(references) != ref_weights.shape[0]:
-        raise ValueError("reference histogram count does not match the weight table")
-    if len(data) != len(design.unitaries):
-        raise ValueError(f"expected {len(design.unitaries)} data histograms, got {len(data)}")
-    if any(h.shots == 0 for h in references + data):
-        raise ValueError("empty histogram supplied")
-    boundaries = tuple(boundaries)
-    c_ref = np.stack([rebin(h, boundaries).bin_counts for h in references])
-    c_data = np.stack([rebin(h, boundaries).bin_counts for h in data])
-    n_bins = len(boundaries) + 1
-    n_classes = design.n_ions + 1
-    transfer = _transfer_operators(design)
-    s = transfer.shape[-1]
-
-    def weights_of(rho_):
-        return np.clip(np.einsum("inab,ba->in", transfer, rho_).real, 0.0, None)
-
-    rho = np.eye(s, dtype=complex) / s if rho_init is None else np.asarray(rho_init, dtype=complex)
-    q = np.full((n_classes, n_bins), 1.0 / n_bins)
-    # nudge classes apart so EM does not start on the symmetric saddle
-    tilt = np.linspace(-0.5, 0.5, n_bins)
-    for n in range(n_classes):
-        q[n] *= 1.0 + tilt * (2.0 * n / max(n_classes - 1, 1) - 1.0)
-        q[n] /= q[n].sum()
-
-    c_all = np.vstack([c_ref, c_data])
-    data_shots = c_data.sum()
-    loglik = []
-    w_data = weights_of(rho)
-    ll = _log_likelihood(c_ref, ref_weights, c_data, w_data, q)
-    converged = False
-    for it in range(max_outer):
-        # (a) class probabilities given the state
-        w_all = np.vstack([ref_weights, w_data])
-        for _ in range(3):
-            q = _q_update(c_all, w_all, q)
-        ll_q = _log_likelihood(c_ref, ref_weights, c_data, w_data, q)
-        # (b) R rho R step given the class probabilities
-        p_data = np.clip(w_data @ q, 1e-300, None)
-        coeff = (c_data / p_data) @ q.T  # (rotations, classes)
-        r = np.einsum("in,inab->ab", coeff, transfer) / max(data_shots, 1.0)
-        candidate = r @ rho @ r
-        candidate /= np.trace(candidate).real
-        w_cand = weights_of(candidate)
-        ll_cand = _log_likelihood(c_ref, ref_weights, c_data, w_cand, q)
-        if ll_cand < ll_q:
-            # diluted step keeps monotonicity when the plain update overshoots
-            r_mix = 0.5 * (r + np.eye(s))
-            candidate = r_mix @ rho @ r_mix
-            candidate /= np.trace(candidate).real
-            w_cand = weights_of(candidate)
-            ll_cand = _log_likelihood(c_ref, ref_weights, c_data, w_cand, q)
-            if ll_cand < ll_q:
-                candidate, w_cand, ll_cand = rho, w_data, ll_q
-        rho, w_data = candidate, w_cand
-        rho = 0.5 * (rho + rho.conj().T)
-        loglik.append(ll_cand)
-        if ll_cand - ll < stop * max(abs(ll), 1.0) and it > 2:
-            converged = True
-            ll = ll_cand
-            break
-        ll = ll_cand
-    fidelity = float(np.real(design.target @ rho @ design.target.conj()))
-    populations = np.array([float(np.real(np.trace(a @ rho))) for a in design.povm_elements])
+    c = _binned_counts(references, data, design, boundaries, ref_weights)
+    rho, iterations, converged, history = _fit_stack(c[None], ref_weights[None], design, stop, max_outer, rho_init)
+    rho = rho[0]
     return TomographyEstimate(
         rho_ml=rho,
-        fidelity=fidelity,
-        populations=populations,
+        fidelity=_fidelity(design, rho),
+        populations=np.array([float(np.real(np.trace(a @ rho))) for a in design.povm_elements]),
         target_name=design.target_name,
-        converged=converged,
-        n_iterations=len(loglik),
-        log_likelihoods=np.array(loglik),
+        converged=bool(converged[0]),
+        n_iterations=int(iterations[0]),
+        log_likelihoods=history[0, : iterations[0]].copy(),
     )
 
 
@@ -572,31 +600,14 @@ def fit_ml(
 # uncertainty
 
 
-def _model_bin_probabilities(inputs: FitInputs, estimate: TomographyEstimate, ref_weights):
-    q = _refit_q_only(inputs, estimate, ref_weights)
-    w_data = design_weights(inputs.design, estimate.rho_ml)
-    return ref_weights @ q, w_data @ q, q
-
-
-def _refit_q_only(inputs: FitInputs, estimate: TomographyEstimate, ref_weights) -> np.ndarray:
-    """Class probabilities at the fitted state (EM to convergence)."""
-    c_ref = np.stack([rebin(h, inputs.boundaries).bin_counts for h in inputs.references])
-    c_data = np.stack([rebin(h, inputs.boundaries).bin_counts for h in inputs.data])
-    w_data = design_weights(inputs.design, estimate.rho_ml)
-    w_all = np.vstack([ref_weights, w_data])
-    c_all = np.vstack([c_ref, c_data])
-    n_bins = len(inputs.boundaries) + 1
-    q = np.full((inputs.design.n_ions + 1, n_bins), 1.0 / n_bins)
-    tilt = np.linspace(-0.5, 0.5, n_bins)
-    for n in range(inputs.design.n_ions + 1):
-        q[n] *= 1.0 + tilt * (2.0 * n / inputs.design.n_ions - 1.0)
-        q[n] /= q[n].sum()
-    for _ in range(2000):
-        q_new = _q_update(c_all, w_all, q)
-        if np.max(np.abs(q_new - q)) < 1e-13:
-            return q_new
-        q = q_new
-    return q
+def _model_bin_probabilities(design: MeasurementDesign, c: np.ndarray, w_ref: np.ndarray, rho: np.ndarray):
+    """Model bin probabilities (B, refs + rotations, bins) at every state of
+    a stack rho (B, s, s), with the class probabilities refit by EM to the
+    observed counts c (refs + rotations, bins) at that state."""
+    n = len(rho)
+    w_all = np.concatenate([np.broadcast_to(w_ref, (n,) + w_ref.shape), design_weights(design, rho)], axis=1)
+    q0 = _initial_q(n, w_ref.shape[1], c.shape[1])
+    return w_all @ _em_to_convergence(c, w_all, q0, 1e-13, 2000)
 
 
 def _log_likelihood_ratio(c: np.ndarray, p: np.ndarray) -> float:
@@ -605,23 +616,6 @@ def _log_likelihood_ratio(c: np.ndarray, p: np.ndarray) -> float:
     expected = np.clip(shots * p, 1e-300, None)
     mask = c > 0
     return float(2.0 * np.sum(c[mask] * np.log(c[mask] / expected[mask])))
-
-
-def _fit_from_binned(inputs: FitInputs, c_ref, c_data, ref_weights, rho_init=None) -> TomographyEstimate:
-    """fit_ml driven directly by binned counts (bootstrap path)."""
-    refs = [_binned_as_histogram(row, inputs.boundaries, f"boot_ref_{i}") for i, row in enumerate(c_ref)]
-    data = [_binned_as_histogram(row, inputs.boundaries, f"boot_data_{i}") for i, row in enumerate(c_data)]
-    return fit_ml(
-        refs, data, inputs.design, inputs.boundaries, inputs.stop, inputs.max_outer, ref_weights, rho_init
-    )
-
-
-def _binned_as_histogram(bin_counts, boundaries, label) -> CountHistogram:
-    """Represent binned counts as a histogram putting each bin's counts on
-    its left edge; rebinning with the same boundaries recovers the bins."""
-    edges = (0,) + tuple(boundaries)
-    counts = {int(edges[b]): int(k) for b, k in enumerate(bin_counts) if k > 0}
-    return CountHistogram(counts, int(np.sum(bin_counts)), label)
 
 
 def bootstrap(
@@ -633,42 +627,47 @@ def bootstrap(
     """Parametric bootstrap interval and model-fit percentile.
 
     Every histogram is regenerated from the fitted model (multinomial over
-    the frozen bins), refit, and the 0.16 / 0.84 fidelity quantiles give the
-    half width eps0.  The interval is (F - eps0 - eps_syst, F + eps0), using
-    whatever epsilon_syst the estimate already carries.  The log-likelihood
-    ratio of the original fit is ranked inside the bootstrap distribution as
-    a goodness-of-fit percentile.  Per-resample seeds come from a spawned
-    sequence, so results do not depend on evaluation order.
+    the frozen bins), all resamples are refit as one stack, and the 0.16 /
+    0.84 fidelity quantiles give the half width eps0.  The interval is
+    (F - eps0 - eps_syst, F + eps0), using whatever epsilon_syst the
+    estimate already carries.  The log-likelihood ratio of the original fit
+    is ranked inside the bootstrap distribution as a goodness-of-fit
+    percentile.  Each resample draws from its own spawned generator, so
+    results do not depend on the stacking; a resample whose fit does not
+    converge is redrawn from it, and after three draws ConvergenceError is
+    raised.
     """
     if resamples == 0:
         return estimate
-    ref_weights = inputs.ref_weights if inputs.ref_weights is not None else reference_weights(inputs.design.n_ions)
-    p_ref, p_data, _ = _model_bin_probabilities(inputs, estimate, ref_weights)
-    c_ref = np.stack([rebin(h, inputs.boundaries).bin_counts for h in inputs.references])
-    c_data = np.stack([rebin(h, inputs.boundaries).bin_counts for h in inputs.data])
-    shots_ref = c_ref.sum(axis=1).astype(int)
-    shots_data = c_data.sum(axis=1).astype(int)
-    ll_orig = _log_likelihood_ratio(np.vstack([c_ref, c_data]), np.vstack([p_ref, p_data]))
+    design = inputs.design
+    w_ref = inputs.ref_weights if inputs.ref_weights is not None else reference_weights(design.n_ions)
+    c = _binned_counts(inputs.references, inputs.data, design, inputs.boundaries, w_ref)
+    p = _model_bin_probabilities(design, c, w_ref, estimate.rho_ml[None])[0]
+    ll_orig = _log_likelihood_ratio(c, p)
+    shots = c.sum(axis=1).astype(int)
+    p = np.maximum(p, 0.0) / np.maximum(p, 0.0).sum(axis=1, keepdims=True)
 
-    children = np.random.SeedSequence(seed).spawn(resamples)
-    fids = np.empty(resamples)
-    llrs = np.empty(resamples)
-    s_dim = estimate.rho_ml.shape[0]
-    warm = 0.9 * estimate.rho_ml + 0.1 * np.eye(s_dim) / s_dim  # full-rank warm start
-    for k in range(resamples):
-        rng = np.random.default_rng(children[k])
-        for attempt in range(3):
-            try:
-                b_ref = np.stack([rng.multinomial(s, np.clip(p, 0, None) / np.clip(p, 0, None).sum()) for s, p in zip(shots_ref, p_ref)])
-                b_data = np.stack([rng.multinomial(s, np.clip(p, 0, None) / np.clip(p, 0, None).sum()) for s, p in zip(shots_data, p_data)])
-                fit_k = _fit_from_binned(inputs, b_ref, b_data, ref_weights, rho_init=warm)
-                pk_ref, pk_data, _ = _model_bin_probabilities(inputs, fit_k, ref_weights)
-                fids[k] = fit_k.fidelity
-                llrs[k] = _log_likelihood_ratio(np.vstack([b_ref, b_data]), np.vstack([pk_ref, pk_data]))
-                break
-            except (ConvergenceError, NumericsError, ValueError):
-                if attempt == 2:
-                    raise ConvergenceError(f"bootstrap resample {k} failed to fit after 3 draws")
+    rngs = [np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(resamples)]
+    s = estimate.rho_ml.shape[0]
+    warm = 0.9 * estimate.rho_ml + 0.1 * np.eye(s) / s  # full-rank warm start
+    counts = np.empty((resamples,) + c.shape)
+    rho = np.empty((resamples, s, s), dtype=complex)
+    todo = np.arange(resamples)
+    for _ in range(3):
+        for k in todo:
+            counts[k] = rngs[k].multinomial(shots, p)
+        w_stack = np.broadcast_to(w_ref, (len(todo),) + w_ref.shape)
+        rho[todo], _, converged, _ = _fit_stack(counts[todo], w_stack, design, inputs.stop, inputs.max_outer, warm)
+        todo = todo[~converged]
+        if not todo.size:
+            break
+    else:
+        raise ConvergenceError(f"bootstrap resample {todo[0]} did not converge in 3 draws")
+
+    fids = np.array([_fidelity(design, r) for r in rho])
+    # each resample's state is scored with class probabilities refit to the original counts
+    p_k = _model_bin_probabilities(design, c, w_ref, rho)
+    llrs = np.array([_log_likelihood_ratio(counts[k], p_k[k]) for k in range(resamples)])
     lo, hi = np.quantile(fids, [0.16, 0.84])
     eps0 = float(hi - lo) / 2.0
     percentile = float(100.0 * np.mean(llrs < ll_orig))
@@ -700,19 +699,21 @@ def systematic_sweep(
 
     Refits the same data while assuming each reference ion starts in the
     wrong state with probability epsilon (binomial mixing of the reference
-    weights).  A line through inferred infidelity versus epsilon gives the
-    slope c; the systematic term is |c| * epsilon_max.  The result is
-    flagged non-linear when the points stray more than 20% of the swept
-    response from the line.
+    weights); all epsilon points are fitted as one stack, and a point whose
+    fit does not converge raises ConvergenceError.  A line through inferred
+    infidelity versus epsilon gives the slope c; the systematic term is
+    |c| * epsilon_max.  The result is flagged non-linear when the points
+    stray more than 20% of the swept response from the line.
     """
+    design = inputs.design
     eps_grid = np.linspace(epsilon_range[0], epsilon_range[1], n_points)
-    infids = np.empty(n_points)
-    for i, eps in enumerate(eps_grid):
-        w = reference_weights(inputs.design.n_ions, eps)
-        fit = fit_ml(
-            inputs.references, inputs.data, inputs.design, inputs.boundaries, inputs.stop, inputs.max_outer, w
-        )
-        infids[i] = 1.0 - fit.fidelity
+    w_ref = np.stack([reference_weights(design.n_ions, eps) for eps in eps_grid])
+    c = _binned_counts(inputs.references, inputs.data, design, inputs.boundaries, w_ref[0])
+    c = np.broadcast_to(c, (n_points,) + c.shape)
+    rho, _, converged, _ = _fit_stack(c, w_ref, design, inputs.stop, inputs.max_outer)
+    if not converged.all():
+        raise ConvergenceError(f"systematic sweep fit at epsilon = {eps_grid[~converged][0]:g} did not converge")
+    infids = 1.0 - np.array([_fidelity(design, r) for r in rho])
     slope, intercept = np.polyfit(eps_grid, infids, 1)
     line = slope * eps_grid + intercept
     span = max(infids.max() - infids.min(), 1e-12)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zenosim.cli import main, run_scenario
 from zenosim.config import (
+    _SCHEMA,
     PRESETS,
     ScenarioConfig,
     apply_override,
@@ -227,3 +230,36 @@ def test_fig2_preset_reproduces_headline_peak(tmp_path):
     )
     assert 0.97 < float(budget["peak_fidelity"]) < 0.985
     assert abs(float(budget["peak_time_s"]) - 116e-6) < 8e-6
+
+
+_KEYS = sorted({key for keys in _SCHEMA.values() for key in keys}) + ["bogus"]
+_VALUES = st.one_of(
+    st.sampled_from(["17.3 kHz", "25 us", "1e-3 1/s", "two_ion_single", "sweep", "true", "1,2,3", "nan", "-1", ""]),
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.text(max_size=12),
+)
+_LINES = st.one_of(
+    st.sampled_from(sorted(_SCHEMA) + ["bogus", "drive"]).map(lambda section: f"[{section}]"),
+    st.builds(lambda key, value: f"{key} = {value}", st.sampled_from(_KEYS), _VALUES),
+    st.text(max_size=30),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.lists(_LINES, max_size=12).map("\n".join))
+def test_parse_config_text_accepts_or_raises_config_error(text):
+    try:
+        config = parse_config_text(text)
+    except ConfigError:
+        return
+    assert isinstance(config, ScenarioConfig)
+
+
+def test_fig3_preset_reproduces_headline_peak(tmp_path):
+    assert main(["run", "--preset", "fig3", "--out", str(tmp_path)]) == 0
+    budget = dict(
+        line.split(" = ") for line in (tmp_path / "two_ion_composite_budget.txt").read_text().splitlines()
+    )
+    assert abs(float(budget["peak_fidelity"]) - 0.98912374221) < 1e-6
+    assert abs(float(budget["peak_time_s"]) - 72.7e-6) < 1e-12

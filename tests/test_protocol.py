@@ -163,3 +163,19 @@ def test_composite_beats_single_with_spontaneous_noise():
     f_single = simulate_plan_fidelity(ps, spontaneous_preset(ps))
     f_comp = simulate_plan_fidelity(pc, spontaneous_preset(pc))
     assert f_comp > f_single
+
+
+def test_at_end_run_ignores_the_global_random_state():
+    """An at_end run takes one step per pulse, long enough that scipy's
+    expm_multiply estimates matrix-power norms with numpy's global generator."""
+    plan = experimental_override(plan_single(OMEGA_S, 2), omega_d=2 * np.pi * 1.52e3, delta=2 * np.pi * 27.1e3)
+    noise = spontaneous_preset(plan)
+    saved = np.random.get_state()
+    try:
+        values = []
+        for seed in (1, 20161):
+            np.random.seed(seed)
+            values.append(simulate_plan_fidelity(plan, noise, at_end=True))
+    finally:
+        np.random.set_state(saved)
+    assert values[0] == values[1]

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zenosim.errors import NumericsError
+from zenosim import tomography
+from zenosim.errors import ConvergenceError, NumericsError
 from zenosim.hilbert import SystemDims, named_state
 from zenosim.tomography import (
     CountHistogram,
@@ -118,6 +121,22 @@ def test_rebin_contract():
         rebin(hist, (15, 10))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    counts=st.dictionaries(st.integers(0, 200), st.integers(1, 1000), max_size=40),
+    cuts=st.sets(st.integers(1, 250), max_size=8),
+)
+def test_rebin_conserves_counts(counts, cuts):
+    hist = CountHistogram(counts, sum(counts.values()), "h")
+    boundaries = tuple(sorted(cuts))
+    binned = rebin(hist, boundaries)
+    assert binned.bin_counts.sum() == hist.shots
+    # reference: bin every single shot with searchsorted
+    shots = np.repeat(np.array(list(counts), dtype=int), list(counts.values()))
+    reference = np.bincount(np.searchsorted(boundaries, shots, side="right"), minlength=len(boundaries) + 1)
+    assert np.array_equal(binned.bin_counts, reference)
+
+
 def test_design_residuals_and_invariance():
     d2 = analysis_design(2, "T")
     assert d2.residual < 1e-10
@@ -229,6 +248,81 @@ def test_bootstrap_coverage(two_ion_setup):
         if est.ci_lower <= f_true <= est.ci_upper:
             hits += 1
     assert hits >= 10
+
+
+def _histograms_from_bins(rows, boundaries, label):
+    """Histograms that put each bin's counts on its left edge."""
+    edges = (0,) + tuple(boundaries)
+    return [
+        CountHistogram({edges[b]: int(k) for b, k in enumerate(row) if k > 0}, int(row.sum()), f"{label}_{i}")
+        for i, row in enumerate(rows)
+    ]
+
+
+def test_stacked_fits_match_single_fits(two_ion_setup):
+    """Bootstrap-like resamples fitted as one stack get the fits they get one at a time."""
+    refs, _, boundaries, design = two_ion_setup
+    t = spin_vector(2, "T")
+    rho_true = 0.9 * np.outer(t, t.conj()) + 0.1 * np.eye(4) / 4
+    data = make_synthetic(rho_true, design, shots_data=8000, shots_analysis=500, seed=31)
+    est = fit_ml(refs, data, design, boundaries)
+    observed = np.stack([rebin(h, boundaries).bin_counts for h in list(refs) + list(data)])
+    shots = observed.sum(axis=1).astype(int)
+    rng = np.random.default_rng(4)
+    counts = np.stack([rng.multinomial(shots, observed / shots[:, None]) for _ in range(10)]).astype(float)
+    w_ref = reference_weights(2)
+    warm = 0.9 * est.rho_ml + 0.1 * np.eye(4) / 4
+    rho, iterations, converged, _ = tomography._fit_stack(
+        counts, np.broadcast_to(w_ref, (len(counts),) + w_ref.shape), design, 1e-10, 5000, warm
+    )
+    assert converged.all()
+    assert len(set(iterations.tolist())) > 1  # fits leave the stack at different iterations
+    n_ref = len(refs)
+    for k, c in enumerate(counts):
+        alone = fit_ml(
+            _histograms_from_bins(c[:n_ref], boundaries, "ref"),
+            _histograms_from_bins(c[n_ref:], boundaries, "data"),
+            design,
+            boundaries,
+            rho_init=warm,
+        )
+        assert alone.n_iterations == iterations[k]
+        assert abs(alone.fidelity - float(np.real(t @ rho[k] @ t.conj()))) < 1e-12
+
+
+def test_stacked_fits_match_single_fits_through_diluted_steps(monkeypatch):
+    """Sparse counts against uninformative references (epsilon = 0.5) make
+    some plain R rho R steps lower the likelihood; the stack must still give
+    every fit its one-at-a-time result."""
+    design = analysis_design(2, "T")
+    rng = np.random.default_rng(15)
+    counts = rng.poisson(rng.random(size=(8, 29, 5)) ** 4).astype(float)
+    counts[..., 2] += 1
+    w_ref = np.broadcast_to(reference_weights(2, 0.5), (8, 8, 3))
+    calls = []
+    log_likelihood = tomography._log_likelihood
+    monkeypatch.setattr(tomography, "_log_likelihood", lambda *a: calls.append(1) or log_likelihood(*a))
+    rho, iterations, converged, _ = tomography._fit_stack(counts, w_ref, design, 1e-10, 5000)
+    # one call before the loop and two per iteration, plus one per diluted round
+    assert len(calls) > 1 + 2 * iterations.max()
+    assert converged.all()
+    t = design.target
+    for k in range(len(counts)):
+        rho_k, iterations_k, _, _ = tomography._fit_stack(counts[k : k + 1], w_ref[:1], design, 1e-10, 5000)
+        assert iterations_k[0] == iterations[k]
+        assert abs(np.real(t @ rho_k[0] @ t.conj()) - np.real(t @ rho[k] @ t.conj())) < 1e-12
+
+
+def test_unconverged_fits_raise(two_ion_setup):
+    refs, _, boundaries, design = two_ion_setup
+    t = spin_vector(2, "T")
+    data = make_synthetic(np.outer(t, t.conj()), design)
+    est = fit_ml(refs, data, design, boundaries)
+    inputs = FitInputs(tuple(refs), tuple(data), design, boundaries, max_outer=3)
+    with pytest.raises(ConvergenceError):
+        systematic_sweep(inputs, n_points=3)
+    with pytest.raises(ConvergenceError):
+        bootstrap(inputs, est, resamples=4, seed=1)
 
 
 def test_systematic_sweep(two_ion_setup):
