@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from zenosim.dressed import (
@@ -86,6 +88,44 @@ def test_sign_reversal_symmetry():
         assert np.allclose(b.eigenfrequencies, -a.eigenfrequencies, atol=1e-10)
         assert np.allclose(np.abs(b.eigenvectors), np.abs(a.eigenvectors), atol=1e-10)
         assert np.allclose(b.couplings, a.couplings, atol=1e-10)
+
+
+def _nondegenerate(omega_s, delta):
+    """Eigenfrequencies, and their magnitudes, apart by 1e-3 |Omega_s|, so
+    that the branch labels are well defined."""
+    evals = np.linalg.eigvalsh(undesired_hamiltonian(omega_s, delta))
+    gap = 1e-3 * abs(omega_s)
+    return np.min(np.diff(np.sort(evals))) > gap and np.min(np.diff(np.sort(np.abs(evals)))) > gap
+
+
+_drive = st.tuples(
+    st.floats(0.2, 3.0) | st.floats(-3.0, -0.2),
+    st.floats(0.05, 4.0) | st.floats(-4.0, -0.05),
+    st.floats(0.01, 1.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_drive)
+def test_sign_reversal_symmetry_property(drive):
+    omega_s, delta, omega_d = drive
+    assume(_nondegenerate(omega_s, delta))
+    a = dressed_spectrum(omega_s, delta, omega_d)
+    b = dressed_spectrum(-omega_s, -delta, omega_d)
+    assert np.allclose(b.eigenfrequencies, -a.eigenfrequencies, rtol=0, atol=1e-10 * abs(omega_s))
+    assert np.allclose(b.eigenvectors, a.eigenvectors, rtol=0, atol=1e-9)
+    assert np.allclose(b.couplings, a.couplings, rtol=0, atol=1e-9 * omega_d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_drive)
+def test_coupling_sum_rule_property(drive):
+    """|dd,0> has unit weight over the three dressed states, so the carrier
+    couplings to them share the protected pair's 2 Omega_d^2."""
+    omega_s, delta, omega_d = drive
+    assume(_nondegenerate(omega_s, delta))
+    couplings = dressed_spectrum(omega_s, delta, omega_d).couplings
+    assert abs(np.sum(couplings[1:] ** 2) - 2 * omega_d**2) < 1e-12 * omega_d**2
 
 
 def test_scan_tracks_branches_and_finds_crossings():

@@ -220,6 +220,39 @@ def test_density_matches_matrix_form_ode_reference():
         assert np.max(np.abs(state.matrix - ref.reshape(d, d))) < 1e-9
 
 
+def test_taylor_kernel_matches_dense_expm():
+    """The sample-step kernel against a dense exponential of the vectorized
+    full-noise Lindbladian, from a step well inside one Taylor term's reach
+    to one that needs many substeps; a zero step returns the input."""
+    import scipy.sparse as sp
+    from scipy.linalg import expm
+
+    from zenosim.dynamics import _TaylorExpm
+    from zenosim.model import lindblad_operators, segment_hamiltonian
+
+    dims = SystemDims(2, 3, leak_level=True)
+    noise = _full_noise((3e4, 2e4, 1.5e4, 1e4), 5e3, stark=(1e4, -5e3))
+    h = segment_hamiltonian(dims, GEOM2, PulseSegment(T_PI, OMEGA_S, OMEGA_D, DELTA), noise.stark_shifts).matrix
+    eye = np.eye(dims.dim)
+    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for l in (op.matrix for op in lindblad_operators(dims, noise)):
+        m = l.conj().T @ l
+        gen += np.kron(l, l.conj()) - 0.5 * (np.kron(m, eye) + np.kron(eye, m.T))
+    kernel = _TaylorExpm(sp.csr_matrix(gen))
+    n = dims.dim**2
+    shifted = gen - np.trace(gen) / n * np.eye(n)
+    assert abs(kernel.norm_1 - np.abs(shifted).sum(axis=0).max()) < 1e-12 * kernel.norm_1
+
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(dims.dim, dims.dim)) + 1j * rng.normal(size=(dims.dim, dims.dim))
+    rho = x @ x.conj().T
+    vec = (rho / np.trace(rho)).reshape(-1)
+    for reach in (0.1, 0.66, 5.0, 100.0):
+        dt = reach / kernel.norm_1
+        assert np.max(np.abs(kernel(dt, vec) - expm(dt * gen) @ vec)) < 1e-12
+    assert np.array_equal(kernel(0.0, vec), vec)
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     gamma=st.tuples(*[st.floats(0.0, 300.0)] * 4),

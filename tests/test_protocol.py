@@ -166,8 +166,9 @@ def test_composite_beats_single_with_spontaneous_noise():
 
 
 def test_at_end_run_ignores_the_global_random_state():
-    """An at_end run takes one step per pulse, long enough that scipy's
-    expm_multiply estimates matrix-power norms with numpy's global generator."""
+    """An at_end run takes one step per pulse, far beyond one Taylor term's
+    reach; the step's degree and scaling come from the exact 1-norm, so the
+    run neither reads nor advances numpy's global generator."""
     plan = experimental_override(plan_single(OMEGA_S, 2), omega_d=2 * np.pi * 1.52e3, delta=2 * np.pi * 27.1e3)
     noise = spontaneous_preset(plan)
     saved = np.random.get_state()
@@ -175,7 +176,10 @@ def test_at_end_run_ignores_the_global_random_state():
         values = []
         for seed in (1, 20161):
             np.random.seed(seed)
+            before = np.random.get_state()
             values.append(simulate_plan_fidelity(plan, noise, at_end=True))
+            after = np.random.get_state()
+            assert np.array_equal(before[1], after[1]) and before[2:] == after[2:]
     finally:
         np.random.set_state(saved)
     assert values[0] == values[1]
