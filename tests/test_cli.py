@@ -263,3 +263,33 @@ def test_fig3_preset_reproduces_headline_peak(tmp_path):
     )
     assert abs(float(budget["peak_fidelity"]) - 0.98912374221) < 1e-6
     assert abs(float(budget["peak_time_s"]) - 72.7e-6) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "sweep, expected",
+    [
+        (
+            {"axis": "n_bar", "start": 0.0, "stop": 0.05, "points": 3},
+            [0.990252871292332, 0.966100545833467, 0.943098655830589],
+        ),
+        (
+            {"axis": "gamma", "start": 0.0, "stop": 200.0, "points": 3},
+            [0.990252871292332, 0.950101338053339, 0.911669828027327],
+        ),
+        (
+            {"scheme": "composite", "axis": "t1", "start": 0.2, "stop": 0.5, "points": 3},
+            [0.968284777902768, 0.997252455083351, 0.910646117232528],
+        ),
+    ],
+    ids=["n_bar", "gamma", "t1"],
+)
+def test_sweep_axis_values_are_pinned(tmp_path, sweep, expected):
+    """End fidelities of the noise and intermediate-time axes at 17.6 kHz."""
+    cfg = ScenarioConfig(scenario="sweep", drive={"omega_s": 2 * np.pi * 17.6e3}, sweep=sweep)
+    paths = run_scenario(cfg, tmp_path)
+    lines = [line for line in paths["sweep"].read_text().splitlines() if not line.startswith("#")]
+    assert lines[0].split("\t") == [sweep["axis"], "fidelity", "error"]
+    data = np.array([[float(v) for v in line.split("\t")] for line in lines[1:]])
+    np.testing.assert_allclose(data[:, 0], np.linspace(sweep["start"], sweep["stop"], 3), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(data[:, 1], expected, rtol=0, atol=1e-11)
+    np.testing.assert_allclose(data[:, 2], 1.0 - data[:, 1], rtol=0, atol=1e-11)
