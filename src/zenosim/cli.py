@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import sys
 from pathlib import Path
 
@@ -17,15 +18,9 @@ import numpy as np
 
 from .config import PRESETS, SWEEP_AXES, ScenarioConfig, apply_override, load_preset, parse_config
 from .dressed import scan_detuning
-from .dynamics import evolve_density, evolve_pure, extract_populations
+from .dynamics import extract_populations
 from .errors import ConfigError, ConvergenceError, NumericsError, ZenosimError
-from .hilbert import (
-    SystemDims,
-    named_state,
-    partial_trace_motion,
-    spin_state,
-    thermal_product_state,
-)
+from .hilbert import SystemDims, named_state, partial_trace_motion, spin_state
 from .model import NoiseModel
 from .protocol import (
     COMPOSITE_PULSE_SPONTANEOUS_DEFICIT,
@@ -36,10 +31,9 @@ from .protocol import (
     experimental_override,
     fine_tune,
     plan_composite,
-    plan_geometry,
-    plan_schedule,
     plan_single,
     plan_three_ion,
+    simulate_plan,
     simulate_plan_fidelity,
     spontaneous_preset,
     three_ion_preset,
@@ -105,20 +99,10 @@ def _build_noise(config: ScenarioConfig, plan: ProtocolPlan) -> NoiseModel:
         base = three_ion_preset(plan)
     else:
         raise ConfigError(f"unknown noise preset {preset_name!r}")
-    fields = {
-        "gamma_du": base.gamma_du,
-        "gamma_ud": base.gamma_ud,
-        "gamma_ou": base.gamma_ou,
-        "gamma_od": base.gamma_od,
-        "gamma_heat": base.gamma_heat,
-        "n_bar": base.n_bar,
-        "stark_shifts": base.stark_shifts,
-    }
     if "stark" in section:
-        fields["stark_shifts"] = section.pop("stark")
-    fields.update(section)
+        section["stark_shifts"] = section.pop("stark")
     try:
-        noise = NoiseModel(**fields)
+        noise = dataclasses.replace(base, **section)
         noise.shifts_or_zero(plan.n_ions)
     except ValueError as exc:
         raise ConfigError(f"[noise] {exc}") from None
@@ -158,17 +142,7 @@ def _trace_scenario(config: ScenarioConfig, out_dir: Path) -> dict:
     dims = default_dims(plan, noise)
     if config.n_fock is not None:
         dims = SystemDims(plan.n_ions, config.n_fock, dims.leak_level)
-    geom = plan_geometry(plan)
-    duration = config.drive.get("duration")
-    schedule = plan_schedule(plan, duration)
-    start_name = "uuu" if plan.n_ions == 3 else "uu"
-    if noise.has_lindblad or noise.n_bar > 0:
-        rho0 = thermal_product_state(dims, spin_state(dims, start_name), noise.n_bar)
-        traj = evolve_density(schedule, dims, geom, noise, rho0)
-    else:
-        traj = evolve_pure(
-            schedule, dims, geom, named_state(dims, start_name, 0), stark_shifts=noise.shifts_or_zero(plan.n_ions)
-        )
+    traj = simulate_plan(plan, noise, config.drive.get("duration"), dims)
     if plan.n_ions == 2:
         targets = [named_state(dims, "T", 0), spin_state(dims, "S"), spin_state(dims, "dd"), spin_state(dims, "uu")]
         labels = ["F_T", "P_S", "P_dd", "P_uu"]
@@ -242,16 +216,28 @@ def _run_tomography(config: ScenarioConfig, out_dir: Path, rho_spin: np.ndarray,
     n_ions = dims.n_ions
     target = "T" if n_ions == 2 else "W"
     design = tom.analysis_design(n_ions, target)
-    model = tom.DetectionModel(
-        bright_mean=section.get("bright_mean", 39.0 if n_ions == 2 else 37.0),
-        dark_mean=section.get("dark_mean", 3.0),
-        pump_prob=section.get("pump_prob", 0.02),
-    )
+    detection = {k: section[k] for k in ("bright_mean", "dark_mean", "pump_prob") if k in section}
+    try:
+        model = dataclasses.replace(tom.two_ion_detection() if n_ions == 2 else tom.three_ion_detection(), **detection)
+    except ValueError as exc:
+        raise ConfigError(f"[tomography] {exc}") from None
     shots_ref = section.get("shots_reference", 6000)
     shots_data = section.get("shots_data", 30000 if n_ions == 2 else 20000)
     shots_analysis = section.get("shots_analysis", 1500 if n_ions == 2 else 1000)
     n_bins = section.get("n_bins", 5 if n_ions == 2 else 7)
     resamples = section.get("resamples", 500)
+    epsilon_points = section.get("epsilon_points", 5)
+    limits = {
+        "shots_reference": (shots_ref, 1),
+        "shots_data": (shots_data, 1),
+        "shots_analysis": (shots_analysis, 1),
+        "n_bins": (n_bins, 2),
+        "resamples": (resamples, 0),
+        "epsilon_points": (epsilon_points, 2),
+    }
+    for key, (value, least) in limits.items():
+        if value < least:
+            raise ConfigError(f"[tomography] {key} must be >= {least}")
     seed = config.seed
 
     raw = tom.reference_shot_counts(model, shots_ref, n_ions, seed)
@@ -273,7 +259,7 @@ def _run_tomography(config: ScenarioConfig, out_dir: Path, rho_spin: np.ndarray,
     if not estimate.converged:
         raise ConvergenceError("maximum-likelihood fit did not converge")
     inputs = tom.FitInputs(tuple(refs), tuple(data), design, boundaries)
-    sweep = tom.systematic_sweep(inputs, n_points=config.tomography.get("epsilon_points", 5))
+    sweep = tom.systematic_sweep(inputs, n_points=epsilon_points)
     estimate = dataclasses.replace(estimate, epsilon_syst=sweep.epsilon_syst)
     estimate = tom.bootstrap(inputs, estimate, resamples=resamples, seed=seed + 1)
 
@@ -333,94 +319,88 @@ def _tomography_demo_scenario(config: ScenarioConfig, out_dir: Path) -> dict:
     return _run_tomography(config, out_dir, rho, dims)
 
 
-def _sweep_values(config: ScenarioConfig, axis: str, start, stop, points: int, axis2=None, grid2=None):
-    """Fidelity over a parameter grid.
+#: per-axis edit of a sweep cell's (plan, noise) at one grid value
+_SWEEP_EDITS = {
+    "omega_ratio": lambda plan, noise, r: (experimental_override(plan, omega_d=plan.omega_s / r), noise),
+    "t1": lambda plan, noise, f: (experimental_override(plan, t1=f * plan.t_pi, t2=(1 - f) * plan.t_pi), noise),
+    "n_bar": lambda plan, noise, v: (plan, NoiseModel(n_bar=v)),
+    "gamma": lambda plan, noise, v: (plan, NoiseModel(gamma_du=v, gamma_ud=v, gamma_ou=v, gamma_od=v)),
+}
 
-    Drive-ratio sweeps record the peak fidelity over the run, mirroring how
-    the protocol is calibrated (the actual maximum shifts a few percent from
-    the first-order pulse time).  Sweeps over the intermediate time use the
-    end fidelity, since the segment times are the calibrated quantity there.
-    """
-    drive = config.drive
-    omega_s = drive.get("omega_s", 2 * np.pi * 17.6e3)
-    scheme = config.sweep.get("scheme", "single")
 
-    def fidelity(ratio: float, t1_frac: float | None = None) -> float:
-        if scheme == "composite":
-            plan = plan_composite(omega_s, 1)
-        else:
-            plan = plan_single(omega_s, 1)
-        plan = experimental_override(plan, omega_d=omega_s / ratio)
-        if t1_frac is not None:
-            plan = experimental_override(plan, t1=t1_frac * plan.t_pi, t2=(1 - t1_frac) * plan.t_pi)
-            return simulate_plan_fidelity(plan)
-        return simulate_plan_fidelity(
-            plan, duration=1.15 * plan.t_pi, at_end=False, sample_dt=plan.t_pi / 300
-        )
-
-    grid = np.linspace(start, stop, points)
-    if axis == "omega_ratio" and axis2 is None:
-        return grid, None, np.array([fidelity(r) for r in grid])
-    if axis == "omega_ratio" and axis2 == "t1":
-        fids = [fidelity(r, f) for r in grid for f in grid2]
-        return grid, grid2, np.array(fids).reshape(len(grid), len(grid2))
-    if axis == "t1":
-        ratio = omega_s / drive["omega_d"] if "omega_d" in drive else 3 * np.sqrt(6)
-        return grid, None, np.array([fidelity(ratio, f) for f in grid])
-    if axis == "n_bar":
-        plan = _build_plan(config.copy()) if "omega_s" in drive else plan_single(omega_s, 2)
-        return grid, None, np.array([simulate_plan_fidelity(plan, NoiseModel(n_bar=v)) for v in grid])
-    if axis == "gamma":
-        plan = _build_plan(config.copy()) if "omega_s" in drive else plan_single(omega_s, 2)
-        fids = []
-        for v in grid:
-            noise = NoiseModel(gamma_du=v, gamma_ud=v, gamma_ou=v, gamma_od=v)
-            fids.append(simulate_plan_fidelity(plan, noise))
-        return grid, None, np.array(fids)
-    raise ConfigError(f"unsupported sweep axis {axis!r}; choose from {SWEEP_AXES}")
+def _sweep_axis(sweep: dict, suffix: str, default_range=(None, None)) -> tuple[str, float, float, int]:
+    """Name, start, stop and points of sweep axis 'axis' + suffix, validated."""
+    name = sweep.get("axis" + suffix)
+    if name not in SWEEP_AXES:
+        raise ConfigError(f"unsupported sweep axis{suffix} {name!r}; choose from {SWEEP_AXES}")
+    start = sweep.get("start" + suffix, default_range[0])
+    stop = sweep.get("stop" + suffix, default_range[1])
+    if start is None or stop is None:
+        raise ConfigError(f"[sweep] start{suffix} and stop{suffix} are required")
+    points = sweep.get("points" + suffix, 40)
+    if points < 1 or (points == 1 and stop != start):
+        raise ConfigError(f"[sweep] points{suffix} must be >= 1 (and > 1 for a nondegenerate range)")
+    return name, start, stop, points
 
 
 def run_sweep(config: ScenarioConfig, out_dir: Path) -> dict:
+    """Fidelity over a one- or two-axis grid, written to sweep.tsv.
+
+    Every cell edits one base plan: the two-ion plan of [sweep] scheme
+    (single or composite) from [drive], with omega_s defaulting to
+    2 pi 17.6 kHz.  omega_ratio sets Omega_d = Omega_s / ratio and
+    recomputes the pulse times; t1 splits the composite pulse time as
+    (t1, t_pi - t1) with t1 a fraction of t_pi, after any ratio edit; n_bar
+    starts the run thermal; gamma sets all four scatter rates.  The only
+    two-axis grid is omega_ratio (outer) by t1 (inner).
+
+    A sweep over omega_ratio alone records the peak fidelity over 1.15 t_pi,
+    sampled every t_pi / 300, mirroring how the protocol is calibrated (the
+    actual maximum shifts a few percent from the first-order pulse time).
+    Every other sweep records the end fidelity, since the pulse times are
+    the calibrated quantity there.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     sweep = config.sweep
-    if "axis" not in sweep:
-        raise ConfigError("[sweep] axis is required")
-    axis = sweep["axis"]
-    if axis not in SWEEP_AXES:
-        raise ConfigError(f"unsupported sweep axis {axis!r}; choose from {SWEEP_AXES}")
-    start, stop = sweep.get("start"), sweep.get("stop")
-    if start is None or stop is None:
-        raise ConfigError("[sweep] start and stop are required")
-    points = sweep.get("points", 40)
-    if points < 1 or (points == 1 and stop != start):
-        raise ConfigError("[sweep] points must be >= 1 (and > 1 for a nondegenerate range)")
-    axis2 = sweep.get("axis2")
-    header = {
-        "axis": axis,
-        "start": start,
-        "stop": stop,
-        "points": points,
-        "scheme": sweep.get("scheme", "single"),
-        "seed": config.seed,
-    }
+    axes = [_sweep_axis(sweep, "")]
+    if "axis2" in sweep:
+        axes.append(_sweep_axis(sweep, "2", (0.05, 0.95)))
+    names = [name for name, *_ in axes]
+    if len(names) == 2 and names != ["omega_ratio", "t1"]:
+        raise ConfigError("two-axis sweeps support axis=omega_ratio with axis2=t1")
+    scheme = sweep.get("scheme", "single")
+    if scheme not in ("single", "composite"):
+        raise ConfigError(f"[sweep] unknown scheme {scheme!r}; choose single or composite")
+    if "t1" in names and scheme != "composite":
+        raise ConfigError("[sweep] a t1 axis needs scheme = composite")
+    # the base plan is the one the two-ion scenario of this scheme would run
+    base = _build_plan(
+        dataclasses.replace(
+            config, scenario=f"two_ion_{scheme}", drive={"omega_s": 2 * np.pi * 17.6e3, **config.drive}
+        )
+    )
+    peak = names == ["omega_ratio"]
+
+    def cell(point) -> float:
+        plan, noise = base, None
+        for name, value in zip(names, point):
+            plan, noise = _SWEEP_EDITS[name](plan, noise, value)
+        if peak:
+            return simulate_plan_fidelity(plan, duration=1.15 * plan.t_pi, at_end=False, sample_dt=plan.t_pi / 300)
+        return simulate_plan_fidelity(plan, noise)
+
+    keys = ("axis", "start", "stop", "points")
+    header = dict(zip(keys, axes[0])) | {"scheme": base.scheme, "seed": config.seed}
+    if len(axes) == 2:
+        header |= dict(zip((key + "2" for key in keys), axes[1]))
+    grids = [np.linspace(start, stop, points) for _, start, stop, points in axes]
+    rows = []
+    for point in itertools.product(*grids):
+        fid = cell(point)
+        rows.append([*point, fid, 1.0 - fid])
     path = out_dir / "sweep.tsv"
-    if axis2 is not None:
-        if axis != "omega_ratio" or axis2 != "t1":
-            raise ConfigError("two-axis sweeps support axis=omega_ratio with axis2=t1")
-        grid2 = np.linspace(sweep.get("start2", 0.05), sweep.get("stop2", 0.95), sweep.get("points2", 40))
-        g1, g2, fids = _sweep_values(config, axis, start, stop, points, axis2, grid2)
-        header.update({"axis2": axis2, "start2": g2[0], "stop2": g2[-1], "points2": len(g2)})
-        rows = [
-            [g1[i], g2[j], fids[i, j], 1.0 - fids[i, j]]
-            for i in range(len(g1))
-            for j in range(len(g2))
-        ]
-        _write_table(path, header, [axis, axis2, "fidelity", "error"], rows)
-    else:
-        grid, _, fids = _sweep_values(config, axis, start, stop, points)
-        rows = [[grid[i], fids[i], 1.0 - fids[i]] for i in range(len(grid))]
-        _write_table(path, header, [axis, "fidelity", "error"], rows)
+    _write_table(path, header, names + ["fidelity", "error"], rows)
     return {"sweep": path}
 
 

@@ -37,8 +37,6 @@ from .errors import NumericsError
 #: basis labels of the coupled subspace, in matrix order
 UNDESIRED_BASIS = ("dd,0", "S,1", "uu,2")
 
-VARIANTS = ("single_exact", "single_simplified", "composite_exact", "composite_simplified")
-
 
 @dataclass(frozen=True)
 class DressedSpectrum:

@@ -226,10 +226,6 @@ def build_mode_op(dims: SystemDims, kind: str) -> OperatorMatrix:
     return OperatorMatrix(dims, op, kind == "number")
 
 
-def identity_op(dims: SystemDims) -> OperatorMatrix:
-    return OperatorMatrix(dims, np.eye(dims.dim, dtype=complex), True)
-
-
 def named_state(dims: SystemDims, name: str, fock_n: int = 0) -> PureState:
     """One of the named spin states, tensored with Fock level fock_n.
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .dynamics import evolve_density, evolve_pure, state_fidelity
+from .dynamics import Trajectory, evolve_density, evolve_pure, state_fidelity
 from .dressed import balanced_detuning
 from .hilbert import SystemDims, named_state, spin_state, thermal_product_state
 from .model import IonGeometry, NoiseModel, PulseSchedule, PulseSegment, carrier_pi_time, mean_decay_rate
@@ -162,8 +162,32 @@ def plan_geometry(plan: ProtocolPlan) -> IonGeometry:
     return IonGeometry.two_ion_stretch() if plan.n_ions == 2 else IonGeometry.three_ion_com()
 
 
-def _target(dims: SystemDims):
-    return named_state(dims, "T" if dims.n_ions == 2 else "W", 0)
+def simulate_plan(
+    plan: ProtocolPlan,
+    noise: NoiseModel | None = None,
+    duration: float | None = None,
+    dims: SystemDims | None = None,
+    sample_dt: float | None = None,
+) -> Trajectory:
+    """Run the plan from all ions up and return the sampled trajectory.
+
+    The start state is |uu>, or |uuu> for three ions, in the motional
+    ground state.  A noise model with Lindblad rates or a thermal start
+    (n_bar > 0) propagates the density operator of the thermal product
+    state; anything else propagates the pure state with the model's Stark
+    shifts.  dims defaults to default_dims(plan, noise), duration and
+    sample_dt to those of plan_schedule and the propagators (total / 400).
+    """
+    if dims is None:
+        dims = default_dims(plan, noise)
+    geom = plan_geometry(plan)
+    schedule = plan_schedule(plan, duration)
+    start = "uuu" if plan.n_ions == 3 else "uu"
+    if noise is not None and (noise.has_lindblad or noise.n_bar > 0):
+        rho0 = thermal_product_state(dims, spin_state(dims, start), noise.n_bar)
+        return evolve_density(schedule, dims, geom, noise, rho0, sample_dt)
+    shifts = noise.shifts_or_zero(plan.n_ions) if noise is not None else None
+    return evolve_pure(schedule, dims, geom, named_state(dims, start, 0), sample_dt, shifts)
 
 
 def simulate_plan_fidelity(
@@ -174,23 +198,18 @@ def simulate_plan_fidelity(
     at_end: bool = True,
     sample_dt: float | None = None,
 ) -> float:
-    """End (or peak) fidelity of the plan against its entangled target."""
-    if dims is None:
-        dims = default_dims(plan, noise)
-    geom = plan_geometry(plan)
-    schedule = plan_schedule(plan, duration)
-    target = _target(dims)
-    if sample_dt is None:
-        sample_dt = schedule.total_duration if at_end else schedule.total_duration / 400.0
-    if noise is None or (not noise.has_lindblad and noise.n_bar == 0):
-        shifts = noise.shifts_or_zero(dims.n_ions) if noise is not None else None
-        traj = evolve_pure(
-            schedule, dims, geom, named_state(dims, "uuu" if dims.n_ions == 3 else "uu", 0), sample_dt, shifts
-        )
-    else:
-        rho0 = thermal_product_state(dims, spin_state(dims, "uuu" if dims.n_ions == 3 else "uu"), noise.n_bar)
-        traj = evolve_density(schedule, dims, geom, noise, rho0, sample_dt=sample_dt)
-    fids = [state_fidelity(dims, s, target) for s in traj.states]
+    """End (or peak) fidelity of simulate_plan against the entangled target.
+
+    The target is |T> for two ions and |W> for three, in the motional
+    ground state.  An end-fidelity run samples only the segment boundaries
+    unless sample_dt is given; a peak run takes the maximum over the
+    samples of simulate_plan.
+    """
+    if sample_dt is None and at_end:
+        sample_dt = plan_schedule(plan, duration).total_duration
+    traj = simulate_plan(plan, noise, duration, dims, sample_dt)
+    target = named_state(traj.dims, "T" if plan.n_ions == 2 else "W", 0)
+    fids = [state_fidelity(traj.dims, s, target) for s in traj.states]
     return fids[-1] if at_end else max(fids)
 
 

@@ -14,6 +14,8 @@ from zenosim.config import (
     parse_quantity,
 )
 from zenosim.errors import ConfigError
+from zenosim.model import NoiseModel
+from zenosim.protocol import plan_composite, plan_single, simulate_plan_fidelity
 
 GOOD_CONFIG = """
 scenario = two_ion_single
@@ -97,6 +99,48 @@ def test_cli_exit_codes(tmp_path):
 def test_invalid_override_exits_with_config_error(tmp_path, capsys, override):
     assert main(["run", "--preset", "fig3", "--out", str(tmp_path), "--override", override]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        "tomography.dark_mean=50",
+        "tomography.dark_mean=-1",
+        "tomography.pump_prob=1.5",
+        "tomography.n_bins=1",
+        "tomography.resamples=-1",
+        "tomography.epsilon_points=0",
+        "tomography.epsilon_points=1",
+        "tomography.shots_data=0",
+        "tomography.shots_analysis=0",
+        "tomography.shots_reference=-5",
+    ],
+)
+def test_invalid_tomography_value_exits_with_config_error(tmp_path, capsys, override):
+    cfg = tmp_path / "tomography.cfg"
+    cfg.write_text("scenario = tomography_demo\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out"), "--override", override]) == 2
+    assert capsys.readouterr().err.startswith("config error: [tomography]")
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        ["sweep.scheme=composite", "sweep.axis2=t1", "sweep.points2=0"],
+        ["sweep.scheme=composite", "sweep.axis2=t1", "sweep.points2=1"],
+        ["sweep.scheme=banana"],
+        ["sweep.axis=t1", "sweep.start=0.2", "sweep.stop=0.5"],
+        ["sweep.axis2=t1"],
+    ],
+    ids=["points2=0", "points2=1-range", "scheme=banana", "t1-single", "axis2=t1-single"],
+)
+def test_invalid_sweep_exits_with_config_error(tmp_path, capsys, overrides):
+    argv = ["run", "--preset", "fig_s6a", "--out", str(tmp_path)]
+    for override in overrides:
+        argv += ["--override", override]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "sweep.tsv").exists()
 
 
 def test_noiseless_trace_run(tmp_path):
@@ -293,3 +337,27 @@ def test_sweep_axis_values_are_pinned(tmp_path, sweep, expected):
     np.testing.assert_allclose(data[:, 0], np.linspace(sweep["start"], sweep["stop"], 3), rtol=0, atol=1e-12)
     np.testing.assert_allclose(data[:, 1], expected, rtol=0, atol=1e-11)
     np.testing.assert_allclose(data[:, 2], 1.0 - data[:, 1], rtol=0, atol=1e-11)
+
+
+def test_composite_noise_sweep_runs_the_composite_plan(tmp_path):
+    omega_s = 2 * np.pi * 17.6e3
+    cfg = ScenarioConfig(
+        scenario="sweep",
+        drive={"omega_s": omega_s},
+        sweep={"scheme": "composite", "axis": "n_bar", "start": 0.02, "stop": 0.02, "points": 1},
+    )
+    lines = run_scenario(cfg, tmp_path)["sweep"].read_text().splitlines()
+    assert "# scheme = composite" in lines
+    fid = float(lines[-1].split("\t")[1])
+    noise = NoiseModel(n_bar=0.02)
+    assert abs(fid - simulate_plan_fidelity(plan_composite(omega_s, 1), noise)) < 1e-11
+    assert abs(fid - simulate_plan_fidelity(plan_single(omega_s, 2), noise)) > 1e-3
+
+
+def test_three_ion_preset_reproduces_headline_peak(tmp_path):
+    assert main(["run", "--preset", "three_ion", "--out", str(tmp_path)]) == 0
+    budget = dict(
+        line.split(" = ") for line in (tmp_path / "three_ion_w_budget.txt").read_text().splitlines()
+    )
+    assert abs(float(budget["peak_fidelity"]) - 0.919987780996) < 1e-6
+    assert abs(float(budget["peak_time_s"]) - 0.00011611026079) < 1e-12

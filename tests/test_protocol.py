@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from zenosim.hilbert import DensityOperator, PureState, SystemDims, named_state
 from zenosim.model import NoiseModel, mean_decay_rate
 from zenosim.protocol import (
     error_budget,
@@ -10,6 +11,7 @@ from zenosim.protocol import (
     plan_schedule,
     plan_single,
     plan_three_ion,
+    simulate_plan,
     simulate_plan_fidelity,
     spontaneous_preset,
     three_ion_preset,
@@ -183,3 +185,23 @@ def test_at_end_run_ignores_the_global_random_state():
     finally:
         np.random.set_state(saved)
     assert values[0] == values[1]
+
+
+def test_simulate_plan_picks_the_state_kind():
+    """Pure propagation from |uu,0> unless the noise has rates or a thermal
+    start; Stark shifts reach the pure path too."""
+    plan = plan_single(OMEGA_S, 2)
+    dims = SystemDims(2, 8)
+    start = named_state(dims, "uu", 0).amplitudes
+    clean = simulate_plan(plan, None, dims=dims)
+    assert len(clean.times) == 401 and clean.times[-1] == plan.t_pi
+    assert all(isinstance(s, PureState) for s in clean.states)
+    np.testing.assert_allclose(clean.states[0].amplitudes, start, rtol=0, atol=1e-12)
+    shifted = simulate_plan(plan, NoiseModel(stark_shifts=(2e3, 0.0)), dims=dims)
+    assert isinstance(shifted.final, PureState)
+    assert np.linalg.norm(shifted.final.amplitudes - clean.final.amplitudes) > 1e-3
+    for noise in (NoiseModel(n_bar=0.01), NoiseModel(gamma_du=50.0)):
+        traj = simulate_plan(plan, noise, dims=dims, sample_dt=plan.t_pi / 4)
+        assert len(traj.times) == 5
+        assert all(isinstance(s, DensityOperator) for s in traj.states)
+        assert traj.states[0].matrix[0, 0].real == pytest.approx(1.0 / (1.0 + noise.n_bar))
