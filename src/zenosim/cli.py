@@ -364,7 +364,7 @@ def run_sweep(config: ScenarioConfig, out_dir: Path) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     sweep = config.sweep
     axes = [_sweep_axis(sweep, "")]
-    if "axis2" in sweep:
+    if sweep.get("axis2") is not None:
         axes.append(_sweep_axis(sweep, "2", (0.05, 0.95)))
     names = [name for name, *_ in axes]
     if len(names) == 2 and names != ["omega_ratio", "t1"]:
