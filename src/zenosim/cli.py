@@ -136,6 +136,7 @@ def _plan_header(plan: ProtocolPlan, noise: NoiseModel, dims: SystemDims, seed: 
 
 def _trace_scenario(config: ScenarioConfig, out_dir: Path) -> dict:
     plan = _build_plan(config)
+    tomography = _tomography_settings(config, plan.n_ions) if config.tomography.get("enabled") else None
     if config.drive.get("fine_tune") and plan.scheme == "composite":
         plan, _, _ = fine_tune(plan, free_params=("t1", "t2"))
     noise = _build_noise(config, plan)
@@ -181,9 +182,9 @@ def _trace_scenario(config: ScenarioConfig, out_dir: Path) -> dict:
     _write_report(budget_path, report)
     paths = {"trace": trace_path, "budget": budget_path}
 
-    if config.tomography.get("enabled"):
+    if tomography is not None:
         rho_spin = partial_trace_motion(dims, traj.states[peak_idx])
-        paths.update(_run_tomography(config, out_dir, rho_spin, dims))
+        paths.update(_run_tomography(tomography, config.seed, out_dir, rho_spin, dims))
     return paths
 
 
@@ -211,45 +212,47 @@ def _qubit_projection_weights(rho_spin: np.ndarray, dims: SystemDims, design) ->
     return np.clip(out, 0.0, None) / np.clip(total, 1e-300, None)
 
 
-def _run_tomography(config: ScenarioConfig, out_dir: Path, rho_spin: np.ndarray, dims: SystemDims) -> dict:
+def _tomography_settings(config: ScenarioConfig, n_ions: int) -> dict:
+    """The [tomography] values, defaults filled in for n_ions, checked.
+
+    Raises ConfigError; trace scenarios call it before propagating.
+    """
     section = config.tomography
-    n_ions = dims.n_ions
-    target = "T" if n_ions == 2 else "W"
-    design = tom.analysis_design(n_ions, target)
     detection = {k: section[k] for k in ("bright_mean", "dark_mean", "pump_prob") if k in section}
     try:
         model = dataclasses.replace(tom.two_ion_detection() if n_ions == 2 else tom.three_ion_detection(), **detection)
     except ValueError as exc:
         raise ConfigError(f"[tomography] {exc}") from None
-    shots_ref = section.get("shots_reference", 6000)
-    shots_data = section.get("shots_data", 30000 if n_ions == 2 else 20000)
-    shots_analysis = section.get("shots_analysis", 1500 if n_ions == 2 else 1000)
-    n_bins = section.get("n_bins", 5 if n_ions == 2 else 7)
-    resamples = section.get("resamples", 500)
-    epsilon_points = section.get("epsilon_points", 5)
     limits = {
-        "shots_reference": (shots_ref, 1),
-        "shots_data": (shots_data, 1),
-        "shots_analysis": (shots_analysis, 1),
-        "n_bins": (n_bins, 2),
-        "resamples": (resamples, 0),
-        "epsilon_points": (epsilon_points, 2),
+        "shots_reference": (section.get("shots_reference", 6000), 1),
+        "shots_data": (section.get("shots_data", 30000 if n_ions == 2 else 20000), 1),
+        "shots_analysis": (section.get("shots_analysis", 1500 if n_ions == 2 else 1000), 1),
+        "n_bins": (section.get("n_bins", 5 if n_ions == 2 else 7), 2),
+        "resamples": (section.get("resamples", 500), 0),
+        "epsilon_points": (section.get("epsilon_points", 5), 2),
     }
     for key, (value, least) in limits.items():
         if value < least:
             raise ConfigError(f"[tomography] {key} must be >= {least}")
-    seed = config.seed
+    settings = {key: value for key, (value, _) in limits.items()}
+    return settings | {"model": model, "write_histograms": section.get("write_histograms", True)}
 
-    raw = tom.reference_shot_counts(model, shots_ref, n_ions, seed)
+
+def _run_tomography(settings: dict, seed: int, out_dir: Path, rho_spin: np.ndarray, dims: SystemDims) -> dict:
+    n_ions = dims.n_ions
+    target = "T" if n_ions == 2 else "W"
+    design = tom.analysis_design(n_ions, target)
+    model = settings["model"]
+    raw = tom.reference_shot_counts(model, settings["shots_reference"], n_ions, seed)
     held, refs = tom.split_reference_shots(raw)
-    boundaries = tom.choose_bins(held, n_bins, n_ions=n_ions)
+    boundaries = tom.choose_bins(held, settings["n_bins"], n_ions=n_ions)
     weights = _qubit_projection_weights(rho_spin, dims, design)
     children = np.random.SeedSequence(seed).spawn(len(design.unitaries) + 1)
     data = [
         tom.simulate_histogram(
             weights[i],
             model,
-            shots_data if i == 0 else shots_analysis,
+            settings["shots_data"] if i == 0 else settings["shots_analysis"],
             np.random.default_rng(children[i + 1]),
             label=f"data_{i}",
         )
@@ -259,12 +262,12 @@ def _run_tomography(config: ScenarioConfig, out_dir: Path, rho_spin: np.ndarray,
     if not estimate.converged:
         raise ConvergenceError("maximum-likelihood fit did not converge")
     inputs = tom.FitInputs(tuple(refs), tuple(data), design, boundaries)
-    sweep = tom.systematic_sweep(inputs, n_points=epsilon_points)
+    sweep = tom.systematic_sweep(inputs, n_points=settings["epsilon_points"])
     estimate = dataclasses.replace(estimate, epsilon_syst=sweep.epsilon_syst)
-    estimate = tom.bootstrap(inputs, estimate, resamples=resamples, seed=seed + 1)
+    estimate = tom.bootstrap(inputs, estimate, resamples=settings["resamples"], seed=seed + 1)
 
     paths = {}
-    if section.get("write_histograms", True):
+    if settings["write_histograms"]:
         hist_dir = out_dir / "histograms"
         hist_dir.mkdir(exist_ok=True)
         for h in list(refs) + list(data):
@@ -316,7 +319,7 @@ def _tomography_demo_scenario(config: ScenarioConfig, out_dir: Path) -> dict:
     dims = SystemDims(2, 1)
     target = spin_state(dims, "T")
     rho = np.outer(target.amplitudes, target.amplitudes.conj())
-    return _run_tomography(config, out_dir, rho, dims)
+    return _run_tomography(_tomography_settings(config, 2), config.seed, out_dir, rho, dims)
 
 
 #: per-axis edit of a sweep cell's (plan, noise) at one grid value

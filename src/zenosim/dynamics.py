@@ -13,6 +13,14 @@ Higham, SIAM J. Sci. Comput. 33, 488 (2011), alg. 3.2), which picks its
 degree and number of substeps from the exact 1-norm for working precision.
 Each segment's shifted generator and its norm are set up once and reused by
 every sample step.  There is no step size or tolerance to choose.
+
+The generator never couples blocks of rho between different leak sets (the
+sets of ions in the leak level, hilbert.leak_sectors) to the blocks within
+one set: drives, Stark shifts and heating keep each ion's leak status, and a
+leak jump maps the block (A, A) to (A+k, A+k).  A state that starts block
+diagonal over the leak sets therefore stays so exactly, and only those
+blocks are propagated and checked (Buca & Prosen, New J. Phys. 14, 073007
+(2012)).
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from .hilbert import (
     PureState,
     SystemDims,
     leak_mask,
+    leak_sectors,
     partial_trace_motion,
     up_count_projectors,
 )
@@ -84,16 +93,8 @@ def _sample_times(schedule: PulseSchedule, sample_dt: float | None) -> np.ndarra
     return times[times <= total + 1e-15]
 
 
-def _top_fock_population(dims: SystemDims, state: np.ndarray) -> float:
-    """Population of the top Fock level of amplitudes or a density matrix."""
-    idx = np.arange(dims.n_fock - 1, dims.dim, dims.n_fock)
-    if state.ndim == 1:
-        return float(np.sum(np.abs(state[idx]) ** 2))
-    return float(np.sum(np.real(np.diag(state)[idx])))
-
-
-def _check_truncation(dims: SystemDims, state, t: float):
-    pop = _top_fock_population(dims, state)
+def _check_truncation(pop: float, t: float):
+    """Raise TruncationError if the top Fock level holds pop >= 1e-8."""
     if pop >= TOP_FOCK_LIMIT:
         raise TruncationError(
             f"top Fock level population {pop:.2e} at t = {t * 1e6:.2f} us exceeds {TOP_FOCK_LIMIT:.0e}; "
@@ -119,17 +120,18 @@ _UNIT_ROUNDOFF = 2.0**-53
 class _TaylorExpm:
     """v -> exp(dt L) v for one sparse generator L and any step dt.
 
-    Al-Mohy & Higham (2011), alg. 3.2.  The shift A = L - mu I with
-    mu = tr L / n and the exact 1-norm of A are computed once; each step
-    picks (m, s) minimizing m * ceil(dt ||A||_1 / theta_m), applies s
-    substeps of the degree-m Taylor series of exp(dt A / s), stopped early
-    once two successive terms fall below the unit roundoff relative to the
-    partial sum, and restores the shift with the factor exp(dt mu / s).
+    Al-Mohy & Higham (2011), alg. 3.2.  The shift A = L - mu I, with mu
+    given (tr L / n is the usual choice), and the exact 1-norm of A are
+    computed once; each step picks (m, s) minimizing
+    m * ceil(dt ||A||_1 / theta_m), applies s substeps of the degree-m
+    Taylor series of exp(dt A / s), stopped early once two successive terms
+    fall below the unit roundoff relative to the partial sum, and restores
+    the shift with the factor exp(dt mu / s).
     """
 
-    def __init__(self, gen: sp.csr_matrix):
+    def __init__(self, gen: sp.csr_matrix, mu: complex):
         n = gen.shape[0]
-        self.mu = gen.diagonal().sum() / n
+        self.mu = mu
         self.shifted = gen - self.mu * sp.identity(n, dtype=gen.dtype, format="csr")
         col_sums = np.bincount(self.shifted.indices, weights=np.abs(self.shifted.data), minlength=n)
         self.norm_1 = float(col_sums.max())
@@ -197,31 +199,37 @@ def evolve_pure(
         norm = np.linalg.norm(psi_t)
         if abs(norm - 1.0) > 1e-9:
             raise NumericsError(f"norm drift {abs(norm - 1.0):.2e} at t = {t:.3e} s")
-        _check_truncation(dims, psi_t, t)
+        _check_truncation(float(np.sum(np.abs(psi_t[dims.n_fock - 1 :: dims.n_fock]) ** 2)), t)
         states.append(PureState(dims, psi_t))
     return Trajectory(times, tuple(states), schedule)
 
 
-def _check_density(dims: SystemDims, rho: np.ndarray, t: float):
+def _check_density(dims: SystemDims, rho: np.ndarray, groups: list[np.ndarray], t: float):
     """Trace, Hermiticity, truncation and positivity contracts of one sample.
 
-    Positivity is decided by a Cholesky factorization of rho + 1e-7 I, which
-    succeeds exactly when the smallest eigenvalue is above -1e-7; the
-    eigenvalue itself is only computed to report a failure.
+    rho vanishes outside the diagonal blocks of the index groups, so the
+    trace, the Frobenius Hermiticity defect and the top Fock population are
+    summed over blocks, and rho is positive exactly when each block is: a
+    Cholesky factorization of block + 1e-7 I succeeds exactly when its
+    smallest eigenvalue is above -1e-7, which is only computed to report a
+    failure.
     """
-    tr = np.trace(rho).real
+    blocks = [rho[np.ix_(idx, idx)] for idx in groups]
+    tr = sum(np.trace(b).real for b in blocks)
     if abs(tr - 1.0) > 1e-8:
         raise NumericsError(f"trace drift {abs(tr - 1.0):.2e} at t = {t:.3e} s")
-    asym = np.linalg.norm(rho - rho.conj().T)
+    asym = math.hypot(*(np.linalg.norm(b - b.conj().T) for b in blocks))
     if asym > 1e-10:
         raise NumericsError(f"Hermiticity defect {asym:.2e} at t = {t:.3e} s")
-    _check_truncation(dims, rho, t)
-    try:
-        np.linalg.cholesky(rho + POSITIVITY_FLOOR * np.eye(dims.dim))
-    except np.linalg.LinAlgError:
-        min_eig = float(np.linalg.eigvalsh(rho)[0])
-        if min_eig < -POSITIVITY_FLOOR:
-            raise NumericsError(f"negative eigenvalue {min_eig:.2e} at t = {t:.3e} s") from None
+    top = dims.n_fock - 1
+    _check_truncation(sum(np.diag(b)[idx % dims.n_fock == top].real.sum() for b, idx in zip(blocks, groups)), t)
+    for b in blocks:
+        try:
+            np.linalg.cholesky(b + POSITIVITY_FLOOR * np.eye(len(b)))
+        except np.linalg.LinAlgError:
+            min_eig = float(np.linalg.eigvalsh(b)[0])
+            if min_eig < -POSITIVITY_FLOOR:
+                raise NumericsError(f"negative eigenvalue {min_eig:.2e} at t = {t:.3e} s") from None
 
 
 def evolve_density(
@@ -245,13 +253,30 @@ def evolve_density(
     once per segment.  States are sampled every sample_dt (default
     total/400) and at segment boundaries.
 
-    Every sample is checked: trace to 1e-8, Hermiticity to 1e-10, top Fock
-    population below 1e-8 and eigenvalues above -1e-7.  Violations raise
-    NumericsError (TruncationError for the Fock limit) rather than being
-    projected away.
+    Only the diagonal blocks of rho over the index groups are propagated,
+    on the generator restricted to their pairs (i, j): the leak sets of
+    hilbert.leak_sectors if the initial state has no entry between
+    different sets (exact, as nothing feeds those entries), else one
+    group, the whole space.  The kernel's shift is tr L / dim^2 of the
+    full generator either way.
+
+    Every sample is checked, block by block: trace to 1e-8, Hermiticity to
+    1e-10, top Fock population below 1e-8 and eigenvalues above -1e-7.
+    Violations raise NumericsError (TruncationError for the Fock limit)
+    rather than being projected away.
     """
     if initial.dims != dims:
         raise ValueError("initial state dims do not match")
+    groups = leak_sectors(dims)
+    label = np.empty(dims.dim, dtype=int)
+    for k, idx in enumerate(groups):
+        label[idx] = k
+    same = label[:, None] == label
+    if initial.matrix[~same].any():
+        groups, same = [np.arange(dims.dim)], np.full_like(same, True)
+    # ascending, so each kept row of the generator keeps its order of terms
+    kept = np.flatnonzero(same)
+
     shifts = noise.shifts_or_zero(dims.n_ions)
     eye = sp.identity(dims.dim, dtype=complex, format="csr")
     dissipator = sp.csr_matrix((dims.dim**2, dims.dim**2), dtype=complex)
@@ -262,13 +287,14 @@ def evolve_density(
 
     def propagator(seg: PulseSegment) -> _TaylorExpm:
         h = sp.csr_matrix(segment_hamiltonian(dims, geom, seg, shifts).matrix)
-        return _TaylorExpm((-1j * (sp.kron(h, eye) - sp.kron(eye, h.T)) + dissipator).tocsr())
+        gen = (-1j * (sp.kron(h, eye) - sp.kron(eye, h.T)) + dissipator).tocsr()
+        return _TaylorExpm(gen[kept][:, kept], gen.diagonal().sum() / dims.dim**2)
 
     times = _sample_times(schedule, sample_dt)
     boundaries = schedule.boundaries()
     seg_idx = 0
     expm = propagator(schedule.segments[0])
-    vec = initial.matrix.reshape(-1).copy()
+    vec = initial.matrix.reshape(-1)[kept]
     t_prev = 0.0
     states = []
     for t in times:
@@ -281,8 +307,10 @@ def evolve_density(
         if t > t_prev:
             vec = expm(t - t_prev, vec)
             t_prev = t
-        rho = vec.reshape(dims.dim, dims.dim)
-        _check_density(dims, rho, t)
+        rho = np.zeros(dims.dim**2, dtype=complex)
+        rho[kept] = vec
+        rho = rho.reshape(dims.dim, dims.dim)
+        _check_density(dims, rho, groups, t)
         states.append(DensityOperator(dims, rho))
     return Trajectory(times, tuple(states), schedule)
 

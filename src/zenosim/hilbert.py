@@ -158,9 +158,6 @@ class OperatorMatrix:
         if self.hermitian_flag and np.linalg.norm(mat - mat.conj().T) >= 1e-12 * max(1.0, np.linalg.norm(mat)):
             raise ValueError("operator flagged Hermitian is not Hermitian")
 
-    def dagger(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.dims, self.matrix.conj().T, self.hermitian_flag)
-
 
 def _single_ion_matrix(levels: int, kind: str) -> np.ndarray:
     m = np.zeros((levels, levels), dtype=complex)
@@ -314,12 +311,22 @@ def up_count_projectors(dims: SystemDims) -> list[np.ndarray]:
     return masks
 
 
+def leak_sectors(dims: SystemDims) -> list[np.ndarray]:
+    """Basis indices grouped by which ions sit in the leak level.
+
+    One ascending index array per leak set, the unleaked set first; without
+    a leak level the one set is the whole space.  Drives, Stark shifts and
+    heating act within a set, and a jump into the leak level only adds an
+    ion to it, so a density matrix that is block diagonal over these sets
+    stays so under the master equation.
+    """
+    leaked = np.array(dims.spin_configurations()) == LEAK
+    key = np.repeat(leaked @ (1 << np.arange(dims.n_ions)), dims.n_fock)
+    return [np.flatnonzero(key == k) for k in np.unique(key)]
+
+
 def leak_mask(dims: SystemDims) -> np.ndarray:
-    mask = np.zeros(dims.dim)
-    if not dims.leak_level:
-        return mask
-    for config in dims.spin_configurations():
-        if any(s == LEAK for s in config):
-            base = dims.spin_index(config) * dims.n_fock
-            mask[base : base + dims.n_fock] = 1.0
+    """Diagonal mask of the basis states with at least one ion leaked."""
+    mask = np.ones(dims.dim)
+    mask[leak_sectors(dims)[0]] = 0.0
     return mask

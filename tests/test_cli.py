@@ -123,6 +123,17 @@ def test_invalid_tomography_value_exits_with_config_error(tmp_path, capsys, over
     assert capsys.readouterr().err.startswith("config error: [tomography]")
 
 
+def test_invalid_tomography_value_exits_before_propagating(tmp_path, capsys, monkeypatch):
+    def no_propagation(*args, **kwargs):
+        raise AssertionError("simulate_plan was called")
+
+    monkeypatch.setattr("zenosim.cli.simulate_plan", no_propagation)
+    overrides = ["--override", "tomography.enabled=true", "--override", "tomography.n_bins=1"]
+    assert main(["run", "--preset", "fig3", "--out", str(tmp_path), *overrides]) == 2
+    assert capsys.readouterr().err.startswith("config error: [tomography] n_bins")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "overrides",
     [

@@ -4,7 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zenosim.dynamics import evolve_density, evolve_pure, extract_populations, state_fidelity
-from zenosim.hilbert import SystemDims, named_state, spin_state, thermal_product_state
+from zenosim.errors import NumericsError, TruncationError
+from zenosim.hilbert import (
+    DOWN,
+    LEAK,
+    UP,
+    DensityOperator,
+    PureState,
+    SystemDims,
+    named_state,
+    spin_state,
+    thermal_product_state,
+)
 from zenosim.model import IonGeometry, NoiseModel, PulseSchedule, PulseSegment
 
 GEOM2 = IonGeometry.two_ion_stretch()
@@ -173,6 +184,85 @@ def _full_noise(gamma, gamma_heat, stark=(), n_bar=0.0):
     )
 
 
+def _between_leak_sets(dims):
+    """Mask of the entries (i, j) of rho whose basis states differ in which
+    ions sit in the leak level."""
+    leaked = np.repeat(np.array(dims.spin_configurations()) == LEAK, dims.n_fock, axis=0)
+    return (leaked[:, None, :] != leaked[None, :, :]).any(axis=-1)
+
+
+def test_three_ion_density_matches_full_generator_exponential():
+    """Every sample of a two-segment three-ion run with all four scatter
+    channels, heating and Stark shifts against the exponential of the full
+    vectorized Lindbladian, on all dim^2 entries of vec(rho), applied from
+    sample to sample.  From |uuu> only the leak-sector blocks are
+    propagated, and the entries between leak sets stay exactly zero; from a
+    state with coherence between leak sets the whole space is.  A dense
+    expm at vec dim 11,664 would not fit a unit test, so the reference is
+    scipy's expm_multiply of the sparse generator."""
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import expm_multiply
+
+    from zenosim.model import lindblad_operators, segment_hamiltonian
+
+    dims = SystemDims(3, 4, leak_level=True)
+    geom = IonGeometry.three_ion_com()
+    noise = _full_noise((2e3, 1.4e3, 1e3, 6e2), 50.0, stark=(2e3, -1e3, 3e3))
+    omega_s, omega_d, delta = 2 * np.pi * 1e3, 2 * np.pi * 3e3, 2 * np.pi * 30e3
+    seg_a = PulseSegment(8e-6, omega_s, omega_d, delta)
+    seg_b = PulseSegment(12e-6, -omega_s, omega_d, -delta, laser_phase=0.3)
+    schedule = PulseSchedule((seg_a, seg_b))
+
+    eye = sp.identity(dims.dim, format="csr")
+    collapse = [sp.csr_matrix(op.matrix) for op in lindblad_operators(dims, noise)]
+    gens = []
+    for seg in schedule.segments:
+        h = sp.csr_matrix(segment_hamiltonian(dims, geom, seg, noise.stark_shifts).matrix)
+        gen = -1j * (sp.kron(h, eye) - sp.kron(eye, h.T))
+        for l in collapse:
+            m = l.conj().T @ l
+            gen = gen + sp.kron(l, l.conj()) - 0.5 * (sp.kron(m, eye) + sp.kron(eye, m.T))
+        gens.append(gen.tocsc())
+
+    uuu = named_state(dims, "uuu", 0).amplitudes
+    ouu = np.zeros(dims.dim, dtype=complex)
+    ouu[dims.basis_index((LEAK, UP, UP), 0)] = 1.0
+    between = _between_leak_sets(dims)
+    for psi, block_diagonal in ((uuu, True), ((uuu + ouu) / np.sqrt(2), False)):
+        rho0 = PureState(dims, psi).to_density()
+        traj = evolve_density(schedule, dims, geom, noise, rho0, sample_dt=2e-6)
+        vec, t_prev = rho0.matrix.reshape(-1), 0.0
+        reference = [vec]
+        for gen, start, stop in zip(gens, schedule.boundaries(), schedule.boundaries()[1:]):
+            for t in (t for t in traj.times if start < t <= stop):
+                vec, t_prev = expm_multiply((t - t_prev) * gen, vec), t
+                reference.append(vec)
+        assert len(reference) == len(traj.states) == 11
+        for ref, state in zip(reference, traj.states):
+            assert np.max(np.abs(state.matrix - ref.reshape(dims.dim, dims.dim))) < 1e-10
+            assert np.all(state.matrix[between] == 0.0) == block_diagonal
+        ooo = dims.basis_index((LEAK, LEAK, LEAK), 0)
+        assert traj.final.matrix[ooo, ooo].real > 1e-6  # every ion can leak
+
+
+def test_each_leak_block_is_checked():
+    """Contract violations confined to a leaked block are caught at t = 0."""
+    dims = SystemDims(2, 4, leak_level=True)
+    uu = dims.basis_index((UP, UP), 0)
+    a, b = dims.basis_index((LEAK, UP), 0), dims.basis_index((LEAK, DOWN), 0)
+    rho = np.zeros((dims.dim, dims.dim), dtype=complex)
+    rho[uu, uu] = 1.0
+    rho[a, b] = rho[b, a] = 0.01  # eigenvalues +-0.01 within ion 1's leak block
+    with pytest.raises(NumericsError, match=r"negative eigenvalue -1\.00e-02 at t = 0\.000e\+00 s"):
+        evolve_density(single_pulse(), dims, GEOM2, NoiseModel(), DensityOperator(dims, rho))
+
+    top = dims.basis_index((LEAK, LEAK), dims.n_fock - 1)
+    rho = np.zeros((dims.dim, dims.dim), dtype=complex)
+    rho[uu, uu], rho[top, top] = 1.0 - 1e-6, 1e-6
+    with pytest.raises(TruncationError, match=r"at t = 0\.00 us"):
+        evolve_density(single_pulse(), dims, GEOM2, NoiseModel(), DensityOperator(dims, rho))
+
+
 def test_density_matches_matrix_form_ode_reference():
     """Every sample of a two-segment noisy run against solve_ivp on the
     matrix-form master equation, integrated segment by segment.  Scatter
@@ -238,8 +328,8 @@ def test_taylor_kernel_matches_dense_expm():
     for l in (op.matrix for op in lindblad_operators(dims, noise)):
         m = l.conj().T @ l
         gen += np.kron(l, l.conj()) - 0.5 * (np.kron(m, eye) + np.kron(eye, m.T))
-    kernel = _TaylorExpm(sp.csr_matrix(gen))
     n = dims.dim**2
+    kernel = _TaylorExpm(sp.csr_matrix(gen), np.trace(gen) / n)
     shifted = gen - np.trace(gen) / n * np.eye(n)
     assert abs(kernel.norm_1 - np.abs(shifted).sum(axis=0).max()) < 1e-12 * kernel.norm_1
 
@@ -266,7 +356,9 @@ def test_density_samples_stay_physical(gamma, gamma_heat, stark, n_bar):
     noise = _full_noise(gamma, gamma_heat, stark, n_bar)
     rho0 = thermal_product_state(dims, spin_state(dims, "uu"), n_bar)
     traj = evolve_density(single_pulse(duration=0.5 * T_PI), dims, GEOM2, noise, rho0, sample_dt=T_PI / 20)
+    between = _between_leak_sets(dims)
     for rho in (s.matrix for s in traj.states):
         assert abs(np.trace(rho).real - 1.0) < 1e-10
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
         assert np.linalg.eigvalsh(rho)[0] >= -1e-10
+        assert np.all(rho[between] == 0.0)

@@ -4,12 +4,14 @@ import pytest
 from zenosim.errors import TruncationError
 from zenosim.hilbert import (
     DOWN,
+    LEAK,
     UP,
     DensityOperator,
     PureState,
     SystemDims,
     build_mode_op,
     build_spin_op,
+    leak_sectors,
     named_state,
     partial_trace_motion,
     spin_state,
@@ -202,3 +204,17 @@ def test_partial_trace_and_up_projectors():
     diag = np.abs(psi.amplitudes) ** 2
     assert abs(diag @ masks[1] - 1.0) < 1e-12
     assert diag @ masks[0] == 0.0
+
+
+def test_leak_sectors_partition_the_basis_by_leak_set():
+    assert [list(idx) for idx in leak_sectors(DIMS3)] == [list(range(DIMS3.dim))]
+    dims = SystemDims(3, 2, leak_level=True)
+    sectors = leak_sectors(dims)
+    assert len(sectors) == 8
+    assert np.array_equal(np.sort(np.concatenate(sectors)), np.arange(dims.dim))
+    assert [len(idx) for idx in sectors] == [16, 8, 8, 4, 8, 4, 4, 2]
+    assert sectors[0][1] == dims.basis_index((UP, UP, UP), 1)
+    for idx in sectors:
+        assert np.all(np.diff(idx) > 0)
+        leaked = {tuple(s == LEAK for s in dims.spin_configurations()[i // dims.n_fock]) for i in idx}
+        assert len(leaked) == 1
