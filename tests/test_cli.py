@@ -372,3 +372,33 @@ def test_three_ion_preset_reproduces_headline_peak(tmp_path):
     )
     assert abs(float(budget["peak_fidelity"]) - 0.919987780996) < 1e-6
     assert abs(float(budget["peak_time_s"]) - 0.00011611026079) < 1e-12
+
+
+def test_composite_ratio_by_t1_sweep_is_pinned(tmp_path):
+    """End fidelities of every cell of a 3 x 3 omega_ratio x t1 composite grid at 17.6 kHz."""
+    sweep = {
+        "scheme": "composite",
+        "axis": "omega_ratio",
+        "start": 6.0,
+        "stop": 8.0,
+        "points": 3,
+        "axis2": "t1",
+        "start2": 0.2,
+        "stop2": 0.5,
+        "points2": 3,
+    }
+    expected = [
+        [0.983121204656, 0.959960945821, 0.788614934129],
+        [0.974674987927, 0.995667400328, 0.883669512091],
+        [0.958498026809, 0.989647828457, 0.950822107445],
+    ]
+    cfg = ScenarioConfig(scenario="sweep", drive={"omega_s": 2 * np.pi * 17.6e3}, sweep=sweep)
+    paths = run_scenario(cfg, tmp_path)
+    lines = [line for line in paths["sweep"].read_text().splitlines() if not line.startswith("#")]
+    assert lines[0].split("\t") == ["omega_ratio", "t1", "fidelity", "error"]
+    data = np.array([[float(v) for v in line.split("\t")] for line in lines[1:]])
+    ratios, t1s = np.meshgrid([6.0, 7.0, 8.0], [0.2, 0.35, 0.5], indexing="ij")
+    np.testing.assert_allclose(data[:, 0], ratios.ravel(), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(data[:, 1], t1s.ravel(), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(data[:, 2], np.ravel(expected), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(data[:, 3], 1.0 - data[:, 2], rtol=0, atol=1e-11)
