@@ -25,8 +25,9 @@ blocks are propagated and checked (Buca & Prosen, New J. Phys. 14, 073007
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -162,6 +163,25 @@ class _TaylorExpm:
         return f
 
 
+@functools.lru_cache(maxsize=32)
+def _segment_spectrum(
+    dims: SystemDims, geom: IonGeometry, seg: PulseSegment, stark_shifts: tuple[float, ...] | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (evals, evecs) of eigh(segment_hamiltonian(...)).
+
+    The memo of evolve_pure.  seg comes with its duration set to 0, which
+    the Hamiltonian does not depend on, so schedules that differ only in
+    their durations (a t1 or t2 edit) share their entries.  It holds at most
+    32 spectra: a sweep or fine_tune over the durations of one plan needs
+    its two segments, and an entry of the pure-state spaces takes 25 kB
+    (dim 40, two ions) to 66 kB (dim 64, three ions).
+    """
+    evals, evecs = np.linalg.eigh(segment_hamiltonian(dims, geom, seg, stark_shifts).matrix)
+    evals.setflags(write=False)
+    evecs.setflags(write=False)
+    return evals, evecs
+
+
 def evolve_pure(
     schedule: PulseSchedule,
     dims: SystemDims,
@@ -172,19 +192,28 @@ def evolve_pure(
 ) -> Trajectory:
     """Propagate a pure state exactly through each constant segment.
 
-    States are sampled every sample_dt (default total/400) and at segment
-    boundaries.  Raises TruncationError if the top Fock level is ever
-    populated beyond 1e-8 and NumericsError if the norm drifts beyond 1e-9.
+    Each segment's spectrum comes from a bounded memo (_segment_spectrum)
+    keyed by (dims, geom, the segment without its duration, the Stark
+    shifts), so a segment is diagonalized once for all schedules that
+    differ only in durations.  States are sampled every sample_dt (default
+    total/400) and at segment boundaries.  Raises TruncationError if the
+    top Fock level is ever populated beyond 1e-8 and NumericsError if the
+    norm drifts beyond 1e-9, checked at every sample.
     """
     if initial.dims != dims:
         raise ValueError("initial state dims do not match")
+    shifts = None if stark_shifts is None else tuple(stark_shifts)
+
+    def spectrum(seg: PulseSegment) -> tuple[np.ndarray, np.ndarray]:
+        return _segment_spectrum(dims, geom, replace(seg, duration=0.0), shifts)
+
     times = _sample_times(schedule, sample_dt)
     psi = initial.amplitudes.copy()
     states = []
     t_seg_start = 0.0
     seg_iter = iter(schedule.segments)
     seg = next(seg_iter)
-    evals, evecs = np.linalg.eigh(segment_hamiltonian(dims, geom, seg, stark_shifts).matrix)
+    evals, evecs = spectrum(seg)
     psi_seg = evecs.conj().T @ psi  # coordinates of the segment-start state
     for t in times:
         # advance to the segment containing t
@@ -192,7 +221,7 @@ def evolve_pure(
             psi = evecs @ (np.exp(-1j * evals * seg.duration) * psi_seg)
             t_seg_start += seg.duration
             seg = next(seg_iter)
-            evals, evecs = np.linalg.eigh(segment_hamiltonian(dims, geom, seg, stark_shifts).matrix)
+            evals, evecs = spectrum(seg)
             psi_seg = evecs.conj().T @ psi
         phases = np.exp(-1j * evals * (t - t_seg_start))
         psi_t = evecs @ (phases * psi_seg)

@@ -12,6 +12,7 @@ seconds, and hbar = 1.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -173,54 +174,89 @@ def _single_ion_matrix(levels: int, kind: str) -> np.ndarray:
         m[DOWN, DOWN] = -1.0
     elif kind == "project_o":
         m[LEAK, LEAK] = 1.0
+    elif kind == "leak_from_up":
+        m[LEAK, UP] = 1.0
+    elif kind == "leak_from_down":
+        m[LEAK, DOWN] = 1.0
     else:
         raise ValueError(f"unknown spin operator kind {kind!r}")
     return m
 
 
+#: spin operator kinds that act on the leak level
+_LEAK_KINDS = ("project_o", "leak_from_up", "leak_from_down")
+
+
 def build_spin_op(dims: SystemDims, ion: int, kind: str) -> OperatorMatrix:
     """Single-ion operator embedded in the full space.
 
-    kind is one of "lower" (|down><up|), "raise", "x", "z", "project_o".
-    The ion index is 0-based.  Pauli-type operators act as zero on the leak
-    level when it is present.
+    kind is one of "lower" (|down><up|), "raise", "x", "z", "project_o",
+    "leak_from_up" (|o><up|) and "leak_from_down" (|o><down|); the last
+    three need the leak level.  The ion index is 0-based.  Pauli-type
+    operators act as zero on the leak level when it is present.
+
+    Operators are memoized with build_mode_op's, see _embedded_operator:
+    the result is shared between callers and its matrix is read-only.
     """
     if not 0 <= ion < dims.n_ions:
         raise ValueError(f"ion index {ion} outside 0..{dims.n_ions - 1}")
-    if kind == "project_o" and not dims.leak_level:
-        raise ValueError("project_o requires leak_level")
-    levels = dims.levels_per_ion
-    op = np.array([[1.0 + 0j]])
-    for i in range(dims.n_ions):
-        factor = _single_ion_matrix(levels, kind) if i == ion else np.eye(levels)
-        op = np.kron(op, factor)
-    op = np.kron(op, np.eye(dims.n_fock))
-    hermitian = kind in ("x", "z", "project_o")
-    return OperatorMatrix(dims, op, hermitian)
+    if kind in _LEAK_KINDS and not dims.leak_level:
+        raise ValueError(f"{kind} requires leak_level")
+    return _embedded_operator(dims, ion, kind)
 
 
 def build_mode_op(dims: SystemDims, kind: str) -> OperatorMatrix:
     """Truncated ladder operator on the motional mode.
 
-    "create" is the adjoint of "annihilate" on the truncated space, so the
-    coupling out of the top level n_fock-1 is dropped.
+    kind is one of "annihilate", "create" and "number".  "create" is the
+    adjoint of "annihilate" on the truncated space, so the coupling out of
+    the top level n_fock-1 is dropped.
+
+    Operators are memoized with build_spin_op's, see _embedded_operator:
+    the result is shared between callers and its matrix is read-only.
     """
     if dims.n_fock < 2:
         raise ValueError("mode operators need n_fock >= 2")
-    n = dims.n_fock
-    a = np.zeros((n, n), dtype=complex)
-    for k in range(1, n):
-        a[k - 1, k] = np.sqrt(k)
-    if kind == "annihilate":
-        mode = a
-    elif kind == "create":
-        mode = a.conj().T
-    elif kind == "number":
-        mode = np.diag(np.arange(n, dtype=float)).astype(complex)
+    return _embedded_operator(dims, None, kind)
+
+
+@functools.lru_cache(maxsize=32)
+def _embedded_operator(dims: SystemDims, ion: int | None, kind: str) -> OperatorMatrix:
+    """The operator of build_spin_op on ion, or of build_mode_op if ion is None.
+
+    The memo of both constructors, keyed by (dims, ion, kind), so each
+    operator's kron chain and Hermiticity check run once per key.  It holds
+    at most 32 operators, more than the 24 kinds of one SystemDims (seven
+    per ion of three, three for the mode), so a run on one or two spaces
+    builds each operator once; at dim 324 (three ions, leak level, 12 Fock
+    states) an operator takes 1.7 MB.  The matrix is made read-only because
+    every caller shares it.
+    """
+    if ion is None:
+        n = dims.n_fock
+        a = np.zeros((n, n), dtype=complex)
+        for k in range(1, n):
+            a[k - 1, k] = np.sqrt(k)
+        if kind == "annihilate":
+            mode = a
+        elif kind == "create":
+            mode = a.conj().T
+        elif kind == "number":
+            mode = np.diag(np.arange(n, dtype=float)).astype(complex)
+        else:
+            raise ValueError(f"unknown mode operator kind {kind!r}")
+        op = np.kron(np.eye(dims.spin_dim), mode)
+        hermitian = kind == "number"
     else:
-        raise ValueError(f"unknown mode operator kind {kind!r}")
-    op = np.kron(np.eye(dims.spin_dim), mode)
-    return OperatorMatrix(dims, op, kind == "number")
+        levels = dims.levels_per_ion
+        op = np.array([[1.0 + 0j]])
+        for i in range(dims.n_ions):
+            factor = _single_ion_matrix(levels, kind) if i == ion else np.eye(levels)
+            op = np.kron(op, factor)
+        op = np.kron(op, np.eye(dims.n_fock))
+        hermitian = kind in ("x", "z", "project_o")
+    op.setflags(write=False)
+    return OperatorMatrix(dims, op, hermitian)
 
 
 def named_state(dims: SystemDims, name: str, fock_n: int = 0) -> PureState:

@@ -224,28 +224,15 @@ def lindblad_operators(dims: SystemDims, noise: NoiseModel) -> list[OperatorMatr
         if noise.gamma_ud > 0:
             ops.append(OperatorMatrix(dims, np.sqrt(noise.gamma_ud) * lower.conj().T))
         if noise.gamma_ou > 0:
-            ops.append(OperatorMatrix(dims, np.sqrt(noise.gamma_ou) * _leak_from(dims, i, "up")))
+            ops.append(OperatorMatrix(dims, np.sqrt(noise.gamma_ou) * build_spin_op(dims, i, "leak_from_up").matrix))
         if noise.gamma_od > 0:
-            ops.append(OperatorMatrix(dims, np.sqrt(noise.gamma_od) * _leak_from(dims, i, "down")))
+            ops.append(OperatorMatrix(dims, np.sqrt(noise.gamma_od) * build_spin_op(dims, i, "leak_from_down").matrix))
     if noise.gamma_heat > 0:
         create = build_mode_op(dims, "create").matrix
         annihilate = build_mode_op(dims, "annihilate").matrix
         ops.append(OperatorMatrix(dims, np.sqrt(noise.gamma_heat) * create))
         ops.append(OperatorMatrix(dims, np.sqrt(noise.gamma_heat) * annihilate))
     return ops
-
-
-def _leak_from(dims: SystemDims, ion: int, source: str) -> np.ndarray:
-    from .hilbert import DOWN, LEAK, UP
-
-    src = UP if source == "up" else DOWN
-    levels = dims.levels_per_ion
-    single = np.zeros((levels, levels), dtype=complex)
-    single[LEAK, src] = 1.0
-    op = np.array([[1.0 + 0j]])
-    for i in range(dims.n_ions):
-        op = np.kron(op, single if i == ion else np.eye(levels))
-    return np.kron(op, np.eye(dims.n_fock))
 
 
 def decay_rate_all_up(n_ions: int, noise: NoiseModel) -> float:

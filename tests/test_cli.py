@@ -402,3 +402,27 @@ def test_composite_ratio_by_t1_sweep_is_pinned(tmp_path):
     np.testing.assert_allclose(data[:, 1], t1s.ravel(), rtol=0, atol=1e-12)
     np.testing.assert_allclose(data[:, 2], np.ravel(expected), rtol=0, atol=1e-12)
     np.testing.assert_allclose(data[:, 3], 1.0 - data[:, 2], rtol=0, atol=1e-11)
+
+
+def test_sweep_with_cold_and_warm_spectrum_memo_is_byte_identical(tmp_path):
+    from zenosim.dynamics import _segment_spectrum
+
+    sweep = {
+        "scheme": "composite",
+        "axis": "omega_ratio",
+        "start": 6.0,
+        "stop": 9.0,
+        "points": 4,
+        "axis2": "t1",
+        "start2": 0.2,
+        "stop2": 0.5,
+        "points2": 4,
+    }
+    cfg = ScenarioConfig(scenario="sweep", drive={"omega_s": 2 * np.pi * 17.6e3}, sweep=sweep)
+    _segment_spectrum.cache_clear()
+    cold = run_scenario(cfg, tmp_path / "cold")["sweep"].read_bytes()
+    misses = _segment_spectrum.cache_info().misses
+    assert misses == 2 * 4
+    warm = run_scenario(cfg, tmp_path / "warm")["sweep"].read_bytes()
+    assert _segment_spectrum.cache_info().misses == misses
+    assert warm == cold

@@ -72,6 +72,39 @@ def test_project_o_requires_leak_level():
     assert abs(np.trace(proj) - 3 * dims.n_fock) < 1e-12
 
 
+@pytest.mark.parametrize("kind, source", [("leak_from_up", UP), ("leak_from_down", DOWN)])
+def test_leak_transitions_require_leak_level(kind, source):
+    with pytest.raises(ValueError):
+        build_spin_op(DIMS2, 0, kind)
+    dims = SystemDims(2, 2, leak_level=True)
+    op = build_spin_op(dims, 1, kind).matrix
+    for spin in (UP, DOWN, LEAK):
+        out = op @ basis_vector(dims, (UP, spin), 1)
+        want = basis_vector(dims, (UP, LEAK), 1) if spin == source else np.zeros(dims.dim)
+        assert np.array_equal(out, want)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_spin_op(DIMS2, 0, "lower"),
+        lambda: build_spin_op(SystemDims(2, 2, leak_level=True), 1, "leak_from_down"),
+        lambda: build_mode_op(DIMS2, "annihilate"),
+        lambda: build_mode_op(DIMS3, "number"),
+    ],
+    ids=["lower", "leak_from_down", "annihilate", "number"],
+)
+def test_memoized_operator_matrices_are_read_only(build):
+    op = build()
+    assert build() is op
+    before = op.matrix.copy()
+    with pytest.raises(ValueError):
+        op.matrix[0, 1] = 5.0
+    with pytest.raises(ValueError):
+        op.matrix *= 2.0
+    assert np.array_equal(op.matrix, before)
+
+
 def test_ion_index_out_of_range():
     with pytest.raises(ValueError):
         build_spin_op(DIMS2, 2, "lower")

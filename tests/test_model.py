@@ -155,6 +155,36 @@ def test_lindblad_operator_census():
         lindblad_operators(DIMS2, NoiseModel(gamma_ou=1.0))
 
 
+@pytest.mark.parametrize("dims", [SystemDims(2, 3, leak_level=True), SystemDims(3, 2, leak_level=True)])
+def test_scatter_collapse_operators_match_explicit_kron(dims):
+    """Each scatter channel is sqrt(gamma) times its single-ion transition,
+    kron'ed with identities in basis order, bit for bit."""
+    from zenosim.hilbert import DOWN, LEAK, UP
+
+    def embedded(ion, row, col):
+        single = np.zeros((3, 3), dtype=complex)
+        single[row, col] = 1.0
+        op = np.array([[1.0 + 0j]])
+        for i in range(dims.n_ions):
+            op = np.kron(op, single if i == ion else np.eye(3))
+        return np.kron(op, np.eye(dims.n_fock))
+
+    noise = NoiseModel(gamma_du=11.0, gamma_ud=7.0, gamma_ou=3.0, gamma_od=2.0)
+    expected = []
+    for i in range(dims.n_ions):
+        lower = embedded(i, DOWN, UP)
+        expected += [
+            np.sqrt(noise.gamma_du) * lower,
+            np.sqrt(noise.gamma_ud) * lower.conj().T,
+            np.sqrt(noise.gamma_ou) * embedded(i, LEAK, UP),
+            np.sqrt(noise.gamma_od) * embedded(i, LEAK, DOWN),
+        ]
+    ops = lindblad_operators(dims, noise)
+    assert len(ops) == len(expected)
+    for op, want in zip(ops, expected):
+        assert op.matrix.tobytes() == want.tobytes()
+
+
 def test_decay_rates_match_closed_forms():
     noise = NoiseModel(gamma_du=11.0, gamma_ud=7.0, gamma_ou=3.0, gamma_od=2.0)
     dims = SystemDims(2, 2, leak_level=True)

@@ -205,3 +205,31 @@ def test_simulate_plan_picks_the_state_kind():
         assert len(traj.times) == 5
         assert all(isinstance(s, DensityOperator) for s in traj.states)
         assert traj.states[0].matrix[0, 0].real == pytest.approx(1.0 / (1.0 + noise.n_bar))
+
+
+def test_duration_edits_share_segment_spectra():
+    """Two composite plans that differ only in t1 and t2 diagonalize each
+    of their two segments once between them."""
+    from zenosim.dynamics import _segment_spectrum
+
+    plan = plan_composite(OMEGA_S, 1)
+    edited = experimental_override(plan, t1=0.4 * plan.t_pi, t2=0.6 * plan.t_pi)
+    _segment_spectrum.cache_clear()
+    simulate_plan_fidelity(plan)
+    simulate_plan_fidelity(edited)
+    info = _segment_spectrum.cache_info()
+    assert info.misses == 2
+    assert info.hits == 2
+
+
+def test_fine_tune_of_durations_adds_no_spectrum_misses():
+    from zenosim.dynamics import _segment_spectrum
+
+    plan = experimental_override(plan_composite(2 * np.pi * 17.3e3, 1), t1=25.4e-6, t2=47.3e-6)
+    _segment_spectrum.cache_clear()
+    simulate_plan_fidelity(plan)  # the first evaluation of fine_tune
+    assert _segment_spectrum.cache_info().misses == 2
+    fine_tune(plan, free_params=("t1", "t2"))
+    info = _segment_spectrum.cache_info()
+    assert info.misses == 2
+    assert info.hits > 100
