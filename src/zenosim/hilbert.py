@@ -183,10 +183,6 @@ def _single_ion_matrix(levels: int, kind: str) -> np.ndarray:
     return m
 
 
-#: spin operator kinds that act on the leak level
-_LEAK_KINDS = ("project_o", "leak_from_up", "leak_from_down")
-
-
 def build_spin_op(dims: SystemDims, ion: int, kind: str) -> OperatorMatrix:
     """Single-ion operator embedded in the full space.
 
@@ -200,7 +196,7 @@ def build_spin_op(dims: SystemDims, ion: int, kind: str) -> OperatorMatrix:
     """
     if not 0 <= ion < dims.n_ions:
         raise ValueError(f"ion index {ion} outside 0..{dims.n_ions - 1}")
-    if kind in _LEAK_KINDS and not dims.leak_level:
+    if kind in ("project_o", "leak_from_up", "leak_from_down") and not dims.leak_level:
         raise ValueError(f"{kind} requires leak_level")
     return _embedded_operator(dims, ion, kind)
 
