@@ -263,6 +263,65 @@ def test_each_leak_block_is_checked():
         evolve_density(single_pulse(), dims, GEOM2, NoiseModel(), DensityOperator(dims, rho))
 
 
+def _dense_generator(dims, geom, seg, noise):
+    """The vectorized Lindbladian of one segment as a dense matrix."""
+    from zenosim.model import lindblad_operators, segment_hamiltonian
+
+    h = segment_hamiltonian(dims, geom, seg, noise.stark_shifts).matrix
+    eye = np.eye(dims.dim)
+    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for l in (op.matrix for op in lindblad_operators(dims, noise)):
+        m = l.conj().T @ l
+        gen += np.kron(l, l.conj()) - 0.5 * (np.kron(m, eye) + np.kron(eye, m.T))
+    return gen
+
+
+def test_truncation_failure_names_the_first_failing_sample():
+    """Off-resonant sideband with heating at n_fock = 4: the top Fock
+    population first exceeds 1e-8 at sample 3 of 20, where a dense
+    exponential of the generator puts it at 4.5e-8 after 4.3e-9 at sample
+    2, and the error names that sample's time and population."""
+    from scipy.linalg import expm
+
+    dims = SystemDims(2, 4)
+    noise = NoiseModel(gamma_heat=20.0)
+    schedule = single_pulse()
+    rho0 = named_state(dims, "uu", 0).to_density()
+    sample_dt = T_PI / 20
+    gen = _dense_generator(dims, GEOM2, schedule.segments[0], noise)
+    step = expm(sample_dt * gen)
+    times, vec, tops = np.arange(21) * sample_dt, rho0.matrix.reshape(-1), []
+    for _ in times:
+        tops.append(np.diag(vec.reshape(dims.dim, dims.dim)).real[dims.n_fock - 1 :: dims.n_fock].sum())
+        vec = step @ vec
+    k = int(np.argmax(np.array(tops) >= 1e-8))
+    assert k == 3 and tops[k - 1] < 0.5e-8 and tops[k] > 2e-8
+    with pytest.raises(TruncationError, match=rf"at t = {times[k] * 1e6:.2f} us") as info:
+        evolve_density(schedule, dims, GEOM2, noise, rho0, sample_dt)
+    reported = float(str(info.value).split("population ")[1].split()[0])
+    assert reported == pytest.approx(tops[k], rel=1e-2)
+
+
+def test_positivity_failure_names_the_first_failing_sample():
+    """No drive, leak from up only, start |dd,0> with -0.8e-7 on |ou,0> and
+    on |uo,0>, which passes the -1e-7 floor.  Both leak into |oo,0>, whose
+    entry in the both-leaked block is -1.6e-7 (1 - exp(-gamma t)): it first
+    falls below -1e-7 at gamma t = 1.2, sample 4 of 10."""
+    dims = SystemDims(2, 2, leak_level=True)
+    gamma, sample_dt = 1e4, 30e-6
+    noise = NoiseModel(gamma_ou=gamma)
+    rho = np.zeros((dims.dim, dims.dim), dtype=complex)
+    rho[dims.basis_index((DOWN, DOWN), 0), dims.basis_index((DOWN, DOWN), 0)] = 1.0 + 1.6e-7
+    for spins in ((LEAK, UP), (UP, LEAK)):
+        rho[dims.basis_index(spins, 0), dims.basis_index(spins, 0)] = -0.8e-7
+    schedule = PulseSchedule((PulseSegment(10 * sample_dt),))
+    t = 4 * sample_dt
+    eig = -1.6e-7 * (1.0 - np.exp(-gamma * t))
+    assert -1.6e-7 * (1.0 - np.exp(-gamma * (t - sample_dt))) > -0.95e-7 and eig < -1.1e-7
+    with pytest.raises(NumericsError, match=rf"negative eigenvalue {eig:.2e} at t = {t:.3e} s"):
+        evolve_density(schedule, dims, GEOM2, noise, DensityOperator(dims, rho), sample_dt)
+
+
 def test_density_matches_matrix_form_ode_reference():
     """Every sample of a two-segment noisy run against solve_ivp on the
     matrix-form master equation, integrated segment by segment.  Scatter
