@@ -183,7 +183,7 @@ def _trace_scenario(config: ScenarioConfig, out_dir: Path) -> dict:
     paths = {"trace": trace_path, "budget": budget_path}
 
     if tomography is not None:
-        rho_spin = partial_trace_motion(dims, traj.states[peak_idx])
+        rho_spin = partial_trace_motion(dims, traj.samples[peak_idx : peak_idx + 1])[0]
         paths.update(_run_tomography(tomography, config.seed, out_dir, rho_spin, dims))
     return paths
 

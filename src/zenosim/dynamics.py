@@ -51,17 +51,37 @@ POSITIVITY_FLOOR = 1e-7
 
 @dataclass(frozen=True)
 class Trajectory:
+    """The sampled states of one run, stacked along a leading time axis.
+
+    samples[k] is the state at times[k]: a (T, dim) array of amplitudes for
+    a pure-state run, a (T, dim, dim) array of density matrices for a
+    density run.  The propagator fills one preallocated stack in place,
+    checks every sample once after its loop and makes the stack read-only.
+    states and final build PureState or DensityOperator objects on demand,
+    each validated again; the package itself reads only the stack.
+    """
+
     times: np.ndarray
-    states: tuple
+    samples: np.ndarray
+    dims: SystemDims
     schedule: PulseSchedule
 
+    def _state(self, sample: np.ndarray):
+        if self.samples.ndim == 2:
+            return PureState(self.dims, sample)
+        return DensityOperator(self.dims, sample)
+
     @property
-    def dims(self) -> SystemDims:
-        return self.states[0].dims
+    def states(self) -> tuple:
+        return tuple(self._state(s) for s in self.samples)
 
     @property
     def final(self):
-        return self.states[-1]
+        return self._state(self.samples[-1])
+
+    def fidelities(self, target: PureState) -> np.ndarray:
+        """<target|rho|target> at every sample time; see state_fidelity."""
+        return _fidelities(self.dims, self.samples, target)
 
 
 @dataclass(frozen=True)
@@ -196,9 +216,10 @@ def evolve_pure(
     keyed by (dims, geom, the segment without its duration, the Stark
     shifts), so a segment is diagonalized once for all schedules that
     differ only in durations.  States are sampled every sample_dt (default
-    total/400) and at segment boundaries.  Raises TruncationError if the
-    top Fock level is ever populated beyond 1e-8 and NumericsError if the
-    norm drifts beyond 1e-9, checked at every sample.
+    total/400) and at segment boundaries, into one (T, dim) stack of
+    amplitudes.  After the loop every sample is checked at once: the first
+    sample whose norm drifts beyond 1e-9 raises NumericsError, or whose top
+    Fock level holds more than 1e-8 raises TruncationError, naming its time.
     """
     if initial.dims != dims:
         raise ValueError("initial state dims do not match")
@@ -208,14 +229,14 @@ def evolve_pure(
         return _segment_spectrum(dims, geom, replace(seg, duration=0.0), shifts)
 
     times = _sample_times(schedule, sample_dt)
+    amps = np.empty((len(times), dims.dim), dtype=complex)
     psi = initial.amplitudes.copy()
-    states = []
     t_seg_start = 0.0
     seg_iter = iter(schedule.segments)
     seg = next(seg_iter)
     evals, evecs = spectrum(seg)
     psi_seg = evecs.conj().T @ psi  # coordinates of the segment-start state
-    for t in times:
+    for k, t in enumerate(times):
         # advance to the segment containing t
         while t > t_seg_start + seg.duration + 1e-15:
             psi = evecs @ (np.exp(-1j * evals * seg.duration) * psi_seg)
@@ -223,42 +244,76 @@ def evolve_pure(
             seg = next(seg_iter)
             evals, evecs = spectrum(seg)
             psi_seg = evecs.conj().T @ psi
-        phases = np.exp(-1j * evals * (t - t_seg_start))
-        psi_t = evecs @ (phases * psi_seg)
-        norm = np.linalg.norm(psi_t)
-        if abs(norm - 1.0) > 1e-9:
-            raise NumericsError(f"norm drift {abs(norm - 1.0):.2e} at t = {t:.3e} s")
-        _check_truncation(float(np.sum(np.abs(psi_t[dims.n_fock - 1 :: dims.n_fock]) ** 2)), t)
-        states.append(PureState(dims, psi_t))
-    return Trajectory(times, tuple(states), schedule)
+        amps[k] = evecs @ (np.exp(-1j * evals * (t - t_seg_start)) * psi_seg)
+
+    drift = np.abs(np.linalg.norm(amps, axis=1) - 1.0)
+    top = np.sum(np.abs(amps[:, dims.n_fock - 1 :: dims.n_fock]) ** 2, axis=1)
+    failed = np.flatnonzero((drift > 1e-9) | (top >= TOP_FOCK_LIMIT))
+    if failed.size:
+        k = failed[0]
+        if drift[k] > 1e-9:
+            raise NumericsError(f"norm drift {drift[k]:.2e} at t = {times[k]:.3e} s")
+        _check_truncation(top[k], times[k])
+    amps.setflags(write=False)
+    return Trajectory(times, amps, dims, schedule)
 
 
-def _check_density(dims: SystemDims, rho: np.ndarray, groups: list[np.ndarray], t: float):
-    """Trace, Hermiticity, truncation and positivity contracts of one sample.
+def _factorizes(mats: np.ndarray) -> bool:
+    """Whether np.linalg.cholesky succeeds on one matrix or on every matrix of a stack."""
+    try:
+        np.linalg.cholesky(mats)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
-    rho vanishes outside the diagonal blocks of the index groups, so the
-    trace, the Frobenius Hermiticity defect and the top Fock population are
-    summed over blocks, and rho is positive exactly when each block is: a
-    Cholesky factorization of block + 1e-7 I succeeds exactly when its
-    smallest eigenvalue is above -1e-7, which is only computed to report a
-    failure.
+
+# samples per step of the density checks: each temporary (a gathered block,
+# a Hermiticity defect, a Cholesky input) covers 8 samples, at most 13 MB
+# for one block of dim 324 and 0.5 MB for the fig3 preset's widest block
+_CHECK_CHUNK = 8
+
+
+def _check_density(dims: SystemDims, times: np.ndarray, rhos: np.ndarray, groups: list[np.ndarray]):
+    """Trace, Hermiticity, truncation and positivity contracts of every sample.
+
+    rhos is the (T, dim, dim) stack, zero outside the diagonal blocks of
+    the index groups, so the trace, the Frobenius Hermiticity defect and
+    the top Fock population are summed over blocks, and a sample is
+    positive exactly when each block is: a Cholesky factorization of
+    block + 1e-7 I succeeds exactly when its smallest eigenvalue is above
+    -1e-7, which is only computed to report a failure.  The stack is
+    checked _CHECK_CHUNK samples at a time, each group's blocks gathered
+    from them (a view of them if the group is the whole space), and the
+    first failing sample raises, with the first contract it fails in the
+    order above.
     """
-    blocks = [rho[np.ix_(idx, idx)] for idx in groups]
-    tr = sum(np.trace(b).real for b in blocks)
-    if abs(tr - 1.0) > 1e-8:
-        raise NumericsError(f"trace drift {abs(tr - 1.0):.2e} at t = {t:.3e} s")
-    asym = math.hypot(*(np.linalg.norm(b - b.conj().T) for b in blocks))
-    if asym > 1e-10:
-        raise NumericsError(f"Hermiticity defect {asym:.2e} at t = {t:.3e} s")
-    top = dims.n_fock - 1
-    _check_truncation(sum(np.diag(b)[idx % dims.n_fock == top].real.sum() for b, idx in zip(blocks, groups)), t)
-    for b in blocks:
-        try:
-            np.linalg.cholesky(b + POSITIVITY_FLOOR * np.eye(len(b)))
-        except np.linalg.LinAlgError:
-            min_eig = float(np.linalg.eigvalsh(b)[0])
-            if min_eig < -POSITIVITY_FLOOR:
-                raise NumericsError(f"negative eigenvalue {min_eig:.2e} at t = {t:.3e} s") from None
+    tops = [np.flatnonzero(idx % dims.n_fock == dims.n_fock - 1) for idx in groups]
+    for start in range(0, len(times), _CHECK_CHUNK):
+        chunk = rhos[start : start + _CHECK_CHUNK]
+        blocks = [chunk if len(idx) == dims.dim else chunk[:, idx[:, None], idx] for idx in groups]
+        drift = np.abs(sum(np.trace(b, axis1=1, axis2=2).real for b in blocks) - 1.0)
+        asym = np.sqrt(sum(np.linalg.norm(b - b.conj().swapaxes(1, 2), axis=(1, 2)) ** 2 for b in blocks))
+        top = sum(b.diagonal(axis1=1, axis2=2)[:, pos].real.sum(axis=1) for b, pos in zip(blocks, tops))
+        low = np.zeros(len(chunk))  # per sample, the failing eigenvalue of its first non-positive block
+        for b in blocks:
+            shifted = b + POSITIVITY_FLOOR * np.eye(b.shape[-1])
+            if _factorizes(shifted):
+                continue
+            for j in np.flatnonzero(low == 0):
+                if not _factorizes(shifted[j]):
+                    min_eig = float(np.linalg.eigvalsh(b[j])[0])
+                    if min_eig < -POSITIVITY_FLOOR:
+                        low[j] = min_eig
+        failed = np.flatnonzero((drift > 1e-8) | (asym > 1e-10) | (top >= TOP_FOCK_LIMIT) | (low < 0))
+        if failed.size:
+            j = failed[0]
+            t = times[start + j]
+            if drift[j] > 1e-8:
+                raise NumericsError(f"trace drift {drift[j]:.2e} at t = {t:.3e} s")
+            if asym[j] > 1e-10:
+                raise NumericsError(f"Hermiticity defect {asym[j]:.2e} at t = {t:.3e} s")
+            _check_truncation(top[j], t)
+            raise NumericsError(f"negative eigenvalue {low[j]:.2e} at t = {t:.3e} s")
 
 
 def evolve_density(
@@ -280,7 +335,8 @@ def evolve_density(
     segment's Taylor kernel (_TaylorExpm), accurate to working precision,
     splitting at segment boundaries; the kernel's shift and norm are set up
     once per segment.  States are sampled every sample_dt (default
-    total/400) and at segment boundaries.
+    total/400) and at segment boundaries, into one preallocated
+    (T, dim, dim) stack.
 
     Only the diagonal blocks of rho over the index groups are propagated,
     on the generator restricted to their pairs (i, j): the leak sets of
@@ -289,10 +345,11 @@ def evolve_density(
     group, the whole space.  The kernel's shift is tr L / dim^2 of the
     full generator either way.
 
-    Every sample is checked, block by block: trace to 1e-8, Hermiticity to
-    1e-10, top Fock population below 1e-8 and eigenvalues above -1e-7.
-    Violations raise NumericsError (TruncationError for the Fock limit)
-    rather than being projected away.
+    After the loop every sample is checked, block by block (_check_density):
+    trace to 1e-8, Hermiticity to 1e-10, top Fock population below 1e-8 and
+    eigenvalues above -1e-7.  The first violating sample raises
+    NumericsError (TruncationError for the Fock limit) naming its time;
+    nothing is projected away.
     """
     if initial.dims != dims:
         raise ValueError("initial state dims do not match")
@@ -320,13 +377,14 @@ def evolve_density(
         return _TaylorExpm(gen[kept][:, kept], gen.diagonal().sum() / dims.dim**2)
 
     times = _sample_times(schedule, sample_dt)
+    rhos = np.zeros((len(times), dims.dim, dims.dim), dtype=complex)
+    flat = rhos.reshape(len(times), -1)
     boundaries = schedule.boundaries()
     seg_idx = 0
     expm = propagator(schedule.segments[0])
     vec = initial.matrix.reshape(-1)[kept]
     t_prev = 0.0
-    states = []
-    for t in times:
+    for k, t in enumerate(times):
         while t > boundaries[seg_idx + 1] + 1e-15:
             if boundaries[seg_idx + 1] > t_prev:
                 vec = expm(boundaries[seg_idx + 1] - t_prev, vec)
@@ -336,12 +394,30 @@ def evolve_density(
         if t > t_prev:
             vec = expm(t - t_prev, vec)
             t_prev = t
-        rho = np.zeros(dims.dim**2, dtype=complex)
-        rho[kept] = vec
-        rho = rho.reshape(dims.dim, dims.dim)
-        _check_density(dims, rho, groups, t)
-        states.append(DensityOperator(dims, rho))
-    return Trajectory(times, tuple(states), schedule)
+        flat[k, kept] = vec
+    _check_density(dims, times, rhos, groups)
+    rhos.setflags(write=False)
+    return Trajectory(times, rhos, dims, schedule)
+
+
+def _fidelities(dims: SystemDims, samples: np.ndarray, target: PureState) -> np.ndarray:
+    """<target|rho|target> of each sample of a (T, dim) or (T, dim, dim) stack.
+
+    A target on the full space keeps its motional factor; a spin-only
+    target (n_fock = 1) is compared against the motion-traced samples.
+    np.vecdot conjugates its first argument and takes one BLAS dot per
+    sample, and np.hypot rounds as abs() of one complex scalar does, so
+    each value is the one a single-sample evaluation gives.
+    """
+    v = target.amplitudes
+    if target.dims == dims:
+        if samples.ndim == 2:
+            overlap = np.vecdot(v, samples)
+            return np.hypot(overlap.real, overlap.imag) ** 2
+        return np.vecdot(v, samples @ v).real
+    if target.dims == SystemDims(dims.n_ions, 1, dims.leak_level):
+        return np.vecdot(v, partial_trace_motion(dims, samples) @ v).real
+    raise ValueError("target dims are compatible with neither the full nor the spin-only space")
 
 
 def state_fidelity(dims: SystemDims, state, target: PureState) -> float:
@@ -350,14 +426,8 @@ def state_fidelity(dims: SystemDims, state, target: PureState) -> float:
     A target on the full space keeps its motional factor; a spin-only target
     (n_fock = 1) is compared against the motion-traced state.
     """
-    if target.dims.n_fock == dims.n_fock and target.dims == dims:
-        if isinstance(state, PureState):
-            return float(abs(np.vdot(target.amplitudes, state.amplitudes)) ** 2)
-        return float(np.real(np.vdot(target.amplitudes, state.matrix @ target.amplitudes)))
-    if target.dims.n_fock == 1 and target.dims.n_ions == dims.n_ions and target.dims.leak_level == dims.leak_level:
-        rho_spin = partial_trace_motion(dims, state)
-        return float(np.real(np.vdot(target.amplitudes, rho_spin @ target.amplitudes)))
-    raise ValueError("target dims are compatible with neither the full nor the spin-only space")
+    sample = state.amplitudes if isinstance(state, PureState) else state.matrix
+    return float(_fidelities(dims, sample[None], target)[0])
 
 
 def extract_populations(
@@ -365,36 +435,33 @@ def extract_populations(
     targets: Sequence[PureState],
     labels: Sequence[str] | None = None,
 ) -> PopulationRecord:
-    """Population record of a trajectory.
+    """Population record of a trajectory, read from its stack of samples.
 
     P_k sums the projectors onto all spin configurations with exactly k ions
-    up, traced over motion.  The first target supplies the headline fidelity
-    series; every target also appears in aux_populations under its label.
+    up, traced over motion: one product of the samples' diagonals with the
+    masks gives every P_k and the leak population at once.  The first
+    target supplies the headline fidelity series; every target also appears
+    in aux_populations under its label, each series one stacked fidelity
+    evaluation.  A pure-state run whose populations do not sum to 1 within
+    1e-8 raises NumericsError.
     """
     dims = traj.dims
-    masks = up_count_projectors(dims)
-    lmask = leak_mask(dims)
     if labels is None:
         labels = [f"target_{i}" for i in range(len(targets))]
     if len(labels) != len(targets):
         raise ValueError("labels must match targets")
 
-    n_t = len(traj.times)
-    p_up = np.zeros((n_t, dims.n_ions + 1))
-    leak = np.zeros(n_t)
-    fids = {lab: np.zeros(n_t) for lab in labels}
-    for it, state in enumerate(traj.states):
-        if isinstance(state, PureState):
-            diag = np.abs(state.amplitudes) ** 2
-        else:
-            diag = np.real(np.diag(state.matrix))
-        for k, mask in enumerate(masks):
-            p_up[it, k] = float(diag @ mask)
-        leak[it] = float(diag @ lmask)
-        total = p_up[it].sum() + leak[it]
-        if abs(total - 1.0) > 1e-8 and isinstance(state, PureState):
-            raise NumericsError(f"populations sum to {total}, not 1")
-        for lab, target in zip(labels, targets):
-            fids[lab][it] = state_fidelity(dims, state, target)
-    target_series = fids[labels[0]] if targets else np.zeros(n_t)
+    samples = traj.samples
+    pure = samples.ndim == 2
+    diag = np.abs(samples) ** 2 if pure else samples.diagonal(axis1=1, axis2=2).real
+    masks = np.array([*up_count_projectors(dims), leak_mask(dims)])
+    pops = np.vecdot(diag[:, None, :], masks)
+    p_up, leak = pops[:, :-1], pops[:, -1]
+    if pure:
+        total = p_up.sum(axis=1) + leak
+        bad = np.flatnonzero(np.abs(total - 1.0) > 1e-8)
+        if bad.size:
+            raise NumericsError(f"populations sum to {total[bad[0]]}, not 1")
+    fids = {lab: traj.fidelities(target) for lab, target in zip(labels, targets)}
+    target_series = fids[labels[0]] if targets else np.zeros(len(traj.times))
     return PopulationRecord(traj.times, p_up, target_series, fids, leak)

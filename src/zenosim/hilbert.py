@@ -264,21 +264,37 @@ def named_state(dims: SystemDims, name: str, fock_n: int = 0) -> PureState:
         |Wac> = (e^{-i 2pi/3}|uud> + |udu> + e^{ i 2pi/3}|duu>) / sqrt(3)
 
     and the barred versions with ups and downs exchanged.
+
+    States are memoized by (dims, name, fock_n), see _named_state: the
+    result is shared between callers and its amplitudes are read-only.
     """
     if name not in _NAMED_SPINS:
         raise ValueError(f"unknown state name {name!r}; choose from {NAMED_STATES}")
-    terms = _NAMED_SPINS[name]
-    if len(terms[0][1]) != dims.n_ions:
-        raise ValueError(f"state {name!r} requires {len(terms[0][1])} ions, dims has {dims.n_ions}")
+    n_ions = len(_NAMED_SPINS[name][0][1])
+    if n_ions != dims.n_ions:
+        raise ValueError(f"state {name!r} requires {n_ions} ions, dims has {dims.n_ions}")
+    return _named_state(dims, name, fock_n)
+
+
+@functools.lru_cache(maxsize=32)
+def _named_state(dims: SystemDims, name: str, fock_n: int) -> PureState:
+    """The state of named_state, built and norm-checked once per key.
+
+    The memo of named_state and spin_state.  A sweep cell asks for the
+    same start and target state on the same dims, and a trace scenario for
+    four targets, so 32 entries cover a run on a few spaces; an entry takes
+    at most 5 kB (dim 324).
+    """
     amp = np.zeros(dims.dim, dtype=complex)
-    for coeff, spins in terms:
+    for coeff, spins in _NAMED_SPINS[name]:
         amp[dims.basis_index(spins, fock_n)] = coeff
     amp /= np.linalg.norm(amp)
+    amp.setflags(write=False)
     return PureState(dims, amp)
 
 
 def spin_state(dims: SystemDims, name: str) -> PureState:
-    """Named spin state on a motion-less copy of dims (n_fock = 1)."""
+    """Named spin state on a motion-less copy of dims (n_fock = 1), memoized with named_state."""
     spin_dims = SystemDims(dims.n_ions, 1, dims.leak_level)
     return named_state(spin_dims, name, 0)
 
@@ -318,13 +334,22 @@ def thermal_product_state(dims: SystemDims, spin: PureState, n_bar: float) -> De
 
 
 def partial_trace_motion(dims: SystemDims, state) -> np.ndarray:
-    """Spin-only density matrix with the motional mode traced out."""
+    """Spin-only density matrix with the motional mode traced out.
+
+    state is a PureState or a DensityOperator, which gives one
+    (spin_dim, spin_dim) matrix, or an array of samples stacked along a
+    leading axis as a Trajectory holds them, (T, dim) amplitudes or
+    (T, dim, dim) density matrices, which gives (T, spin_dim, spin_dim).
+    """
     if isinstance(state, PureState):
-        psi = state.amplitudes.reshape(dims.spin_dim, dims.n_fock)
-        return psi @ psi.conj().T
-    mat = state.matrix if isinstance(state, DensityOperator) else np.asarray(state)
-    rho = mat.reshape(dims.spin_dim, dims.n_fock, dims.spin_dim, dims.n_fock)
-    return np.einsum("anbn->ab", rho)
+        return partial_trace_motion(dims, state.amplitudes[None])[0]
+    if isinstance(state, DensityOperator):
+        return partial_trace_motion(dims, state.matrix[None])[0]
+    if state.ndim == 2:
+        psi = state.reshape(len(state), dims.spin_dim, dims.n_fock)
+        return psi @ psi.conj().swapaxes(1, 2)
+    rho = state.reshape(len(state), dims.spin_dim, dims.n_fock, dims.spin_dim, dims.n_fock)
+    return np.einsum("tanbn->tab", rho)
 
 
 def up_count_projectors(dims: SystemDims) -> list[np.ndarray]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .dynamics import Trajectory, evolve_density, evolve_pure, state_fidelity
+from .dynamics import Trajectory, evolve_density, evolve_pure
 from .dressed import balanced_detuning
 from .hilbert import SystemDims, named_state, spin_state, thermal_product_state
 from .model import IonGeometry, NoiseModel, PulseSchedule, PulseSegment, carrier_pi_time, mean_decay_rate
@@ -209,8 +209,8 @@ def simulate_plan_fidelity(
         sample_dt = plan_schedule(plan, duration).total_duration
     traj = simulate_plan(plan, noise, duration, dims, sample_dt)
     target = named_state(traj.dims, "T" if plan.n_ions == 2 else "W", 0)
-    fids = [state_fidelity(traj.dims, s, target) for s in traj.states]
-    return fids[-1] if at_end else max(fids)
+    fids = traj.fidelities(target)
+    return float(fids[-1] if at_end else fids.max())
 
 
 def spontaneous_preset(plan: ProtocolPlan, deficit: float | None = None) -> NoiseModel:

@@ -12,9 +12,11 @@ from zenosim.hilbert import (
     DensityOperator,
     PureState,
     SystemDims,
+    leak_mask,
     named_state,
     spin_state,
     thermal_product_state,
+    up_count_projectors,
 )
 from zenosim.model import IonGeometry, NoiseModel, PulseSchedule, PulseSegment
 
@@ -421,3 +423,47 @@ def test_density_samples_stay_physical(gamma, gamma_heat, stark, n_bar):
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
         assert np.linalg.eigvalsh(rho)[0] >= -1e-10
         assert np.all(rho[between] == 0.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    gamma=st.tuples(*[st.floats(0.0, 300.0)] * 4),
+    gamma_heat=st.floats(0.0, 50.0),
+    stark=st.tuples(*[st.floats(-2e4, 2e4)] * 2),
+    n_bar=st.floats(0.0, 0.01),
+    lindblad=st.booleans(),
+)
+def test_stacked_readout_matches_per_sample_loop(gamma, gamma_heat, stark, n_bar, lindblad):
+    """extract_populations and simulate_plan_fidelity (peak and end) read
+    the trajectory's stack; an explicit loop over traj.states, with
+    state_fidelity and the diagonal of each sample, gives the same numbers
+    for full-space and spin-only targets.  Without rates or a thermal start
+    the run is pure-state, with the Stark shifts; without leak rates the
+    density run is one block, the whole space."""
+    from zenosim.protocol import plan_single, simulate_plan, simulate_plan_fidelity
+
+    noise = _full_noise(gamma, gamma_heat, stark, n_bar) if lindblad else NoiseModel(stark_shifts=stark)
+    plan = plan_single(OMEGA_S, 2)
+    dims = SystemDims(2, 6, noise.needs_leak_level)
+    duration, sample_dt = 0.5 * plan.t_pi, plan.t_pi / 40
+    traj = simulate_plan(plan, noise, duration, dims, sample_dt)
+    pure = not (noise.has_lindblad or noise.n_bar > 0)
+    assert traj.samples.shape == (len(traj.times),) + (dims.dim,) * (1 if pure else 2)
+
+    labels = ["F_T", "P_S", "P_dd", "F_uu1"]
+    targets = [named_state(dims, "T", 0), spin_state(dims, "S"), spin_state(dims, "dd"), named_state(dims, "uu", 1)]
+    rec = extract_populations(traj, targets, labels)
+    masks = up_count_projectors(dims)
+    for k, state in enumerate(traj.states):
+        diag = np.abs(state.amplitudes) ** 2 if pure else np.real(np.diag(state.matrix))
+        np.testing.assert_allclose(rec.p_up_counts[k], [diag @ m for m in masks], rtol=0, atol=1e-14)
+        assert abs(rec.leak_population[k] - diag @ leak_mask(dims)) <= 1e-14
+        for label, target in zip(labels, targets):
+            assert abs(rec.aux_populations[label][k] - state_fidelity(dims, state, target)) <= 1e-14
+    np.testing.assert_array_equal(rec.target_fidelity, rec.aux_populations["F_T"])
+
+    peak = simulate_plan_fidelity(plan, noise, duration, dims, at_end=False, sample_dt=sample_dt)
+    assert abs(peak - max(state_fidelity(dims, s, targets[0]) for s in traj.states)) <= 1e-14
+    end = simulate_plan_fidelity(plan, noise, duration, dims, at_end=True)
+    final = simulate_plan(plan, noise, duration, dims, duration).final
+    assert abs(end - state_fidelity(dims, final, targets[0])) <= 1e-14

@@ -176,6 +176,46 @@ def test_named_state_fock_support():
     assert np.linalg.norm(psi[:, [0, 2, 3]]) == 0.0
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: named_state(DIMS2, "T", 1),
+        lambda: named_state(DIMS3, "Wc"),
+        lambda: spin_state(SystemDims(2, 5, leak_level=True), "S"),
+    ],
+    ids=["T_1", "Wc", "spin_S"],
+)
+def test_memoized_state_amplitudes_are_read_only(build):
+    state = build()
+    assert build() is state
+    before = state.amplitudes.copy()
+    with pytest.raises(ValueError):
+        state.amplitudes[0] = 1.0
+    with pytest.raises(ValueError):
+        state.amplitudes *= 2.0
+    assert np.array_equal(state.amplitudes, before)
+
+
+def test_named_state_default_fock_level_shares_the_entry():
+    assert named_state(DIMS2, "S") is named_state(DIMS2, "S", 0)
+    assert named_state(DIMS2, "S", 1) is not named_state(DIMS2, "S", 0)
+
+
+def test_partial_trace_of_a_stack_matches_each_sample():
+    dims = SystemDims(2, 3, leak_level=True)
+    rng = np.random.default_rng(3)
+    amps = rng.normal(size=(4, dims.dim)) + 1j * rng.normal(size=(4, dims.dim))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    rhos = np.einsum("ti,tj->tij", amps, amps.conj())
+    pure = partial_trace_motion(dims, amps)
+    mixed = partial_trace_motion(dims, rhos)
+    assert pure.shape == mixed.shape == (4, dims.spin_dim, dims.spin_dim)
+    for k in range(4):
+        assert np.array_equal(pure[k], partial_trace_motion(dims, PureState(dims, amps[k])))
+        assert np.array_equal(mixed[k], partial_trace_motion(dims, DensityOperator(dims, rhos[k])))
+        assert np.allclose(pure[k], mixed[k], atol=1e-14)
+
+
 def test_named_state_ion_count_mismatch():
     with pytest.raises(ValueError):
         named_state(DIMS2, "W", 0)
