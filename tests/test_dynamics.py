@@ -379,16 +379,10 @@ def test_taylor_kernel_matches_dense_expm():
     from scipy.linalg import expm
 
     from zenosim.dynamics import _TaylorExpm
-    from zenosim.model import lindblad_operators, segment_hamiltonian
 
     dims = SystemDims(2, 3, leak_level=True)
     noise = _full_noise((3e4, 2e4, 1.5e4, 1e4), 5e3, stark=(1e4, -5e3))
-    h = segment_hamiltonian(dims, GEOM2, PulseSegment(T_PI, OMEGA_S, OMEGA_D, DELTA), noise.stark_shifts).matrix
-    eye = np.eye(dims.dim)
-    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for l in (op.matrix for op in lindblad_operators(dims, noise)):
-        m = l.conj().T @ l
-        gen += np.kron(l, l.conj()) - 0.5 * (np.kron(m, eye) + np.kron(eye, m.T))
+    gen = _dense_generator(dims, GEOM2, PulseSegment(T_PI, OMEGA_S, OMEGA_D, DELTA), noise)
     n = dims.dim**2
     kernel = _TaylorExpm(sp.csr_matrix(gen), np.trace(gen) / n)
     shifted = gen - np.trace(gen) / n * np.eye(n)
