@@ -320,6 +320,18 @@ def test_fig3_preset_reproduces_headline_peak(tmp_path):
     assert abs(float(budget["peak_time_s"]) - 72.7e-6) < 1e-12
 
 
+def test_fig3_leak_level_readout_is_pinned(tmp_path):
+    """The fig3 peak state carries a leak level: its synthetic readout goes
+    through the leak-aware bright-class weights before the qubit-only fit."""
+    overrides = ["--override", "tomography.enabled=true", "--override", "tomography.resamples=20"]
+    assert main(["run", "--preset", "fig3", "--out", str(tmp_path), *overrides]) == 0
+    entries = dict(line.split(" = ") for line in (tmp_path / "tomography_estimate.txt").read_text().splitlines())
+    assert entries["target"] == "T"
+    assert entries["fidelity"] == "0.991599529453"
+    assert entries["iterations"] == "2240"
+    assert entries["bin_boundaries"] == "20,50,57,61"
+
+
 @pytest.mark.parametrize(
     "sweep, expected",
     [
