@@ -67,7 +67,6 @@ from .protocol import (
 )
 from .threeion import ThreeIonLadder, effective_pi_time, three_ion_ladder
 from .tomography import (
-    BinnedHistogram,
     CountHistogram,
     DetectionModel,
     FitInputs,
@@ -78,7 +77,6 @@ from .tomography import (
     choose_bins,
     fit_ml,
     read_histogram,
-    reference_protocol,
     simulate_histogram,
     systematic_sweep,
     write_histogram,

@@ -240,8 +240,7 @@ def _tomography_settings(config: ScenarioConfig, n_ions: int) -> dict:
 
 def _run_tomography(settings: dict, seed: int, out_dir: Path, rho_spin: np.ndarray, dims: SystemDims) -> dict:
     n_ions = dims.n_ions
-    target = "T" if n_ions == 2 else "W"
-    design = tom.analysis_design(n_ions, target)
+    design = tom.analysis_design(n_ions)
     model = settings["model"]
     raw = tom.reference_shot_counts(model, settings["shots_reference"], n_ions, seed)
     held, refs = tom.split_reference_shots(raw)
@@ -258,10 +257,10 @@ def _run_tomography(settings: dict, seed: int, out_dir: Path, rho_spin: np.ndarr
         )
         for i in range(len(design.unitaries))
     ]
-    estimate = tom.fit_ml(refs, data, design, boundaries)
+    inputs = tom.FitInputs(tuple(refs), tuple(data), design, boundaries)
+    estimate = tom.fit_ml(inputs)
     if not estimate.converged:
         raise ConvergenceError("maximum-likelihood fit did not converge")
-    inputs = tom.FitInputs(tuple(refs), tuple(data), design, boundaries)
     sweep = tom.systematic_sweep(inputs, n_points=settings["epsilon_points"])
     estimate = dataclasses.replace(estimate, epsilon_syst=sweep.epsilon_syst)
     estimate = tom.bootstrap(inputs, estimate, resamples=settings["resamples"], seed=seed + 1)
@@ -274,7 +273,7 @@ def _run_tomography(settings: dict, seed: int, out_dir: Path, rho_spin: np.ndarr
             tom.write_histogram(hist_dir / f"{h.label}.txt", h)
         paths["histograms"] = hist_dir
     entries = {
-        "target": target,
+        "target": design.target_name,
         "fidelity": estimate.fidelity,
         "ci_lower": estimate.ci_lower if estimate.ci_lower is not None else estimate.fidelity,
         "ci_upper": estimate.ci_upper if estimate.ci_upper is not None else estimate.fidelity,
@@ -299,6 +298,10 @@ def _dressed_scan_scenario(config: ScenarioConfig, out_dir: Path) -> dict:
     lo = scan.get("start", -4.0)
     hi = scan.get("stop", 4.0)
     points = scan.get("points", 401)
+    if points < 2:
+        raise ConfigError("[scan] points must be >= 2")
+    if not (np.isfinite(omega_s) and omega_s != 0):
+        raise ConfigError("[drive] omega_s must be finite and nonzero")
     deltas, freqs = scan_detuning(omega_s, (lo * omega_s, hi * omega_s), points)
     rows = [
         [d / omega_s, f1 / omega_s, f2 / omega_s, f3 / omega_s]

@@ -76,10 +76,9 @@ def undesired_hamiltonian(omega_s: float, delta: float) -> np.ndarray:
     )
 
 
-def balanced_detuning(omega_s: float, positive: bool = True) -> float:
-    """Detuning at which two eigenfrequencies are equal and opposite."""
-    mag = np.sqrt(7.0 / 3.0) * abs(omega_s)
-    return mag if positive else -mag
+def balanced_detuning(omega_s: float) -> float:
+    """Positive detuning at which two eigenfrequencies are equal and opposite."""
+    return np.sqrt(7.0 / 3.0) * abs(omega_s)
 
 
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
@@ -130,21 +129,17 @@ def dressed_spectrum(omega_s: float, delta: float, omega_d: float) -> DressedSpe
     return DressedSpectrum(omega_s, delta, omega_d, freqs, vecs, couplings, degenerate)
 
 
-def scan_detuning(omega_s: float, delta_range, n_points: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def scan_detuning(omega_s: float, delta_range: tuple[float, float], n_points: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenfrequency branches tracked continuously over a detuning range.
 
-    delta_range is either an explicit array of detunings or a (min, max)
-    pair together with n_points.  Branches are matched between neighbouring
-    points by eigenvector overlap so they never swap at crossings.  Returns
-    (deltas, freqs) with freqs of shape (n_points, 3).
+    delta_range is the (min, max) pair, sampled at n_points equally spaced
+    detunings.  Branches are matched between neighbouring points by
+    eigenvector overlap so they never swap at crossings.  Returns (deltas,
+    freqs) with freqs of shape (n_points, 3).
     """
-    if n_points is not None:
-        if n_points < 2:
-            raise ValueError("n_points must be >= 2")
-        lo, hi = delta_range
-        deltas = np.linspace(lo, hi, n_points)
-    else:
-        deltas = np.asarray(delta_range, dtype=float)
+    if n_points < 2:
+        raise ValueError("n_points must be >= 2")
+    deltas = np.linspace(*delta_range, n_points)
     freqs = np.empty((len(deltas), 3))
     prev_vecs = None
     for k, d in enumerate(deltas):
@@ -164,12 +159,13 @@ def scan_detuning(omega_s: float, delta_range, n_points: int | None = None) -> t
     return deltas, freqs
 
 
-def find_balanced_detunings(omega_s: float, search_span: float = 3.0) -> tuple[float, float]:
+def find_balanced_detunings(omega_s: float) -> tuple[float, float]:
     """Locate the two detunings where a pair of eigenfrequencies is balanced.
 
     Uses the trace identity: the eigenfrequency sum is 3 delta, so a
     +/- pair exists exactly where 3 delta equals the largest-magnitude
-    eigenfrequency.  Root-finds that condition on both sides of delta = 0.
+    eigenfrequency.  Root-finds that condition between 0.3 and 3 |omega_s|
+    on both sides of delta = 0.
     """
 
     def residual(d):
@@ -177,7 +173,7 @@ def find_balanced_detunings(omega_s: float, search_span: float = 3.0) -> tuple[f
         biggest = evals[np.argmax(np.abs(evals))]
         return 3.0 * d - biggest
 
-    span = search_span * abs(omega_s)
+    span = 3.0 * abs(omega_s)
     pos = brentq(residual, 0.3 * abs(omega_s), span, xtol=1e-12 * abs(omega_s))
     neg = brentq(residual, -span, -0.3 * abs(omega_s), xtol=1e-12 * abs(omega_s))
     return neg, pos

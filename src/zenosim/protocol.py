@@ -290,21 +290,17 @@ _TUNABLE = ("omega_d", "t1", "t2", "delta")
 
 
 def fine_tune(
-    plan: ProtocolPlan,
-    objective: str = "max_target_fidelity",
-    free_params: tuple[str, ...] = (),
-    sim_opts: dict | None = None,
+    plan: ProtocolPlan, free_params: tuple[str, ...] = (), sim_opts: dict | None = None
 ) -> tuple[ProtocolPlan, float, bool]:
     """Derivative-free refinement of selected plan parameters.
 
     Runs coordinate sweeps over a +/-20% box around the starting values;
     each sweep scans a coarse grid and polishes the best cell with bounded
     scalar minimization.  The objective is the simulated end-state fidelity,
-    noiseless unless sim_opts provides a noise model.  Returns the refined
-    plan, its fidelity, and whether it improved on the input.
+    noiseless unless sim_opts provides a noise model.  A tuned omega_d
+    recomputes t_pi; the segment times t1, t2 stay as tuned.  Returns the
+    refined plan, its fidelity, and whether it improved on the input.
     """
-    if objective != "max_target_fidelity":
-        raise ValueError(f"unknown objective {objective!r}")
     for p in free_params:
         if p not in _TUNABLE:
             raise ValueError(f"cannot tune {p!r}; choose from {_TUNABLE}")
@@ -321,8 +317,7 @@ def fine_tune(
 
     def with_value(p: ProtocolPlan, name: str, value: float) -> ProtocolPlan:
         q = dataclasses.replace(p, **{name: value})
-        if name == "omega_d" and plan.scheme == "single":
-            # the pi time tracks the drive for a single pulse
+        if name == "omega_d":
             q = dataclasses.replace(q, t_pi=carrier_pi_time(value, p.n_ions))
         return q
 

@@ -40,13 +40,17 @@ from .hilbert import UP, SystemDims, named_state
 REFERENCE_PHASES = tuple(np.pi * n / 4.0 for n in range(8))
 ANALYSIS_PHASES = tuple(np.pi * n / 10.0 for n in range(20))
 
+#: a fit stops once an iteration gains less than _STOP of its log-likelihood,
+#: and is flagged unconverged after _MAX_OUTER iterations
+_STOP = 1e-10
+_MAX_OUTER = 5000
+
 
 @dataclass(frozen=True)
 class DetectionModel:
     bright_mean: float
     dark_mean: float
     pump_prob: float = 0.02
-    window: float = 330e-6
 
     def __post_init__(self):
         if not self.bright_mean > self.dark_mean >= 0:
@@ -70,6 +74,9 @@ class CountHistogram:
     label: str = ""
 
     def __post_init__(self):
+        for c, k in self.counts_by_photon_number.items():
+            if c < 0 or k < 0:
+                raise ValueError(f"photon number {c} with {k} occurrences: neither may be negative")
         total = sum(self.counts_by_photon_number.values())
         if total != self.shots:
             raise ValueError(f"histogram holds {total} counts but claims {self.shots} shots")
@@ -90,17 +97,6 @@ class CountHistogram:
     def from_samples(cls, samples: np.ndarray, label: str = "") -> "CountHistogram":
         values, counts = np.unique(np.asarray(samples, dtype=int), return_counts=True)
         return cls({int(v): int(k) for v, k in zip(values, counts)}, int(len(samples)), label)
-
-
-@dataclass(frozen=True)
-class BinnedHistogram:
-    boundaries: tuple[int, ...]
-    bin_counts: np.ndarray
-    shots: int
-
-    def __post_init__(self):
-        if int(np.sum(self.bin_counts)) != self.shots:
-            raise ValueError("bin counts do not sum to the shot number")
 
 
 @dataclass(frozen=True)
@@ -139,15 +135,32 @@ class TomographyEstimate:
 
 @dataclass(frozen=True)
 class FitInputs:
-    """Everything fit_ml needs, bundled for bootstrap and sweeps."""
+    """The one input of fit_ml, systematic_sweep and bootstrap.
+
+    references follow the eight-phase reference protocol order; data are
+    ordered like design.analysis_rotations (the no-pulse measurement
+    first); boundaries are the frozen bin cuts.  Construction checks the
+    histogram counts and rebins every histogram once into counts, a
+    read-only (refs + rotations, bins) array with the references first.
+    """
 
     references: tuple[CountHistogram, ...]
     data: tuple[CountHistogram, ...]
     design: MeasurementDesign
     boundaries: tuple[int, ...]
-    stop: float = 1e-10
-    max_outer: int = 5000
-    ref_weights: np.ndarray | None = None
+    counts: np.ndarray = dataclasses.field(init=False, repr=False)
+
+    def __post_init__(self):
+        histograms = [*self.references, *self.data]
+        if len(self.references) != len(REFERENCE_PHASES):
+            raise ValueError("reference histogram count does not match the weight table")
+        if len(self.data) != len(self.design.unitaries):
+            raise ValueError(f"expected {len(self.design.unitaries)} data histograms, got {len(self.data)}")
+        if any(h.shots == 0 for h in histograms):
+            raise ValueError("empty histogram supplied")
+        counts = np.stack([rebin(h, self.boundaries) for h in histograms])
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
 
 
 # ---------------------------------------------------------------------------
@@ -244,24 +257,12 @@ def reference_shot_counts(
     ]
 
 
-def reference_protocol(
-    model: DetectionModel, shots_per_phase: int, n_ions: int, seed: int
-) -> list[CountHistogram]:
-    """Reference histograms, one per phase, 6000 shots each by convention."""
-    counts = reference_shot_counts(model, shots_per_phase, n_ions, seed)
-    return [
-        CountHistogram.from_samples(c, label=f"ref_{i}") for i, c in enumerate(counts)
-    ]
-
-
-def split_reference_shots(
-    counts: list[np.ndarray], fraction: float = 0.1
-) -> tuple[list[CountHistogram], list[CountHistogram]]:
-    """Deterministic held-out split: the first ceil(fraction * shots) shots
-    of each phase go to bin selection, the rest to the analysis."""
+def split_reference_shots(counts: list[np.ndarray]) -> tuple[list[CountHistogram], list[CountHistogram]]:
+    """Deterministic held-out split: the first ceil(0.1 * shots) shots of
+    each phase go to bin selection, the rest to the analysis."""
     held, main = [], []
     for i, c in enumerate(counts):
-        k = int(np.ceil(fraction * len(c)))
+        k = int(np.ceil(0.1 * len(c)))
         held.append(CountHistogram.from_samples(c[:k], label=f"ref_{i}_held"))
         main.append(CountHistogram.from_samples(c[k:], label=f"ref_{i}"))
     return held, main
@@ -271,16 +272,16 @@ def split_reference_shots(
 # binning
 
 
-def rebin(hist: CountHistogram, boundaries) -> BinnedHistogram:
-    """Contiguous rebinning; boundaries are the interior cut points, so bin b
-    collects counts in [boundaries[b-1], boundaries[b])."""
+def rebin(hist: CountHistogram, boundaries) -> np.ndarray:
+    """Shots per bin of a contiguous rebinning; boundaries are the interior
+    cut points, so bin b collects counts in [boundaries[b-1], boundaries[b])."""
     bounds = tuple(int(b) for b in boundaries)
     if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])) or (bounds and bounds[0] < 1):
         raise ValueError("boundaries must be strictly increasing positive integers")
     counts = np.zeros(len(bounds) + 1)
     for c, k in hist.counts_by_photon_number.items():
         counts[np.searchsorted(bounds, c, side="right")] += k
-    return BinnedHistogram(bounds, counts, hist.shots)
+    return counts
 
 
 def _initial_q(n_fits: int, n_classes: int, n_bins: int) -> np.ndarray:
@@ -343,9 +344,7 @@ def _binned_information(f: np.ndarray, priors: np.ndarray, starts: np.ndarray) -
     return float(info)
 
 
-def choose_bins(
-    held_out: list[CountHistogram], n_bins: int, n_ions: int = 2, ref_weights: np.ndarray | None = None
-) -> tuple[int, ...]:
+def choose_bins(held_out: list[CountHistogram], n_bins: int, n_ions: int = 2) -> tuple[int, ...]:
     """Greedy search for contiguous bin boundaries that lose as little class
     discrimination as possible.
 
@@ -357,8 +356,7 @@ def choose_bins(
     """
     if n_bins < 2:
         raise ValueError("n_bins must be >= 2")
-    if ref_weights is None:
-        ref_weights = reference_weights(n_ions)
+    ref_weights = reference_weights(n_ions)
     if len(held_out) != ref_weights.shape[0]:
         raise ValueError("one held-out histogram per reference phase is required")
     n_max = max(h.max_count for h in held_out) + 1
@@ -413,19 +411,19 @@ def _bright_projectors(n_ions: int) -> list[np.ndarray]:
     return projs
 
 
-def analysis_design(n_ions: int, target: str = "T") -> MeasurementDesign:
-    """Rotation set and fidelity certificate for the target state.
+def analysis_design(n_ions: int) -> MeasurementDesign:
+    """Rotation set and fidelity certificate for the entangled target.
 
-    Two ions use pi/2 analysis rotations, three ions use arccos(1/3); both
-    add the no-pulse measurement and twenty equally spaced phases.  The
-    certificate solves sum_{i,n} alpha_{i,n} U_i^dag A_n U_i = |t><t| by
-    least squares; its residual must vanish for the fidelity to be
-    measurable, and construction aborts if it does not.
+    The target is |T> for two ions and |W> for three.  Two ions use pi/2
+    analysis rotations, three ions use arccos(1/3); both add the no-pulse
+    measurement and twenty equally spaced phases.  The certificate solves
+    sum_{i,n} alpha_{i,n} U_i^dag A_n U_i = |t><t| by least squares; its
+    residual must vanish for the fidelity to be measurable, and
+    construction aborts if it does not.
     """
-    if target not in ("T", "W"):
-        raise ValueError("target must be 'T' or 'W'")
-    if (target == "T") != (n_ions == 2):
-        raise ValueError("the T target needs 2 ions and the W target 3")
+    if n_ions not in (2, 3):
+        raise ValueError("analysis designs exist for 2 or 3 ions")
+    target = "T" if n_ions == 2 else "W"
     theta = np.pi / 2.0 if n_ions == 2 else float(np.arccos(1.0 / 3.0))
     rotations = [(0.0, 0.0)] + [(theta, phi) for phi in ANALYSIS_PHASES]
     unitaries = [_global_rotation(n_ions, th, ph) for th, ph in rotations]
@@ -469,35 +467,26 @@ def design_weights(design: MeasurementDesign, rho: np.ndarray) -> np.ndarray:
 # maximum-likelihood fit
 
 
-def _binned_counts(references, data, design: MeasurementDesign, boundaries, ref_weights) -> np.ndarray:
-    """Checked and rebinned histograms, references first: (refs + rotations, bins)."""
-    references, data, boundaries = tuple(references), tuple(data), tuple(boundaries)
-    if len(references) != ref_weights.shape[0]:
-        raise ValueError("reference histogram count does not match the weight table")
-    if len(data) != len(design.unitaries):
-        raise ValueError(f"expected {len(design.unitaries)} data histograms, got {len(data)}")
-    if any(h.shots == 0 for h in references + data):
-        raise ValueError("empty histogram supplied")
-    return np.stack([rebin(h, boundaries).bin_counts for h in references + data])
-
-
 def _log_likelihood(c: np.ndarray, p: np.ndarray, n_ref: int) -> np.ndarray:
     """Log-likelihood of each fit in a stack; reference and data terms are summed apart."""
     terms = c * np.log(p)
     return terms[:, :n_ref].reshape(len(c), -1).sum(-1) + terms[:, n_ref:].reshape(len(c), -1).sum(-1)
 
 
-def _fit_stack(c, w_ref, design: MeasurementDesign, stop: float, max_outer: int, rho_init=None):
+def _fit_stack(c, w_ref, design: MeasurementDesign, rho_init=None):
     """Joint maximum-likelihood fits of a stack of binned problems.
 
     c (B, refs + rotations, bins) holds each fit's counts, references first,
-    and w_ref (B, refs, classes) its reference weights.  Each fit runs
-    fit_ml's iteration, diluting or rejecting its own R rho R steps, and
-    stops by its own rule; it is then frozen and leaves the working stack,
-    so it takes exactly the path it would take alone.  Returns rho (B, s, s),
-    iteration counts, converged flags and the log-likelihood after every
-    iteration (B, max_outer), valid up to each fit's iteration count.
+    and w_ref (B, refs, classes) its reference weights; every fit starts from
+    rho_init, or from the maximally mixed state.  Each fit runs fit_ml's
+    iteration, diluting or rejecting its own R rho R steps, and stops by its
+    own rule (_STOP, _MAX_OUTER, read at each call); it is then frozen and
+    leaves the working stack, so it takes exactly the path it would take
+    alone.  Returns rho (B, s, s), iteration counts, converged flags and the
+    log-likelihood after every iteration (B, _MAX_OUTER), valid up to each
+    fit's iteration count.
     """
+    stop, max_outer = _STOP, _MAX_OUTER
     n_fits, n_ref = w_ref.shape[:2]
     s = design.transfer.shape[-1]
     flat = design.transfer.reshape(-1, s * s)
@@ -561,29 +550,18 @@ def _fidelity(design: MeasurementDesign, rho: np.ndarray) -> float:
     return float(np.real(design.target @ rho @ design.target.conj()))
 
 
-def fit_ml(
-    references,
-    data,
-    design: MeasurementDesign,
-    boundaries,
-    stop: float = 1e-10,
-    max_outer: int = 5000,
-    ref_weights: np.ndarray | None = None,
-    rho_init: np.ndarray | None = None,
-) -> TomographyEstimate:
+def fit_ml(inputs: FitInputs) -> TomographyEstimate:
     """Joint maximum-likelihood fit of count distributions and spin state.
 
-    references must follow the standard eight-phase protocol order (or
-    supply ref_weights); data must be ordered like design.analysis_rotations
-    (the no-pulse measurement first).  Alternates EM updates of the binned
-    class probabilities with R rho R updates of the density matrix, keeping
-    the joint likelihood non-decreasing, until the relative gain drops below
-    stop.  Returns the estimate flagged unconverged if max_outer is hit.
+    Starts from the maximally mixed state and alternates EM updates of the
+    binned class probabilities with R rho R updates of the density matrix,
+    keeping the joint likelihood non-decreasing, until an iteration gains
+    less than 1e-10 of the log-likelihood.  Returns the estimate flagged
+    unconverged after 5000 iterations.
     """
-    if ref_weights is None:
-        ref_weights = reference_weights(design.n_ions)
-    c = _binned_counts(references, data, design, boundaries, ref_weights)
-    rho, iterations, converged, history = _fit_stack(c[None], ref_weights[None], design, stop, max_outer, rho_init)
+    design = inputs.design
+    w_ref = reference_weights(design.n_ions)
+    rho, iterations, converged, history = _fit_stack(inputs.counts[None], w_ref[None], design)
     rho = rho[0]
     return TomographyEstimate(
         rho_ml=rho,
@@ -632,16 +610,15 @@ def bootstrap(
     (F - eps0 - eps_syst, F + eps0), using whatever epsilon_syst the
     estimate already carries.  The log-likelihood ratio of the original fit
     is ranked inside the bootstrap distribution as a goodness-of-fit
-    percentile.  Each resample draws from its own spawned generator, so
+    percentile.  The original counts are inputs.counts.  Each resample draws from its own spawned generator, so
     results do not depend on the stacking; a resample whose fit does not
     converge is redrawn from it, and after three draws ConvergenceError is
     raised.
     """
     if resamples == 0:
         return estimate
-    design = inputs.design
-    w_ref = inputs.ref_weights if inputs.ref_weights is not None else reference_weights(design.n_ions)
-    c = _binned_counts(inputs.references, inputs.data, design, inputs.boundaries, w_ref)
+    design, c = inputs.design, inputs.counts
+    w_ref = reference_weights(design.n_ions)
     p = _model_bin_probabilities(design, c, w_ref, estimate.rho_ml[None])[0]
     ll_orig = _log_likelihood_ratio(c, p)
     shots = c.sum(axis=1).astype(int)
@@ -657,7 +634,7 @@ def bootstrap(
         for k in todo:
             counts[k] = rngs[k].multinomial(shots, p)
         w_stack = np.broadcast_to(w_ref, (len(todo),) + w_ref.shape)
-        rho[todo], _, converged, _ = _fit_stack(counts[todo], w_stack, design, inputs.stop, inputs.max_outer, warm)
+        rho[todo], _, converged, _ = _fit_stack(counts[todo], w_stack, design, warm)
         todo = todo[~converged]
         if not todo.size:
             break
@@ -689,28 +666,23 @@ class SystematicSweepResult:
     linear: bool
 
 
-def systematic_sweep(
-    inputs: FitInputs,
-    epsilon_range: tuple[float, float] = (0.0, 0.002),
-    n_points: int = 5,
-    epsilon_max: float = 0.001,
-) -> SystematicSweepResult:
+def systematic_sweep(inputs: FitInputs, n_points: int = 5) -> SystematicSweepResult:
     """Sensitivity of the inferred fidelity to reference preparation error.
 
-    Refits the same data while assuming each reference ion starts in the
+    Refits inputs.counts while assuming each reference ion starts in the
     wrong state with probability epsilon (binomial mixing of the reference
-    weights); all epsilon points are fitted as one stack, and a point whose
-    fit does not converge raises ConvergenceError.  A line through inferred
-    infidelity versus epsilon gives the slope c; the systematic term is
-    |c| * epsilon_max.  The result is flagged non-linear when the points
+    weights), at n_points values of epsilon from 0 to 0.002; all points are
+    fitted as one stack, and a point whose fit does not converge raises
+    ConvergenceError.  A line through inferred infidelity versus epsilon
+    gives the slope c; the systematic term is |c| * 0.001, the preparation
+    error bound of the experiment.  The result is flagged non-linear when the points
     stray more than 20% of the swept response from the line.
     """
     design = inputs.design
-    eps_grid = np.linspace(epsilon_range[0], epsilon_range[1], n_points)
+    eps_grid = np.linspace(0.0, 0.002, n_points)
     w_ref = np.stack([reference_weights(design.n_ions, eps) for eps in eps_grid])
-    c = _binned_counts(inputs.references, inputs.data, design, inputs.boundaries, w_ref[0])
-    c = np.broadcast_to(c, (n_points,) + c.shape)
-    rho, _, converged, _ = _fit_stack(c, w_ref, design, inputs.stop, inputs.max_outer)
+    c = np.broadcast_to(inputs.counts, (n_points,) + inputs.counts.shape)
+    rho, _, converged, _ = _fit_stack(c, w_ref, design)
     if not converged.all():
         raise ConvergenceError(f"systematic sweep fit at epsilon = {eps_grid[~converged][0]:g} did not converge")
     infids = 1.0 - np.array([_fidelity(design, r) for r in rho])
@@ -718,7 +690,7 @@ def systematic_sweep(
     line = slope * eps_grid + intercept
     span = max(infids.max() - infids.min(), 1e-12)
     linear = bool(np.max(np.abs(infids - line)) <= 0.2 * span)
-    return SystematicSweepResult(float(slope), float(abs(slope) * epsilon_max), eps_grid, infids, linear)
+    return SystematicSweepResult(float(slope), float(abs(slope) * 0.001), eps_grid, infids, linear)
 
 
 # ---------------------------------------------------------------------------

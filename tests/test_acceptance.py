@@ -227,7 +227,7 @@ def test_criterion_08_sweep_structure(tmp_path):
 
 def test_criterion_09_tomography_round_trip():
     model = tom.two_ion_detection()
-    design = tom.analysis_design(2, "T")
+    design = tom.analysis_design(2)
     raw = tom.reference_shot_counts(model, 6000, 2, seed=11)
     held, refs = tom.split_reference_shots(raw)
     boundaries = tom.choose_bins(held, 5, n_ions=2)
@@ -243,15 +243,15 @@ def test_criterion_09_tomography_round_trip():
             )
             for i in range(len(design.unitaries))
         ]
-        results[name] = (tom.fit_ml(refs, data, design, boundaries), data)
-    est_t, data_t = results["triplet"]
+        inputs = tom.FitInputs(tuple(refs), tuple(data), design, boundaries)
+        results[name] = (tom.fit_ml(inputs), inputs)
+    est_t, inputs = results["triplet"]
     est_m, _ = results["mixed"]
     ok_fid = abs(est_t.fidelity - 1.0) <= 0.005
     ok_mixed = abs(est_m.fidelity - 0.25) <= 0.01
     ok_monotone = bool(np.all(np.diff(est_t.log_likelihoods) >= -1e-7)) and bool(
         np.all(np.diff(est_m.log_likelihoods) >= -1e-7)
     )
-    inputs = tom.FitInputs(tuple(refs), tuple(data_t), design, boundaries)
     boot = tom.bootstrap(inputs, est_t, resamples=500, seed=5)
     ok_width = 2e-4 <= boot.epsilon_boot <= 5e-3
     ok = ok_fid and ok_mixed and ok_monotone and ok_width

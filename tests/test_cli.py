@@ -95,9 +95,13 @@ def test_cli_exit_codes(tmp_path):
     assert main(["run", str(good), "--out", str(tmp_path / "x"), "--override", "n_fock=3"]) == 3
 
 
-@pytest.mark.parametrize("override", ["noise.stark=1,2,3", "noise.gamma_du=-1", "drive.m=-1"])
-def test_invalid_override_exits_with_config_error(tmp_path, capsys, override):
-    assert main(["run", "--preset", "fig3", "--out", str(tmp_path), "--override", override]) == 2
+@pytest.mark.parametrize(
+    "preset, override",
+    [pytest.param("fig3", o, id=o) for o in ("noise.stark=1,2,3", "noise.gamma_du=-1", "drive.m=-1")]
+    + [pytest.param("fig_s4", o, id=o) for o in ("scan.points=1", "drive.omega_s=0")],
+)
+def test_invalid_override_exits_with_config_error(tmp_path, capsys, preset, override):
+    assert main(["run", "--preset", preset, "--out", str(tmp_path), "--override", override]) == 2
     assert capsys.readouterr().err.startswith("config error:")
 
 

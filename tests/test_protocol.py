@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from zenosim.hilbert import DensityOperator, PureState, SystemDims, named_state
-from zenosim.model import NoiseModel, mean_decay_rate
+from zenosim.model import NoiseModel, carrier_pi_time, mean_decay_rate
 from zenosim.protocol import (
     error_budget,
     experimental_override,
@@ -144,6 +144,16 @@ def test_fine_tune_composite_times():
     assert 1 - fid <= 6e-4
     assert abs(tuned.t1 - 24.18e-6) < 0.5e-6
     assert abs(tuned.t2 - 47.57e-6) < 0.5e-6
+
+
+def test_fine_tune_of_omega_d_keeps_the_composite_pi_time():
+    p = plan_composite(2 * np.pi * 17.3e3, 1)
+    start = experimental_override(p, omega_d=1.05 * p.omega_d)
+    tuned, _, improved = fine_tune(start, free_params=("omega_d",))
+    assert improved
+    assert tuned.omega_d != start.omega_d
+    assert tuned.t_pi == carrier_pi_time(tuned.omega_d, 2)
+    assert (tuned.t1, tuned.t2) == (start.t1, start.t2)
 
 
 def test_three_ion_budget_decomposition():

@@ -19,7 +19,6 @@ from zenosim.tomography import (
     read_histogram,
     rebin,
     reference_bright_probability,
-    reference_protocol,
     reference_shot_counts,
     reference_weights,
     simulate_histogram,
@@ -52,7 +51,7 @@ def two_ion_setup():
     raw = reference_shot_counts(MODEL, 6000, 2, seed=11)
     held, refs = split_reference_shots(raw)
     boundaries = choose_bins(held, 5, n_ions=2)
-    design = analysis_design(2, "T")
+    design = analysis_design(2)
     return refs, held, boundaries, design
 
 
@@ -82,13 +81,14 @@ def test_reference_sequence_compositions():
 
 
 def test_reference_protocol_labels_and_split():
-    refs = reference_protocol(MODEL, 600, 2, seed=4)
-    assert len(refs) == 8
-    assert all(h.shots == 600 for h in refs)
     raw = reference_shot_counts(MODEL, 600, 2, seed=4)
+    assert len(raw) == 8
+    assert all(len(c) == 600 for c in raw)
     held, main = split_reference_shots(raw)
     assert all(h.shots == 60 for h in held)
     assert all(h.shots == 540 for h in main)
+    assert [h.label for h in main] == [f"ref_{i}" for i in range(8)]
+    assert [h.label for h in held] == [f"ref_{i}_held" for i in range(8)]
 
 
 def test_choose_bins_topology(two_ion_setup):
@@ -115,8 +115,7 @@ def test_choose_bins_insufficient_data():
 def test_rebin_contract():
     hist = CountHistogram({0: 5, 10: 5, 20: 10}, 20, "x")
     binned = rebin(hist, (10, 15))
-    assert binned.bin_counts.tolist() == [5, 5, 10]
-    assert binned.shots == 20
+    assert binned.tolist() == [5, 5, 10]
     with pytest.raises(ValueError):
         rebin(hist, (15, 10))
 
@@ -130,18 +129,18 @@ def test_rebin_conserves_counts(counts, cuts):
     hist = CountHistogram(counts, sum(counts.values()), "h")
     boundaries = tuple(sorted(cuts))
     binned = rebin(hist, boundaries)
-    assert binned.bin_counts.sum() == hist.shots
+    assert binned.sum() == hist.shots
     # reference: bin every single shot with searchsorted
     shots = np.repeat(np.array(list(counts), dtype=int), list(counts.values()))
     reference = np.bincount(np.searchsorted(boundaries, shots, side="right"), minlength=len(boundaries) + 1)
-    assert np.array_equal(binned.bin_counts, reference)
+    assert np.array_equal(binned, reference)
 
 
 def test_design_residuals_and_invariance():
-    d2 = analysis_design(2, "T")
-    assert d2.residual < 1e-10
-    d3 = analysis_design(3, "W")
-    assert d3.residual < 1e-10
+    d2 = analysis_design(2)
+    assert d2.residual < 1e-10 and d2.target_name == "T"
+    d3 = analysis_design(3)
+    assert d3.residual < 1e-10 and d3.target_name == "W"
     # the singlet is invariant under every analysis rotation
     s = spin_vector(2, "S")
     w = design_weights(d2, np.outer(s, s.conj()))
@@ -152,12 +151,12 @@ def test_design_residuals_and_invariance():
         w3 = design_weights(d3, np.outer(v, v.conj()))
         assert np.allclose(w3[1:, 2], 2.0 / 3.0, atol=1e-12)
     with pytest.raises(ValueError):
-        analysis_design(2, "W")
+        analysis_design(4)
 
 
 def test_fidelity_functional_exactness():
     rng = np.random.default_rng(8)
-    design = analysis_design(2, "T")
+    design = analysis_design(2)
     t = spin_vector(2, "T")
     for _ in range(100):
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -173,7 +172,7 @@ def test_round_trip_triplet(two_ion_setup):
     refs, _, boundaries, design = two_ion_setup
     t = spin_vector(2, "T")
     data = make_synthetic(np.outer(t, t.conj()), design)
-    est = fit_ml(refs, data, design, boundaries)
+    est = fit_ml(FitInputs(tuple(refs), tuple(data), design, boundaries))
     assert est.converged
     assert abs(est.fidelity - 1.0) < 0.005
     assert np.all(np.diff(est.log_likelihoods) >= -1e-7)
@@ -187,7 +186,7 @@ def test_round_trip_triplet(two_ion_setup):
 def test_round_trip_maximally_mixed(two_ion_setup):
     refs, _, boundaries, design = two_ion_setup
     data = make_synthetic(np.eye(4) / 4.0, design, seed=78)
-    est = fit_ml(refs, data, design, boundaries)
+    est = fit_ml(FitInputs(tuple(refs), tuple(data), design, boundaries))
     assert abs(est.fidelity - 0.25) < 0.01
     assert abs(est.populations[1] - 0.5) < 0.02
 
@@ -198,9 +197,9 @@ def test_binning_sufficiency(two_ion_setup):
     t = spin_vector(2, "T")
     rho = 0.95 * np.outer(t, t.conj()) + 0.05 * np.eye(4) / 4
     data = make_synthetic(rho, design, seed=99)
-    est5 = fit_ml(refs, data, design, boundaries)
+    est5 = fit_ml(FitInputs(tuple(refs), tuple(data), design, boundaries))
     max_count = max(h.max_count for h in list(refs) + list(data))
-    est_full = fit_ml(refs, data, design, tuple(range(1, max_count + 1)))
+    est_full = fit_ml(FitInputs(tuple(refs), tuple(data), design, tuple(range(1, max_count + 1))))
     assert abs(est5.fidelity - est_full.fidelity) < 0.003
 
 
@@ -208,21 +207,21 @@ def test_fit_input_validation(two_ion_setup):
     refs, _, boundaries, design = two_ion_setup
     t = spin_vector(2, "T")
     data = make_synthetic(np.outer(t, t.conj()), design)
-    with pytest.raises(ValueError):
-        fit_ml(refs[:5], data, design, boundaries)
-    with pytest.raises(ValueError):
-        fit_ml(refs, data[:3], design, boundaries)
+    with pytest.raises(ValueError, match="reference histogram count"):
+        FitInputs(tuple(refs[:5]), tuple(data), design, boundaries)
+    with pytest.raises(ValueError, match="expected 21 data histograms, got 3"):
+        FitInputs(tuple(refs), tuple(data[:3]), design, boundaries)
     empty = CountHistogram({}, 0, "empty")
-    with pytest.raises(ValueError):
-        fit_ml(refs, [empty] * len(data), design, boundaries)
+    with pytest.raises(ValueError, match="empty histogram"):
+        FitInputs(tuple(refs), (empty,) * len(data), design, boundaries)
 
 
 def test_bootstrap_interval_and_determinism(two_ion_setup):
     refs, _, boundaries, design = two_ion_setup
     t = spin_vector(2, "T")
     data = make_synthetic(np.outer(t, t.conj()), design)
-    est = fit_ml(refs, data, design, boundaries)
     inputs = FitInputs(tuple(refs), tuple(data), design, boundaries)
+    est = fit_ml(inputs)
     assert bootstrap(inputs, est, resamples=0) is est
     b1 = bootstrap(inputs, est, resamples=40, seed=9)
     b2 = bootstrap(inputs, est, resamples=40, seed=9)
@@ -242,8 +241,8 @@ def test_bootstrap_coverage(two_ion_setup):
     hits = 0
     for trial in range(20):
         data = make_synthetic(rho, design, shots_data=8000, shots_analysis=500, seed=1000 + trial)
-        est = fit_ml(refs, data, design, boundaries)
         inputs = FitInputs(tuple(refs), tuple(data), design, boundaries)
+        est = fit_ml(inputs)
         est = bootstrap(inputs, est, resamples=60, seed=2000 + trial)
         if est.ci_lower <= f_true <= est.ci_upper:
             hits += 1
@@ -265,36 +264,38 @@ def test_stacked_fits_match_single_fits(two_ion_setup):
     t = spin_vector(2, "T")
     rho_true = 0.9 * np.outer(t, t.conj()) + 0.1 * np.eye(4) / 4
     data = make_synthetic(rho_true, design, shots_data=8000, shots_analysis=500, seed=31)
-    est = fit_ml(refs, data, design, boundaries)
-    observed = np.stack([rebin(h, boundaries).bin_counts for h in list(refs) + list(data)])
+    inputs = FitInputs(tuple(refs), tuple(data), design, boundaries)
+    est = fit_ml(inputs)
+    observed = inputs.counts
     shots = observed.sum(axis=1).astype(int)
     rng = np.random.default_rng(4)
     counts = np.stack([rng.multinomial(shots, observed / shots[:, None]) for _ in range(10)]).astype(float)
     w_ref = reference_weights(2)
     warm = 0.9 * est.rho_ml + 0.1 * np.eye(4) / 4
     rho, iterations, converged, _ = tomography._fit_stack(
-        counts, np.broadcast_to(w_ref, (len(counts),) + w_ref.shape), design, 1e-10, 5000, warm
+        counts, np.broadcast_to(w_ref, (len(counts),) + w_ref.shape), design, warm
     )
     assert converged.all()
     assert len(set(iterations.tolist())) > 1  # fits leave the stack at different iterations
     n_ref = len(refs)
     for k, c in enumerate(counts):
-        alone = fit_ml(
-            _histograms_from_bins(c[:n_ref], boundaries, "ref"),
-            _histograms_from_bins(c[n_ref:], boundaries, "data"),
+        alone = FitInputs(
+            tuple(_histograms_from_bins(c[:n_ref], boundaries, "ref")),
+            tuple(_histograms_from_bins(c[n_ref:], boundaries, "data")),
             design,
             boundaries,
-            rho_init=warm,
         )
-        assert alone.n_iterations == iterations[k]
-        assert abs(alone.fidelity - float(np.real(t @ rho[k] @ t.conj()))) < 1e-12
+        assert np.array_equal(alone.counts, c)
+        rho_alone, iterations_alone, _, _ = tomography._fit_stack(alone.counts[None], w_ref[None], design, warm)
+        assert iterations_alone[0] == iterations[k]
+        assert abs(np.real(t @ rho_alone[0] @ t.conj()) - np.real(t @ rho[k] @ t.conj())) < 1e-12
 
 
 def test_stacked_fits_match_single_fits_through_diluted_steps(monkeypatch):
     """Sparse counts against uninformative references (epsilon = 0.5) make
     some plain R rho R steps lower the likelihood; the stack must still give
     every fit its one-at-a-time result."""
-    design = analysis_design(2, "T")
+    design = analysis_design(2)
     rng = np.random.default_rng(15)
     counts = rng.poisson(rng.random(size=(8, 29, 5)) ** 4).astype(float)
     counts[..., 2] += 1
@@ -302,27 +303,45 @@ def test_stacked_fits_match_single_fits_through_diluted_steps(monkeypatch):
     calls = []
     log_likelihood = tomography._log_likelihood
     monkeypatch.setattr(tomography, "_log_likelihood", lambda *a: calls.append(1) or log_likelihood(*a))
-    rho, iterations, converged, _ = tomography._fit_stack(counts, w_ref, design, 1e-10, 5000)
+    rho, iterations, converged, _ = tomography._fit_stack(counts, w_ref, design)
     # one call before the loop and two per iteration, plus one per diluted round
     assert len(calls) > 1 + 2 * iterations.max()
     assert converged.all()
     t = design.target
     for k in range(len(counts)):
-        rho_k, iterations_k, _, _ = tomography._fit_stack(counts[k : k + 1], w_ref[:1], design, 1e-10, 5000)
+        rho_k, iterations_k, _, _ = tomography._fit_stack(counts[k : k + 1], w_ref[:1], design)
         assert iterations_k[0] == iterations[k]
         assert abs(np.real(t @ rho_k[0] @ t.conj()) - np.real(t @ rho[k] @ t.conj())) < 1e-12
 
 
-def test_unconverged_fits_raise(two_ion_setup):
+def test_unconverged_fits_raise(two_ion_setup, monkeypatch):
     refs, _, boundaries, design = two_ion_setup
     t = spin_vector(2, "T")
     data = make_synthetic(np.outer(t, t.conj()), design)
-    est = fit_ml(refs, data, design, boundaries)
-    inputs = FitInputs(tuple(refs), tuple(data), design, boundaries, max_outer=3)
+    inputs = FitInputs(tuple(refs), tuple(data), design, boundaries)
+    est = fit_ml(inputs)
+    monkeypatch.setattr(tomography, "_MAX_OUTER", 3)
+    assert not fit_ml(inputs).converged
     with pytest.raises(ConvergenceError):
         systematic_sweep(inputs, n_points=3)
     with pytest.raises(ConvergenceError):
         bootstrap(inputs, est, resamples=4, seed=1)
+
+
+def test_fit_input_is_binned_once(two_ion_setup, monkeypatch):
+    """fit_ml, systematic_sweep and bootstrap all read the counts binned
+    when the FitInputs was made: one rebin per histogram."""
+    refs, _, boundaries, design = two_ion_setup
+    t = spin_vector(2, "T")
+    data = make_synthetic(np.outer(t, t.conj()), design)
+    calls = []
+    monkeypatch.setattr(tomography, "rebin", lambda *a: calls.append(1) or rebin(*a))
+    inputs = FitInputs(tuple(refs), tuple(data), design, boundaries)
+    est = fit_ml(inputs)
+    systematic_sweep(inputs, n_points=2)
+    bootstrap(inputs, est, resamples=2, seed=3)
+    assert len(calls) == len(refs) + len(data) == 29
+    assert not inputs.counts.flags.writeable
 
 
 def test_systematic_sweep(two_ion_setup):
@@ -330,7 +349,7 @@ def test_systematic_sweep(two_ion_setup):
     t = spin_vector(2, "T")
     data = make_synthetic(np.outer(t, t.conj()), design)
     inputs = FitInputs(tuple(refs), tuple(data), design, boundaries)
-    baseline = fit_ml(refs, data, design, boundaries)
+    baseline = fit_ml(inputs)
     sweep = systematic_sweep(inputs, n_points=5)
     # epsilon = 0 point reproduces the baseline fit exactly
     assert abs((1.0 - baseline.fidelity) - sweep.infidelities[0]) < 1e-12
@@ -351,6 +370,19 @@ def test_histogram_file_round_trip(tmp_path):
     text = path.read_text().splitlines()
     assert text[0] == "# shots=2000"
     assert text[1] == "# label=demo phase=0.3"
+
+
+@pytest.mark.parametrize("counts", [{-1: 5, 3: 2}, {4: -2, 5: 9}])
+def test_histogram_rejects_negative_entries(counts):
+    with pytest.raises(ValueError, match="negative"):
+        CountHistogram(counts, 7)
+
+
+def test_histogram_file_with_negative_occurrences_is_rejected(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("# shots=3\n# label=bad\n4 -2\n7 5\n")
+    with pytest.raises(ValueError, match="negative"):
+        read_histogram(path)
 
 
 def test_binomial_weights_sum():
