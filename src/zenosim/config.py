@@ -3,13 +3,16 @@
 Frequencies accept kHz / MHz / Hz suffixes and are stored as angular
 frequencies (the suffix multiplies by 2 pi as well as the SI prefix);
 durations accept us / ms / s; decay rates use 1/s (or quanta/s) with no
-2 pi.  Bare numbers are taken in base units (rad/s, seconds).  Unknown keys
-are rejected so typos cannot silently fall back to defaults.
+2 pi.  Bare numbers are taken in base units (rad/s, seconds).  Every number
+must be finite: nan, inf and values that overflow in their unit are
+rejected.  Unknown keys are rejected so typos cannot silently fall back to
+defaults.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +34,10 @@ _RATE_UNITS = {"1/s": 1.0, "quanta/s": 1.0}
 
 
 def parse_quantity(text: str, line: int | None = None) -> float:
-    """A number with an optional unit suffix, resolved to base units."""
+    """A finite number with an optional unit suffix, resolved to base units.
+
+    nan, inf and a value that overflows in its unit raise ConfigError.
+    """
     parts = text.strip().split()
     if len(parts) not in (1, 2):
         raise ConfigError(f"cannot parse quantity {text!r}", line)
@@ -39,13 +45,17 @@ def parse_quantity(text: str, line: int | None = None) -> float:
         value = float(parts[0])
     except ValueError:
         raise ConfigError(f"cannot parse number {parts[0]!r}", line) from None
-    if len(parts) == 1:
-        return value
-    unit = parts[1].lower()
-    for table in (_FREQUENCY_UNITS, _TIME_UNITS, _RATE_UNITS):
-        if unit in table:
-            return value * table[unit]
-    raise ConfigError(f"unknown unit {parts[1]!r}", line)
+    if len(parts) == 2:
+        unit = parts[1].lower()
+        for table in (_FREQUENCY_UNITS, _TIME_UNITS, _RATE_UNITS):
+            if unit in table:
+                value *= table[unit]
+                break
+        else:
+            raise ConfigError(f"unknown unit {parts[1]!r}", line)
+    if not math.isfinite(value):
+        raise ConfigError(f"quantity {text.strip()!r} is not finite", line)
+    return value
 
 
 def _parse_bool(text: str, line: int | None = None) -> bool:

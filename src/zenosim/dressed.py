@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NumericsError
 
@@ -167,6 +166,7 @@ def find_balanced_detunings(omega_s: float) -> tuple[float, float]:
     eigenfrequency.  Root-finds that condition between 0.3 and 3 |omega_s|
     on both sides of delta = 0.
     """
+    from scipy.optimize import brentq  # loaded here only: it costs ~0.4 s at import
 
     def residual(d):
         evals = np.linalg.eigvalsh(undesired_hamiltonian(omega_s, d))

@@ -115,8 +115,8 @@ def _sample_times(schedule: PulseSchedule, sample_dt: float | None) -> np.ndarra
 
 
 def _check_truncation(pop: float, t: float):
-    """Raise TruncationError if the top Fock level holds pop >= 1e-8."""
-    if pop >= TOP_FOCK_LIMIT:
+    """Raise TruncationError unless the top Fock level holds pop < 1e-8 (NaN fails)."""
+    if not pop < TOP_FOCK_LIMIT:
         raise TruncationError(
             f"top Fock level population {pop:.2e} at t = {t * 1e6:.2f} us exceeds {TOP_FOCK_LIMIT:.0e}; "
             "increase n_fock"
@@ -248,10 +248,10 @@ def evolve_pure(
 
     drift = np.abs(np.linalg.norm(amps, axis=1) - 1.0)
     top = np.sum(np.abs(amps[:, dims.n_fock - 1 :: dims.n_fock]) ** 2, axis=1)
-    failed = np.flatnonzero((drift > 1e-9) | (top >= TOP_FOCK_LIMIT))
+    failed = np.flatnonzero(~(drift <= 1e-9) | ~(top < TOP_FOCK_LIMIT))
     if failed.size:
         k = failed[0]
-        if drift[k] > 1e-9:
+        if not drift[k] <= 1e-9:
             raise NumericsError(f"norm drift {drift[k]:.2e} at t = {times[k]:.3e} s")
         _check_truncation(top[k], times[k])
     amps.setflags(write=False)
@@ -285,7 +285,9 @@ def _check_density(dims: SystemDims, times: np.ndarray, rhos: np.ndarray, groups
     checked _CHECK_CHUNK samples at a time, each group's blocks gathered
     from them (a view of them if the group is the whole space), and the
     first failing sample raises, with the first contract it fails in the
-    order above.
+    order above.  Each test is written so that NaN fails it; positivity is
+    only tested on samples that pass the others, whose entries are then
+    finite.
     """
     tops = [np.flatnonzero(idx % dims.n_fock == dims.n_fock - 1) for idx in groups]
     for start in range(0, len(times), _CHECK_CHUNK):
@@ -294,23 +296,24 @@ def _check_density(dims: SystemDims, times: np.ndarray, rhos: np.ndarray, groups
         drift = np.abs(sum(np.trace(b, axis1=1, axis2=2).real for b in blocks) - 1.0)
         asym = np.sqrt(sum(np.linalg.norm(b - b.conj().swapaxes(1, 2), axis=(1, 2)) ** 2 for b in blocks))
         top = sum(b.diagonal(axis1=1, axis2=2)[:, pos].real.sum(axis=1) for b, pos in zip(blocks, tops))
+        earlier = ~(drift <= 1e-8) | ~(asym <= 1e-10) | ~(top < TOP_FOCK_LIMIT)
         low = np.zeros(len(chunk))  # per sample, the failing eigenvalue of its first non-positive block
         for b in blocks:
             shifted = b + POSITIVITY_FLOOR * np.eye(b.shape[-1])
             if _factorizes(shifted):
                 continue
-            for j in np.flatnonzero(low == 0):
+            for j in np.flatnonzero((low == 0) & ~earlier):
                 if not _factorizes(shifted[j]):
                     min_eig = float(np.linalg.eigvalsh(b[j])[0])
                     if min_eig < -POSITIVITY_FLOOR:
                         low[j] = min_eig
-        failed = np.flatnonzero((drift > 1e-8) | (asym > 1e-10) | (top >= TOP_FOCK_LIMIT) | (low < 0))
+        failed = np.flatnonzero(earlier | (low < 0))
         if failed.size:
             j = failed[0]
             t = times[start + j]
-            if drift[j] > 1e-8:
+            if not drift[j] <= 1e-8:
                 raise NumericsError(f"trace drift {drift[j]:.2e} at t = {t:.3e} s")
-            if asym[j] > 1e-10:
+            if not asym[j] <= 1e-10:
                 raise NumericsError(f"Hermiticity defect {asym[j]:.2e} at t = {t:.3e} s")
             _check_truncation(top[j], t)
             raise NumericsError(f"negative eigenvalue {low[j]:.2e} at t = {t:.3e} s")
@@ -459,7 +462,7 @@ def extract_populations(
     p_up, leak = pops[:, :-1], pops[:, -1]
     if pure:
         total = p_up.sum(axis=1) + leak
-        bad = np.flatnonzero(np.abs(total - 1.0) > 1e-8)
+        bad = np.flatnonzero(~(np.abs(total - 1.0) <= 1e-8))
         if bad.size:
             raise NumericsError(f"populations sum to {total[bad[0]]}, not 1")
     fids = {lab: traj.fidelities(target) for lab, target in zip(labels, targets)}

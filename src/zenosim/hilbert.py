@@ -112,7 +112,7 @@ class PureState:
         if amp.shape[0] != self.dims.dim:
             raise ValueError(f"amplitude length {amp.shape[0]} != dimension {self.dims.dim}")
         norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > 1e-8:
+        if not abs(norm - 1.0) <= 1e-8:
             raise ValueError(f"state norm {norm} deviates from 1 beyond tolerance")
 
     def overlap(self, other: "PureState") -> complex:
@@ -133,10 +133,10 @@ class DensityOperator:
         d = self.dims.dim
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} != ({d}, {d})")
-        if np.linalg.norm(mat - mat.conj().T) > 1e-8 * max(1.0, np.linalg.norm(mat)):
+        if not np.linalg.norm(mat - mat.conj().T) <= 1e-8 * max(1.0, np.linalg.norm(mat)):
             raise ValueError("density matrix is not Hermitian")
         tr = np.trace(mat).real
-        if abs(tr - 1.0) > 1e-6:
+        if not abs(tr - 1.0) <= 1e-6:
             raise ValueError(f"trace {tr} deviates from 1 beyond tolerance")
 
     @property
@@ -156,7 +156,7 @@ class OperatorMatrix:
         d = self.dims.dim
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} != ({d}, {d})")
-        if self.hermitian_flag and np.linalg.norm(mat - mat.conj().T) >= 1e-12 * max(1.0, np.linalg.norm(mat)):
+        if self.hermitian_flag and not np.linalg.norm(mat - mat.conj().T) < 1e-12 * max(1.0, np.linalg.norm(mat)):
             raise ValueError("operator flagged Hermitian is not Hermitian")
 
 
@@ -301,8 +301,8 @@ def spin_state(dims: SystemDims, name: str) -> PureState:
 
 def thermal_weights(n_bar: float, n_fock: int) -> np.ndarray:
     """Thermal occupation weights renormalized over the truncated levels."""
-    if n_bar < 0:
-        raise ValueError("n_bar must be >= 0")
+    if not (0 <= n_bar < np.inf):
+        raise ValueError("n_bar must be finite and >= 0")
     if n_bar == 0:
         w = np.zeros(n_fock)
         w[0] = 1.0

@@ -99,7 +99,9 @@ class NoiseModel:
 
     gamma_du is the up -> down decay rate, gamma_ud the reverse, gamma_ou and
     gamma_od feed the leak level.  Heating and cooling share gamma_heat.
-    Rates are 1/s; stark shifts are rad/s per ion.
+    Rates are 1/s; stark shifts are rad/s per ion.  Rates and n_bar must be
+    finite and >= 0, shifts finite; anything else, NaN included, raises
+    ValueError.
     """
 
     gamma_du: float = 0.0
@@ -112,10 +114,12 @@ class NoiseModel:
 
     def __post_init__(self):
         object.__setattr__(self, "stark_shifts", tuple(float(s) for s in self.stark_shifts))
+        if not np.isfinite(self.stark_shifts).all():
+            raise ValueError("stark_shifts must be finite")
         for name in ("gamma_du", "gamma_ud", "gamma_ou", "gamma_od", "gamma_heat", "n_bar"):
             value = float(getattr(self, name))
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not (0 <= value < np.inf):
+                raise ValueError(f"{name} must be finite and >= 0")
             object.__setattr__(self, name, value)
 
     @property

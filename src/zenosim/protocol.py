@@ -19,7 +19,6 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .dynamics import Trajectory, evolve_density, evolve_pure
 from .dressed import balanced_detuning
@@ -264,18 +263,22 @@ def error_budget(plan: ProtocolPlan, noise: NoiseModel, simulate: bool = True) -
     Leakage and spontaneous entries are analytic; heating and stark entries
     come from short differential simulations (channel on vs off) because no
     closed form is available.  The total combines entries as independent
-    survival probabilities, so it never exceeds their plain sum.
+    survival probabilities, so it never exceeds their plain sum.  For three
+    ions the noiseless run is simulated once: its peak fidelity gives the
+    leakage entry (as in leakage_estimate) and the differential baseline.
     """
-    leakage = leakage_estimate(plan)
+    horizon = 1.25 * plan.t_pi if plan.n_ions == 3 else None
+    at_end = plan.n_ions != 3
+    differential = simulate and (noise.gamma_heat > 0 or any(s != 0 for s in noise.stark_shifts))
+    if differential or plan.n_ions == 3:
+        clean = simulate_plan_fidelity(plan, None, duration=horizon, at_end=at_end)
+    leakage = 1.0 - clean if plan.n_ions == 3 else leakage_estimate(plan)
     rate = mean_decay_rate(plan.n_ions, noise)
     spontaneous = 1.0 - np.exp(-rate * plan.total_duration())
     thermal = noise.n_bar
     heating = 0.0
     stark = 0.0
-    horizon = 1.25 * plan.t_pi if plan.n_ions == 3 else None
-    at_end = plan.n_ions != 3
-    if simulate and (noise.gamma_heat > 0 or any(s != 0 for s in noise.stark_shifts)):
-        clean = simulate_plan_fidelity(plan, None, duration=horizon, at_end=at_end)
+    if differential:
         if noise.gamma_heat > 0:
             heat_only = NoiseModel(gamma_heat=noise.gamma_heat)
             heating = max(0.0, clean - simulate_plan_fidelity(plan, heat_only, duration=horizon, at_end=at_end))
@@ -301,6 +304,8 @@ def fine_tune(
     recomputes t_pi; the segment times t1, t2 stay as tuned.  Returns the
     refined plan, its fidelity, and whether it improved on the input.
     """
+    from scipy.optimize import minimize_scalar  # loaded here only: it costs ~0.4 s at import
+
     for p in free_params:
         if p not in _TUNABLE:
             raise ValueError(f"cannot tune {p!r}; choose from {_TUNABLE}")

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zenosim
 from zenosim.cli import main, run_scenario
 from zenosim.config import (
     _SCHEMA,
@@ -38,6 +44,39 @@ def test_quantity_units():
     assert parse_quantity("0.006") == 0.006
     with pytest.raises(ConfigError):
         parse_quantity("17.6 furlongs")
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN kHz", "-inf us", "1e308 MHz"])
+def test_quantity_rejects_non_finite_values(text):
+    with pytest.raises(ConfigError, match="not finite"):
+        parse_quantity(text)
+
+
+def test_every_non_text_key_rejects_non_finite_values():
+    """nan, inf and -inf on any key that is not free text raise ConfigError
+    (exit 2) when the override is parsed, before any work."""
+    config = load_preset("fig3")
+    keys = [
+        f"{section}.{key}" if section else key
+        for section, parsers in _SCHEMA.items()
+        for key, parse in parsers.items()
+        if parse.__name__ != "_parse_str"
+    ]
+    assert {"seed", "drive.m", "noise.n_bar", "noise.stark", "tomography.enabled"} <= set(keys)
+    for key in keys:
+        for value in ("nan", "inf", "-inf"):
+            with pytest.raises(ConfigError):
+                apply_override(config, f"{key}={value}")
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    """Only fine_tune and find_balanced_detunings need scipy.optimize, which
+    takes about 0.4 s to import; a fresh `import zenosim.cli` must not load it."""
+    src = str(Path(zenosim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, zenosim.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_parse_and_reject_unknown_keys():
@@ -98,11 +137,15 @@ def test_cli_exit_codes(tmp_path):
 @pytest.mark.parametrize(
     "preset, override",
     [pytest.param("fig3", o, id=o) for o in ("noise.stark=1,2,3", "noise.gamma_du=-1", "drive.m=-1")]
-    + [pytest.param("fig_s4", o, id=o) for o in ("scan.points=1", "drive.omega_s=0")],
+    + [pytest.param("fig_s4", o, id=o) for o in ("scan.points=1", "drive.omega_s=0")]
+    # non-finite values, which reach the physics unless the parser rejects them
+    + [pytest.param("fig_s4", o, id=o) for o in ("scan.start=nan", "scan.stop=inf")]
+    + [pytest.param("fig3", o, id=o) for o in ("noise.n_bar=inf", "noise.gamma_du=nan")],
 )
 def test_invalid_override_exits_with_config_error(tmp_path, capsys, preset, override):
     assert main(["run", "--preset", preset, "--out", str(tmp_path), "--override", override]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+    assert not [path for path in tmp_path.rglob("*") if path.is_file()]
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zenosim.dynamics import evolve_density, evolve_pure, extract_populations, state_fidelity
+from zenosim import dynamics
+from zenosim.dynamics import Trajectory, evolve_density, evolve_pure, extract_populations, state_fidelity
 from zenosim.errors import NumericsError, TruncationError
 from zenosim.hilbert import (
     DOWN,
@@ -13,6 +14,7 @@ from zenosim.hilbert import (
     PureState,
     SystemDims,
     leak_mask,
+    leak_sectors,
     named_state,
     spin_state,
     thermal_product_state,
@@ -263,6 +265,49 @@ def test_each_leak_block_is_checked():
     rho[uu, uu], rho[top, top] = 1.0 - 1e-6, 1e-6
     with pytest.raises(TruncationError, match=r"at t = 0\.00 us"):
         evolve_density(single_pulse(), dims, GEOM2, NoiseModel(), DensityOperator(dims, rho))
+
+
+def test_density_contracts_fail_on_nan():
+    """A NaN sample fails the first contract it reaches: the trace if its
+    diagonal is NaN, the Hermiticity if only an off-diagonal entry is."""
+    dims = SystemDims(2, 2, leak_level=True)
+    times = np.arange(3) * 1e-6
+    groups = [np.arange(dims.dim)]
+    with pytest.raises(NumericsError, match=r"trace drift nan at t = 0\.000e\+00 s"):
+        dynamics._check_density(dims, times, np.full((3, dims.dim, dims.dim), np.nan, dtype=complex), groups)
+    rhos = np.repeat(named_state(dims, "uu", 0).to_density().matrix[None], 3, axis=0)
+    rhos[2, 0, 1] = np.nan
+    with pytest.raises(NumericsError, match=r"Hermiticity defect nan at t = 2\.000e-06 s"):
+        dynamics._check_density(dims, times, rhos, groups)
+    for contract in ("trace", "Hermiticity"):  # the leak-sector path checks a NaN in one block
+        blocks = leak_sectors(dims)
+        rhos = np.repeat(named_state(dims, "uu", 0).to_density().matrix[None], 3, axis=0)
+        i, j = blocks[-1][0], blocks[-1][-1]
+        rhos[1, i, i if contract == "trace" else j] = np.nan
+        with pytest.raises(NumericsError, match=rf"{contract} .* nan at t = 1\.000e-06 s"):
+            dynamics._check_density(dims, times, rhos, blocks)
+
+
+def test_pure_state_contracts_fail_on_nan(monkeypatch):
+    """A NaN amplitude fails the norm contract of evolve_pure and the
+    population sum of extract_populations, not only a finite drift."""
+    dims = SystemDims(2, 10)
+    psi0 = named_state(dims, "uu", 0)
+    real_spectrum = dynamics._segment_spectrum
+
+    def nan_spectrum(*args):
+        evals, evecs = real_spectrum(*args)
+        return np.full_like(evals, np.nan), evecs
+
+    monkeypatch.setattr(dynamics, "_segment_spectrum", nan_spectrum)
+    with pytest.raises(NumericsError, match=r"norm drift nan at t = 0\.000e\+00 s"):
+        evolve_pure(single_pulse(), dims, GEOM2, psi0, sample_dt=T_PI / 4)
+    monkeypatch.undo()
+    traj = evolve_pure(single_pulse(), dims, GEOM2, psi0, sample_dt=T_PI / 4)
+    samples = traj.samples.copy()
+    samples[2, 0] = np.nan
+    with pytest.raises(NumericsError, match="populations sum to nan"):
+        extract_populations(Trajectory(traj.times, samples, dims, traj.schedule), [psi0])
 
 
 def _dense_generator(dims, geom, seg, noise):

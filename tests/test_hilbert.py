@@ -291,3 +291,19 @@ def test_leak_sectors_partition_the_basis_by_leak_set():
         assert np.all(np.diff(idx) > 0)
         leaked = {tuple(s == LEAK for s in dims.spin_configurations()[i // dims.n_fock]) for i in idx}
         assert len(leaked) == 1
+
+
+@pytest.mark.parametrize("n_bar", [np.inf, np.nan, -0.1])
+def test_thermal_weights_reject_non_finite_and_negative_occupation(n_bar):
+    with pytest.raises(ValueError, match="n_bar must be finite and >= 0"):
+        thermal_weights(n_bar, 4)
+
+
+def test_state_constructors_reject_nan():
+    dims = SystemDims(2, 2)
+    with pytest.raises(ValueError, match="norm"):
+        PureState(dims, np.full(dims.dim, np.nan))
+    rho = np.eye(dims.dim, dtype=complex) / dims.dim
+    rho[0, 1] = np.nan
+    with pytest.raises(ValueError, match="Hermitian"):
+        DensityOperator(dims, rho)

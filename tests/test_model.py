@@ -246,3 +246,13 @@ def test_frame_consistency_with_lab_frame_integration():
         psi_rot_expected = np.exp(-1j * delta * t * number_diag) * psi_lab
         overlap = abs(np.vdot(psi_rot_expected, traj.states[idx].amplitudes))
         assert abs(overlap - 1.0) < 1e-7
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"gamma_du": np.nan}, {"gamma_heat": np.inf}, {"n_bar": np.nan}, {"gamma_ou": -1.0}, {"stark_shifts": (0.0, np.nan)}],
+    ids=["gamma_du=nan", "gamma_heat=inf", "n_bar=nan", "gamma_ou=-1", "stark=nan"],
+)
+def test_noise_model_rejects_non_finite_and_negative_values(kwargs):
+    with pytest.raises(ValueError, match="must be finite"):
+        NoiseModel(**kwargs)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from zenosim import protocol
 from zenosim.hilbert import DensityOperator, PureState, SystemDims, named_state
 from zenosim.model import NoiseModel, carrier_pi_time, mean_decay_rate
 from zenosim.protocol import (
@@ -156,11 +157,21 @@ def test_fine_tune_of_omega_d_keeps_the_composite_pi_time():
     assert (tuned.t1, tuned.t2) == (start.t1, start.t2)
 
 
-def test_three_ion_budget_decomposition():
+def test_three_ion_budget_decomposition(monkeypatch):
     """Differential simulations reproduce the advertised per-channel scale
-    and the aggregate prediction is consistent with the full simulation."""
+    and the aggregate prediction is consistent with the full simulation.
+    The noiseless run serves both the leakage entry and the differential
+    baseline, so the budget takes three simulations, not four."""
+    noises, real = [], protocol.simulate_plan_fidelity
+
+    def counted(plan, noise, **kwargs):
+        noises.append(noise)
+        return real(plan, noise, **kwargs)
+
+    monkeypatch.setattr(protocol, "simulate_plan_fidelity", counted)
     p = plan_three_ion(2 * np.pi * 19.0e3, 2 * np.pi * 1.24e3)
     budget = error_budget(p, three_ion_preset(p))
+    assert len(noises) == 3 and noises[0] is None
     assert 0.010 <= budget.leakage <= 0.020
     assert abs(budget.spontaneous - 0.010) < 1e-6
     assert budget.thermal == 0.02
