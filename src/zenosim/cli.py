@@ -300,8 +300,11 @@ def _dressed_scan_scenario(config: ScenarioConfig, out_dir: Path) -> dict:
     points = scan.get("points", 401)
     if points < 2:
         raise ConfigError("[scan] points must be >= 2")
-    if not (np.isfinite(omega_s) and omega_s != 0):
-        raise ConfigError("[drive] omega_s must be finite and nonzero")
+    if omega_s == 0:
+        raise ConfigError("[drive] omega_s must be nonzero")
+    # every scanned eigenfrequency and the scan's span are at most 2 |delta| + 4 |omega_s|
+    if not np.isfinite(2 * max(abs(lo), abs(hi)) * abs(omega_s) + 4 * abs(omega_s)):
+        raise ConfigError("[scan] start and stop times omega_s overflow the float range")
     deltas, freqs = scan_detuning(omega_s, (lo * omega_s, hi * omega_s), points)
     rows = [
         [d / omega_s, f1 / omega_s, f2 / omega_s, f3 / omega_s]

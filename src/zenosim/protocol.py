@@ -248,10 +248,9 @@ def three_ion_preset(plan: ProtocolPlan) -> NoiseModel:
 
 
 def leakage_estimate(plan: ProtocolPlan) -> float:
-    """Closed-form leakage for the two-ion schemes; simulated for three ions."""
-    if plan.n_ions == 3:
-        clean = simulate_plan_fidelity(plan, None, duration=1.25 * plan.t_pi, at_end=False)
-        return 1.0 - clean
+    """Closed-form leakage of the two-ion schemes; three ions have none."""
+    if plan.n_ions != 2:
+        raise ValueError("leakage_estimate has closed forms for two ions only")
     if plan.scheme == "composite":
         return (plan.omega_d / abs(plan.omega_s)) ** 4
     return 1.0 / (4.0 * (1 + 2 * plan.m) ** 2)
@@ -263,16 +262,16 @@ def error_budget(plan: ProtocolPlan, noise: NoiseModel, simulate: bool = True) -
     Leakage and spontaneous entries are analytic; heating and stark entries
     come from short differential simulations (channel on vs off) because no
     closed form is available.  The total combines entries as independent
-    survival probabilities, so it never exceeds their plain sum.  For three
-    ions the noiseless run is simulated once: its peak fidelity gives the
-    leakage entry (as in leakage_estimate) and the differential baseline.
+    survival probabilities, so it never exceeds their plain sum.  Three-ion
+    leakage has no closed form: it is one minus the peak fidelity of the
+    noiseless run, which also serves as the differential baseline.
     """
-    horizon = 1.25 * plan.t_pi if plan.n_ions == 3 else None
-    at_end = plan.n_ions != 3
+    three = plan.n_ions == 3
+    horizon = 1.25 * plan.t_pi if three else None
+    at_end = not three
     differential = simulate and (noise.gamma_heat > 0 or any(s != 0 for s in noise.stark_shifts))
-    if differential or plan.n_ions == 3:
-        clean = simulate_plan_fidelity(plan, None, duration=horizon, at_end=at_end)
-    leakage = 1.0 - clean if plan.n_ions == 3 else leakage_estimate(plan)
+    clean = simulate_plan_fidelity(plan, None, duration=horizon, at_end=at_end) if differential or three else None
+    leakage = 1.0 - clean if three else leakage_estimate(plan)
     rate = mean_decay_rate(plan.n_ions, noise)
     spontaneous = 1.0 - np.exp(-rate * plan.total_duration())
     thermal = noise.n_bar

@@ -140,6 +140,8 @@ def test_cli_exit_codes(tmp_path):
     + [pytest.param("fig_s4", o, id=o) for o in ("scan.points=1", "drive.omega_s=0")]
     # non-finite values, which reach the physics unless the parser rejects them
     + [pytest.param("fig_s4", o, id=o) for o in ("scan.start=nan", "scan.stop=inf")]
+    # finite values whose scan overflows the float range inside the eigensolver
+    + [pytest.param("fig_s4", o, id=o) for o in ("scan.start=1e308", "drive.omega_s=1e308")]
     + [pytest.param("fig3", o, id=o) for o in ("noise.n_bar=inf", "noise.gamma_du=nan")],
 )
 def test_invalid_override_exits_with_config_error(tmp_path, capsys, preset, override):
