@@ -20,7 +20,7 @@ from .config import PRESETS, SWEEP_AXES, ScenarioConfig, apply_override, load_pr
 from .dressed import scan_detuning
 from .dynamics import extract_populations
 from .errors import ConfigError, ConvergenceError, NumericsError, ZenosimError
-from .hilbert import SystemDims, named_state, partial_trace_motion, spin_state
+from .hilbert import SystemDims, named_state, spin_state
 from .model import NoiseModel
 from .protocol import (
     COMPOSITE_PULSE_SPONTANEOUS_DEFICIT,
@@ -183,7 +183,7 @@ def _trace_scenario(config: ScenarioConfig, out_dir: Path) -> dict:
     paths = {"trace": trace_path, "budget": budget_path}
 
     if tomography is not None:
-        rho_spin = partial_trace_motion(dims, traj.samples[peak_idx : peak_idx + 1])[0]
+        rho_spin = traj.spin_matrices(slice(peak_idx, peak_idx + 1))[0]
         paths.update(_run_tomography(tomography, config.seed, out_dir, rho_spin, dims))
     return paths
 

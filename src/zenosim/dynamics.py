@@ -19,8 +19,11 @@ sets of ions in the leak level, hilbert.leak_sectors) to the blocks within
 one set: drives, Stark shifts and heating keep each ion's leak status, and a
 leak jump maps the block (A, A) to (A+k, A+k).  A state that starts block
 diagonal over the leak sets therefore stays so exactly, and only those
-blocks are propagated and checked (Buca & Prosen, New J. Phys. 14, 073007
-(2012)).
+blocks are propagated, stored and checked (Buca & Prosen, New J. Phys. 14,
+073007 (2012)).  A density run is stored as those blocks side by side, not
+as full matrices, and its samples are checked as they are made, so a run
+that breaks its trace, its Hermiticity or the Fock limit stops within a
+few samples.
 """
 
 from __future__ import annotations
@@ -53,35 +56,64 @@ POSITIVITY_FLOOR = 1e-7
 class Trajectory:
     """The sampled states of one run, stacked along a leading time axis.
 
-    samples[k] is the state at times[k]: a (T, dim) array of amplitudes for
-    a pure-state run, a (T, dim, dim) array of density matrices for a
-    density run.  The propagator fills one preallocated stack in place,
-    checks every sample once after its loop and makes the stack read-only.
-    states and final build PureState or DensityOperator objects on demand,
-    each validated again; the package itself reads only the stack.
+    samples[k] holds the state at times[k].  A pure-state run (no groups)
+    stores a (T, dim) array of amplitudes.  A density run stores only the
+    blocks of rho within its index groups (see evolve_density) as one
+    (T, n_kept) array: the groups' blocks one after another, each
+    row-major, so each block of every sample is a (T, n, n) view
+    (_block_views); with one group, the whole space, a row is the
+    row-major matrix.  The propagator fills the stack in place and makes it
+    read-only.  Fidelities, spin matrices and populations are read from the
+    stack block by block; states and final build PureState or
+    DensityOperator objects one sample at a time, each validated again.
     """
 
     times: np.ndarray
     samples: np.ndarray
     dims: SystemDims
     schedule: PulseSchedule
+    groups: tuple[np.ndarray, ...] = ()
 
-    def _state(self, sample: np.ndarray):
-        if self.samples.ndim == 2:
-            return PureState(self.dims, sample)
-        return DensityOperator(self.dims, sample)
+    def _state(self, k: int):
+        if not self.groups:
+            return PureState(self.dims, self.samples[k])
+        rho = np.zeros((self.dims.dim, self.dims.dim), dtype=complex)
+        for idx, block in zip(self.groups, _block_views(self.samples, self.groups)):
+            rho[idx[:, None], idx] = block[k]
+        return DensityOperator(self.dims, rho)
 
     @property
     def states(self) -> tuple:
-        return tuple(self._state(s) for s in self.samples)
+        return tuple(self._state(k) for k in range(len(self.times)))
 
     @property
     def final(self):
-        return self._state(self.samples[-1])
+        return self._state(-1)
 
     def fidelities(self, target: PureState) -> np.ndarray:
         """<target|rho|target> at every sample time; see state_fidelity."""
-        return _fidelities(self.dims, self.samples, target)
+        return _fidelities(self.dims, self.samples, self.groups, target)
+
+    def spin_matrices(self, sel: slice = slice(None)) -> np.ndarray:
+        """(T', spin_dim, spin_dim) spin density matrices of the samples in
+        sel, with the motional mode traced out."""
+        return _spin_matrices(self.dims, self.samples[sel], self.groups)
+
+
+def _kept(dim: int, groups: Sequence[np.ndarray]) -> np.ndarray:
+    """Row-major flat indices of each group's block of a dim x dim matrix,
+    block after block: the layout of a density Trajectory's samples."""
+    return np.concatenate([(idx[:, None] * dim + idx).ravel() for idx in groups])
+
+
+def _block_views(flat: np.ndarray, groups: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Each group's (T, n, n) block, a view of a (T, n_kept) density stack."""
+    views, start = [], 0
+    for idx in groups:
+        n = len(idx)
+        views.append(flat[:, start : start + n * n].reshape(len(flat), n, n))
+        start += n * n
+    return views
 
 
 @dataclass(frozen=True)
@@ -136,6 +168,11 @@ _THETA = {
     35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
 }
 _UNIT_ROUNDOFF = 2.0**-53
+# the most matvecs (sum of m * s over its steps) one density run may plan:
+# 75x the three_ion preset's 13,202, so only a rate or a duration far out
+# of range reaches it, and it ends in NumericsError instead of running
+# for hours
+_MAX_MATVECS = 1_000_000
 
 
 class _TaylorExpm:
@@ -148,36 +185,61 @@ class _TaylorExpm:
     Taylor series of exp(dt A / s), stopped early once two successive terms
     fall below the unit roundoff relative to the partial sum, and restores
     the shift with the factor exp(dt mu / s).
+
+    order, if given, permutes the rows and columns of A after its norm is
+    taken.  Fancy indexing keeps each row's order of terms, so every entry
+    of a permuted matvec is the sum the unpermuted one gives, bit for bit.
     """
 
-    def __init__(self, gen: sp.csr_matrix, mu: complex):
+    def __init__(self, gen: sp.csr_matrix, mu: complex, order: np.ndarray | None = None):
         n = gen.shape[0]
         self.mu = mu
         self.shifted = gen - self.mu * sp.identity(n, dtype=gen.dtype, format="csr")
         col_sums = np.bincount(self.shifted.indices, weights=np.abs(self.shifted.data), minlength=n)
         self.norm_1 = float(col_sums.max())
+        if order is not None:
+            self.shifted = self.shifted[order][:, order]
 
-    def __call__(self, dt: float, v: np.ndarray) -> np.ndarray:
+    def plan(self, dt: float) -> tuple[int, int]:
+        """(m, s) of a step dt: s substeps of at most m matvecs each."""
         scaled_norm = dt * self.norm_1
         if scaled_norm == 0:
-            m, s = 0, 1
-        else:
-            m, s = min(
-                ((deg, math.ceil(scaled_norm / theta)) for deg, theta in _THETA.items()),
-                key=lambda ms: ms[0] * ms[1],
+            return 0, 1
+        # m * s >= scaled_norm * m / theta_m > 5 * scaled_norm for every m,
+        # so a larger step alone passes the run's budget (NaN fails too)
+        if not scaled_norm <= _MAX_MATVECS:
+            raise NumericsError(
+                f"a step of {dt:.3e} s at generator 1-norm {self.norm_1:.3e} needs more than "
+                f"{_MAX_MATVECS:.0e} matvecs; a rate or a duration is out of range"
             )
+        return min(
+            ((deg, math.ceil(scaled_norm / theta)) for deg, theta in _THETA.items()),
+            key=lambda ms: ms[0] * ms[1],
+        )
+
+    def __call__(self, dt: float, v: np.ndarray) -> np.ndarray:
+        m, s = self.plan(dt)
         eta = np.exp(dt * self.mu / s)
         f = v.copy()
         for _ in range(s):
             term = f
             c1 = np.abs(term).max()
+            # f_max bounds the computed max|f| from above, so the exact max
+            # is only taken when the stop test could pass, and every stop
+            # decision is the one the exact max gives; 64u covers the
+            # rounding of the sum, of this bound and of complex abs(), a
+            # few ulp in numpy's SIMD loops
+            f_max = c1
             for j in range(m):
                 term = self.shifted @ term
                 term *= dt / (s * (j + 1))
                 c2 = np.abs(term).max()
                 f += term
-                if c1 + c2 <= _UNIT_ROUNDOFF * np.abs(f).max():
-                    break
+                f_max = (f_max + c2) * (1 + 64 * _UNIT_ROUNDOFF)
+                if c1 + c2 <= _UNIT_ROUNDOFF * f_max:
+                    f_max = np.abs(f).max()
+                    if c1 + c2 <= _UNIT_ROUNDOFF * f_max:
+                        break
                 c1 = c2
             f *= eta
         return f
@@ -267,38 +329,49 @@ def _factorizes(mats: np.ndarray) -> bool:
     return True
 
 
-# samples per step of the density checks: each temporary (a gathered block,
-# a Hermiticity defect, a Cholesky input) covers 8 samples, at most 13 MB
-# for one block of dim 324 and 0.5 MB for the fig3 preset's widest block
+# samples per step of the density checks: evolve_density checks all but
+# positivity on each run of 8 samples as soon as it is filled, and each
+# temporary (a Hermiticity defect, a Cholesky input) covers 8 samples, at
+# most 13 MB for one block of dim 324 and 0.5 MB for the fig3 preset's
+# widest block
 _CHECK_CHUNK = 8
 
 
-def _check_density(dims: SystemDims, times: np.ndarray, rhos: np.ndarray, groups: list[np.ndarray]):
+def _check_density(
+    dims: SystemDims,
+    times: np.ndarray,
+    flat: np.ndarray,
+    groups: Sequence[np.ndarray],
+    norms: bool = True,
+    positivity: bool = True,
+):
     """Trace, Hermiticity, truncation and positivity contracts of every sample.
 
-    rhos is the (T, dim, dim) stack, zero outside the diagonal blocks of
-    the index groups, so the trace, the Frobenius Hermiticity defect and
-    the top Fock population are summed over blocks, and a sample is
-    positive exactly when each block is: a Cholesky factorization of
-    block + 1e-7 I succeeds exactly when its smallest eigenvalue is above
-    -1e-7, which is only computed to report a failure.  The stack is
-    checked _CHECK_CHUNK samples at a time, each group's blocks gathered
-    from them (a view of them if the group is the whole space), and the
-    first failing sample raises, with the first contract it fails in the
-    order above.  Each test is written so that NaN fails it; positivity is
-    only tested on samples that pass the others, whose entries are then
-    finite.
+    flat is a (T, n_kept) stack of the blocks of rho within the index
+    groups, laid out as a density Trajectory stores them; rho is zero
+    outside them, so the trace, the Frobenius Hermiticity defect and the
+    top Fock population are summed over blocks, and a sample is positive
+    exactly when each block is: a Cholesky factorization of block + 1e-7 I
+    succeeds exactly when its smallest eigenvalue is above -1e-7, which is
+    only computed to report a failure.  The stack is checked _CHECK_CHUNK
+    samples at a time, on views of each block, and the first failing
+    sample raises, with the first contract it fails in the order above.
+    Each test is written so that NaN fails it; positivity is only tested on
+    samples that pass the others, whose entries are then finite.  norms
+    False skips the first three contracts, positivity False the last.
     """
     tops = [np.flatnonzero(idx % dims.n_fock == dims.n_fock - 1) for idx in groups]
     for start in range(0, len(times), _CHECK_CHUNK):
-        chunk = rhos[start : start + _CHECK_CHUNK]
-        blocks = [chunk if len(idx) == dims.dim else chunk[:, idx[:, None], idx] for idx in groups]
-        drift = np.abs(sum(np.trace(b, axis1=1, axis2=2).real for b in blocks) - 1.0)
-        asym = np.sqrt(sum(np.linalg.norm(b - b.conj().swapaxes(1, 2), axis=(1, 2)) ** 2 for b in blocks))
-        top = sum(b.diagonal(axis1=1, axis2=2)[:, pos].real.sum(axis=1) for b, pos in zip(blocks, tops))
-        earlier = ~(drift <= 1e-8) | ~(asym <= 1e-10) | ~(top < TOP_FOCK_LIMIT)
+        chunk = flat[start : start + _CHECK_CHUNK]
+        blocks = _block_views(chunk, groups)
+        earlier = np.zeros(len(chunk), dtype=bool)
+        if norms:
+            drift = np.abs(sum(np.trace(b, axis1=1, axis2=2).real for b in blocks) - 1.0)
+            asym = np.sqrt(sum(np.linalg.norm(b - b.conj().swapaxes(1, 2), axis=(1, 2)) ** 2 for b in blocks))
+            top = sum(b.diagonal(axis1=1, axis2=2)[:, pos].real.sum(axis=1) for b, pos in zip(blocks, tops))
+            earlier = ~(drift <= 1e-8) | ~(asym <= 1e-10) | ~(top < TOP_FOCK_LIMIT)
         low = np.zeros(len(chunk))  # per sample, the failing eigenvalue of its first non-positive block
-        for b in blocks:
+        for b in blocks if positivity else ():
             shifted = b + POSITIVITY_FLOOR * np.eye(b.shape[-1])
             if _factorizes(shifted):
                 continue
@@ -311,12 +384,35 @@ def _check_density(dims: SystemDims, times: np.ndarray, rhos: np.ndarray, groups
         if failed.size:
             j = failed[0]
             t = times[start + j]
-            if not drift[j] <= 1e-8:
-                raise NumericsError(f"trace drift {drift[j]:.2e} at t = {t:.3e} s")
-            if not asym[j] <= 1e-10:
-                raise NumericsError(f"Hermiticity defect {asym[j]:.2e} at t = {t:.3e} s")
-            _check_truncation(top[j], t)
+            if earlier[j]:
+                if not drift[j] <= 1e-8:
+                    raise NumericsError(f"trace drift {drift[j]:.2e} at t = {t:.3e} s")
+                if not asym[j] <= 1e-10:
+                    raise NumericsError(f"Hermiticity defect {asym[j]:.2e} at t = {t:.3e} s")
+                _check_truncation(top[j], t)
             raise NumericsError(f"negative eigenvalue {low[j]:.2e} at t = {t:.3e} s")
+
+
+def _segment_steps(times: np.ndarray, boundaries: Sequence[float]):
+    """The steps of a sampled run, segment by segment.
+
+    Yields (segment index, steps) in order; each step (dt, k) carries the
+    state dt forward with that segment's propagator (dt = 0: no step) to
+    sample k, or to the segment's end if k is None.  A sample within 1e-15
+    past a boundary is reached within the segment before it.
+    """
+    seg_idx, steps, t_prev = 0, [], 0.0
+    for k, t in enumerate(times):
+        while t > boundaries[seg_idx + 1] + 1e-15:
+            end = boundaries[seg_idx + 1]
+            if end > t_prev:
+                steps.append((end - t_prev, None))
+                t_prev = end
+            yield seg_idx, steps
+            seg_idx, steps = seg_idx + 1, []
+        steps.append((t - t_prev if t > t_prev else 0.0, k))
+        t_prev = max(t_prev, t)
+    yield seg_idx, steps
 
 
 def evolve_density(
@@ -338,33 +434,43 @@ def evolve_density(
     segment's Taylor kernel (_TaylorExpm), accurate to working precision,
     splitting at segment boundaries; the kernel's shift and norm are set up
     once per segment.  States are sampled every sample_dt (default
-    total/400) and at segment boundaries, into one preallocated
-    (T, dim, dim) stack.
+    total/400) and at segment boundaries.
 
-    Only the diagonal blocks of rho over the index groups are propagated,
-    on the generator restricted to their pairs (i, j): the leak sets of
-    hilbert.leak_sectors if the initial state has no entry between
-    different sets (exact, as nothing feeds those entries), else one
-    group, the whole space.  The kernel's shift is tr L / dim^2 of the
-    full generator either way.
+    Only the diagonal blocks of rho over the index groups are propagated
+    and stored: the leak sets of hilbert.leak_sectors if the initial state
+    has no entry between different sets (exact, as nothing feeds those
+    entries), else one group, the whole space.  vec holds the blocks one
+    after another, each row-major (_kept), the layout of the (T, n_kept)
+    stack the Trajectory keeps.  The generator is restricted to those pairs
+    in ascending order, as the full one is stored, shifted by tr L / dim^2
+    of the full generator, and then permuted to the block order
+    (_TaylorExpm's order), so each matvec sums its terms as before.
 
-    After the loop every sample is checked, block by block (_check_density):
-    trace to 1e-8, Hermiticity to 1e-10, top Fock population below 1e-8 and
+    Before a segment is propagated, the kernel's planned work for its
+    steps, sum m * s, is added to the run's; past _MAX_MATVECS, which only
+    a rate or a duration far out of range reaches, NumericsError is raised.
+
+    Every sample is checked, block by block (_check_density): trace to
+    1e-8, Hermiticity to 1e-10, top Fock population below 1e-8 and
     eigenvalues above -1e-7.  The first violating sample raises
     NumericsError (TruncationError for the Fock limit) naming its time;
-    nothing is projected away.
+    nothing is projected away.  The first three contracts are checked on
+    each _CHECK_CHUNK samples as soon as they are filled, and on a failure
+    the positivity of the samples before it too.  Otherwise positivity is
+    checked after the loop: OpenBLAS factorizes complex matrices 64 or
+    more wide on all its threads, which then spin on through the
+    propagation (on the fig3 preset, CPU time 1.8 -> 2.5 s at the same
+    wall time).
     """
     if initial.dims != dims:
         raise ValueError("initial state dims do not match")
     groups = leak_sectors(dims)
-    label = np.empty(dims.dim, dtype=int)
-    for k, idx in enumerate(groups):
-        label[idx] = k
-    same = label[:, None] == label
-    if initial.matrix[~same].any():
-        groups, same = [np.arange(dims.dim)], np.full_like(same, True)
-    # ascending, so each kept row of the generator keeps its order of terms
-    kept = np.flatnonzero(same)
+    kept = _kept(dims.dim, groups)
+    if np.count_nonzero(initial.matrix.reshape(-1)[kept]) < np.count_nonzero(initial.matrix):
+        groups = [np.arange(dims.dim)]
+        kept = _kept(dims.dim, groups)
+    ascending = np.sort(kept)
+    order = None if len(groups) == 1 else np.searchsorted(ascending, kept)
 
     shifts = noise.shifts_or_zero(dims.n_ions)
     eye = sp.identity(dims.dim, dtype=complex, format="csr")
@@ -377,49 +483,78 @@ def evolve_density(
     def propagator(seg: PulseSegment) -> _TaylorExpm:
         h = sp.csr_matrix(segment_hamiltonian(dims, geom, seg, shifts).matrix)
         gen = (-1j * (sp.kron(h, eye) - sp.kron(eye, h.T)) + dissipator).tocsr()
-        return _TaylorExpm(gen[kept][:, kept], gen.diagonal().sum() / dims.dim**2)
+        return _TaylorExpm(gen[ascending][:, ascending], gen.diagonal().sum() / dims.dim**2, order)
 
     times = _sample_times(schedule, sample_dt)
-    rhos = np.zeros((len(times), dims.dim, dims.dim), dtype=complex)
-    flat = rhos.reshape(len(times), -1)
-    boundaries = schedule.boundaries()
-    seg_idx = 0
-    expm = propagator(schedule.segments[0])
+    flat = np.empty((len(times), len(kept)), dtype=complex)
     vec = initial.matrix.reshape(-1)[kept]
-    t_prev = 0.0
-    for k, t in enumerate(times):
-        while t > boundaries[seg_idx + 1] + 1e-15:
-            if boundaries[seg_idx + 1] > t_prev:
-                vec = expm(boundaries[seg_idx + 1] - t_prev, vec)
-                t_prev = boundaries[seg_idx + 1]
-            seg_idx += 1
-            expm = propagator(schedule.segments[seg_idx])
-        if t > t_prev:
-            vec = expm(t - t_prev, vec)
-            t_prev = t
-        flat[k, kept] = vec
-    _check_density(dims, times, rhos, groups)
-    rhos.setflags(write=False)
-    return Trajectory(times, rhos, dims, schedule)
+    boundaries = schedule.boundaries()
+    work = 0
+    for seg_idx, steps in _segment_steps(times, boundaries):
+        expm = propagator(schedule.segments[seg_idx])
+        work += sum(math.prod(expm.plan(dt)) for dt, _ in steps)
+        if work > _MAX_MATVECS:
+            raise NumericsError(
+                f"the run plans {work:.3g} matvecs up to t = {boundaries[seg_idx + 1]:.3e} s, more than "
+                f"{_MAX_MATVECS:.0e}; a rate or a duration is out of range"
+            )
+        for dt, k in steps:
+            if dt > 0:
+                vec = expm(dt, vec)
+            if k is None:
+                continue
+            flat[k] = vec
+            if k % _CHECK_CHUNK == _CHECK_CHUNK - 1 or k == len(times) - 1:
+                first = k - k % _CHECK_CHUNK
+                try:
+                    _check_density(dims, times[first : k + 1], flat[first : k + 1], groups, positivity=False)
+                except NumericsError:
+                    # an earlier sample may fail positivity first
+                    _check_density(dims, times[: k + 1], flat[: k + 1], groups)
+                    raise
+    _check_density(dims, times, flat, groups, norms=False)
+    flat.setflags(write=False)
+    return Trajectory(times, flat, dims, schedule, tuple(groups))
 
 
-def _fidelities(dims: SystemDims, samples: np.ndarray, target: PureState) -> np.ndarray:
-    """<target|rho|target> of each sample of a (T, dim) or (T, dim, dim) stack.
+def _spin_matrices(dims: SystemDims, samples: np.ndarray, groups: Sequence[np.ndarray]) -> np.ndarray:
+    """Motion-traced (T, spin_dim, spin_dim) matrices of a stack of samples.
 
-    A target on the full space keeps its motional factor; a spin-only
-    target (n_fock = 1) is compared against the motion-traced samples.
-    np.vecdot conjugates its first argument and takes one BLAS dot per
-    sample, and np.hypot rounds as abs() of one complex scalar does, so
-    each value is the one a single-sample evaluation gives.
+    A density stack is traced block by block: a leak set holds every Fock
+    level of each of its spin configurations, so a group's block traces to
+    the spin block of those configurations.
+    """
+    if not groups:
+        return partial_trace_motion(dims, samples)
+    nf = dims.n_fock
+    spins = np.zeros((len(samples), dims.spin_dim, dims.spin_dim), dtype=complex)
+    for idx, block in zip(groups, _block_views(samples, groups)):
+        conf = idx[::nf] // nf
+        blocks = block.reshape(len(samples), len(conf), nf, len(conf), nf)
+        spins[:, conf[:, None], conf] = np.einsum("tanbn->tab", blocks)
+    return spins
+
+
+def _fidelities(dims: SystemDims, samples: np.ndarray, groups: Sequence[np.ndarray], target: PureState) -> np.ndarray:
+    """<target|rho|target> of each sample of a Trajectory's stack.
+
+    groups is empty for (T, dim) amplitudes, else the index groups of a
+    density stack.  A target on the full space keeps its motional factor
+    and is read block by block; a spin-only target (n_fock = 1) is compared
+    against the motion-traced samples.  np.vecdot conjugates its first
+    argument and takes one BLAS dot per sample, and np.hypot rounds as
+    abs() of one complex scalar does, so each value is the one a
+    single-sample evaluation gives.
     """
     v = target.amplitudes
     if target.dims == dims:
-        if samples.ndim == 2:
+        if not groups:
             overlap = np.vecdot(v, samples)
             return np.hypot(overlap.real, overlap.imag) ** 2
-        return np.vecdot(v, samples @ v).real
+        views = _block_views(samples, groups)
+        return sum(np.vecdot(v[idx], block @ v[idx]).real for idx, block in zip(groups, views))
     if target.dims == SystemDims(dims.n_ions, 1, dims.leak_level):
-        return np.vecdot(v, partial_trace_motion(dims, samples) @ v).real
+        return np.vecdot(v, _spin_matrices(dims, samples, groups) @ v).real
     raise ValueError("target dims are compatible with neither the full nor the spin-only space")
 
 
@@ -429,8 +564,9 @@ def state_fidelity(dims: SystemDims, state, target: PureState) -> float:
     A target on the full space keeps its motional factor; a spin-only target
     (n_fock = 1) is compared against the motion-traced state.
     """
-    sample = state.amplitudes if isinstance(state, PureState) else state.matrix
-    return float(_fidelities(dims, sample[None], target)[0])
+    if isinstance(state, PureState):
+        return float(_fidelities(dims, state.amplitudes[None], (), target)[0])
+    return float(_fidelities(dims, state.matrix.reshape(1, -1), (np.arange(dims.dim),), target)[0])
 
 
 def extract_populations(
@@ -441,8 +577,9 @@ def extract_populations(
     """Population record of a trajectory, read from its stack of samples.
 
     P_k sums the projectors onto all spin configurations with exactly k ions
-    up, traced over motion: one product of the samples' diagonals with the
-    masks gives every P_k and the leak population at once.  The first
+    up, traced over motion: one product of the samples' diagonals (of a
+    density run, gathered block by block) with the masks gives every P_k
+    and the leak population at once.  The first
     target supplies the headline fidelity series; every target also appears
     in aux_populations under its label, each series one stacked fidelity
     evaluation.  A pure-state run whose populations do not sum to 1 within
@@ -454,9 +591,13 @@ def extract_populations(
     if len(labels) != len(targets):
         raise ValueError("labels must match targets")
 
-    samples = traj.samples
-    pure = samples.ndim == 2
-    diag = np.abs(samples) ** 2 if pure else samples.diagonal(axis1=1, axis2=2).real
+    pure = not traj.groups
+    if pure:
+        diag = np.abs(traj.samples) ** 2
+    else:
+        diag = np.zeros((len(traj.times), dims.dim))
+        for idx, block in zip(traj.groups, _block_views(traj.samples, traj.groups)):
+            diag[:, idx] = block.diagonal(axis1=1, axis2=2).real
     masks = np.array([*up_count_projectors(dims), leak_mask(dims)])
     pops = np.vecdot(diag[:, None, :], masks)
     p_up, leak = pops[:, :-1], pops[:, -1]

@@ -338,8 +338,8 @@ def partial_trace_motion(dims: SystemDims, state) -> np.ndarray:
 
     state is a PureState or a DensityOperator, which gives one
     (spin_dim, spin_dim) matrix, or an array of samples stacked along a
-    leading axis as a Trajectory holds them, (T, dim) amplitudes or
-    (T, dim, dim) density matrices, which gives (T, spin_dim, spin_dim).
+    leading axis, (T, dim) amplitudes or (T, dim, dim) density matrices,
+    which gives (T, spin_dim, spin_dim).
     """
     if isinstance(state, PureState):
         return partial_trace_motion(dims, state.amplitudes[None])[0]

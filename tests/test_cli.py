@@ -183,6 +183,44 @@ def test_invalid_tomography_value_exits_before_propagating(tmp_path, capsys, mon
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("override", ["noise.gamma_ou=1e30", "drive.duration=1e3"])
+def test_huge_finite_values_exit_3_within_seconds(tmp_path, override):
+    """A rate or a duration far out of range would take the Taylor kernel
+    about 1e22 matvecs at fig3; its planned work passes the run's budget
+    before the first step, so it ends in exit code 3, not a hang.  Run in a
+    child with a timeout, so a broken bound fails instead of hanging."""
+    src = str(Path(zenosim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cmd = [sys.executable, "-m", "zenosim.cli", "run", "--preset", "fig3", "--override", override]
+    out = subprocess.run([*cmd, "--out", str(tmp_path)], env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 3
+    assert "matvecs; a rate or a duration is out of range" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_cli_peak_spin_matrix_matches_dense_reference(tmp_path, monkeypatch):
+    """The readout of a leak-level three-ion run starts from the peak
+    state's spin matrix, traced from the stored leak-set blocks: it equals
+    the motional partial trace of the dense peak state."""
+    import zenosim.cli as cli
+    from zenosim.dynamics import state_fidelity
+    from zenosim.hilbert import named_state, partial_trace_motion
+
+    runs, readouts = [], []
+    real_simulate = cli.simulate_plan
+    monkeypatch.setattr(cli, "simulate_plan", lambda *a: runs.append(real_simulate(*a)) or runs[-1])
+    monkeypatch.setattr(cli, "_run_tomography", lambda settings, seed, out, rho, dims: readouts.append(rho) or {})
+    overrides = ["noise.gamma_heat=0", "noise.n_bar=0", "n_fock=8", "tomography.enabled=true"]
+    args = [arg for o in overrides for arg in ("--override", o)]
+    assert main(["run", "--preset", "three_ion", "--out", str(tmp_path), *args]) == 0
+    (traj,), (rho_spin,) = runs, readouts
+    assert traj.dims.leak_level and len(traj.groups) == 8
+    target = named_state(traj.dims, "W", 0)
+    states = traj.states
+    peak = int(np.argmax([state_fidelity(traj.dims, s, target) for s in states]))
+    np.testing.assert_allclose(rho_spin, partial_trace_motion(traj.dims, states[peak]), rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize(
     "overrides",
     [

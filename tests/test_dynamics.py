@@ -16,6 +16,7 @@ from zenosim.hilbert import (
     leak_mask,
     leak_sectors,
     named_state,
+    partial_trace_motion,
     spin_state,
     thermal_product_state,
     up_count_projectors,
@@ -267,6 +268,11 @@ def test_each_leak_block_is_checked():
         evolve_density(single_pulse(), dims, GEOM2, NoiseModel(), DensityOperator(dims, rho))
 
 
+def _packed(rhos, dims, groups):
+    """A (T, dim, dim) stack in the layout of a density Trajectory's samples."""
+    return rhos.reshape(len(rhos), -1)[:, dynamics._kept(dims.dim, groups)]
+
+
 def test_density_contracts_fail_on_nan():
     """A NaN sample fails the first contract it reaches: the trace if its
     diagonal is NaN, the Hermiticity if only an off-diagonal entry is."""
@@ -274,18 +280,42 @@ def test_density_contracts_fail_on_nan():
     times = np.arange(3) * 1e-6
     groups = [np.arange(dims.dim)]
     with pytest.raises(NumericsError, match=r"trace drift nan at t = 0\.000e\+00 s"):
-        dynamics._check_density(dims, times, np.full((3, dims.dim, dims.dim), np.nan, dtype=complex), groups)
+        dynamics._check_density(dims, times, np.full((3, dims.dim**2), np.nan, dtype=complex), groups)
     rhos = np.repeat(named_state(dims, "uu", 0).to_density().matrix[None], 3, axis=0)
     rhos[2, 0, 1] = np.nan
     with pytest.raises(NumericsError, match=r"Hermiticity defect nan at t = 2\.000e-06 s"):
-        dynamics._check_density(dims, times, rhos, groups)
+        dynamics._check_density(dims, times, _packed(rhos, dims, groups), groups)
     for contract in ("trace", "Hermiticity"):  # the leak-sector path checks a NaN in one block
         blocks = leak_sectors(dims)
         rhos = np.repeat(named_state(dims, "uu", 0).to_density().matrix[None], 3, axis=0)
         i, j = blocks[-1][0], blocks[-1][-1]
         rhos[1, i, i if contract == "trace" else j] = np.nan
         with pytest.raises(NumericsError, match=rf"{contract} .* nan at t = 1\.000e-06 s"):
-            dynamics._check_density(dims, times, rhos, blocks)
+            dynamics._check_density(dims, times, _packed(rhos, dims, blocks), blocks)
+
+
+def test_a_run_stops_within_one_check_chunk_of_its_failure(monkeypatch):
+    """Samples are checked as their chunk fills: a kernel that returns NaN
+    from its call k on raises at sample k, after at most k +
+    _CHECK_CHUNK kernel calls, not after the whole run."""
+    dims = SystemDims(2, 6, leak_level=True)
+    real_call = dynamics._TaylorExpm.__call__
+    calls = []
+
+    def nan_after(self, dt, v):
+        calls.append(dt)
+        out = real_call(self, dt, v)
+        return np.full_like(out, np.nan) if len(calls) >= k else out
+
+    monkeypatch.setattr(dynamics._TaylorExpm, "__call__", nan_after)
+    rho0 = named_state(dims, "uu", 0).to_density()
+    noise = NoiseModel(gamma_ou=1e3)
+    for k in (1, 5, 11):
+        calls.clear()
+        sample_dt = T_PI / 100  # 101 samples, 100 kernel calls for a whole run
+        with pytest.raises(NumericsError, match=rf"trace drift nan at t = {k * sample_dt:.3e} s"):
+            evolve_density(single_pulse(), dims, GEOM2, noise, rho0, sample_dt)
+        assert k <= len(calls) <= k + dynamics._CHECK_CHUNK
 
 
 def test_pure_state_contracts_fail_on_nan(monkeypatch):
@@ -308,6 +338,44 @@ def test_pure_state_contracts_fail_on_nan(monkeypatch):
     samples[2, 0] = np.nan
     with pytest.raises(NumericsError, match="populations sum to nan"):
         extract_populations(Trajectory(traj.times, samples, dims, traj.schedule), [psi0])
+
+
+def test_planned_kernel_work_is_bounded(monkeypatch):
+    """Before a segment is propagated its planned Taylor work, sum m * s
+    over its steps, is added to the run's; past _MAX_MATVECS the run raises
+    NumericsError before that segment's first step, and a step that alone
+    needs more raises too."""
+    import math
+    import re
+
+    dims = SystemDims(2, 6, leak_level=True)
+    rho0 = named_state(dims, "uu", 0).to_density()
+    noise = NoiseModel(gamma_ou=1e3)
+    schedule = PulseSchedule((PulseSegment(T_PI / 2, OMEGA_S, OMEGA_D, DELTA),) * 2)
+    work = []
+    real_call = dynamics._TaylorExpm.__call__
+
+    def counted(self, dt, v):
+        work.append(math.prod(self.plan(dt)))
+        return real_call(self, dt, v)
+
+    monkeypatch.setattr(dynamics._TaylorExpm, "__call__", counted)
+    evolve_density(schedule, dims, GEOM2, noise, rho0, T_PI / 10)
+    total = sum(work)
+    assert len(work) == 10 and 0 < sum(work[:5]) < total  # five steps per segment
+
+    work.clear()
+    monkeypatch.setattr(dynamics, "_MAX_MATVECS", total)
+    evolve_density(schedule, dims, GEOM2, noise, rho0, T_PI / 10)
+    assert len(work) == 10
+    work.clear()
+    monkeypatch.setattr(dynamics, "_MAX_MATVECS", total - 1)
+    with pytest.raises(NumericsError, match=re.escape(f"plans {total:.3g} matvecs up to t = {T_PI:.3e} s")):
+        evolve_density(schedule, dims, GEOM2, noise, rho0, T_PI / 10)
+    assert len(work) == 5  # the first segment ran, the second never started
+    monkeypatch.setattr(dynamics, "_MAX_MATVECS", 10)
+    with pytest.raises(NumericsError, match=r"a step of .* needs more than 1e\+01 matvecs"):
+        evolve_density(schedule, dims, GEOM2, noise, rho0, T_PI / 10)
 
 
 def _dense_generator(dims, geom, seg, noise):
@@ -367,6 +435,38 @@ def test_positivity_failure_names_the_first_failing_sample():
     assert -1.6e-7 * (1.0 - np.exp(-gamma * (t - sample_dt))) > -0.95e-7 and eig < -1.1e-7
     with pytest.raises(NumericsError, match=rf"negative eigenvalue {eig:.2e} at t = {t:.3e} s"):
         evolve_density(schedule, dims, GEOM2, noise, DensityOperator(dims, rho), sample_dt)
+
+
+def test_an_in_loop_failure_reports_an_earlier_positivity_failure(monkeypatch):
+    """Positivity is checked after the loop, the other contracts as each
+    chunk fills; when a chunk fails one of those, the samples before it
+    are checked for positivity first.  The run of the positivity test
+    above at half the sample step fails positivity first at sample 7, and
+    its kernel returns NaN from call 12 on: the run stops at the end of
+    the chunk of the first NaN sample, sample 15 of 20, and names sample
+    7's negative eigenvalue."""
+    dims = SystemDims(2, 2, leak_level=True)
+    gamma, sample_dt = 1e4, 15e-6
+    rho = np.zeros((dims.dim, dims.dim), dtype=complex)
+    rho[dims.basis_index((DOWN, DOWN), 0), dims.basis_index((DOWN, DOWN), 0)] = 1.0 + 1.6e-7
+    for spins in ((LEAK, UP), (UP, LEAK)):
+        rho[dims.basis_index(spins, 0), dims.basis_index(spins, 0)] = -0.8e-7
+    schedule = PulseSchedule((PulseSegment(20 * sample_dt),))
+    calls = []
+    real_call = dynamics._TaylorExpm.__call__
+
+    def nan_from_call_12(self, dt, v):
+        calls.append(dt)
+        out = real_call(self, dt, v)
+        return np.full_like(out, np.nan) if len(calls) >= 12 else out
+
+    monkeypatch.setattr(dynamics._TaylorExpm, "__call__", nan_from_call_12)
+    t = 7 * sample_dt
+    eig = -1.6e-7 * (1.0 - np.exp(-gamma * t))
+    assert -1.6e-7 * (1.0 - np.exp(-gamma * (t - sample_dt))) > -0.95e-7 and eig < -1.03e-7
+    with pytest.raises(NumericsError, match=rf"negative eigenvalue {eig:.2e} at t = {t:.3e} s"):
+        evolve_density(schedule, dims, GEOM2, NoiseModel(gamma_ou=gamma), DensityOperator(dims, rho), sample_dt)
+    assert len(calls) == 15
 
 
 def test_density_matches_matrix_form_ode_reference():
@@ -443,6 +543,47 @@ def test_taylor_kernel_matches_dense_expm():
     assert np.array_equal(kernel(0.0, vec), vec)
 
 
+def _exact_max_taylor_call(kernel, dt, v):
+    """The kernel's Taylor loop as it was before its stop test bounded
+    max|f|: the exact max|f| after every term."""
+    m, s = kernel.plan(dt)
+    eta = np.exp(dt * kernel.mu / s)
+    f = v.copy()
+    for _ in range(s):
+        term = f
+        c1 = np.abs(term).max()
+        for j in range(m):
+            term = kernel.shifted @ term
+            term *= dt / (s * (j + 1))
+            c2 = np.abs(term).max()
+            f += term
+            if c1 + c2 <= dynamics._UNIT_ROUNDOFF * np.abs(f).max():
+                break
+            c1 = c2
+        f *= eta
+    return f
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_taylor_stop_test_bound_keeps_every_decision(seed):
+    """The kernel takes the exact max|f| only when its upper bound lets the
+    stop test pass, so on a random sparse generator, from one term to many
+    substeps, its output is bit for bit that of the exact-max loop."""
+    import scipy.sparse as sp
+
+    from zenosim.dynamics import _TaylorExpm
+
+    rng = np.random.default_rng(seed)
+    n = 400
+    gen = sp.random(n, n, density=0.02, random_state=rng, format="csr") * (1 - 2j)
+    gen = (gen + sp.diags(-rng.uniform(0, 3, n) + 1j * rng.normal(size=n))).tocsr()
+    kernel = _TaylorExpm(gen, gen.diagonal().sum() / n)
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    for reach in (1e-6, 0.1, 0.9, 4.0, 30.0):
+        dt = reach / kernel.norm_1
+        assert np.array_equal(kernel(dt, v), _exact_max_taylor_call(kernel, dt, v))
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     gamma=st.tuples(*[st.floats(0.0, 300.0)] * 4),
@@ -473,33 +614,62 @@ def test_density_samples_stay_physical(gamma, gamma_heat, stark, n_bar):
     lindblad=st.booleans(),
 )
 def test_stacked_readout_matches_per_sample_loop(gamma, gamma_heat, stark, n_bar, lindblad):
-    """extract_populations and simulate_plan_fidelity (peak and end) read
-    the trajectory's stack; an explicit loop over traj.states, with
-    state_fidelity and the diagonal of each sample, gives the same numbers
-    for full-space and spin-only targets.  Without rates or a thermal start
-    the run is pure-state, with the Stark shifts; without leak rates the
-    density run is one block, the whole space."""
-    from zenosim.protocol import plan_single, simulate_plan, simulate_plan_fidelity
+    """The stacked readout of two-ion runs against the loop over dense
+    states.  Without rates or a thermal start the run is pure-state, with
+    the Stark shifts; without leak rates the density run is one block, the
+    whole space."""
+    from zenosim.protocol import plan_single
 
     noise = _full_noise(gamma, gamma_heat, stark, n_bar) if lindblad else NoiseModel(stark_shifts=stark)
     plan = plan_single(OMEGA_S, 2)
-    dims = SystemDims(2, 6, noise.needs_leak_level)
+    _assert_stacked_readout_matches_loop(plan, noise, SystemDims(2, 6, noise.needs_leak_level))
+
+
+def test_three_ion_leak_blocks_readout_matches_per_sample_loop():
+    """The stacked readout of a three-ion run with leak rates, stored as
+    its eight leak-set blocks, against the loop over dense states."""
+    from zenosim.protocol import plan_three_ion
+
+    plan = plan_three_ion(2 * np.pi * 19.0e3, 2 * np.pi * 1.24e3)
+    noise = _full_noise((2e3, 1.4e3, 1e3, 6e2), 0.0, stark=(2e3, 0.0, 2e3))
+    _assert_stacked_readout_matches_loop(plan, noise, SystemDims(3, 8, leak_level=True))
+
+
+def _assert_stacked_readout_matches_loop(plan, noise, dims):
+    """extract_populations and simulate_plan_fidelity (peak and end) read
+    the trajectory's stack; an explicit loop over traj.states, with
+    state_fidelity and the diagonal of each sample, gives the same numbers
+    for full-space and spin-only targets, and spin_matrices gives each
+    state's motion-traced matrix.  A density run stores the blocks of its
+    index groups, the leak sets, side by side: (T, n_kept) entries."""
+    from zenosim.protocol import simulate_plan, simulate_plan_fidelity
+
     duration, sample_dt = 0.5 * plan.t_pi, plan.t_pi / 40
     traj = simulate_plan(plan, noise, duration, dims, sample_dt)
     pure = not (noise.has_lindblad or noise.n_bar > 0)
-    assert traj.samples.shape == (len(traj.times),) + (dims.dim,) * (1 if pure else 2)
+    if pure:
+        assert traj.groups == () and traj.samples.shape == (len(traj.times), dims.dim)
+    else:
+        assert [list(idx) for idx in traj.groups] == [list(idx) for idx in leak_sectors(dims)]
+        assert traj.samples.shape == (len(traj.times), sum(len(idx) ** 2 for idx in traj.groups))
 
-    labels = ["F_T", "P_S", "P_dd", "F_uu1"]
-    targets = [named_state(dims, "T", 0), spin_state(dims, "S"), spin_state(dims, "dd"), named_state(dims, "uu", 1)]
+    if plan.n_ions == 2:
+        labels = ["F_T", "P_S", "P_dd", "F_uu1"]
+        targets = [named_state(dims, "T", 0), spin_state(dims, "S"), spin_state(dims, "dd"), named_state(dims, "uu", 1)]
+    else:
+        labels = ["F_W", "P_Wbar", "P_Wc", "F_uuu1"]
+        targets = [named_state(dims, "W", 0), spin_state(dims, "Wbar"), spin_state(dims, "Wc"), named_state(dims, "uuu", 1)]
     rec = extract_populations(traj, targets, labels)
     masks = up_count_projectors(dims)
+    spins = traj.spin_matrices()
     for k, state in enumerate(traj.states):
         diag = np.abs(state.amplitudes) ** 2 if pure else np.real(np.diag(state.matrix))
         np.testing.assert_allclose(rec.p_up_counts[k], [diag @ m for m in masks], rtol=0, atol=1e-14)
         assert abs(rec.leak_population[k] - diag @ leak_mask(dims)) <= 1e-14
         for label, target in zip(labels, targets):
             assert abs(rec.aux_populations[label][k] - state_fidelity(dims, state, target)) <= 1e-14
-    np.testing.assert_array_equal(rec.target_fidelity, rec.aux_populations["F_T"])
+        np.testing.assert_allclose(spins[k], partial_trace_motion(dims, state), rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(rec.target_fidelity, rec.aux_populations[labels[0]])
 
     peak = simulate_plan_fidelity(plan, noise, duration, dims, at_end=False, sample_dt=sample_dt)
     assert abs(peak - max(state_fidelity(dims, s, targets[0]) for s in traj.states)) <= 1e-14
