@@ -67,6 +67,9 @@ def _build_plan(config: ScenarioConfig) -> ProtocolPlan:
     if "omega_s" not in drive:
         raise ConfigError("[drive] omega_s is required for this scenario")
     omega_s = drive["omega_s"]
+    for key in ("t1", "t2", "duration"):
+        if drive.get(key, 0.0) < 0:
+            raise ConfigError(f"[drive] {key} must be >= 0")
     if config.scenario == "three_ion_w":
         if "omega_d" not in drive:
             raise ConfigError("[drive] omega_d is required for the three-ion scenario")
@@ -142,6 +145,8 @@ def _trace_scenario(config: ScenarioConfig, out_dir: Path) -> dict:
     noise = _build_noise(config, plan)
     dims = default_dims(plan, noise)
     if config.n_fock is not None:
+        if config.n_fock < 1:
+            raise ConfigError("n_fock must be >= 1")
         dims = SystemDims(plan.n_ions, config.n_fock, dims.leak_level)
     traj = simulate_plan(plan, noise, config.drive.get("duration"), dims)
     if plan.n_ions == 2:
@@ -298,8 +303,8 @@ def _dressed_scan_scenario(config: ScenarioConfig, out_dir: Path) -> dict:
     lo = scan.get("start", -4.0)
     hi = scan.get("stop", 4.0)
     points = scan.get("points", 401)
-    if points < 2:
-        raise ConfigError("[scan] points must be >= 2")
+    if not 2 <= points <= _MAX_POINTS:
+        raise ConfigError(f"[scan] points must be from 2 to {_MAX_POINTS}")
     if omega_s == 0:
         raise ConfigError("[drive] omega_s must be nonzero")
     # every scanned eigenfrequency and the scan's span are at most 2 |delta| + 4 |omega_s|
@@ -328,12 +333,24 @@ def _tomography_demo_scenario(config: ScenarioConfig, out_dir: Path) -> dict:
     return _run_tomography(_tomography_settings(config, 2), config.seed, out_dir, rho, dims)
 
 
+#: the most points of a dressed scan and cells of a sweep: 250x the fig_s4
+#: scan and 60x the 40 x 40 composite grid, so only a value far out of
+#: range reaches it
+_MAX_POINTS = 100_000
+
 #: per-axis edit of a sweep cell's (plan, noise) at one grid value
 _SWEEP_EDITS = {
     "omega_ratio": lambda plan, noise, r: (experimental_override(plan, omega_d=plan.omega_s / r), noise),
     "t1": lambda plan, noise, f: (experimental_override(plan, t1=f * plan.t_pi, t2=(1 - f) * plan.t_pi), noise),
     "n_bar": lambda plan, noise, v: (plan, NoiseModel(n_bar=v)),
     "gamma": lambda plan, noise, v: (plan, NoiseModel(gamma_du=v, gamma_ud=v, gamma_ou=v, gamma_od=v)),
+}
+#: the values each sweep axis accepts: a test and its wording
+_SWEEP_DOMAINS = {
+    "omega_ratio": (lambda v: v > 0, "> 0"),
+    "t1": (lambda v: 0 <= v <= 1, "from 0 to 1"),
+    "n_bar": (lambda v: v >= 0, ">= 0"),
+    "gamma": (lambda v: v >= 0, ">= 0"),
 }
 
 
@@ -346,6 +363,9 @@ def _sweep_axis(sweep: dict, suffix: str, default_range=(None, None)) -> tuple[s
     stop = sweep.get("stop" + suffix, default_range[1])
     if start is None or stop is None:
         raise ConfigError(f"[sweep] start{suffix} and stop{suffix} are required")
+    accepts, wording = _SWEEP_DOMAINS[name]
+    if not (accepts(start) and accepts(stop)):
+        raise ConfigError(f"[sweep] {name} values must be {wording}")
     points = sweep.get("points" + suffix, 40)
     if points < 1 or (points == 1 and stop != start):
         raise ConfigError(f"[sweep] points{suffix} must be >= 1 (and > 1 for a nondegenerate range)")
@@ -378,6 +398,8 @@ def run_sweep(config: ScenarioConfig, out_dir: Path) -> dict:
     names = [name for name, *_ in axes]
     if len(names) == 2 and names != ["omega_ratio", "t1"]:
         raise ConfigError("two-axis sweeps support axis=omega_ratio with axis2=t1")
+    if np.prod([points for *_, points in axes], dtype=float) > _MAX_POINTS:
+        raise ConfigError(f"[sweep] the grid has more than {_MAX_POINTS} cells")
     scheme = sweep.get("scheme", "single")
     if scheme not in ("single", "composite"):
         raise ConfigError(f"[sweep] unknown scheme {scheme!r}; choose single or composite")
@@ -395,6 +417,10 @@ def run_sweep(config: ScenarioConfig, out_dir: Path) -> dict:
         plan, noise = base, None
         for name, value in zip(names, point):
             plan, noise = _SWEEP_EDITS[name](plan, noise, value)
+        # omega_s <= 0, or a ratio that under- or overflows omega_d, sets no usable pi time
+        if not (plan.t_pi / 300 > 0 and 1.15 * plan.t_pi < np.inf):
+            at = ", ".join(f"{name} = {value:.6g}" for name, value in zip(names, point))
+            raise ConfigError(f"[sweep] pi time {plan.t_pi:.3g} s at {at} is out of range")
         if peak:
             return simulate_plan_fidelity(plan, duration=1.15 * plan.t_pi, at_end=False, sample_dt=plan.t_pi / 300)
         return simulate_plan_fidelity(plan, noise)

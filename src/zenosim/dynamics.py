@@ -24,6 +24,11 @@ blocks are propagated, stored and checked (Buca & Prosen, New J. Phys. 14,
 as full matrices, and its samples are checked as they are made, so a run
 that breaks its trace, its Hermiticity or the Fock limit stops within a
 few samples.
+
+A Lindbladian maps Hermitian matrices to Hermitian matrices (Breuer &
+Petruccione, The Theory of Open Quantum Systems, sec. 3.2), so only the
+upper triangle of each block is computed (3,272 of 6,400 rows at the fig3
+preset) and the lower one is its exact conjugate, by construction.
 """
 
 from __future__ import annotations
@@ -175,33 +180,76 @@ _UNIT_ROUNDOFF = 2.0**-53
 _MAX_MATVECS = 1_000_000
 
 
+def _fold(groups: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The upper triangles of the blocks of a density stack's layout (_kept).
+
+    half holds the positions of each block's entries (a, b) with a <= b,
+    block after block and row-major; lower the positions of its entries
+    a > b, and strict[k] the index into half of lower[k]'s mirror (b, a), so
+    a Hermitian rho has rho[lower] == rho[half][strict].conj().
+    """
+    half, lower, strict = [], [], []
+    start = n_half = 0
+    for idx in groups:
+        n = len(idx)
+        a, b = np.triu_indices(n)
+        off = a < b
+        half.append(start + a * n + b)
+        lower.append(start + b[off] * n + a[off])
+        strict.append(n_half + np.flatnonzero(off))
+        start += n * n
+        n_half += len(a)
+    return np.concatenate(half), np.concatenate(lower), np.concatenate(strict)
+
+
 class _TaylorExpm:
-    """v -> exp(dt L) v for one sparse generator L and any step dt.
+    """h -> exp(dt L) h for one sparse generator L and any step dt, on the
+    computed entries h of a folded vector.
 
     Al-Mohy & Higham (2011), alg. 3.2.  The shift A = L - mu I, with mu
-    given (tr L / n is the usual choice), and the exact 1-norm of A are
-    computed once; each step picks (m, s) minimizing
-    m * ceil(dt ||A||_1 / theta_m), applies s substeps of the degree-m
-    Taylor series of exp(dt A / s), stopped early once two successive terms
-    fall below the unit roundoff relative to the partial sum, and restores
-    the shift with the factor exp(dt mu / s).
+    given, and the exact 1-norm of A are computed once; each step picks
+    (m, s) minimizing m * ceil(dt ||A||_1 / theta_m), applies s substeps of
+    the degree-m Taylor series of exp(dt A / s), stopped early once two
+    successive terms fall below the unit roundoff relative to the partial
+    sum, and restores the shift with the factor exp(dt mu / s).
 
-    order, if given, permutes the rows and columns of A after its norm is
-    taken.  Fancy indexing keeps each row's order of terms, so every entry
-    of a permuted matvec is the sum the unpermuted one gives, bit for bit.
+    The fold: after the norm is taken, cols orders the rows and columns of
+    A as the whole vector [h, conj(h[strict])], and only h's rows are kept.
+    Each matvec rebuilds the whole vector from h (unfold).  With h the upper
+    triangle of a Hermitian rho and a real mu, every term is Hermitian, so
+    this is the full computation; the stop test reads the whole vector's
+    maxima from h, as abs(conj z) == abs(z).  The identity fold (cols =
+    arange(n), strict empty) takes any generator.  Fancy indexing keeps
+    each row's order of terms, so each computed entry is, bit for bit, the
+    sum the unfolded matvec gives.
     """
 
-    def __init__(self, gen: sp.csr_matrix, mu: complex, order: np.ndarray | None = None):
+    def __init__(self, gen: sp.csr_matrix, mu: complex, cols: np.ndarray, strict: np.ndarray):
         n = gen.shape[0]
         self.mu = mu
-        self.shifted = gen - self.mu * sp.identity(n, dtype=gen.dtype, format="csr")
-        col_sums = np.bincount(self.shifted.indices, weights=np.abs(self.shifted.data), minlength=n)
+        shifted = gen - mu * sp.identity(n, dtype=gen.dtype, format="csr")
+        col_sums = np.bincount(shifted.indices, weights=np.abs(shifted.data), minlength=n)
         self.norm_1 = float(col_sums.max())
-        if order is not None:
-            self.shifted = self.shifted[order][:, order]
+        self.strict = strict
+        self.shifted = shifted[cols[: n - len(strict)]][:, cols]
+        self._whole = np.empty(n, dtype=gen.dtype)
+        self._plans: dict[float, tuple[int, int]] = {}
+
+    def unfold(self, h: np.ndarray) -> np.ndarray:
+        """The whole vector [h, conj(h[strict])] in cols order: a buffer
+        that the next call overwrites."""
+        whole = self._whole
+        whole[: len(h)] = h
+        mirrored = whole[len(h) :]
+        np.take(h, self.strict, out=mirrored)
+        np.conjugate(mirrored, out=mirrored)
+        return whole
 
     def plan(self, dt: float) -> tuple[int, int]:
-        """(m, s) of a step dt: s substeps of at most m matvecs each."""
+        """(m, s) of a step dt: s substeps of at most m matvecs each, kept
+        per dt, so a step reuses the plan of evolve_density's work budget."""
+        if dt in self._plans:
+            return self._plans[dt]
         scaled_norm = dt * self.norm_1
         if scaled_norm == 0:
             return 0, 1
@@ -212,15 +260,16 @@ class _TaylorExpm:
                 f"a step of {dt:.3e} s at generator 1-norm {self.norm_1:.3e} needs more than "
                 f"{_MAX_MATVECS:.0e} matvecs; a rate or a duration is out of range"
             )
-        return min(
+        self._plans[dt] = min(
             ((deg, math.ceil(scaled_norm / theta)) for deg, theta in _THETA.items()),
             key=lambda ms: ms[0] * ms[1],
         )
+        return self._plans[dt]
 
-    def __call__(self, dt: float, v: np.ndarray) -> np.ndarray:
+    def __call__(self, dt: float, h: np.ndarray) -> np.ndarray:
         m, s = self.plan(dt)
         eta = np.exp(dt * self.mu / s)
-        f = v.copy()
+        f = h.copy()
         for _ in range(s):
             term = f
             c1 = np.abs(term).max()
@@ -231,7 +280,7 @@ class _TaylorExpm:
             # few ulp in numpy's SIMD loops
             f_max = c1
             for j in range(m):
-                term = self.shifted @ term
+                term = self.shifted @ self.unfold(term)
                 term *= dt / (s * (j + 1))
                 c2 = np.abs(term).max()
                 f += term
@@ -439,19 +488,23 @@ def evolve_density(
     Only the diagonal blocks of rho over the index groups are propagated
     and stored: the leak sets of hilbert.leak_sectors if the initial state
     has no entry between different sets (exact, as nothing feeds those
-    entries), else one group, the whole space.  vec holds the blocks one
-    after another, each row-major (_kept), the layout of the (T, n_kept)
-    stack the Trajectory keeps.  The generator is restricted to those pairs
-    in ascending order, as the full one is stored, shifted by tr L / dim^2
-    of the full generator, and then permuted to the block order
-    (_TaylorExpm's order), so each matvec sums its terms as before.
+    entries), else one group, the whole space.  The (T, n_kept) stack the
+    Trajectory keeps holds the blocks one after another, each row-major
+    (_kept).  The generator is restricted to those pairs in ascending
+    order, as the full one is stored, and shifted by Re(tr L) / dim^2 of
+    the full generator: tr L of a Lindbladian is real up to rounding, and a
+    complex shift would not keep rho Hermitian.  vec holds only the upper
+    triangle of each block (_fold), from which the kernel computes those
+    rows alone and every sample is rebuilt, its lower triangles the exact
+    conjugates of the upper ones.
 
     Before a segment is propagated, the kernel's planned work for its
     steps, sum m * s, is added to the run's; past _MAX_MATVECS, which only
     a rate or a duration far out of range reaches, NumericsError is raised.
 
     Every sample is checked, block by block (_check_density): trace to
-    1e-8, Hermiticity to 1e-10, top Fock population below 1e-8 and
+    1e-8, Hermiticity to 1e-10 (exact off the diagonal, so this guards the
+    diagonal's imaginary part and NaN), top Fock population below 1e-8 and
     eigenvalues above -1e-7.  The first violating sample raises
     NumericsError (TruncationError for the Fock limit) naming its time;
     nothing is projected away.  The first three contracts are checked on
@@ -470,7 +523,9 @@ def evolve_density(
         groups = [np.arange(dims.dim)]
         kept = _kept(dims.dim, groups)
     ascending = np.sort(kept)
-    order = None if len(groups) == 1 else np.searchsorted(ascending, kept)
+    half, lower, strict = _fold(groups)
+    pos = np.concatenate((half, lower))  # the kernel's whole vector, as positions in the stack's layout
+    cols = np.searchsorted(ascending, kept[pos])
 
     shifts = noise.shifts_or_zero(dims.n_ions)
     eye = sp.identity(dims.dim, dtype=complex, format="csr")
@@ -483,11 +538,11 @@ def evolve_density(
     def propagator(seg: PulseSegment) -> _TaylorExpm:
         h = sp.csr_matrix(segment_hamiltonian(dims, geom, seg, shifts).matrix)
         gen = (-1j * (sp.kron(h, eye) - sp.kron(eye, h.T)) + dissipator).tocsr()
-        return _TaylorExpm(gen[ascending][:, ascending], gen.diagonal().sum() / dims.dim**2, order)
+        return _TaylorExpm(gen[ascending][:, ascending], gen.diagonal().sum().real / dims.dim**2, cols, strict)
 
     times = _sample_times(schedule, sample_dt)
     flat = np.empty((len(times), len(kept)), dtype=complex)
-    vec = initial.matrix.reshape(-1)[kept]
+    vec = initial.matrix.reshape(-1)[kept[half]]
     boundaries = schedule.boundaries()
     work = 0
     for seg_idx, steps in _segment_steps(times, boundaries):
@@ -503,7 +558,7 @@ def evolve_density(
                 vec = expm(dt, vec)
             if k is None:
                 continue
-            flat[k] = vec
+            flat[k, pos] = expm.unfold(vec)
             if k % _CHECK_CHUNK == _CHECK_CHUNK - 1 or k == len(times) - 1:
                 first = k - k % _CHECK_CHUNK
                 try:

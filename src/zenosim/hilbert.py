@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import TruncationError
+from .errors import NumericsError, TruncationError
 
 UP, DOWN, LEAK = 0, 1, 2
 
@@ -156,6 +156,8 @@ class OperatorMatrix:
         d = self.dims.dim
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} != ({d}, {d})")
+        if not np.isfinite(mat).all():
+            raise NumericsError("operator has non-finite entries; a frequency or a rate is out of range")
         if self.hermitian_flag and not np.linalg.norm(mat - mat.conj().T) < 1e-12 * max(1.0, np.linalg.norm(mat)):
             raise ValueError("operator flagged Hermitian is not Hermitian")
 

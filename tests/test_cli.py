@@ -137,7 +137,9 @@ def test_cli_exit_codes(tmp_path):
 @pytest.mark.parametrize(
     "preset, override",
     [pytest.param("fig3", o, id=o) for o in ("noise.stark=1,2,3", "noise.gamma_du=-1", "drive.m=-1")]
-    + [pytest.param("fig_s4", o, id=o) for o in ("scan.points=1", "drive.omega_s=0")]
+    + [pytest.param("fig3", o, id=o) for o in ("drive.t1=-1e-6", "drive.t2=-1e-6", "n_fock=0")]
+    + [pytest.param("fig2", "drive.duration=-1e-6", id="drive.duration=-1e-6")]
+    + [pytest.param("fig_s4", o, id=o) for o in ("scan.points=1", "scan.points=100001", "drive.omega_s=0")]
     # non-finite values, which reach the physics unless the parser rejects them
     + [pytest.param("fig_s4", o, id=o) for o in ("scan.start=nan", "scan.stop=inf")]
     # finite values whose scan overflows the float range inside the eigensolver
@@ -198,6 +200,13 @@ def test_huge_finite_values_exit_3_within_seconds(tmp_path, override):
     assert "Traceback" not in out.stderr
 
 
+def test_an_overflowing_hamiltonian_exits_3(tmp_path, capsys):
+    """A drive so strong that the sideband Hamiltonian overflows ends in
+    exit code 3, not in a traceback from the Hermiticity check."""
+    assert main(["run", "--preset", "fig_s6a", "--out", str(tmp_path), "--override", "drive.omega_s=1e308"]) == 3
+    assert "operator has non-finite entries" in capsys.readouterr().err
+
+
 def test_cli_peak_spin_matrix_matches_dense_reference(tmp_path, monkeypatch):
     """The readout of a leak-level three-ion run starts from the peak
     state's spin matrix, traced from the stored leak-set blocks: it equals
@@ -229,8 +238,28 @@ def test_cli_peak_spin_matrix_matches_dense_reference(tmp_path, monkeypatch):
         ["sweep.scheme=banana"],
         ["sweep.axis=t1", "sweep.start=0.2", "sweep.stop=0.5"],
         ["sweep.axis2=t1"],
+        ["sweep.start=0"],
+        ["sweep.points=100001"],
+        ["drive.omega_s=0"],
+        ["drive.omega_s=-1e5"],
+        ["sweep.scheme=composite", "sweep.axis=t1", "sweep.start=-0.1", "sweep.stop=0.5"],
+        ["sweep.axis=n_bar", "sweep.start=-1", "sweep.stop=0"],
+        ["sweep.axis=gamma", "sweep.start=0", "sweep.stop=-1"],
     ],
-    ids=["points2=0", "points2=1-range", "scheme=banana", "t1-single", "axis2=t1-single"],
+    ids=[
+        "points2=0",
+        "points2=1-range",
+        "scheme=banana",
+        "t1-single",
+        "axis2=t1-single",
+        "ratio=0",
+        "cells>max",
+        "omega_s=0",
+        "omega_s<0",
+        "t1<0",
+        "n_bar<0",
+        "gamma<0",
+    ],
 )
 def test_invalid_sweep_exits_with_config_error(tmp_path, capsys, overrides):
     argv = ["run", "--preset", "fig_s6a", "--out", str(tmp_path)]
@@ -525,3 +554,54 @@ def test_sweep_with_cold_and_warm_spectrum_memo_is_byte_identical(tmp_path):
     warm = run_scenario(cfg, tmp_path / "warm")["sweep"].read_bytes()
     assert _segment_spectrum.cache_info().misses == misses
     assert warm == cold
+
+
+#: the numeric keys each cheap preset reads
+_CHEAP_PRESET_KEYS = {
+    "fig_s4": ("drive.omega_s", "scan.start", "scan.stop", "scan.points"),
+    "fig_s6a": (
+        "drive.omega_s",
+        "drive.omega_d",
+        "drive.delta",
+        "drive.m",
+        "drive.t1",
+        "drive.t2",
+        "sweep.start",
+        "sweep.stop",
+        "sweep.points",
+    ),
+}
+
+
+def _extreme_values(key: str):
+    """Negative, zero and huge finite values of a key's type."""
+    section, _, name = key.partition(".")
+    if _SCHEMA[section][name].__name__ == "_parse_int":
+        return st.integers(-(10**18), 0) | st.integers(10**9, 10**18)
+    huge = st.floats(1e15, 1e308)
+    return st.just(0.0) | st.floats(-1e308, -1e-300) | huge | huge.map(lambda v: -v)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([(preset, key) for preset, keys in _CHEAP_PRESET_KEYS.items() for key in keys]).flatmap(
+        lambda case: st.tuples(st.just(case), _extreme_values(case[1]))
+    )
+)
+def test_extreme_overrides_end_in_a_documented_exit_code(case):
+    """One override of a cheap preset with a negative, zero or huge finite
+    value ends in exit code 0, 2 (config), 3 (numerics) or 4 (convergence),
+    prints no traceback, and an exit-0 run writes no nan."""
+    import contextlib
+    import io
+    import tempfile
+
+    (preset, key), value = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["run", "--preset", preset, "--out", tmp, "--override", f"{key}={value!r}"])
+        written = [path.read_text() for path in Path(tmp).rglob("*") if path.is_file()]
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code == 0:
+        assert not any("nan" in text.lower() for text in written)

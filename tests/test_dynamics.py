@@ -250,6 +250,29 @@ def test_three_ion_density_matches_full_generator_exponential():
         assert traj.final.matrix[ooo, ooo].real > 1e-6  # every ion can leak
 
 
+def test_stored_samples_mirror_the_computed_triangle_exactly():
+    """The kernel computes the upper triangle of each block and mirrors it,
+    so every off-diagonal entry of every stored sample is the exact
+    conjugate of its mirror: over the leak-set blocks from |uu>, and over
+    one group, the whole space, from a start with coherence between leak
+    sets."""
+    dims = SystemDims(2, 6, leak_level=True)
+    noise = _full_noise((300.0, 200.0, 150.0, 100.0), 40.0, stark=(2e3, -1e3))
+    uu = named_state(dims, "uu", 0).amplitudes
+    ou = np.zeros(dims.dim, dtype=complex)
+    ou[dims.basis_index((LEAK, UP), 0)] = 1.0
+    for psi, n_groups in ((uu, len(leak_sectors(dims))), ((uu + ou) / np.sqrt(2), 1)):
+        rho0 = PureState(dims, psi).to_density()
+        traj = evolve_density(single_pulse(duration=0.5 * T_PI), dims, GEOM2, noise, rho0, T_PI / 20)
+        assert len(traj.groups) == n_groups
+        blocks = dynamics._block_views(traj.samples, traj.groups)
+        for block in blocks:
+            off = ~np.eye(block.shape[-1], dtype=bool)
+            assert np.array_equal(block[:, off], block.conj().swapaxes(1, 2)[:, off])
+        widest = max(blocks, key=lambda b: b.shape[-1])
+        assert np.count_nonzero(widest.imag) > widest.size // 4
+
+
 def test_each_leak_block_is_checked():
     """Contract violations confined to a leaked block are caught at t = 0."""
     dims = SystemDims(2, 4, leak_level=True)
@@ -518,8 +541,11 @@ def test_density_matches_matrix_form_ode_reference():
 
 def test_taylor_kernel_matches_dense_expm():
     """The sample-step kernel against a dense exponential of the vectorized
-    full-noise Lindbladian, from a step well inside one Taylor term's reach
-    to one that needs many substeps; a zero step returns the input."""
+    full-noise Lindbladian on a Hermitian rho, from a step well inside one
+    Taylor term's reach to one that needs many substeps, folded as
+    evolve_density folds it: over the leak-set blocks (rho block diagonal
+    over the leak sets) and over one group, the whole space (rho with
+    coherence between leak sets).  A zero step returns the input."""
     import scipy.sparse as sp
     from scipy.linalg import expm
 
@@ -529,18 +555,33 @@ def test_taylor_kernel_matches_dense_expm():
     noise = _full_noise((3e4, 2e4, 1.5e4, 1e4), 5e3, stark=(1e4, -5e3))
     gen = _dense_generator(dims, GEOM2, PulseSegment(T_PI, OMEGA_S, OMEGA_D, DELTA), noise)
     n = dims.dim**2
-    kernel = _TaylorExpm(sp.csr_matrix(gen), np.trace(gen) / n)
-    shifted = gen - np.trace(gen) / n * np.eye(n)
-    assert abs(kernel.norm_1 - np.abs(shifted).sum(axis=0).max()) < 1e-12 * kernel.norm_1
+    mu = np.trace(gen).real / n
 
     rng = np.random.default_rng(7)
     x = rng.normal(size=(dims.dim, dims.dim)) + 1j * rng.normal(size=(dims.dim, dims.dim))
     rho = x @ x.conj().T
-    vec = (rho / np.trace(rho)).reshape(-1)
+    between = _between_leak_sets(dims)
+    assert np.all(rho[between] != 0.0)
+    kernels = []
+    for groups in (leak_sectors(dims), [np.arange(dims.dim)]):
+        kept = dynamics._kept(dims.dim, groups)
+        half, lower, strict = dynamics._fold(groups)
+        pos = np.concatenate((half, lower))
+        kernel = _TaylorExpm(sp.csr_matrix(gen)[kept][:, kept], mu, pos, strict)
+        shifted = (gen - mu * np.eye(n))[np.ix_(kept, kept)]
+        assert abs(kernel.norm_1 - np.abs(shifted).sum(axis=0).max()) < 1e-12 * kernel.norm_1
+        start = np.where(between, 0.0, rho) if len(groups) > 1 else rho
+        kernels.append((kernel, kept[half], kept[pos], (start / np.trace(start)).reshape(-1)))
+
     for reach in (0.1, 0.66, 5.0, 100.0):
-        dt = reach / kernel.norm_1
-        assert np.max(np.abs(kernel(dt, vec) - expm(dt * gen) @ vec)) < 1e-12
-    assert np.array_equal(kernel(0.0, vec), vec)
+        dt = reach / kernels[-1][0].norm_1  # the whole space's norm bounds the blocks'
+        step = expm(dt * gen)
+        for kernel, computed, whole_at, vec in kernels:
+            whole = np.zeros(n, dtype=complex)
+            whole[whole_at] = kernel.unfold(kernel(dt, vec[computed]))
+            assert np.max(np.abs(whole - step @ vec)) < 1e-12
+    for kernel, computed, _, vec in kernels:
+        assert np.array_equal(kernel(0.0, vec[computed]), vec[computed])
 
 
 def _exact_max_taylor_call(kernel, dt, v):
@@ -553,7 +594,7 @@ def _exact_max_taylor_call(kernel, dt, v):
         term = f
         c1 = np.abs(term).max()
         for j in range(m):
-            term = kernel.shifted @ term
+            term = kernel.shifted @ kernel.unfold(term)
             term *= dt / (s * (j + 1))
             c2 = np.abs(term).max()
             f += term
@@ -568,7 +609,9 @@ def _exact_max_taylor_call(kernel, dt, v):
 def test_taylor_stop_test_bound_keeps_every_decision(seed):
     """The kernel takes the exact max|f| only when its upper bound lets the
     stop test pass, so on a random sparse generator, from one term to many
-    substeps, its output is bit for bit that of the exact-max loop."""
+    substeps, its output is bit for bit that of the exact-max loop.  The
+    generator does not preserve Hermiticity, so the kernel computes the
+    whole vector: the identity fold."""
     import scipy.sparse as sp
 
     from zenosim.dynamics import _TaylorExpm
@@ -577,7 +620,7 @@ def test_taylor_stop_test_bound_keeps_every_decision(seed):
     n = 400
     gen = sp.random(n, n, density=0.02, random_state=rng, format="csr") * (1 - 2j)
     gen = (gen + sp.diags(-rng.uniform(0, 3, n) + 1j * rng.normal(size=n))).tocsr()
-    kernel = _TaylorExpm(gen, gen.diagonal().sum() / n)
+    kernel = _TaylorExpm(gen, gen.diagonal().sum() / n, np.arange(n), np.array([], dtype=int))
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
     for reach in (1e-6, 0.1, 0.9, 4.0, 30.0):
         dt = reach / kernel.norm_1
