@@ -20,15 +20,16 @@ one set: drives, Stark shifts and heating keep each ion's leak status, and a
 leak jump maps the block (A, A) to (A+k, A+k).  A state that starts block
 diagonal over the leak sets therefore stays so exactly, and only those
 blocks are propagated, stored and checked (Buca & Prosen, New J. Phys. 14,
-073007 (2012)).  A density run is stored as those blocks side by side, not
-as full matrices, and its samples are checked as they are made, so a run
-that breaks its trace, its Hermiticity or the Fock limit stops within a
-few samples.
+073007 (2012)).  Its samples are checked as they are made, so a run that
+breaks its trace, its Hermiticity or the Fock limit stops within a few
+samples.
 
 A Lindbladian maps Hermitian matrices to Hermitian matrices (Breuer &
 Petruccione, The Theory of Open Quantum Systems, sec. 3.2), so only the
 upper triangle of each block is computed (3,272 of 6,400 rows at the fig3
-preset) and the lower one is its exact conjugate, by construction.
+preset) and the lower one is its exact conjugate, by construction.  A
+density run stores those triangles as the kernel computes them, and its
+readers rebuild whole blocks a few samples at a time where they need them.
 """
 
 from __future__ import annotations
@@ -63,14 +64,14 @@ class Trajectory:
 
     samples[k] holds the state at times[k].  A pure-state run (no groups)
     stores a (T, dim) array of amplitudes.  A density run stores only the
-    blocks of rho within its index groups (see evolve_density) as one
-    (T, n_kept) array: the groups' blocks one after another, each
-    row-major, so each block of every sample is a (T, n, n) view
-    (_block_views); with one group, the whole space, a row is the
-    row-major matrix.  The propagator fills the stack in place and makes it
-    read-only.  Fidelities, spin matrices and populations are read from the
-    stack block by block; states and final build PureState or
-    DensityOperator objects one sample at a time, each validated again.
+    upper triangles (a <= b) of the blocks of rho within its index groups
+    (see evolve_density), the vector its kernel computes: one (T, n_half)
+    array, each block's triangle row-major, block after block (_fold).
+    Readers take the diagonals in place (_diagonals) and rebuild whole
+    blocks _CHECK_CHUNK samples at a time where they need them (_rebuilt).
+    The propagator fills the stack in place and makes it read-only.  states
+    and final build PureState or DensityOperator objects, each validated
+    again.
     """
 
     times: np.ndarray
@@ -79,25 +80,29 @@ class Trajectory:
     schedule: PulseSchedule
     groups: tuple[np.ndarray, ...] = ()
 
-    def _state(self, k: int):
+    def _states(self, sel: slice) -> list:
+        samples = self.samples[sel]
         if not self.groups:
-            return PureState(self.dims, self.samples[k])
-        rho = np.zeros((self.dims.dim, self.dims.dim), dtype=complex)
-        for idx, block in zip(self.groups, _block_views(self.samples, self.groups)):
-            rho[idx[:, None], idx] = block[k]
-        return DensityOperator(self.dims, rho)
+            return [PureState(self.dims, amps) for amps in samples]
+        states = []
+        for _, blocks in _rebuilt(samples, self.groups):
+            rho = np.zeros((len(blocks[0]), self.dims.dim, self.dims.dim), dtype=complex)
+            for idx, block in zip(self.groups, blocks):
+                rho[:, idx[:, None], idx] = block
+            states.extend(DensityOperator(self.dims, r) for r in rho)
+        return states
 
     @property
     def states(self) -> tuple:
-        return tuple(self._state(k) for k in range(len(self.times)))
+        return tuple(self._states(slice(None)))
 
     @property
     def final(self):
-        return self._state(-1)
+        return self._states(slice(-1, None))[0]
 
     def fidelities(self, target: PureState) -> np.ndarray:
         """<target|rho|target> at every sample time; see state_fidelity."""
-        return _fidelities(self.dims, self.samples, self.groups, target)
+        return _fidelities(self.dims, self.samples, self.groups, [target])[0]
 
     def spin_matrices(self, sel: slice = slice(None)) -> np.ndarray:
         """(T', spin_dim, spin_dim) spin density matrices of the samples in
@@ -107,18 +112,9 @@ class Trajectory:
 
 def _kept(dim: int, groups: Sequence[np.ndarray]) -> np.ndarray:
     """Row-major flat indices of each group's block of a dim x dim matrix,
-    block after block: the layout of a density Trajectory's samples."""
+    block after block: the whole blocks the kernel's generator acts on, and
+    the layout of _rebuilt's chunks."""
     return np.concatenate([(idx[:, None] * dim + idx).ravel() for idx in groups])
-
-
-def _block_views(flat: np.ndarray, groups: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Each group's (T, n, n) block, a view of a (T, n_kept) density stack."""
-    views, start = [], 0
-    for idx in groups:
-        n = len(idx)
-        views.append(flat[:, start : start + n * n].reshape(len(flat), n, n))
-        start += n * n
-    return views
 
 
 @dataclass(frozen=True)
@@ -181,12 +177,13 @@ _MAX_MATVECS = 1_000_000
 
 
 def _fold(groups: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The upper triangles of the blocks of a density stack's layout (_kept).
+    """The upper triangles of the whole blocks laid out as _kept.
 
     half holds the positions of each block's entries (a, b) with a <= b,
-    block after block and row-major; lower the positions of its entries
-    a > b, and strict[k] the index into half of lower[k]'s mirror (b, a), so
-    a Hermitian rho has rho[lower] == rho[half][strict].conj().
+    block after block and row-major, the order of a density Trajectory's
+    samples; lower the positions of its entries a > b, and strict[k] the
+    index into half of lower[k]'s mirror (b, a), so a Hermitian rho has
+    rho[lower] == rho[half][strict].conj().
     """
     half, lower, strict = [], [], []
     start = n_half = 0
@@ -200,6 +197,39 @@ def _fold(groups: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndar
         start += n * n
         n_half += len(a)
     return np.concatenate(half), np.concatenate(lower), np.concatenate(strict)
+
+
+def _diagonals(groups: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Each group's diagonal (a, a), as positions in a density Trajectory's
+    (T, n_half) samples: row a of an n-wide triangle starts a * n - a(a-1)/2
+    entries into the block's."""
+    diags, start = [], 0
+    for idx in groups:
+        n = len(idx)
+        a = np.arange(n)
+        diags.append(start + a * n - a * (a - 1) // 2)
+        start += n * (n + 1) // 2
+    return diags
+
+
+def _rebuilt(flat: np.ndarray, groups: Sequence[np.ndarray]):
+    """Yield (start, blocks) for each _CHECK_CHUNK samples of a (T, n_half)
+    density stack: the groups' whole (C, n, n) blocks from sample start on.
+
+    One take from [h, conj(h)] rebuilds a chunk in the layout of _kept, each
+    entry below a diagonal the conjugate of its mirror, so the blocks hold
+    exactly the numbers of the Hermitian rho the kernel's vector describes.
+    """
+    half, lower, strict = _fold(groups)
+    mirror = np.empty(len(half) + len(lower), dtype=np.intp)
+    mirror[half] = np.arange(len(half))
+    mirror[lower] = len(half) + strict
+    sizes = [len(idx) for idx in groups]
+    edges = np.cumsum([0] + [n * n for n in sizes])
+    for start in range(0, len(flat), _CHECK_CHUNK):
+        h = flat[start : start + _CHECK_CHUNK]
+        whole = np.concatenate((h, h.conj()), axis=1).take(mirror, axis=1)
+        yield start, [whole[:, a:b].reshape(len(h), n, n) for n, a, b in zip(sizes, edges, edges[1:])]
 
 
 class _TaylorExpm:
@@ -378,11 +408,11 @@ def _factorizes(mats: np.ndarray) -> bool:
     return True
 
 
-# samples per step of the density checks: evolve_density checks all but
-# positivity on each run of 8 samples as soon as it is filled, and each
-# temporary (a Hermiticity defect, a Cholesky input) covers 8 samples, at
-# most 13 MB for one block of dim 324 and 0.5 MB for the fig3 preset's
-# widest block
+# samples per step of the density checks and of every reader that needs
+# whole blocks: evolve_density checks all but positivity on each run of 8
+# samples as soon as it is filled, and each temporary (rebuilt blocks, a
+# Cholesky input) covers 8 samples, at most 13 MB for one block of dim 324
+# and 0.5 MB for the fig3 preset's widest block
 _CHECK_CHUNK = 8
 
 
@@ -396,31 +426,38 @@ def _check_density(
 ):
     """Trace, Hermiticity, truncation and positivity contracts of every sample.
 
-    flat is a (T, n_kept) stack of the blocks of rho within the index
-    groups, laid out as a density Trajectory stores them; rho is zero
-    outside them, so the trace, the Frobenius Hermiticity defect and the
-    top Fock population are summed over blocks, and a sample is positive
-    exactly when each block is: a Cholesky factorization of block + 1e-7 I
+    flat is a (T, n_half) stack of the upper triangles of the blocks of rho
+    within the index groups, laid out as a density Trajectory stores them;
+    rho is zero outside them.  The trace and the top Fock population are
+    sums over the blocks' diagonals, read in place.  The off-diagonal
+    entries are exact mirrors, so the Frobenius defect of rho - rho^dag is
+    2 |Im diag|, and it is NaN when any stored entry is not finite.  A
+    sample is positive exactly when each block is: a Cholesky factorization
+    of block + 1e-7 I, on blocks rebuilt _CHECK_CHUNK samples at a time,
     succeeds exactly when its smallest eigenvalue is above -1e-7, which is
     only computed to report a failure.  The stack is checked _CHECK_CHUNK
-    samples at a time, on views of each block, and the first failing
-    sample raises, with the first contract it fails in the order above.
-    Each test is written so that NaN fails it; positivity is only tested on
-    samples that pass the others, whose entries are then finite.  norms
-    False skips the first three contracts, positivity False the last.
+    samples at a time, and the first failing sample raises, with the first
+    contract it fails in the order above.  Each test is written so that NaN
+    fails it; positivity is only tested on samples that pass the others,
+    whose entries are then finite.  norms False skips the first three
+    contracts, positivity False the last.
     """
-    tops = [np.flatnonzero(idx % dims.n_fock == dims.n_fock - 1) for idx in groups]
-    for start in range(0, len(times), _CHECK_CHUNK):
+    diags = _diagonals(groups)
+    diag = np.concatenate(diags)
+    tops = np.concatenate([d[idx % dims.n_fock == dims.n_fock - 1] for d, idx in zip(diags, groups)])
+    chunks = _rebuilt(flat, groups) if positivity else ((s, ()) for s in range(0, len(times), _CHECK_CHUNK))
+    for start, blocks in chunks:
         chunk = flat[start : start + _CHECK_CHUNK]
-        blocks = _block_views(chunk, groups)
         earlier = np.zeros(len(chunk), dtype=bool)
         if norms:
-            drift = np.abs(sum(np.trace(b, axis1=1, axis2=2).real for b in blocks) - 1.0)
-            asym = np.sqrt(sum(np.linalg.norm(b - b.conj().swapaxes(1, 2), axis=(1, 2)) ** 2 for b in blocks))
-            top = sum(b.diagonal(axis1=1, axis2=2)[:, pos].real.sum(axis=1) for b, pos in zip(blocks, tops))
+            d = chunk[:, diag]
+            drift = np.abs(d.real.sum(axis=1) - 1.0)
+            asym = 2.0 * np.sqrt(np.square(d.imag).sum(axis=1))
+            asym[~np.isfinite(chunk).all(axis=1)] = np.nan
+            top = chunk[:, tops].real.sum(axis=1)
             earlier = ~(drift <= 1e-8) | ~(asym <= 1e-10) | ~(top < TOP_FOCK_LIMIT)
         low = np.zeros(len(chunk))  # per sample, the failing eigenvalue of its first non-positive block
-        for b in blocks if positivity else ():
+        for b in blocks:
             shifted = b + POSITIVITY_FLOOR * np.eye(b.shape[-1])
             if _factorizes(shifted):
                 continue
@@ -488,15 +525,17 @@ def evolve_density(
     Only the diagonal blocks of rho over the index groups are propagated
     and stored: the leak sets of hilbert.leak_sectors if the initial state
     has no entry between different sets (exact, as nothing feeds those
-    entries), else one group, the whole space.  The (T, n_kept) stack the
-    Trajectory keeps holds the blocks one after another, each row-major
-    (_kept).  The generator is restricted to those pairs in ascending
-    order, as the full one is stored, and shifted by Re(tr L) / dim^2 of
-    the full generator: tr L of a Lindbladian is real up to rounding, and a
-    complex shift would not keep rho Hermitian.  vec holds only the upper
-    triangle of each block (_fold), from which the kernel computes those
-    rows alone and every sample is rebuilt, its lower triangles the exact
-    conjugates of the upper ones.
+    entries), else one group, the whole space.  The generator is
+    restricted to the pairs within those blocks in ascending order, as the
+    full one is stored, and shifted by Re(tr L) / dim^2 of the full
+    generator: tr L of a Lindbladian is real up to rounding, and a complex
+    shift would not keep rho Hermitian.  vec holds only the upper triangle
+    of each block (_fold), from which the kernel computes those rows alone;
+    the lower triangles are the exact conjugates of the upper ones.  The
+    Trajectory keeps vec itself at each sample, one contiguous copy into a
+    (T, n_half) stack: 402 x 3,272 entries (21 MB) at the fig3 preset, in
+    place of 41 MB of whole blocks, and 402 x 9,162 (59 MB, not 116 MB) at
+    three_ion.
 
     Before a segment is propagated, the kernel's planned work for its
     steps, sum m * s, is added to the run's; past _MAX_MATVECS, which only
@@ -524,8 +563,8 @@ def evolve_density(
         kept = _kept(dims.dim, groups)
     ascending = np.sort(kept)
     half, lower, strict = _fold(groups)
-    pos = np.concatenate((half, lower))  # the kernel's whole vector, as positions in the stack's layout
-    cols = np.searchsorted(ascending, kept[pos])
+    # the kernel's whole vector [h, conj(h[strict])], as positions in the generator
+    cols = np.searchsorted(ascending, kept[np.concatenate((half, lower))])
 
     shifts = noise.shifts_or_zero(dims.n_ions)
     eye = sp.identity(dims.dim, dtype=complex, format="csr")
@@ -541,7 +580,7 @@ def evolve_density(
         return _TaylorExpm(gen[ascending][:, ascending], gen.diagonal().sum().real / dims.dim**2, cols, strict)
 
     times = _sample_times(schedule, sample_dt)
-    flat = np.empty((len(times), len(kept)), dtype=complex)
+    flat = np.empty((len(times), len(half)), dtype=complex)
     vec = initial.matrix.reshape(-1)[kept[half]]
     boundaries = schedule.boundaries()
     work = 0
@@ -558,7 +597,7 @@ def evolve_density(
                 vec = expm(dt, vec)
             if k is None:
                 continue
-            flat[k, pos] = expm.unfold(vec)
+            flat[k] = vec
             if k % _CHECK_CHUNK == _CHECK_CHUNK - 1 or k == len(times) - 1:
                 first = k - k % _CHECK_CHUNK
                 try:
@@ -575,53 +614,69 @@ def evolve_density(
 def _spin_matrices(dims: SystemDims, samples: np.ndarray, groups: Sequence[np.ndarray]) -> np.ndarray:
     """Motion-traced (T, spin_dim, spin_dim) matrices of a stack of samples.
 
-    A density stack is traced block by block: a leak set holds every Fock
-    level of each of its spin configurations, so a group's block traces to
-    the spin block of those configurations.
+    A density stack is traced block by block, on blocks rebuilt
+    _CHECK_CHUNK samples at a time: a leak set holds every Fock level of
+    each of its spin configurations, so a group's block traces to the spin
+    block of those configurations.
     """
     if not groups:
         return partial_trace_motion(dims, samples)
     nf = dims.n_fock
     spins = np.zeros((len(samples), dims.spin_dim, dims.spin_dim), dtype=complex)
-    for idx, block in zip(groups, _block_views(samples, groups)):
-        conf = idx[::nf] // nf
-        blocks = block.reshape(len(samples), len(conf), nf, len(conf), nf)
-        spins[:, conf[:, None], conf] = np.einsum("tanbn->tab", blocks)
+    confs = [idx[::nf] // nf for idx in groups]
+    for start, blocks in _rebuilt(samples, groups):
+        for conf, block in zip(confs, blocks):
+            n = len(conf)
+            traced = np.einsum("tanbn->tab", block.reshape(len(block), n, nf, n, nf))
+            spins[start : start + len(block), conf[:, None], conf] = traced
     return spins
 
 
-def _fidelities(dims: SystemDims, samples: np.ndarray, groups: Sequence[np.ndarray], target: PureState) -> np.ndarray:
-    """<target|rho|target> of each sample of a Trajectory's stack.
+def _fidelities(
+    dims: SystemDims, samples: np.ndarray, groups: Sequence[np.ndarray], targets: Sequence[PureState]
+) -> list[np.ndarray]:
+    """<target|rho|target> of each sample of a Trajectory's stack, per target.
 
     groups is empty for (T, dim) amplitudes, else the index groups of a
-    density stack.  A target on the full space keeps its motional factor
-    and is read block by block; a spin-only target (n_fock = 1) is compared
-    against the motion-traced samples.  np.vecdot conjugates its first
-    argument and takes one BLAS dot per sample, and np.hypot rounds as
-    abs() of one complex scalar does, so each value is the one a
-    single-sample evaluation gives.
+    density stack.  Targets on the full space keep their motional factor
+    and are read block by block, all in one pass over the rebuilt blocks
+    (_rebuilt); spin-only targets (n_fock = 1) are compared against the
+    motion-traced samples, traced once for all of them.  np.vecdot
+    conjugates its first argument and takes one BLAS dot per sample, and
+    np.hypot rounds as abs() of one complex scalar does, so each value is
+    the one a single-sample evaluation gives.
     """
-    v = target.amplitudes
-    if target.dims == dims:
-        if not groups:
-            overlap = np.vecdot(v, samples)
-            return np.hypot(overlap.real, overlap.imag) ** 2
-        views = _block_views(samples, groups)
-        return sum(np.vecdot(v[idx], block @ v[idx]).real for idx, block in zip(groups, views))
-    if target.dims == SystemDims(dims.n_ions, 1, dims.leak_level):
-        return np.vecdot(v, _spin_matrices(dims, samples, groups) @ v).real
-    raise ValueError("target dims are compatible with neither the full nor the spin-only space")
+    full = [t.amplitudes for t in targets if t.dims == dims]
+    spin_dims = SystemDims(dims.n_ions, 1, dims.leak_level) if len(full) < len(targets) else dims
+    if any(t.dims not in (dims, spin_dims) for t in targets):
+        raise ValueError("target dims are compatible with neither the full nor the spin-only space")
+    if not groups:
+        series = [np.vecdot(v, samples) for v in full]
+        series = [np.hypot(o.real, o.imag) ** 2 for o in series]
+    else:
+        series = np.empty((len(full), len(samples)))
+        for start, blocks in _rebuilt(samples, groups) if full else ():
+            for out, v in zip(series, full):
+                out[start : start + len(blocks[0])] = sum(
+                    np.vecdot(v[idx], block @ v[idx]).real for idx, block in zip(groups, blocks)
+                )
+    spins = _spin_matrices(dims, samples, groups) if spin_dims != dims else None
+    series = iter(series)
+    return [next(series) if t.dims == dims else np.vecdot(t.amplitudes, spins @ t.amplitudes).real for t in targets]
 
 
 def state_fidelity(dims: SystemDims, state, target: PureState) -> float:
     """Overlap with a target state.
 
     A target on the full space keeps its motional factor; a spin-only target
-    (n_fock = 1) is compared against the motion-traced state.
+    (n_fock = 1) is compared against the motion-traced state.  A density
+    state is read as a density Trajectory stores it: its upper triangle,
+    one group over the whole space.
     """
     if isinstance(state, PureState):
-        return float(_fidelities(dims, state.amplitudes[None], (), target)[0])
-    return float(_fidelities(dims, state.matrix.reshape(1, -1), (np.arange(dims.dim),), target)[0])
+        return float(_fidelities(dims, state.amplitudes[None], (), [target])[0][0])
+    upper = state.matrix[np.triu_indices(dims.dim)]
+    return float(_fidelities(dims, upper[None], (np.arange(dims.dim),), [target])[0][0])
 
 
 def extract_populations(
@@ -633,12 +688,14 @@ def extract_populations(
 
     P_k sums the projectors onto all spin configurations with exactly k ions
     up, traced over motion: one product of the samples' diagonals (of a
-    density run, gathered block by block) with the masks gives every P_k
-    and the leak population at once.  The first
-    target supplies the headline fidelity series; every target also appears
-    in aux_populations under its label, each series one stacked fidelity
-    evaluation.  A pure-state run whose populations do not sum to 1 within
-    1e-8 raises NumericsError.
+    density run, read in place from the stored triangles) with the masks
+    gives every P_k and the leak population at once.  The first target
+    supplies the headline fidelity series; every target also appears in
+    aux_populations under its label.  All series come from one stacked
+    fidelity evaluation (_fidelities), which rebuilds a density run's
+    blocks once for the full-space targets and traces out the motion once
+    for the spin-only ones.  A pure-state run whose populations do not sum
+    to 1 within 1e-8 raises NumericsError.
     """
     dims = traj.dims
     if labels is None:
@@ -651,8 +708,8 @@ def extract_populations(
         diag = np.abs(traj.samples) ** 2
     else:
         diag = np.zeros((len(traj.times), dims.dim))
-        for idx, block in zip(traj.groups, _block_views(traj.samples, traj.groups)):
-            diag[:, idx] = block.diagonal(axis1=1, axis2=2).real
+        for idx, pos in zip(traj.groups, _diagonals(traj.groups)):
+            diag[:, idx] = traj.samples[:, pos].real
     masks = np.array([*up_count_projectors(dims), leak_mask(dims)])
     pops = np.vecdot(diag[:, None, :], masks)
     p_up, leak = pops[:, :-1], pops[:, -1]
@@ -661,6 +718,6 @@ def extract_populations(
         bad = np.flatnonzero(~(np.abs(total - 1.0) <= 1e-8))
         if bad.size:
             raise NumericsError(f"populations sum to {total[bad[0]]}, not 1")
-    fids = {lab: traj.fidelities(target) for lab, target in zip(labels, targets)}
+    fids = dict(zip(labels, _fidelities(dims, traj.samples, traj.groups, targets)))
     target_series = fids[labels[0]] if targets else np.zeros(len(traj.times))
     return PopulationRecord(traj.times, p_up, target_series, fids, leak)

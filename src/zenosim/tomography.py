@@ -307,26 +307,37 @@ def _q_update(c: np.ndarray, w: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _em_to_convergence(c: np.ndarray, w: np.ndarray, q: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    """Repeat _q_update on a stack of problems (leading axis), at most
-    max_iter times; each problem is frozen once its largest change falls
-    below tol."""
+    """Repeat _q_update on a stack of problems, weights w and class
+    probabilities q with a leading problem axis and counts c shared by all,
+    at most max_iter times.  A problem whose largest change falls below tol
+    keeps that sweep's q and leaves the working stack, as in _fit_stack, so
+    it takes exactly the path it would take alone."""
     q = np.array(q, dtype=float)
-    active = np.ones(len(q), dtype=bool)
+    out = q.copy()
+    idx = np.arange(len(q))
     for _ in range(max_iter):
         q_new = _q_update(c, w, q)
-        change = np.abs(q_new - q).max(axis=(-2, -1))
-        q[active] = q_new[active]
-        active &= change >= tol
-        if not active.any():
-            break
-    return q
+        done = ~(np.abs(q_new - q).max(axis=(-2, -1)) >= tol)
+        q = q_new
+        if done.any():
+            out[idx[done]] = q[done]
+            keep = ~done
+            idx, q, w = idx[keep], q[keep], w[keep]
+            if not idx.size:
+                break
+    out[idx] = q
+    return out
 
 
 def _estimate_class_conditionals(counts: np.ndarray, weights: np.ndarray, n_iter: int = 400) -> np.ndarray:
     """EM estimate of per-class count distributions from mixture histograms.
 
     counts is (histograms, count values), weights (histograms, classes) with
-    known mixing proportions.  Returns f with rows summing to one.
+    known mixing proportions.  Returns f with rows summing to one after
+    n_iter EM sweeps, or fewer once no entry moves by 1e-12.  On held-out
+    reference histograms of a few thousand shots that tolerance is not
+    met, and all n_iter sweeps run (400 of 400 on the tomography_readout
+    benchmark's references); choose_bins' boundaries depend on that count.
     """
     f = _initial_q(1, weights.shape[1], counts.shape[1])
     return _em_to_convergence(counts, weights[None], f, 1e-12, n_iter)[0]

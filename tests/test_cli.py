@@ -556,37 +556,59 @@ def test_sweep_with_cold_and_warm_spectrum_memo_is_byte_identical(tmp_path):
     assert warm == cold
 
 
-#: the numeric keys each cheap preset reads
+#: the numeric keys each cheap preset reads, after the overrides that make
+#: it cheap: fig3 cut to a 30 us run at six Fock levels, about 0.3 s
 _CHEAP_PRESET_KEYS = {
-    "fig_s4": ("drive.omega_s", "scan.start", "scan.stop", "scan.points"),
+    "fig_s4": ((), ("drive.omega_s", "scan.start", "scan.stop", "scan.points")),
     "fig_s6a": (
-        "drive.omega_s",
-        "drive.omega_d",
-        "drive.delta",
-        "drive.m",
-        "drive.t1",
-        "drive.t2",
-        "sweep.start",
-        "sweep.stop",
-        "sweep.points",
+        (),
+        (
+            "drive.omega_s",
+            "drive.omega_d",
+            "drive.delta",
+            "drive.m",
+            "drive.t1",
+            "drive.t2",
+            "sweep.start",
+            "sweep.stop",
+            "sweep.points",
+        ),
+    ),
+    "fig3": (
+        ("drive.duration=3e-05", "n_fock=6"),
+        (
+            "drive.duration",
+            "noise.gamma_du",
+            "noise.gamma_ud",
+            "noise.gamma_ou",
+            "noise.gamma_od",
+            "noise.gamma_heat",
+            "noise.n_bar",
+            "noise.stark",
+        ),
     ),
 }
 
 
 def _extreme_values(key: str):
-    """Negative, zero and huge finite values of a key's type."""
+    """Negative, zero and huge finite values of a key's type, as override
+    text; a list of Stark shifts gets one for each of the two ions."""
     section, _, name = key.partition(".")
-    if _SCHEMA[section][name].__name__ == "_parse_int":
-        return st.integers(-(10**18), 0) | st.integers(10**9, 10**18)
+    parser = _SCHEMA[section][name].__name__
+    if parser == "_parse_int":
+        return (st.integers(-(10**18), 0) | st.integers(10**9, 10**18)).map(repr)
     huge = st.floats(1e15, 1e308)
-    return st.just(0.0) | st.floats(-1e308, -1e-300) | huge | huge.map(lambda v: -v)
+    values = st.just(0.0) | st.floats(-1e308, -1e-300) | huge | huge.map(lambda v: -v)
+    if parser == "_parse_list":
+        return st.tuples(values, values).map(lambda pair: ",".join(map(repr, pair)))
+    return values.map(repr)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
-    st.sampled_from([(preset, key) for preset, keys in _CHEAP_PRESET_KEYS.items() for key in keys]).flatmap(
-        lambda case: st.tuples(st.just(case), _extreme_values(case[1]))
-    )
+    st.sampled_from(
+        [(preset, base, key) for preset, (base, keys) in _CHEAP_PRESET_KEYS.items() for key in keys]
+    ).flatmap(lambda case: st.tuples(st.just(case), _extreme_values(case[2])))
 )
 def test_extreme_overrides_end_in_a_documented_exit_code(case):
     """One override of a cheap preset with a negative, zero or huge finite
@@ -596,10 +618,11 @@ def test_extreme_overrides_end_in_a_documented_exit_code(case):
     import io
     import tempfile
 
-    (preset, key), value = case
+    (preset, base, key), value = case
+    overrides = [arg for text in (*base, f"{key}={value}") for arg in ("--override", text)]
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["run", "--preset", preset, "--out", tmp, "--override", f"{key}={value!r}"])
+        code = main(["run", "--preset", preset, "--out", tmp, *overrides])
         written = [path.read_text() for path in Path(tmp).rglob("*") if path.is_file()]
     assert code in (0, 2, 3, 4), err.getvalue()
     assert "Traceback" not in out.getvalue() + err.getvalue()

@@ -251,11 +251,11 @@ def test_three_ion_density_matches_full_generator_exponential():
 
 
 def test_stored_samples_mirror_the_computed_triangle_exactly():
-    """The kernel computes the upper triangle of each block and mirrors it,
-    so every off-diagonal entry of every stored sample is the exact
-    conjugate of its mirror: over the leak-set blocks from |uu>, and over
-    one group, the whole space, from a start with coherence between leak
-    sets."""
+    """The kernel computes the upper triangle of each block and a sample
+    stores it, so every off-diagonal entry of every rebuilt block is the
+    exact conjugate of its mirror: over the leak-set blocks from |uu>, and
+    over one group, the whole space, from a start with coherence between
+    leak sets."""
     dims = SystemDims(2, 6, leak_level=True)
     noise = _full_noise((300.0, 200.0, 150.0, 100.0), 40.0, stark=(2e3, -1e3))
     uu = named_state(dims, "uu", 0).amplitudes
@@ -265,12 +265,86 @@ def test_stored_samples_mirror_the_computed_triangle_exactly():
         rho0 = PureState(dims, psi).to_density()
         traj = evolve_density(single_pulse(duration=0.5 * T_PI), dims, GEOM2, noise, rho0, T_PI / 20)
         assert len(traj.groups) == n_groups
-        blocks = dynamics._block_views(traj.samples, traj.groups)
+        chunks = [blocks for _, blocks in dynamics._rebuilt(traj.samples, traj.groups)]
+        blocks = [np.concatenate(parts) for parts in zip(*chunks)]
         for block in blocks:
             off = ~np.eye(block.shape[-1], dtype=bool)
             assert np.array_equal(block[:, off], block.conj().swapaxes(1, 2)[:, off])
         widest = max(blocks, key=lambda b: b.shape[-1])
         assert np.count_nonzero(widest.imag) > widest.size // 4
+
+
+def _whole_blocks(traj):
+    """The (T, n, n) blocks of a density Trajectory, rebuilt here from its
+    stored upper triangles: (a, b) with a <= b, row-major, block after
+    block, each entry below the diagonal the conjugate of its mirror."""
+    blocks, start = [], 0
+    for idx in traj.groups:
+        a, b = np.triu_indices(len(idx))
+        upper = traj.samples[:, start : start + len(a)]
+        block = np.zeros((len(upper), len(idx), len(idx)), dtype=complex)
+        block[:, a, b] = upper
+        off = a < b
+        block[:, b[off], a[off]] = upper[:, off].conj()
+        blocks.append(block)
+        start += len(a)
+    assert start == traj.samples.shape[1]
+    return blocks
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    n_ions=st.sampled_from([2, 3]),
+    gamma=st.tuples(st.floats(0.0, 2e3), st.floats(0.0, 2e3), st.floats(1.0, 2e3), st.floats(0.0, 2e3)),
+    gamma_heat=st.floats(0.0, 50.0),
+    stark=st.tuples(*[st.floats(-2e4, 2e4)] * 3),
+    n_bar=st.floats(0.0, 0.002),
+)
+def test_readers_of_the_stored_triangles_match_whole_blocks(n_ions, gamma, gamma_heat, stark, n_bar):
+    """Every reader of a density stack gives, bit for bit, what its formula
+    gives on the whole blocks rebuilt here from the stored triangles:
+    populations, leak population, full-space and spin-only fidelities,
+    spin_matrices and states[k].matrix.  The runs have more samples than
+    one check chunk, so the readers' chunk boundaries are crossed."""
+    from zenosim.protocol import plan_single, plan_three_ion, simulate_plan
+
+    if n_ions == 2:
+        plan, dims, names = plan_single(OMEGA_S, 2), SystemDims(2, 6, leak_level=True), ("T", "S", "dd")
+    else:
+        plan = plan_three_ion(2 * np.pi * 19.0e3, 2 * np.pi * 1.24e3)
+        dims, names = SystemDims(3, 7, leak_level=True), ("W", "Wbar", "Wc")
+    noise = _full_noise(gamma, gamma_heat, stark[:n_ions], n_bar)
+    duration = 0.25 * plan.t_pi
+    traj = simulate_plan(plan, noise, duration, dims, duration / 11)
+    assert len(traj.times) > dynamics._CHECK_CHUNK and len(traj.groups) == 2**n_ions
+    targets = [named_state(dims, names[0], 0), spin_state(dims, names[1]), spin_state(dims, names[2])]
+    rec = extract_populations(traj, targets)
+
+    blocks = _whole_blocks(traj)
+    diag = np.zeros((len(traj.times), dims.dim))
+    rhos = np.zeros((len(traj.times), dims.dim, dims.dim), dtype=complex)
+    spins = np.zeros((len(traj.times), dims.spin_dim, dims.spin_dim), dtype=complex)
+    for idx, block in zip(traj.groups, blocks):
+        diag[:, idx] = block.diagonal(axis1=1, axis2=2).real
+        rhos[:, idx[:, None], idx] = block
+        conf = idx[:: dims.n_fock] // dims.n_fock
+        split = block.reshape(len(block), len(conf), dims.n_fock, len(conf), dims.n_fock)
+        spins[:, conf[:, None], conf] = np.einsum("tanbn->tab", split)
+    pops = np.vecdot(diag[:, None, :], np.array([*up_count_projectors(dims), leak_mask(dims)]))
+    np.testing.assert_array_equal(rec.p_up_counts, pops[:, :-1])
+    np.testing.assert_array_equal(rec.leak_population, pops[:, -1])
+    v = targets[0].amplitudes
+    full = sum(np.vecdot(v[idx], block @ v[idx]).real for idx, block in zip(traj.groups, blocks))
+    np.testing.assert_array_equal(rec.aux_populations["target_0"], full)
+    np.testing.assert_array_equal(traj.fidelities(targets[0]), full)
+    np.testing.assert_array_equal(traj.spin_matrices(), spins)
+    np.testing.assert_array_equal(traj.spin_matrices(slice(3, 4)), spins[3:4])
+    for k, target in enumerate(targets[1:], start=1):
+        u = target.amplitudes
+        np.testing.assert_array_equal(rec.aux_populations[f"target_{k}"], np.vecdot(u, spins @ u).real)
+    for state, rho in zip(traj.states, rhos):
+        np.testing.assert_array_equal(state.matrix, rho)
+    np.testing.assert_array_equal(traj.final.matrix, rhos[-1])
 
 
 def test_each_leak_block_is_checked():
@@ -293,7 +367,7 @@ def test_each_leak_block_is_checked():
 
 def _packed(rhos, dims, groups):
     """A (T, dim, dim) stack in the layout of a density Trajectory's samples."""
-    return rhos.reshape(len(rhos), -1)[:, dynamics._kept(dims.dim, groups)]
+    return rhos.reshape(len(rhos), -1)[:, dynamics._kept(dims.dim, groups)[dynamics._fold(groups)[0]]]
 
 
 def test_density_contracts_fail_on_nan():
@@ -683,8 +757,9 @@ def _assert_stacked_readout_matches_loop(plan, noise, dims):
     the trajectory's stack; an explicit loop over traj.states, with
     state_fidelity and the diagonal of each sample, gives the same numbers
     for full-space and spin-only targets, and spin_matrices gives each
-    state's motion-traced matrix.  A density run stores the blocks of its
-    index groups, the leak sets, side by side: (T, n_kept) entries."""
+    state's motion-traced matrix.  A density run stores the upper
+    triangles of the blocks of its index groups, the leak sets, side by
+    side: (T, n_half) entries."""
     from zenosim.protocol import simulate_plan, simulate_plan_fidelity
 
     duration, sample_dt = 0.5 * plan.t_pi, plan.t_pi / 40
@@ -694,7 +769,7 @@ def _assert_stacked_readout_matches_loop(plan, noise, dims):
         assert traj.groups == () and traj.samples.shape == (len(traj.times), dims.dim)
     else:
         assert [list(idx) for idx in traj.groups] == [list(idx) for idx in leak_sectors(dims)]
-        assert traj.samples.shape == (len(traj.times), sum(len(idx) ** 2 for idx in traj.groups))
+        assert traj.samples.shape == (len(traj.times), sum(len(idx) * (len(idx) + 1) // 2 for idx in traj.groups))
 
     if plan.n_ions == 2:
         labels = ["F_T", "P_S", "P_dd", "F_uu1"]

@@ -314,6 +314,23 @@ def test_stacked_fits_match_single_fits_through_diluted_steps(monkeypatch):
         assert abs(np.real(t @ rho_k[0] @ t.conj()) - np.real(t @ rho[k] @ t.conj())) < 1e-12
 
 
+def test_stacked_em_matches_single_problems():
+    """Problems that converge at different sweeps leave the EM stack with
+    the q they reach alone, bit for bit, and a problem that does not
+    converge runs every sweep."""
+    rng = np.random.default_rng(3)
+    c = rng.poisson(50 * rng.random(size=(29, 5))).astype(float) + 1
+    w = np.concatenate([np.broadcast_to(reference_weights(2), (6, 8, 3)), rng.dirichlet(np.ones(3), (6, 21))], axis=1)
+    q0 = tomography._initial_q(6, 3, 5)
+    stacked = tomography._em_to_convergence(c, w, q0, 1e-9, 100)
+    unbounded = tomography._em_to_convergence(c, w, q0, 0.0, 100)
+    for k in range(6):
+        alone = tomography._em_to_convergence(c, w[k : k + 1], q0[k : k + 1], 1e-9, 100)[0]
+        assert np.array_equal(stacked[k], alone)
+        assert np.array_equal(unbounded[k], tomography._em_to_convergence(c, w[k : k + 1], q0[k : k + 1], 0.0, 100)[0])
+    assert 0 < sum(not np.array_equal(s, u) for s, u in zip(stacked, unbounded)) < 6
+
+
 def test_unconverged_fits_raise(two_ion_setup, monkeypatch):
     refs, _, boundaries, design = two_ion_setup
     t = spin_vector(2, "T")
