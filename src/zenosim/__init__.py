@@ -65,7 +65,7 @@ from .protocol import (
     spontaneous_preset,
     three_ion_preset,
 )
-from .threeion import ThreeIonLadder, effective_pi_time, three_ion_ladder
+from .threeion import ThreeIonLadder, three_ion_ladder
 from .tomography import (
     CountHistogram,
     DetectionModel,

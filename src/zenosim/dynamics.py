@@ -107,7 +107,7 @@ class Trajectory:
     def spin_matrices(self, sel: slice = slice(None)) -> np.ndarray:
         """(T', spin_dim, spin_dim) spin density matrices of the samples in
         sel, with the motional mode traced out."""
-        return _spin_matrices(self.dims, self.samples[sel], self.groups)
+        return _read(self.dims, self.samples[sel], self.groups, (), True)[1]
 
 
 def _kept(dim: int, groups: Sequence[np.ndarray]) -> np.ndarray:
@@ -611,25 +611,35 @@ def evolve_density(
     return Trajectory(times, flat, dims, schedule, tuple(groups))
 
 
-def _spin_matrices(dims: SystemDims, samples: np.ndarray, groups: Sequence[np.ndarray]) -> np.ndarray:
-    """Motion-traced (T, spin_dim, spin_dim) matrices of a stack of samples.
+def _read(
+    dims: SystemDims, samples: np.ndarray, groups: Sequence[np.ndarray], full: Sequence[np.ndarray], trace: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """<v|rho|v> for each full-space vector v of full, (len(full), T), and,
+    if trace, the motion-traced (T, spin_dim, spin_dim) matrices of a stack
+    of samples; groups is empty for (T, dim) amplitudes, else the index
+    groups of a density stack.
 
-    A density stack is traced block by block, on blocks rebuilt
-    _CHECK_CHUNK samples at a time: a leak set holds every Fock level of
-    each of its spin configurations, so a group's block traces to the spin
-    block of those configurations.
+    A density stack is read in one pass over its blocks rebuilt _CHECK_CHUNK
+    samples at a time (_rebuilt), for the overlaps and the trace alike.  A
+    leak set holds every Fock level of each of its spin configurations, so
+    a group's block traces to the spin block of those configurations.
     """
     if not groups:
-        return partial_trace_motion(dims, samples)
+        series = [np.vecdot(v, samples) for v in full]
+        spins = partial_trace_motion(dims, samples) if trace else None
+        return [np.hypot(o.real, o.imag) ** 2 for o in series], spins
     nf = dims.n_fock
-    spins = np.zeros((len(samples), dims.spin_dim, dims.spin_dim), dtype=complex)
-    confs = [idx[::nf] // nf for idx in groups]
-    for start, blocks in _rebuilt(samples, groups):
-        for conf, block in zip(confs, blocks):
+    series = np.empty((len(full), len(samples)))
+    spins = np.zeros((len(samples), dims.spin_dim, dims.spin_dim), dtype=complex) if trace else None
+    for start, blocks in _rebuilt(samples, groups) if full or trace else ():
+        stop = start + len(blocks[0])
+        for out, v in zip(series, full):
+            out[start:stop] = sum(np.vecdot(v[idx], block @ v[idx]).real for idx, block in zip(groups, blocks))
+        for idx, block in zip(groups, blocks) if trace else ():
+            conf = idx[::nf] // nf
             n = len(conf)
-            traced = np.einsum("tanbn->tab", block.reshape(len(block), n, nf, n, nf))
-            spins[start : start + len(block), conf[:, None], conf] = traced
-    return spins
+            spins[start:stop, conf[:, None], conf] = np.einsum("tanbn->tab", block.reshape(len(block), n, nf, n, nf))
+    return series, spins
 
 
 def _fidelities(
@@ -637,11 +647,9 @@ def _fidelities(
 ) -> list[np.ndarray]:
     """<target|rho|target> of each sample of a Trajectory's stack, per target.
 
-    groups is empty for (T, dim) amplitudes, else the index groups of a
-    density stack.  Targets on the full space keep their motional factor
-    and are read block by block, all in one pass over the rebuilt blocks
-    (_rebuilt); spin-only targets (n_fock = 1) are compared against the
-    motion-traced samples, traced once for all of them.  np.vecdot
+    Targets on the full space keep their motional factor; spin-only targets
+    (n_fock = 1) are compared against the motion-traced samples.  Both come
+    from one _read, so a density run's blocks are rebuilt once.  np.vecdot
     conjugates its first argument and takes one BLAS dot per sample, and
     np.hypot rounds as abs() of one complex scalar does, so each value is
     the one a single-sample evaluation gives.
@@ -650,17 +658,7 @@ def _fidelities(
     spin_dims = SystemDims(dims.n_ions, 1, dims.leak_level) if len(full) < len(targets) else dims
     if any(t.dims not in (dims, spin_dims) for t in targets):
         raise ValueError("target dims are compatible with neither the full nor the spin-only space")
-    if not groups:
-        series = [np.vecdot(v, samples) for v in full]
-        series = [np.hypot(o.real, o.imag) ** 2 for o in series]
-    else:
-        series = np.empty((len(full), len(samples)))
-        for start, blocks in _rebuilt(samples, groups) if full else ():
-            for out, v in zip(series, full):
-                out[start : start + len(blocks[0])] = sum(
-                    np.vecdot(v[idx], block @ v[idx]).real for idx, block in zip(groups, blocks)
-                )
-    spins = _spin_matrices(dims, samples, groups) if spin_dims != dims else None
+    series, spins = _read(dims, samples, groups, full, spin_dims != dims)
     series = iter(series)
     return [next(series) if t.dims == dims else np.vecdot(t.amplitudes, spins @ t.amplitudes).real for t in targets]
 
@@ -693,8 +691,8 @@ def extract_populations(
     supplies the headline fidelity series; every target also appears in
     aux_populations under its label.  All series come from one stacked
     fidelity evaluation (_fidelities), which rebuilds a density run's
-    blocks once for the full-space targets and traces out the motion once
-    for the spin-only ones.  A pure-state run whose populations do not sum
+    blocks once, for the full-space targets and for the motion trace of
+    the spin-only ones.  A pure-state run whose populations do not sum
     to 1 within 1e-8 raises NumericsError.
     """
     dims = traj.dims

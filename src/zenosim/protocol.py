@@ -291,17 +291,15 @@ def error_budget(plan: ProtocolPlan, noise: NoiseModel, simulate: bool = True) -
 _TUNABLE = ("omega_d", "t1", "t2", "delta")
 
 
-def fine_tune(
-    plan: ProtocolPlan, free_params: tuple[str, ...] = (), sim_opts: dict | None = None
-) -> tuple[ProtocolPlan, float, bool]:
+def fine_tune(plan: ProtocolPlan, free_params: tuple[str, ...] = ()) -> tuple[ProtocolPlan, float, bool]:
     """Derivative-free refinement of selected plan parameters.
 
     Runs coordinate sweeps over a +/-20% box around the starting values;
     each sweep scans a coarse grid and polishes the best cell with bounded
-    scalar minimization.  The objective is the simulated end-state fidelity,
-    noiseless unless sim_opts provides a noise model.  A tuned omega_d
-    recomputes t_pi; the segment times t1, t2 stay as tuned.  Returns the
-    refined plan, its fidelity, and whether it improved on the input.
+    scalar minimization.  The objective is the noiseless simulated
+    end-state fidelity.  A tuned omega_d recomputes t_pi; the segment
+    times t1, t2 stay as tuned.  Returns the refined plan, its fidelity,
+    and whether it improved on the input.
     """
     from scipy.optimize import minimize_scalar  # loaded here only: it costs ~0.4 s at import
 
@@ -310,14 +308,6 @@ def fine_tune(
             raise ValueError(f"cannot tune {p!r}; choose from {_TUNABLE}")
         if p in ("t1", "t2") and plan.scheme != "composite":
             raise ValueError(f"{p} only exists for composite plans")
-    sim_opts = dict(sim_opts or {})
-    noise = sim_opts.pop("noise", None)
-    dims = sim_opts.pop("dims", None)
-    if sim_opts:
-        raise ValueError(f"unknown sim_opts {sorted(sim_opts)}")
-
-    def fidelity_of(p: ProtocolPlan) -> float:
-        return simulate_plan_fidelity(p, noise, dims=dims, at_end=True)
 
     def with_value(p: ProtocolPlan, name: str, value: float) -> ProtocolPlan:
         q = dataclasses.replace(p, **{name: value})
@@ -325,7 +315,7 @@ def fine_tune(
             q = dataclasses.replace(q, t_pi=carrier_pi_time(value, p.n_ions))
         return q
 
-    start_fid = fidelity_of(plan)
+    start_fid = simulate_plan_fidelity(plan)
     best_plan, best_fid = plan, start_fid
     if not free_params:
         return plan, start_fid, False
@@ -337,11 +327,11 @@ def fine_tune(
         for name in free_params:
             lo, hi = bounds[name]
             grid = np.linspace(lo, hi, 25)
-            vals = [fidelity_of(with_value(best_plan, name, g)) for g in grid]
+            vals = [simulate_plan_fidelity(with_value(best_plan, name, g)) for g in grid]
             k = int(np.argmax(vals))
             left, right = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
             res = minimize_scalar(
-                lambda v: -fidelity_of(with_value(best_plan, name, v)),
+                lambda v: -simulate_plan_fidelity(with_value(best_plan, name, v)),
                 bounds=(left, right),
                 method="bounded",
                 options={"xatol": (hi - lo) * 1e-6},

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import PureState, SystemDims, named_state
-from .model import IonGeometry, PulseSegment, carrier_pi_time, microwave_hamiltonian, sideband_hamiltonian
+from .model import IonGeometry, PulseSegment, microwave_hamiltonian, sideband_hamiltonian
 
 LADDER_STATES = ("uuu,0", "W,0", "Wbar,0", "Wc,1", "ddd,0")
 
@@ -78,8 +78,3 @@ def three_ion_ladder(
             hs[i, j] = np.vdot(bra.amplitudes, h_s @ ket.amplitudes)
             hd[i, j] = np.vdot(bra.amplitudes, h_d @ ket.amplitudes)
     return ThreeIonLadder(LADDER_STATES, hs, hd, omega_s_prime, omega_d_prime)
-
-
-def effective_pi_time(omega_d_prime: float) -> float:
-    """Duration of the carrier pulse that maps |uuu,0> onto |W,0>."""
-    return carrier_pi_time(omega_d_prime, 3)

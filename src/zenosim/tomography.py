@@ -29,6 +29,7 @@ reference-state initialization.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from math import comb
 
@@ -104,11 +105,10 @@ class MeasurementDesign:
     """Analysis rotations, bright-count projectors, and the certificate that
     a real combination of their statistics equals the target projector.
     transfer stacks the measured operators U_i^dag A_n U_i, shape
-    (rotations, classes, s, s)."""
+    (rotations, classes, s, s), read-only (_transfer)."""
 
     n_ions: int
     analysis_rotations: tuple[tuple[float, float], ...]
-    unitaries: tuple[np.ndarray, ...]
     povm_elements: tuple[np.ndarray, ...]
     target: np.ndarray
     target_name: str
@@ -154,8 +154,8 @@ class FitInputs:
         histograms = [*self.references, *self.data]
         if len(self.references) != len(REFERENCE_PHASES):
             raise ValueError("reference histogram count does not match the weight table")
-        if len(self.data) != len(self.design.unitaries):
-            raise ValueError(f"expected {len(self.design.unitaries)} data histograms, got {len(self.data)}")
+        if len(self.data) != len(self.design.analysis_rotations):
+            raise ValueError(f"expected {len(self.design.analysis_rotations)} data histograms, got {len(self.data)}")
         if any(h.shots == 0 for h in histograms):
             raise ValueError("empty histogram supplied")
         counts = np.stack([rebin(h, self.boundaries) for h in histograms])
@@ -400,26 +400,28 @@ def choose_bins(held_out: list[CountHistogram], n_bins: int, n_ions: int = 2) ->
 # measurement design
 
 
-def _spin_dims(n_ions: int) -> SystemDims:
-    return SystemDims(n_ions, 1)
+@functools.lru_cache(maxsize=8)
+def _transfer(spin_dims: SystemDims, rotations: tuple[tuple[float, float], ...]) -> np.ndarray:
+    """The read-only stack U_i^dag A_n U_i, shape (rotations, classes, s, s),
+    on a spin space with or without the leak level.
 
-
-def _global_rotation(n_ions: int, theta: float, phi: float) -> np.ndarray:
-    u1 = rotation_2x2(theta, phi)
-    u = np.array([[1.0 + 0j]])
-    for _ in range(n_ions):
-        u = np.kron(u, u1)
-    return u
-
-
-def _bright_projectors(n_ions: int) -> list[np.ndarray]:
-    dims = _spin_dims(n_ions)
-    projs = [np.zeros((dims.spin_dim, dims.spin_dim), dtype=complex) for _ in range(n_ions + 1)]
-    for config in dims.spin_configurations():
-        k = sum(1 for s in config if s == UP)
-        i = dims.spin_index(config)
-        projs[k][i, i] = 1.0
-    return projs
+    U_i rotates each ion's qubit levels by rotations[i] and leaves the leak
+    level alone; A_n projects onto the configurations with n ions up, so a
+    leaked ion is dark.
+    """
+    n_ions, s = spin_dims.n_ions, spin_dims.spin_dim
+    povm = np.zeros((n_ions + 1, s, s), dtype=complex)
+    for i, config in enumerate(spin_dims.spin_configurations()):
+        povm[config.count(UP), i, i] = 1.0
+    u1 = np.eye(spin_dims.levels_per_ion, dtype=complex)
+    stack = []
+    for theta, phi in rotations:
+        u1[:2, :2] = rotation_2x2(theta, phi)
+        u = functools.reduce(np.kron, [u1] * n_ions)
+        stack.append([u.conj().T @ a @ u for a in povm])
+    transfer = np.array(stack)
+    transfer.flags.writeable = False
+    return transfer
 
 
 def analysis_design(n_ions: int) -> MeasurementDesign:
@@ -436,12 +438,11 @@ def analysis_design(n_ions: int) -> MeasurementDesign:
         raise ValueError("analysis designs exist for 2 or 3 ions")
     target = "T" if n_ions == 2 else "W"
     theta = np.pi / 2.0 if n_ions == 2 else float(np.arccos(1.0 / 3.0))
-    rotations = [(0.0, 0.0)] + [(theta, phi) for phi in ANALYSIS_PHASES]
-    unitaries = [_global_rotation(n_ions, th, ph) for th, ph in rotations]
-    povm = _bright_projectors(n_ions)
-    target_vec = named_state(_spin_dims(n_ions), target, 0).amplitudes
+    rotations = ((0.0, 0.0),) + tuple((theta, phi) for phi in ANALYSIS_PHASES)
+    dims = SystemDims(n_ions, 1)
+    transfer = _transfer(dims, rotations)
+    target_vec = named_state(dims, target, 0).amplitudes
     projector = np.outer(target_vec, target_vec.conj())
-    transfer = np.array([[u.conj().T @ a @ u for a in povm] for u in unitaries])
     ops = transfer.reshape(-1, len(target_vec) ** 2)
     basis = np.concatenate([ops.real, ops.imag], axis=1).T
     rhs = np.concatenate([projector.real.ravel(), projector.imag.ravel()])
@@ -449,14 +450,15 @@ def analysis_design(n_ions: int) -> MeasurementDesign:
     residual = float(np.linalg.norm(basis @ coeffs - rhs))
     if residual > 1e-8:
         raise NumericsError(f"analysis design cannot express the target projector (residual {residual:.2e})")
+    # the first rotation is the no-pulse measurement, where U = I exactly
+    povm = tuple(transfer[0])
     return MeasurementDesign(
         n_ions,
-        tuple(rotations),
-        tuple(unitaries),
-        tuple(povm),
+        rotations,
+        povm,
         target_vec,
         target,
-        coeffs.reshape(len(unitaries), len(povm)),
+        coeffs.reshape(len(rotations), len(povm)),
         residual,
         transfer,
     )
@@ -466,11 +468,17 @@ def design_weights(design: MeasurementDesign, rho: np.ndarray) -> np.ndarray:
     """tr(A_n U_i rho U_i^dag) for every rotation i and bright class n.
 
     rho may carry leading batch axes, giving shape (..., rotations, classes).
-    One matrix product per state, so a state in a stack rounds as it would alone.
+    A rho 3^n wide is a state of the ions with their leak level, read
+    through that space's transfer (_transfer): the rotations leave the leak
+    level alone and a leaked ion is dark.  One matrix product per state, so
+    a state in a stack rounds as it would alone.
     """
-    n_rot, n_cls, s, _ = design.transfer.shape
+    transfer = design.transfer
+    if rho.shape[-1] != transfer.shape[-1]:
+        transfer = _transfer(SystemDims(design.n_ions, 1, True), design.analysis_rotations)
+    n_rot, n_cls, s, _ = transfer.shape
     rho_t = np.swapaxes(rho, -1, -2).reshape(rho.shape[:-2] + (s * s, 1))
-    w = (design.transfer.reshape(n_rot * n_cls, s * s) @ rho_t).real
+    w = (transfer.reshape(n_rot * n_cls, s * s) @ rho_t).real
     return np.maximum(w.reshape(rho.shape[:-2] + (n_rot, n_cls)), 0.0)
 
 

@@ -236,12 +236,12 @@ def test_criterion_09_tomography_round_trip():
     results = {}
     for name, rho in targets.items():
         w = tom.design_weights(design, rho)
-        children = np.random.SeedSequence(77 if name == "triplet" else 78).spawn(len(design.unitaries))
+        children = np.random.SeedSequence(77 if name == "triplet" else 78).spawn(len(design.analysis_rotations))
         data = [
             tom.simulate_histogram(
                 w[i], model, 30000 if i == 0 else 1500, np.random.default_rng(children[i]), f"{name}_{i}"
             )
-            for i in range(len(design.unitaries))
+            for i in range(len(design.analysis_rotations))
         ]
         inputs = tom.FitInputs(tuple(refs), tuple(data), design, boundaries)
         results[name] = (tom.fit_ml(inputs), inputs)

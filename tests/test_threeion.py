@@ -3,8 +3,8 @@ import pytest
 
 from zenosim.dynamics import evolve_pure, state_fidelity
 from zenosim.hilbert import SystemDims, named_state
-from zenosim.model import IonGeometry, PulseSchedule, PulseSegment, sideband_hamiltonian
-from zenosim.threeion import effective_pi_time, three_ion_ladder
+from zenosim.model import IonGeometry, PulseSchedule, PulseSegment, carrier_pi_time, sideband_hamiltonian
+from zenosim.threeion import three_ion_ladder
 
 OMEGA_S = 2 * np.pi * 19.0e3
 OMEGA_D = 2 * np.pi * 1.24e3
@@ -42,7 +42,7 @@ def test_effective_two_level_dynamics():
     flop peaks at pi / (2 sqrt(3) Omega_d') within 2%."""
     dims = SystemDims(3, 6)
     geom = IonGeometry.three_ion_com()
-    t_pi = effective_pi_time(OMEGA_D)
+    t_pi = carrier_pi_time(OMEGA_D, 3)
     schedule = PulseSchedule((PulseSegment(1.25 * t_pi, OMEGA_S, OMEGA_D, 0.0),))
     traj = evolve_pure(schedule, dims, geom, named_state(dims, "uuu", 0), t_pi / 300)
     w_target = named_state(dims, "W", 0)

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from zenosim import tomography
 from zenosim.errors import ConvergenceError, NumericsError
-from zenosim.hilbert import SystemDims, named_state
+from zenosim.hilbert import UP, SystemDims, named_state
 from zenosim.tomography import (
     CountHistogram,
     DetectionModel,
@@ -21,6 +23,7 @@ from zenosim.tomography import (
     reference_bright_probability,
     reference_shot_counts,
     reference_weights,
+    rotation_2x2,
     simulate_histogram,
     split_reference_shots,
     systematic_sweep,
@@ -37,12 +40,12 @@ def spin_vector(n_ions, name):
 
 def make_synthetic(rho, design, model=MODEL, shots_data=30000, shots_analysis=1500, seed=77):
     w = design_weights(design, rho)
-    children = np.random.SeedSequence(seed).spawn(len(design.unitaries))
+    children = np.random.SeedSequence(seed).spawn(len(design.analysis_rotations))
     return [
         simulate_histogram(
             w[i], model, shots_data if i == 0 else shots_analysis, np.random.default_rng(children[i]), f"data_{i}"
         )
-        for i in range(len(design.unitaries))
+        for i in range(len(design.analysis_rotations))
     ]
 
 
@@ -166,6 +169,44 @@ def test_fidelity_functional_exactness():
         combo = float(np.sum(design.fidelity_coefficients * w))
         direct = float(np.real(t @ rho @ t.conj()))
         assert abs(combo - direct) < 1e-9
+
+
+def random_density(rng, s):
+    g = rng.normal(size=(s, s)) + 1j * rng.normal(size=(s, s))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def leak_level_weights(rho, rotations, n_ions):
+    """Bright-class weights of a 3^n-wide spin state, one rotation at a time:
+    each ion's 3 x 3 rotation turns its qubit levels only, and the rotated
+    diagonal is summed by the number of ions up, so a leaked ion is dark."""
+    ups = [config.count(UP) for config in SystemDims(n_ions, 1, True).spin_configurations()]
+    u1 = np.eye(3, dtype=complex)
+    rows = []
+    for theta, phi in rotations:
+        u1[:2, :2] = rotation_2x2(theta, phi)
+        u = functools.reduce(np.kron, [u1] * n_ions)
+        diag = np.real(np.diag(u @ rho @ u.conj().T))
+        rows.append(np.bincount(ups, weights=diag, minlength=n_ions + 1))
+    return np.clip(rows, 0.0, None)
+
+
+@pytest.mark.parametrize("n_ions", [2, 3])
+def test_leak_level_weights(n_ions):
+    design = analysis_design(n_ions)
+    rng = np.random.default_rng(20 + n_ions)
+    for _ in range(5):
+        rho = random_density(rng, 3**n_ions)
+        expected = leak_level_weights(rho, design.analysis_rotations, n_ions)
+        np.testing.assert_allclose(design_weights(design, rho), expected, rtol=0, atol=1e-14)
+    # a qubit state embedded in the leak-level space reads as the qubit state
+    qubits, leak = SystemDims(n_ions, 1), SystemDims(n_ions, 1, True)
+    embed = [leak.spin_index(config) for config in qubits.spin_configurations()]
+    rho = random_density(rng, 2**n_ions)
+    wide = np.zeros((3**n_ions, 3**n_ions), dtype=complex)
+    wide[np.ix_(embed, embed)] = rho
+    np.testing.assert_allclose(design_weights(design, wide), design_weights(design, rho), rtol=0, atol=1e-14)
 
 
 def test_round_trip_triplet(two_ion_setup):
