@@ -79,13 +79,7 @@ def _build_plan(config: ScenarioConfig) -> ProtocolPlan:
         plan = plan_composite(omega_s, m) if scheme == "composite" else plan_single(omega_s, m)
     except ValueError as exc:
         raise ConfigError(f"[drive] {exc}") from None
-    overrides = {k: drive[k] for k in ("omega_d", "delta", "t1", "t2") if k in drive}
-    if "omega_d" in overrides:
-        # recompute the dependent times first, then apply explicit ones
-        plan = experimental_override(plan, omega_d=overrides.pop("omega_d"))
-    if overrides:
-        plan = experimental_override(plan, **overrides)
-    return plan
+    return experimental_override(plan, **{k: drive[k] for k in ("omega_d", "delta", "t1", "t2") if k in drive})
 
 
 def _build_noise(config: ScenarioConfig, plan: ProtocolPlan) -> NoiseModel:
@@ -147,6 +141,8 @@ def _trace_scenario(config: ScenarioConfig, out_dir: Path) -> dict:
         if config.n_fock < 1:
             raise ConfigError("n_fock must be >= 1")
         dims = SystemDims(plan.n_ions, config.n_fock, dims.leak_level)
+    # before the trace run, so its kernel and stack are freed before the trace's are made
+    budget = error_budget(plan, noise)
     traj = simulate_plan(plan, noise, config.drive.get("duration"), dims)
     if plan.n_ions == 2:
         targets = [named_state(dims, "T", 0), spin_state(dims, "S"), spin_state(dims, "dd"), spin_state(dims, "uu")]
@@ -172,7 +168,6 @@ def _trace_scenario(config: ScenarioConfig, out_dir: Path) -> dict:
     trace_path = out_dir / f"{config.scenario}_trace.tsv"
     _write_table(trace_path, header, columns, rows)
 
-    budget = error_budget(plan, noise)
     peak_idx = int(np.argmax(record.target_fidelity))
     report = {
         "scenario": config.scenario,
@@ -203,18 +198,21 @@ def _tomography_settings(config: ScenarioConfig, n_ions: int) -> dict:
         model = dataclasses.replace(tom.two_ion_detection() if n_ions == 2 else tom.three_ion_detection(), **detection)
     except ValueError as exc:
         raise ConfigError(f"[tomography] {exc}") from None
+    # dark_mean is below bright_mean, so this bounds both
+    if not model.bright_mean <= _MAX_MEAN:
+        raise ConfigError(f"[tomography] bright_mean and dark_mean must be at most {_MAX_MEAN}")
     limits = {
-        "shots_reference": (section.get("shots_reference", 6000), 1),
-        "shots_data": (section.get("shots_data", 30000 if n_ions == 2 else 20000), 1),
-        "shots_analysis": (section.get("shots_analysis", 1500 if n_ions == 2 else 1000), 1),
-        "n_bins": (section.get("n_bins", 5 if n_ions == 2 else 7), 2),
-        "resamples": (section.get("resamples", 500), 0),
-        "epsilon_points": (section.get("epsilon_points", 5), 2),
+        "shots_reference": (section.get("shots_reference", 6000), 1, _MAX_SHOTS),
+        "shots_data": (section.get("shots_data", 30000 if n_ions == 2 else 20000), 1, _MAX_SHOTS),
+        "shots_analysis": (section.get("shots_analysis", 1500 if n_ions == 2 else 1000), 1, _MAX_SHOTS),
+        "n_bins": (section.get("n_bins", 5 if n_ions == 2 else 7), 2, _MAX_BINS),
+        "resamples": (section.get("resamples", 500), 0, _MAX_RESAMPLES),
+        "epsilon_points": (section.get("epsilon_points", 5), 2, _MAX_EPSILON_POINTS),
     }
-    for key, (value, least) in limits.items():
-        if value < least:
-            raise ConfigError(f"[tomography] {key} must be >= {least}")
-    settings = {key: value for key, (value, _) in limits.items()}
+    for key, (value, least, most) in limits.items():
+        if not least <= value <= most:
+            raise ConfigError(f"[tomography] {key} must be from {least} to {most}")
+    settings = {key: value for key, (value, *_) in limits.items()}
     return settings | {"model": model, "write_histograms": section.get("write_histograms", True)}
 
 
@@ -312,6 +310,24 @@ def _tomography_demo_scenario(config: ScenarioConfig, out_dir: Path) -> dict:
 #: scan and 60x the 40 x 40 composite grid, so only a value far out of
 #: range reaches it
 _MAX_POINTS = 100_000
+
+#: the largest mean photon count per shot: the counts reach n_ions times it,
+#: and choose_bins passes over every count value once per bin, so three
+#: ions at 1,000 (25x the default 39) take about 2 s to bin, and numpy's
+#: Poisson draw rejects means above about 1e19
+_MAX_MEAN = 1000.0
+#: the most shots of one histogram: 33x the default 30,000 data shots; a
+#: draw holds a few int64 arrays of this length, 8 MB each
+_MAX_SHOTS = 1_000_000
+#: the most bins: 10x the two-ion default; choose_bins' work grows with
+#: the bins times the count values, about 20 s for three ions at _MAX_MEAN
+_MAX_BINS = 50
+#: the most bootstrap resamples: 20x the default 500, about 6 minutes of
+#: fits at the two-ion demo's 36 ms a resample
+_MAX_RESAMPLES = 10_000
+#: the most points of the systematic sweep, fitted as one stack: 200x the
+#: default 5; 1e12 points would allocate terabytes
+_MAX_EPSILON_POINTS = 1_000
 
 #: per-axis edit of a sweep cell's (plan, noise) at one grid value
 _SWEEP_EDITS = {

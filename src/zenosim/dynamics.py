@@ -513,9 +513,9 @@ def evolve_density(
 
     Each segment's generator acts on the row-major vec(rho),
 
-        -i (H x I - I x H^T) + sum_k L_k x L_k^* - (M x I + I x M^T) / 2,
+        K x I + I x K^* + sum_k L_k x L_k^*,  K = -i H - M / 2,
 
-    with M = sum_k L_k^dag L_k; the dissipative part is shared by all
+    with M = sum_k L_k^dag L_k; the dissipative parts are shared by all
     segments.  The state is carried from one sample time to the next by the
     segment's Taylor kernel (_TaylorExpm), accurate to working precision,
     splitting at segment boundaries; the kernel's shift and norm are set up
@@ -525,17 +525,18 @@ def evolve_density(
     Only the diagonal blocks of rho over the index groups are propagated
     and stored: the leak sets of hilbert.leak_sectors if the initial state
     has no entry between different sets (exact, as nothing feeds those
-    entries), else one group, the whole space.  The generator is
-    restricted to the pairs within those blocks in ascending order, as the
-    full one is stored, and shifted by Re(tr L) / dim^2 of the full
-    generator: tr L of a Lindbladian is real up to rounding, and a complex
-    shift would not keep rho Hermitian.  vec holds only the upper triangle
-    of each block (_fold), from which the kernel computes those rows alone;
-    the lower triangles are the exact conjugates of the upper ones.  The
-    Trajectory keeps vec itself at each sample, one contiguous copy into a
-    (T, n_half) stack: 402 x 3,272 entries (21 MB) at the fig3 preset, in
-    place of 41 MB of whole blocks, and 402 x 9,162 (59 MB, not 116 MB) at
-    three_ion.
+    entries), else one group, the whole space.  One sp.bmat per segment
+    builds the generator on those blocks alone, in the layout of _kept:
+    block (A, A) is K_AA x I + I x K_AA^*, as K keeps each leak set, and
+    each block (B, A) adds the jump feed sum_k L_k[B, A] x L_k[B, A]^*,
+    sliced once per run.  The shift is Re(tr L) / dim^2 of the full
+    generator, (sum_k |tr L_k|^2 - dim tr M) / dim^2; a complex shift would
+    not keep rho Hermitian.  vec holds only the upper triangle of each block
+    (_fold), from which the kernel computes those rows alone; the lower
+    triangles are the exact conjugates of the upper ones.  The Trajectory
+    keeps vec itself at each sample, one contiguous copy into a (T, n_half)
+    stack: 402 x 3,272 entries (21 MB) at the fig3 preset, in place of 41 MB
+    of whole blocks, and 402 x 9,162 (59 MB, not 116 MB) at three_ion.
 
     Before a segment is propagated, the kernel's planned work for its
     steps, sum m * s, is added to the run's; past _MAX_MATVECS, which only
@@ -561,23 +562,27 @@ def evolve_density(
     if np.count_nonzero(initial.matrix.reshape(-1)[kept]) < np.count_nonzero(initial.matrix):
         groups = [np.arange(dims.dim)]
         kept = _kept(dims.dim, groups)
-    ascending = np.sort(kept)
     half, lower, strict = _fold(groups)
-    # the kernel's whole vector [h, conj(h[strict])], as positions in the generator
-    cols = np.searchsorted(ascending, kept[np.concatenate((half, lower))])
 
     shifts = noise.shifts_or_zero(dims.n_ions)
-    eye = sp.identity(dims.dim, dtype=complex, format="csr")
-    dissipator = sp.csr_matrix((dims.dim**2, dims.dim**2), dtype=complex)
-    for op in lindblad_operators(dims, noise):
-        l = sp.csr_matrix(op.matrix)
-        m = l.conj().T @ l
-        dissipator += sp.kron(l, l.conj()) - 0.5 * (sp.kron(m, eye) + sp.kron(eye, m.T))
+    mu, feed, m = 0.0, {}, [0] * len(groups)  # m[a]: the block (A, A) of M
+    for l in (op.matrix for op in lindblad_operators(dims, noise)):
+        mu += abs(np.trace(l)) ** 2 - dims.dim * np.vdot(l, l).real  # tr(L^dag L) = |L|_F^2
+        for b, rows in enumerate(groups):
+            for a, idx in enumerate(groups):
+                l_ba = l[np.ix_(rows, idx)]
+                if l_ba.any():
+                    l_ba = sp.csr_matrix(l_ba)
+                    m[a] += l_ba.conj().T @ l_ba
+                    feed[b, a] = feed.get((b, a), 0) + sp.kron(l_ba, l_ba.conj())
 
     def propagator(seg: PulseSegment) -> _TaylorExpm:
-        h = sp.csr_matrix(segment_hamiltonian(dims, geom, seg, shifts).matrix)
-        gen = (-1j * (sp.kron(h, eye) - sp.kron(eye, h.T)) + dissipator).tocsr()
-        return _TaylorExpm(gen[ascending][:, ascending], gen.diagonal().sum().real / dims.dim**2, cols, strict)
+        h = segment_hamiltonian(dims, geom, seg, shifts).matrix
+        blocks = [[feed.get((b, a)) for a in range(len(groups))] for b in range(len(groups))]
+        for a, idx in enumerate(groups):
+            k = -1j * sp.csr_matrix(h[np.ix_(idx, idx)]) - 0.5 * m[a]
+            blocks[a][a] = sp.kronsum(k.conj(), k) + feed.get((a, a), 0)  # K x I + I x K^*
+        return _TaylorExpm(sp.bmat(blocks, format="csr"), mu / dims.dim**2, np.concatenate((half, lower)), strict)
 
     times = _sample_times(schedule, sample_dt)
     flat = np.empty((len(times), len(half)), dtype=complex)

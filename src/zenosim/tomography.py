@@ -102,14 +102,14 @@ class CountHistogram:
 
 @dataclass(frozen=True)
 class MeasurementDesign:
-    """Analysis rotations, bright-count projectors, and the certificate that
-    a real combination of their statistics equals the target projector.
-    transfer stacks the measured operators U_i^dag A_n U_i, shape
-    (rotations, classes, s, s), read-only (_transfer)."""
+    """Analysis rotations and the certificate that a real combination of
+    their statistics equals the target projector.  transfer stacks the
+    measured operators U_i^dag A_n U_i, shape (rotations, classes, s, s),
+    read-only (_transfer); the first rotation is the no-pulse measurement,
+    whose operators are the bright-count projectors A_n."""
 
     n_ions: int
     analysis_rotations: tuple[tuple[float, float], ...]
-    povm_elements: tuple[np.ndarray, ...]
     target: np.ndarray
     target_name: str
     fidelity_coefficients: np.ndarray
@@ -450,15 +450,12 @@ def analysis_design(n_ions: int) -> MeasurementDesign:
     residual = float(np.linalg.norm(basis @ coeffs - rhs))
     if residual > 1e-8:
         raise NumericsError(f"analysis design cannot express the target projector (residual {residual:.2e})")
-    # the first rotation is the no-pulse measurement, where U = I exactly
-    povm = tuple(transfer[0])
     return MeasurementDesign(
         n_ions,
         rotations,
-        povm,
         target_vec,
         target,
-        coeffs.reshape(len(rotations), len(povm)),
+        coeffs.reshape(len(rotations), transfer.shape[1]),
         residual,
         transfer,
     )
@@ -576,7 +573,8 @@ def fit_ml(inputs: FitInputs) -> TomographyEstimate:
     binned class probabilities with R rho R updates of the density matrix,
     keeping the joint likelihood non-decreasing, until an iteration gains
     less than 1e-10 of the log-likelihood.  Returns the estimate flagged
-    unconverged after 5000 iterations.
+    unconverged after 5000 iterations; its populations are the no-pulse row
+    of design_weights.
     """
     design = inputs.design
     w_ref = reference_weights(design.n_ions)
@@ -585,7 +583,7 @@ def fit_ml(inputs: FitInputs) -> TomographyEstimate:
     return TomographyEstimate(
         rho_ml=rho,
         fidelity=_fidelity(design, rho),
-        populations=np.array([float(np.real(np.trace(a @ rho))) for a in design.povm_elements]),
+        populations=design_weights(design, rho)[0],
         target_name=design.target_name,
         converged=bool(converged[0]),
         n_iterations=int(iterations[0]),

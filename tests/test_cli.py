@@ -165,6 +165,15 @@ def test_invalid_override_exits_with_config_error(tmp_path, capsys, preset, over
         "tomography.shots_data=0",
         "tomography.shots_analysis=0",
         "tomography.shots_reference=-5",
+        # values that would overflow numpy's Poisson draw, or run or allocate without bound
+        "tomography.bright_mean=1e300",
+        "tomography.bright_mean=1001",
+        "tomography.shots_reference=1000001",
+        "tomography.shots_data=1000000000000",
+        "tomography.shots_analysis=1000000000000",
+        "tomography.n_bins=51",
+        "tomography.resamples=1000000000000",
+        "tomography.epsilon_points=1000000000000",
     ],
 )
 def test_invalid_tomography_value_exits_with_config_error(tmp_path, capsys, override):

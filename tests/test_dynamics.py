@@ -196,7 +196,7 @@ def _between_leak_sets(dims):
     return (leaked[:, None, :] != leaked[None, :, :]).any(axis=-1)
 
 
-def test_three_ion_density_matches_full_generator_exponential():
+def test_three_ion_density_matches_full_generator_exponential(monkeypatch):
     """Every sample of a two-segment three-ion run with all four scatter
     channels, heating and Stark shifts against the exponential of the full
     vectorized Lindbladian, on all dim^2 entries of vec(rho), applied from
@@ -204,7 +204,11 @@ def test_three_ion_density_matches_full_generator_exponential():
     propagated, and the entries between leak sets stay exactly zero; from a
     state with coherence between leak sets the whole space is.  A dense
     expm at vec dim 11,664 would not fit a unit test, so the reference is
-    scipy's expm_multiply of the sparse generator."""
+    scipy's expm_multiply of the sparse generator.
+
+    The generator each segment hands its kernel, built block by block, is
+    the full one restricted to the kept pairs in the kernel's order, and
+    its shift is Re(tr L) / dim^2 of the full one."""
     import scipy.sparse as sp
     from scipy.sparse.linalg import expm_multiply
 
@@ -229,13 +233,33 @@ def test_three_ion_density_matches_full_generator_exponential():
             gen = gen + sp.kron(l, l.conj()) - 0.5 * (sp.kron(m, eye) + sp.kron(eye, m.T))
         gens.append(gen.tocsc())
 
+    handed = []
+    real_init = dynamics._TaylorExpm.__init__
+
+    def capture(self, gen, mu, cols, strict):
+        handed.append((gen, mu))
+        real_init(self, gen, mu, cols, strict)
+
+    monkeypatch.setattr(dynamics._TaylorExpm, "__init__", capture)
+
     uuu = named_state(dims, "uuu", 0).amplitudes
     ouu = np.zeros(dims.dim, dtype=complex)
     ouu[dims.basis_index((LEAK, UP, UP), 0)] = 1.0
     between = _between_leak_sets(dims)
     for psi, block_diagonal in ((uuu, True), ((uuu + ouu) / np.sqrt(2), False)):
         rho0 = PureState(dims, psi).to_density()
+        handed.clear()
         traj = evolve_density(schedule, dims, geom, noise, rho0, sample_dt=2e-6)
+        groups = leak_sectors(dims) if block_diagonal else [np.arange(dims.dim)]
+        assert len(groups) == (8 if block_diagonal else 1)
+        kept = dynamics._kept(dims.dim, groups)
+        assert len(handed) == len(gens)
+        for (gen, mu), full in zip(handed, gens):
+            restricted = full.tocsr()[np.ix_(kept, kept)]
+            assert gen.shape == restricted.shape == (len(kept), len(kept))
+            assert abs(gen - restricted).max() <= 1e-12 * abs(restricted).max()
+            full_mu = full.diagonal().sum().real / dims.dim**2
+            assert abs(mu - full_mu) <= 1e-14 * abs(full_mu)
         vec, t_prev = rho0.matrix.reshape(-1), 0.0
         reference = [vec]
         for gen, start, stop in zip(gens, schedule.boundaries(), schedule.boundaries()[1:]):
