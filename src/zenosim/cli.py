@@ -72,14 +72,20 @@ def _build_plan(config: ScenarioConfig) -> ProtocolPlan:
     if config.scenario == "three_ion_w":
         if "omega_d" not in drive:
             raise ConfigError("[drive] omega_d is required for the three-ion scenario")
-        return plan_three_ion(omega_s, drive["omega_d"])
-    scheme = "composite" if config.scenario == "two_ion_composite" else "single"
-    m = drive.get("m", 1 if scheme == "composite" else 2)
-    try:
-        plan = plan_composite(omega_s, m) if scheme == "composite" else plan_single(omega_s, m)
-    except ValueError as exc:
-        raise ConfigError(f"[drive] {exc}") from None
-    return experimental_override(plan, **{k: drive[k] for k in ("omega_d", "delta", "t1", "t2") if k in drive})
+        plan = plan_three_ion(omega_s, drive["omega_d"])
+    else:
+        scheme = "composite" if config.scenario == "two_ion_composite" else "single"
+        m = drive.get("m", 1 if scheme == "composite" else 2)
+        try:
+            plan = plan_composite(omega_s, m) if scheme == "composite" else plan_single(omega_s, m)
+        except ValueError as exc:
+            raise ConfigError(f"[drive] {exc}") from None
+        plan = experimental_override(plan, **{k: drive[k] for k in ("omega_d", "delta", "t1", "t2") if k in drive})
+    # omega_d <= 0 (or omega_s = 0, which sets it), or one that under- or
+    # overflows t_pi, sets no usable pi time
+    if not (plan.t_pi / 400 > 0 and plan.t_pi < np.inf):
+        raise ConfigError(f"[drive] pi time {plan.t_pi:.3g} s is out of range; omega_d must be > 0")
+    return plan
 
 
 def _build_noise(config: ScenarioConfig, plan: ProtocolPlan) -> NoiseModel:

@@ -7,12 +7,14 @@ Lindblad master equation
     drho/dt = -i[H, rho] + sum_k L_k rho L_k^dag - {L_k^dag L_k, rho}/2
 
 exactly as well: the vectorized generator of each constant segment is a
-sparse matrix, and its exponential is applied to vec(rho) between sample
-times by a truncated Taylor series with scaling and early stop (Al-Mohy &
-Higham, SIAM J. Sci. Comput. 33, 488 (2011), alg. 3.2), which picks its
-degree and number of substeps from the exact 1-norm for working precision.
-Each segment's shifted generator and its norm are set up once and reused by
-every sample step.  There is no step size or tolerance to choose.
+sparse matrix, and its exponential is applied to vec(rho) by a truncated
+Taylor series with scaling and early stop (Al-Mohy & Higham, SIAM J. Sci.
+Comput. 33, 488 (2011), alg. 3.2), which picks its degree and number of
+substeps from the exact 1-norm for working precision.  One series serves
+all the samples of a check chunk within a segment, each read from the same
+terms with real weights (their sec. 5).  Each segment's shifted generator
+and its norm are set up once and reused by every call.  There is no step
+size or tolerance to choose.
 
 The generator never couples blocks of rho between different leak sets (the
 sets of ions in the leak level, hilbert.leak_sectors) to the blocks within
@@ -169,10 +171,10 @@ _THETA = {
     35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
 }
 _UNIT_ROUNDOFF = 2.0**-53
-# the most matvecs (sum of m * s over its steps) one density run may plan:
-# 75x the three_ion preset's 13,202, so only a rate or a duration far out
-# of range reaches it, and it ends in NumericsError instead of running
-# for hours
+# the most matvecs (sum of m * s over its kernel calls) one density run
+# may plan: 230x the three_ion preset's 4,283, so only a rate or a
+# duration far out of range reaches it, and it ends in NumericsError
+# instead of running for hours
 _MAX_MATVECS = 1_000_000
 
 
@@ -233,15 +235,23 @@ def _rebuilt(flat: np.ndarray, groups: Sequence[np.ndarray]):
 
 
 class _TaylorExpm:
-    """h -> exp(dt L) h for one sparse generator L and any step dt, on the
-    computed entries h of a folded vector.
+    """(offsets, h) -> exp(t L) h at each time t of offsets, for one sparse
+    generator L, on the computed entries h of a folded vector.
 
-    Al-Mohy & Higham (2011), alg. 3.2.  The shift A = L - mu I, with mu
-    given, and the exact 1-norm of A are computed once; each step picks
-    (m, s) minimizing m * ceil(dt ||A||_1 / theta_m), applies s substeps of
-    the degree-m Taylor series of exp(dt A / s), stopped early once two
-    successive terms fall below the unit roundoff relative to the partial
-    sum, and restores the shift with the factor exp(dt mu / s).
+    Al-Mohy & Higham (2011), alg. 3.2, with the dense output of their sec.
+    5.  The shift A = L - mu I, with mu given, and the exact 1-norm of A are
+    computed once.  A call plans its last offset tau alone, (m, s)
+    minimizing m * ceil(tau ||A||_1 / theta_m), and computes the terms T_j
+    = (tau A / s)^j h / j! of the degree-m Taylor series once, into a buffer
+    allocated with the kernel, stopped early once two successive terms fall
+    below the unit roundoff relative to the partial sum f.  Row i is
+    sum_j (t_i / tau)^j T_j exp(t_i mu): the weights are real, so every row
+    is the upper triangle of a Hermitian rho as each T_j is, and an earlier
+    time only shrinks the dropped tail.  The last row is f times exp(tau
+    mu) itself, so a one-sample call is, bit for bit, the single-step
+    kernel.  Up to tau ||A||_1 = theta_55 = 9.9 the plan keeps s = 1; past
+    it only a lone offset may be asked for, reached in s substeps of exp(tau
+    A / s), each restarting the series from f.
 
     The fold: after the norm is taken, cols orders the rows and columns of
     A as the whole vector [h, conj(h[strict])], and only h's rows are kept.
@@ -263,6 +273,8 @@ class _TaylorExpm:
         self.strict = strict
         self.shifted = shifted[cols[: n - len(strict)]][:, cols]
         self._whole = np.empty(n, dtype=gen.dtype)
+        # pages are only touched as terms are written: about 20 rows a call
+        self._terms = np.empty((max(_THETA) + 1, n - len(strict)), dtype=complex)
         self._plans: dict[float, tuple[int, int]] = {}
 
     def unfold(self, h: np.ndarray) -> np.ndarray:
@@ -277,11 +289,11 @@ class _TaylorExpm:
 
     def plan(self, dt: float) -> tuple[int, int]:
         """(m, s) of a step dt: s substeps of at most m matvecs each, kept
-        per dt, so a step reuses the plan of evolve_density's work budget."""
+        per dt, so a call reuses the plan of evolve_density's work budget."""
         if dt in self._plans:
             return self._plans[dt]
         scaled_norm = dt * self.norm_1
-        if scaled_norm == 0:
+        if dt == 0 or scaled_norm == 0:  # 0 * inf is NaN, and exp(0 A) = I
             return 0, 1
         # m * s >= scaled_norm * m / theta_m > 5 * scaled_norm for every m,
         # so a larger step alone passes the run's budget (NaN fails too)
@@ -296,22 +308,30 @@ class _TaylorExpm:
         )
         return self._plans[dt]
 
-    def __call__(self, dt: float, h: np.ndarray) -> np.ndarray:
-        m, s = self.plan(dt)
-        eta = np.exp(dt * self.mu / s)
-        f = h.copy()
+    def __call__(self, offsets: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """(len(offsets), len(h)) rows exp(t A) h for the ascending times t
+        of offsets, measured from h's."""
+        tau = offsets[-1]
+        m, s = self.plan(tau)
+        if s > 1 and len(offsets) > 1:
+            raise ValueError(f"offsets up to {tau:.3e} s pass theta_55; only a lone offset may take substeps")
+        eta = np.exp(tau * self.mu / s)
+        terms = self._terms
+        out = np.empty((len(offsets), len(h)), dtype=complex)
+        f = out[-1]
+        f[:] = h
+        used = 0  # the highest term of the last substep
         for _ in range(s):
-            term = f
-            c1 = np.abs(term).max()
+            terms[0] = f
+            c1 = np.abs(f).max()
             # f_max bounds the computed max|f| from above, so the exact max
             # is only taken when the stop test could pass, and every stop
             # decision is the one the exact max gives; 64u covers the
             # rounding of the sum, of this bound and of complex abs(), a
             # few ulp in numpy's SIMD loops
             f_max = c1
-            for j in range(m):
-                term = self.shifted @ self.unfold(term)
-                term *= dt / (s * (j + 1))
+            for used in range(1, m + 1):
+                term = np.multiply(self.shifted @ self.unfold(terms[used - 1]), tau / (s * used), out=terms[used])
                 c2 = np.abs(term).max()
                 f += term
                 f_max = (f_max + c2) * (1 + 64 * _UNIT_ROUNDOFF)
@@ -321,7 +341,17 @@ class _TaylorExpm:
                         break
                 c1 = c2
             f *= eta
-        return f
+        if len(offsets) > 1:
+            early = offsets[:-1]
+            # real weights on the (re, im) pairs of the terms (all offsets
+            # are 0 when tau is), summed in einsum's own loop: a BLAS gemm
+            # is 3-4x faster here, but wakes OpenBLAS's threads, which then
+            # spin through the matvecs (three_ion preset: 3.8 s CPU for
+            # 2.0 s wall, against 3.3 s for 2.3 s)
+            weights = (early / tau if tau > 0 else early)[:, None] ** np.arange(used + 1)
+            rows = np.einsum("ij,jk->ik", weights, terms[: used + 1].view(np.float64)).view(complex)
+            np.multiply(rows, np.exp(early * self.mu)[:, None], out=out[:-1])
+        return out
 
 
 @functools.lru_cache(maxsize=32)
@@ -408,11 +438,13 @@ def _factorizes(mats: np.ndarray) -> bool:
     return True
 
 
-# samples per step of the density checks and of every reader that needs
-# whole blocks: evolve_density checks all but positivity on each run of 8
-# samples as soon as it is filled, and each temporary (rebuilt blocks, a
-# Cholesky input) covers 8 samples, at most 13 MB for one block of dim 324
-# and 0.5 MB for the fig3 preset's widest block
+# samples per step of the density checks, of the Taylor kernel's calls and
+# of every reader that needs whole blocks: evolve_density propagates each
+# run of 8 samples within a segment with one kernel call (two where the
+# theta_55 cap falls inside it) and checks all but positivity on it as soon
+# as it is filled, and each temporary (rebuilt blocks, a Cholesky input)
+# covers 8 samples, at most 13 MB for one block of dim 324 and 0.5 MB for
+# the fig3 preset's widest block
 _CHECK_CHUNK = 8
 
 
@@ -479,26 +511,29 @@ def _check_density(
             raise NumericsError(f"negative eigenvalue {low[j]:.2e} at t = {t:.3e} s")
 
 
-def _segment_steps(times: np.ndarray, boundaries: Sequence[float]):
-    """The steps of a sampled run, segment by segment.
+def _segment_samples(times: np.ndarray, boundaries: Sequence[float]) -> list[np.ndarray]:
+    """The indices of the samples each segment reaches, in order.  A sample
+    within 1e-15 past a boundary is reached within the segment before it;
+    every boundary is a sample time (_sample_times), so the last sample of a
+    segment is at its end."""
+    seg_of = np.searchsorted(np.asarray(boundaries[1:-1]) + 1e-15, times)
+    return [np.flatnonzero(seg_of == i) for i in range(len(boundaries) - 1)]
 
-    Yields (segment index, steps) in order; each step (dt, k) carries the
-    state dt forward with that segment's propagator (dt = 0: no step) to
-    sample k, or to the segment's end if k is None.  A sample within 1e-15
-    past a boundary is reached within the segment before it.
-    """
-    seg_idx, steps, t_prev = 0, [], 0.0
-    for k, t in enumerate(times):
-        while t > boundaries[seg_idx + 1] + 1e-15:
-            end = boundaries[seg_idx + 1]
-            if end > t_prev:
-                steps.append((end - t_prev, None))
-                t_prev = end
-            yield seg_idx, steps
-            seg_idx, steps = seg_idx + 1, []
-        steps.append((t - t_prev if t > t_prev else 0.0, k))
-        t_prev = max(t_prev, t)
-    yield seg_idx, steps
+
+def _kernel_calls(times: np.ndarray, ks: np.ndarray, norm_1: float) -> list[tuple[slice, np.ndarray]]:
+    """The samples ks of one segment split into kernel calls (samples,
+    offsets): each call carries the state from the sample before its first
+    (sample 0 from itself) to its samples, at those offsets.  A call's
+    samples lie in one _CHECK_CHUNK, and its last offset keeps tau ||A||_1
+    <= theta_55, where the plan keeps s = 1, unless its sample is alone."""
+    runs: list[list[int]] = []
+    for k in ks:
+        if runs and k // _CHECK_CHUNK == runs[-1][-1] // _CHECK_CHUNK:
+            if (times[k] - times[max(runs[-1][0] - 1, 0)]) * norm_1 <= _THETA[55]:
+                runs[-1].append(k)
+                continue
+        runs.append([k])
+    return [(slice(r[0], r[-1] + 1), times[r[0] : r[-1] + 1] - times[max(r[0] - 1, 0)]) for r in runs]
 
 
 def evolve_density(
@@ -516,11 +551,15 @@ def evolve_density(
         K x I + I x K^* + sum_k L_k x L_k^*,  K = -i H - M / 2,
 
     with M = sum_k L_k^dag L_k; the dissipative parts are shared by all
-    segments.  The state is carried from one sample time to the next by the
-    segment's Taylor kernel (_TaylorExpm), accurate to working precision,
-    splitting at segment boundaries; the kernel's shift and norm are set up
-    once per segment.  States are sampled every sample_dt (default
-    total/400) and at segment boundaries.
+    segments.  States are sampled every sample_dt (default total/400) and
+    at segment boundaries.  The segment's Taylor kernel (_TaylorExpm),
+    accurate to working precision, carries the state from the last sample
+    to all the samples of one _CHECK_CHUNK within the segment in one call
+    (_kernel_calls): one series for the last of them, read at each earlier
+    one with the real weights (t_i / tau)^j of its dense output.  A call is
+    cut short where tau ||A||_1 would pass theta_55 = 9.9, up to which the
+    plan keeps one substep, so a sample whose own step passes it is a call
+    of its own.  The kernel's shift and norm are set up once per segment.
 
     Only the diagonal blocks of rho over the index groups are propagated
     and stored: the leak sets of hilbert.leak_sectors if the initial state
@@ -539,8 +578,9 @@ def evolve_density(
     of whole blocks, and 402 x 9,162 (59 MB, not 116 MB) at three_ion.
 
     Before a segment is propagated, the kernel's planned work for its
-    steps, sum m * s, is added to the run's; past _MAX_MATVECS, which only
-    a rate or a duration far out of range reaches, NumericsError is raised.
+    calls, sum m * s of each call's last offset, is added to the run's;
+    past _MAX_MATVECS, which only a rate or a duration far out of range
+    reaches, NumericsError is raised.
 
     Every sample is checked, block by block (_check_density): trace to
     1e-8, Hermiticity to 1e-10 (exact off the diagonal, so this guards the
@@ -548,7 +588,8 @@ def evolve_density(
     eigenvalues above -1e-7.  The first violating sample raises
     NumericsError (TruncationError for the Fock limit) naming its time;
     nothing is projected away.  The first three contracts are checked on
-    each _CHECK_CHUNK samples as soon as they are filled, and on a failure
+    each _CHECK_CHUNK samples as soon as its last call has filled them, so
+    no call reaches past the chunk of a failing sample, and on a failure
     the positivity of the samples before it too.  Otherwise positivity is
     checked after the loop: OpenBLAS factorizes complex matrices 64 or
     more wide on all its threads, which then spin on through the
@@ -589,20 +630,19 @@ def evolve_density(
     vec = initial.matrix.reshape(-1)[kept[half]]
     boundaries = schedule.boundaries()
     work = 0
-    for seg_idx, steps in _segment_steps(times, boundaries):
+    for seg_idx, ks in enumerate(_segment_samples(times, boundaries)):
         expm = propagator(schedule.segments[seg_idx])
-        work += sum(math.prod(expm.plan(dt)) for dt, _ in steps)
+        calls = _kernel_calls(times, ks, expm.norm_1)
+        work += sum(math.prod(expm.plan(offsets[-1])) for _, offsets in calls)
         if work > _MAX_MATVECS:
             raise NumericsError(
                 f"the run plans {work:.3g} matvecs up to t = {boundaries[seg_idx + 1]:.3e} s, more than "
                 f"{_MAX_MATVECS:.0e}; a rate or a duration is out of range"
             )
-        for dt, k in steps:
-            if dt > 0:
-                vec = expm(dt, vec)
-            if k is None:
-                continue
-            flat[k] = vec
+        for samples, offsets in calls:
+            flat[samples] = expm(offsets, vec)
+            k = samples.stop - 1
+            vec = flat[k]
             if k % _CHECK_CHUNK == _CHECK_CHUNK - 1 or k == len(times) - 1:
                 first = k - k % _CHECK_CHUNK
                 try:
@@ -611,6 +651,7 @@ def evolve_density(
                     # an earlier sample may fail positivity first
                     _check_density(dims, times[: k + 1], flat[: k + 1], groups)
                     raise
+    del expm  # its terms, before the positivity check rebuilds blocks
     _check_density(dims, times, flat, groups, norms=False)
     flat.setflags(write=False)
     return Trajectory(times, flat, dims, schedule, tuple(groups))

@@ -183,6 +183,17 @@ def test_invalid_tomography_value_exits_with_config_error(tmp_path, capsys, over
     assert capsys.readouterr().err.startswith("config error: [tomography]")
 
 
+@pytest.mark.parametrize("preset", ["fig2", "fig3", "three_ion"])
+@pytest.mark.parametrize("omega_d", ["-1.0", "0.0", "1e308"])
+def test_a_drive_without_a_usable_pi_time_exits_with_config_error(tmp_path, capsys, preset, omega_d):
+    """omega_d <= 0, or one so large that the pi time underflows to 0, ends
+    in exit 2 before anything is simulated, not in a traceback from the
+    scatter preset whose rates the pi time sets."""
+    assert main(["run", "--preset", preset, "--out", str(tmp_path), "--override", f"drive.omega_d={omega_d}"]) == 2
+    assert capsys.readouterr().err.startswith("config error: [drive] pi time")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_invalid_tomography_value_exits_before_propagating(tmp_path, capsys, monkeypatch):
     def no_propagation(*args, **kwargs):
         raise AssertionError("simulate_plan was called")
@@ -566,7 +577,9 @@ def test_sweep_with_cold_and_warm_spectrum_memo_is_byte_identical(tmp_path):
 
 
 #: the numeric keys each cheap preset reads, after the overrides that make
-#: it cheap: fig3 cut to a 30 us run at six Fock levels, about 0.3 s
+#: it cheap: fig2 and fig3 cut to a 30 us run at six Fock levels, about
+#: 0.2 s each, and the tomography_demo scenario (run from a config file
+#: that names it alone) cut to two bootstrap resamples, about 0.5 s
 _CHEAP_PRESET_KEYS = {
     "fig_s4": ((), ("drive.omega_s", "scan.start", "scan.stop", "scan.points")),
     "fig_s6a": (
@@ -583,6 +596,23 @@ _CHEAP_PRESET_KEYS = {
             "sweep.points",
         ),
     ),
+    "fig2": (
+        ("drive.duration=3e-05", "n_fock=6"),
+        (
+            "drive.omega_s",
+            "drive.omega_d",
+            "drive.delta",
+            "drive.m",
+            "drive.duration",
+            "noise.gamma_du",
+            "noise.gamma_ud",
+            "noise.gamma_ou",
+            "noise.gamma_od",
+            "noise.gamma_heat",
+            "noise.n_bar",
+            "noise.stark",
+        ),
+    ),
     "fig3": (
         ("drive.duration=3e-05", "n_fock=6"),
         (
@@ -594,6 +624,14 @@ _CHEAP_PRESET_KEYS = {
             "noise.gamma_heat",
             "noise.n_bar",
             "noise.stark",
+        ),
+    ),
+    "tomography_demo": (
+        ("tomography.resamples=2",),
+        tuple(
+            f"tomography.{key}"
+            for key, parser in _SCHEMA["tomography"].items()
+            if parser.__name__ in ("_parse_int", "parse_quantity")
         ),
     ),
 }
@@ -613,15 +651,15 @@ def _extreme_values(key: str):
     return values.map(repr)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from(
         [(preset, base, key) for preset, (base, keys) in _CHEAP_PRESET_KEYS.items() for key in keys]
     ).flatmap(lambda case: st.tuples(st.just(case), _extreme_values(case[2])))
 )
 def test_extreme_overrides_end_in_a_documented_exit_code(case):
-    """One override of a cheap preset with a negative, zero or huge finite
-    value ends in exit code 0, 2 (config), 3 (numerics) or 4 (convergence),
+    """One override of a cheap preset or scenario with a negative, zero or
+    huge finite value ends in exit code 0, 2 (config), 3 (numerics) or 4 (convergence),
     prints no traceback, and an exit-0 run writes no nan."""
     import contextlib
     import io
@@ -631,8 +669,12 @@ def test_extreme_overrides_end_in_a_documented_exit_code(case):
     overrides = [arg for text in (*base, f"{key}={value}") for arg in ("--override", text)]
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["run", "--preset", preset, "--out", tmp, *overrides])
-        written = [path.read_text() for path in Path(tmp).rglob("*") if path.is_file()]
+        source = ["--preset", preset]
+        if preset not in PRESETS:
+            source = [str(Path(tmp, "scenario.cfg"))]
+            Path(source[0]).write_text(f"scenario = {preset}\n")
+        code = main(["run", *source, "--out", str(Path(tmp, "out")), *overrides])
+        written = [path.read_text() for path in Path(tmp, "out").rglob("*") if path.is_file()]
     assert code in (0, 2, 3, 4), err.getvalue()
     assert "Traceback" not in out.getvalue() + err.getvalue()
     if code == 0:

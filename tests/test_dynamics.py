@@ -416,27 +416,33 @@ def test_density_contracts_fail_on_nan():
 
 
 def test_a_run_stops_within_one_check_chunk_of_its_failure(monkeypatch):
-    """Samples are checked as their chunk fills: a kernel that returns NaN
-    from its call k on raises at sample k, after at most k +
-    _CHECK_CHUNK kernel calls, not after the whole run."""
+    """Samples are checked as their chunk fills: a kernel whose rows are NaN
+    from sample k on raises at sample k, and no kernel call reaches past
+    sample k's check chunk, not to the end of the run.  The calls carry up
+    to a whole chunk of samples, cut where the theta_55 cap falls."""
     dims = SystemDims(2, 6, leak_level=True)
     real_call = dynamics._TaylorExpm.__call__
-    calls = []
+    reached, sizes = [], []  # every sample a call returned; the samples of each call
 
-    def nan_after(self, dt, v):
-        calls.append(dt)
-        out = real_call(self, dt, v)
-        return np.full_like(out, np.nan) if len(calls) >= k else out
+    def nan_from_sample_k(self, offsets, v):
+        out = real_call(self, offsets, v)
+        out[max(k - len(reached), 0) :] = np.nan
+        reached.extend(offsets)
+        sizes.append(len(offsets))
+        return out
 
-    monkeypatch.setattr(dynamics._TaylorExpm, "__call__", nan_after)
+    monkeypatch.setattr(dynamics._TaylorExpm, "__call__", nan_from_sample_k)
     rho0 = named_state(dims, "uu", 0).to_density()
     noise = NoiseModel(gamma_ou=1e3)
+    chunk = dynamics._CHECK_CHUNK
     for k in (1, 5, 11):
-        calls.clear()
-        sample_dt = T_PI / 100  # 101 samples, 100 kernel calls for a whole run
+        reached.clear()
+        sample_dt = T_PI / 100  # 101 samples
         with pytest.raises(NumericsError, match=rf"trace drift nan at t = {k * sample_dt:.3e} s"):
             evolve_density(single_pulse(), dims, GEOM2, noise, rho0, sample_dt)
-        assert k <= len(calls) <= k + dynamics._CHECK_CHUNK
+        assert k < len(reached) <= (k // chunk + 1) * chunk
+    assert max(sizes) > 1
+    assert min(sizes) < chunk  # a chunk's samples past the cap go to a second call
 
 
 def test_pure_state_contracts_fail_on_nan(monkeypatch):
@@ -463,9 +469,10 @@ def test_pure_state_contracts_fail_on_nan(monkeypatch):
 
 def test_planned_kernel_work_is_bounded(monkeypatch):
     """Before a segment is propagated its planned Taylor work, sum m * s
-    over its steps, is added to the run's; past _MAX_MATVECS the run raises
-    NumericsError before that segment's first step, and a step that alone
-    needs more raises too."""
+    over its kernel calls, is added to the run's; past _MAX_MATVECS the run
+    raises NumericsError before that segment's first call, and a step that
+    alone needs more raises too.  Each sample step here passes theta_55, so
+    each sample is a call of its own, sample 0 one with no step."""
     import math
     import re
 
@@ -476,24 +483,24 @@ def test_planned_kernel_work_is_bounded(monkeypatch):
     work = []
     real_call = dynamics._TaylorExpm.__call__
 
-    def counted(self, dt, v):
-        work.append(math.prod(self.plan(dt)))
-        return real_call(self, dt, v)
+    def counted(self, offsets, v):
+        work.append(math.prod(self.plan(offsets[-1])))
+        return real_call(self, offsets, v)
 
     monkeypatch.setattr(dynamics._TaylorExpm, "__call__", counted)
     evolve_density(schedule, dims, GEOM2, noise, rho0, T_PI / 10)
     total = sum(work)
-    assert len(work) == 10 and 0 < sum(work[:5]) < total  # five steps per segment
+    assert len(work) == 11 and work[0] == 0 and 0 < sum(work[:6]) < total  # samples 0-5, then 6-10
 
     work.clear()
     monkeypatch.setattr(dynamics, "_MAX_MATVECS", total)
     evolve_density(schedule, dims, GEOM2, noise, rho0, T_PI / 10)
-    assert len(work) == 10
+    assert len(work) == 11
     work.clear()
     monkeypatch.setattr(dynamics, "_MAX_MATVECS", total - 1)
     with pytest.raises(NumericsError, match=re.escape(f"plans {total:.3g} matvecs up to t = {T_PI:.3e} s")):
         evolve_density(schedule, dims, GEOM2, noise, rho0, T_PI / 10)
-    assert len(work) == 5  # the first segment ran, the second never started
+    assert len(work) == 6  # the first segment ran, the second never started
     monkeypatch.setattr(dynamics, "_MAX_MATVECS", 10)
     with pytest.raises(NumericsError, match=r"a step of .* needs more than 1e\+01 matvecs"):
         evolve_density(schedule, dims, GEOM2, noise, rho0, T_PI / 10)
@@ -563,8 +570,8 @@ def test_an_in_loop_failure_reports_an_earlier_positivity_failure(monkeypatch):
     chunk fills; when a chunk fails one of those, the samples before it
     are checked for positivity first.  The run of the positivity test
     above at half the sample step fails positivity first at sample 7, and
-    its kernel returns NaN from call 12 on: the run stops at the end of
-    the chunk of the first NaN sample, sample 15 of 20, and names sample
+    its kernel returns NaN rows from sample 12 on: the run stops at the end
+    of the chunk of the first NaN sample, sample 15 of 20, and names sample
     7's negative eigenvalue."""
     dims = SystemDims(2, 2, leak_level=True)
     gamma, sample_dt = 1e4, 15e-6
@@ -573,21 +580,22 @@ def test_an_in_loop_failure_reports_an_earlier_positivity_failure(monkeypatch):
     for spins in ((LEAK, UP), (UP, LEAK)):
         rho[dims.basis_index(spins, 0), dims.basis_index(spins, 0)] = -0.8e-7
     schedule = PulseSchedule((PulseSegment(20 * sample_dt),))
-    calls = []
+    reached = []  # every sample a kernel call returned
     real_call = dynamics._TaylorExpm.__call__
 
-    def nan_from_call_12(self, dt, v):
-        calls.append(dt)
-        out = real_call(self, dt, v)
-        return np.full_like(out, np.nan) if len(calls) >= 12 else out
+    def nan_from_sample_12(self, offsets, v):
+        out = real_call(self, offsets, v)
+        out[max(12 - len(reached), 0) :] = np.nan
+        reached.extend(offsets)
+        return out
 
-    monkeypatch.setattr(dynamics._TaylorExpm, "__call__", nan_from_call_12)
+    monkeypatch.setattr(dynamics._TaylorExpm, "__call__", nan_from_sample_12)
     t = 7 * sample_dt
     eig = -1.6e-7 * (1.0 - np.exp(-gamma * t))
     assert -1.6e-7 * (1.0 - np.exp(-gamma * (t - sample_dt))) > -0.95e-7 and eig < -1.03e-7
     with pytest.raises(NumericsError, match=rf"negative eigenvalue {eig:.2e} at t = {t:.3e} s"):
         evolve_density(schedule, dims, GEOM2, NoiseModel(gamma_ou=gamma), DensityOperator(dims, rho), sample_dt)
-    assert len(calls) == 15
+    assert len(reached) == 16  # samples 0-15
 
 
 def test_density_matches_matrix_form_ode_reference():
@@ -637,15 +645,14 @@ def test_density_matches_matrix_form_ode_reference():
         assert np.max(np.abs(state.matrix - ref.reshape(d, d))) < 1e-9
 
 
-def test_taylor_kernel_matches_dense_expm():
-    """The sample-step kernel against a dense exponential of the vectorized
-    full-noise Lindbladian on a Hermitian rho, from a step well inside one
-    Taylor term's reach to one that needs many substeps, folded as
-    evolve_density folds it: over the leak-set blocks (rho block diagonal
-    over the leak sets) and over one group, the whole space (rho with
-    coherence between leak sets).  A zero step returns the input."""
+def _folded_kernels():
+    """The dense vectorized full-noise Lindbladian of a small leak-level
+    space and its Taylor kernels, folded as evolve_density folds them: over
+    the leak-set blocks (rho block diagonal over the leak sets) and over one
+    group, the whole space (rho with coherence between leak sets).  Each
+    kernel comes with the positions of its computed entries and of its
+    whole vector in vec(rho), and a unit-trace Hermitian start there."""
     import scipy.sparse as sp
-    from scipy.linalg import expm
 
     from zenosim.dynamics import _TaylorExpm
 
@@ -670,16 +677,100 @@ def test_taylor_kernel_matches_dense_expm():
         assert abs(kernel.norm_1 - np.abs(shifted).sum(axis=0).max()) < 1e-12 * kernel.norm_1
         start = np.where(between, 0.0, rho) if len(groups) > 1 else rho
         kernels.append((kernel, kept[half], kept[pos], (start / np.trace(start)).reshape(-1)))
+    return gen, kernels
 
+
+def test_taylor_kernel_matches_dense_expm():
+    """A one-sample kernel call against a dense exponential of the
+    vectorized full-noise Lindbladian on a Hermitian rho, from a step well
+    inside one Taylor term's reach to one that needs many substeps, on both
+    folds.  A zero step returns the input."""
+    from scipy.linalg import expm
+
+    gen, kernels = _folded_kernels()
     for reach in (0.1, 0.66, 5.0, 100.0):
         dt = reach / kernels[-1][0].norm_1  # the whole space's norm bounds the blocks'
         step = expm(dt * gen)
         for kernel, computed, whole_at, vec in kernels:
-            whole = np.zeros(n, dtype=complex)
-            whole[whole_at] = kernel.unfold(kernel(dt, vec[computed]))
+            whole = np.zeros(len(gen), dtype=complex)
+            whole[whole_at] = kernel.unfold(kernel(np.array([dt]), vec[computed])[0])
             assert np.max(np.abs(whole - step @ vec)) < 1e-12
     for kernel, computed, _, vec in kernels:
-        assert np.array_equal(kernel(0.0, vec[computed]), vec[computed])
+        assert np.array_equal(kernel(np.zeros(1), vec[computed])[0], vec[computed])
+
+
+def test_taylor_kernel_dense_output_matches_dense_expm():
+    """One kernel call for several samples: each row against a dense
+    exponential at its own offset, to 1e-12, at unequal offsets from 0 up
+    to a last one at the theta_55 cap of the whole space, where its plan
+    still keeps s = 1, on both folds; the offset 0 returns the input
+    exactly, and the last row is, bit for bit, a one-sample call at that
+    offset.  Offsets past the cap are only taken alone."""
+    from scipy.linalg import expm
+
+    gen, kernels = _folded_kernels()
+    whole_space = kernels[-1][0]  # its norm bounds the blocks'
+    cap = dynamics._THETA[55] / whole_space.norm_1
+    while cap * whole_space.norm_1 > dynamics._THETA[55]:
+        cap = np.nextafter(cap, 0.0)
+    assert whole_space.plan(cap) == (55, 1)
+    # exp(k cap / 8 gen) from powers of one exponential
+    eighth = expm(cap / 8 * gen)
+    powers = {1: eighth, 3: eighth @ eighth @ eighth}
+    powers[4] = powers[3] @ eighth
+    powers[8] = powers[4] @ powers[4]
+    offsets = np.array([0.0, 0.013 * cap, cap / 8, 3 * cap / 8, cap / 2, cap])
+    steps = [np.eye(len(gen)), expm(offsets[1] * gen), powers[1], powers[3], powers[4], powers[8]]
+    for kernel, computed, whole_at, vec in kernels:
+        assert kernel.plan(cap)[1] == 1
+        rows = kernel(offsets, vec[computed])
+        assert rows.shape == (len(offsets), len(computed))
+        assert np.array_equal(rows[0], vec[computed])
+        assert np.array_equal(rows[-1], kernel(offsets[-1:], vec[computed])[0])
+        for step, row in zip(steps, rows):
+            whole = np.zeros(len(gen), dtype=complex)
+            whole[whole_at] = kernel.unfold(row)
+            assert np.max(np.abs(whole - step @ vec)) < 1e-12
+        with pytest.raises(ValueError, match="only a lone offset"):
+            kernel(np.array([0.5, 1.01]) * cap, vec[computed])
+
+
+def test_kernel_calls_stay_within_a_segment_and_a_check_chunk(monkeypatch):
+    """In a two-segment run whose boundary falls inside a check chunk, each
+    kernel call carries the samples after the last one's, all in one
+    segment and one _CHECK_CHUNK, at their offsets from the time of the
+    last, and its rows are those samples as stored."""
+    dims = SystemDims(2, 8, leak_level=True)
+    noise = _full_noise((300.0, 200.0, 150.0, 100.0), 40.0)
+    schedule = PulseSchedule(
+        (PulseSegment(0.37 * T_PI, OMEGA_S, OMEGA_D, DELTA), PulseSegment(0.63 * T_PI, -OMEGA_S, OMEGA_D, -DELTA))
+    )
+    calls = []
+    real_call = dynamics._TaylorExpm.__call__
+
+    def recorded(self, offsets, v):
+        out = real_call(self, offsets, v)
+        calls.append((np.array(offsets), out))
+        return out
+
+    monkeypatch.setattr(dynamics._TaylorExpm, "__call__", recorded)
+    rho0 = named_state(dims, "uu", 0).to_density()
+    traj = evolve_density(schedule, dims, GEOM2, noise, rho0, sample_dt=T_PI / 200)
+    boundary = schedule.boundaries()[1]
+    chunk = dynamics._CHECK_CHUNK
+    first, t0 = 0, 0.0
+    for offsets, rows in calls:
+        ks = np.arange(first, first + len(offsets))
+        assert len(set(ks // chunk)) == 1
+        assert np.all(traj.times[ks] <= boundary) or np.all(traj.times[ks] > boundary)
+        np.testing.assert_array_equal(offsets, traj.times[ks] - t0)
+        np.testing.assert_array_equal(rows, traj.samples[ks])
+        first, t0 = ks[-1] + 1, traj.times[ks[-1]]
+    assert first == len(traj.times)
+    sizes = [len(offsets) for offsets, _ in calls]
+    assert max(sizes) == chunk and len(calls) < len(traj.times) // 2
+    k = int(np.flatnonzero(traj.times == boundary)[0])
+    assert k % chunk not in (0, chunk - 1)  # the boundary cuts a chunk into two calls
 
 
 def _exact_max_taylor_call(kernel, dt, v):
@@ -722,7 +813,7 @@ def test_taylor_stop_test_bound_keeps_every_decision(seed):
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
     for reach in (1e-6, 0.1, 0.9, 4.0, 30.0):
         dt = reach / kernel.norm_1
-        assert np.array_equal(kernel(dt, v), _exact_max_taylor_call(kernel, dt, v))
+        assert np.array_equal(kernel(np.array([dt]), v)[0], _exact_max_taylor_call(kernel, dt, v))
 
 
 @settings(max_examples=20, deadline=None)
