@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import PRESETS, SWEEP_AXES, ScenarioConfig, apply_override, load_preset, parse_config
 from .dressed import scan_detuning
-from .dynamics import extract_populations
+from .dynamics import _one_blas_thread, extract_populations
 from .errors import ConfigError, ConvergenceError, NumericsError, ZenosimError
 from .hilbert import SystemDims, named_state, spin_state
 from .model import NoiseModel
@@ -29,6 +29,7 @@ from .protocol import (
     error_budget,
     experimental_override,
     fine_tune,
+    leakage_estimate,
     plan_composite,
     plan_single,
     plan_three_ion,
@@ -85,6 +86,14 @@ def _build_plan(config: ScenarioConfig) -> ProtocolPlan:
     # overflows t_pi, sets no usable pi time
     if not (plan.t_pi / 400 > 0 and plan.t_pi < np.inf):
         raise ConfigError(f"[drive] pi time {plan.t_pi:.3g} s is out of range; omega_d must be > 0")
+    # error_budget's closed form: omega_s = 0 divides the composite
+    # scheme's (omega_d / omega_s)^4 by zero, a tiny one overflows it
+    try:
+        if plan.n_ions == 2:
+            leakage_estimate(plan)
+    except (ZeroDivisionError, OverflowError):
+        at = f"omega_s = {omega_s:.3g}, omega_d = {plan.omega_d:.3g} rad/s"
+        raise ConfigError(f"[drive] the leakage estimate (omega_d / omega_s)^4 at {at} is out of range") from None
     return plan
 
 
@@ -436,12 +445,14 @@ def run_sweep(config: ScenarioConfig, out_dir: Path) -> dict:
     return {"sweep": path}
 
 
+@_one_blas_thread
 def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None) -> dict:
     """Execute one scenario, writing its outputs into out_dir.
 
     Returns a dict naming every file written.  Raises ConfigError,
     NumericsError, or ConvergenceError; the command-line wrapper translates
-    these into exit codes 2, 3, and 4.
+    these into exit codes 2, 3, and 4.  OpenBLAS runs on one thread for
+    the call (dynamics._one_blas_thread).
     """
     out = Path(out_dir if out_dir is not None else (config.out or "."))
     out.mkdir(parents=True, exist_ok=True)

@@ -23,8 +23,8 @@ leak jump maps the block (A, A) to (A+k, A+k).  A state that starts block
 diagonal over the leak sets therefore stays so exactly, and only those
 blocks are propagated, stored and checked (Buca & Prosen, New J. Phys. 14,
 073007 (2012)).  Its samples are checked as they are made, so a run that
-breaks its trace, its Hermiticity or the Fock limit stops within a few
-samples.
+breaks its trace, its Hermiticity, the Fock limit or positivity stops
+within a few samples.
 
 A Lindbladian maps Hermitian matrices to Hermitian matrices (Breuer &
 Petruccione, The Theory of Open Quantum Systems, sec. 3.2), so only the
@@ -36,10 +36,11 @@ readers rebuild whole blocks a few samples at a time where they need them.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,6 +59,58 @@ from .model import IonGeometry, NoiseModel, PulseSchedule, PulseSegment, lindbla
 
 TOP_FOCK_LIMIT = 1e-8
 POSITIVITY_FLOOR = 1e-7
+
+
+@functools.cache
+def _openblas_controls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
+    """The (get, set) thread-count pair of each OpenBLAS mapped into this
+    process, searched on first use: scipy_openblas_{get,set}_num_threads64_
+    in numpy's wheel, the same without 64_ in scipy's, and
+    openblas_{get,set}_num_threads elsewhere.  Empty without /proc/self/maps
+    or such a pair (another BLAS or OS); a library loaded later is missed."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps}
+    except OSError:
+        return ()
+    controls = []
+    for path in sorted(p for p in paths if "openblas" in p.rsplit("/", 1)[-1]):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("scipy_openblas_", ""), ("openblas_", "")):
+            get, put = (getattr(lib, f"{prefix}{op}_num_threads{suffix}", None) for op in ("get", "set"))
+            if get and put:
+                get.restype, get.argtypes = ctypes.c_int, []
+                put.restype, put.argtypes = None, [ctypes.c_int]
+                controls.append((get, put))
+                break
+    return tuple(controls)
+
+
+def _one_blas_thread(fn):
+    """Run fn with each OpenBLAS of _openblas_controls on one thread, and
+    give each its previous count back when fn returns or raises, so calls
+    nest.  OpenBLAS hands a Cholesky 64 or more wide, eigh at dim 40 and
+    wide stacked products to a second thread, which then busy-waits through
+    the single-threaded Python that follows: on two cores the fig3 preset's
+    call took 0.62 s of CPU for 0.32 s of wall time, and takes 0.32 s for
+    0.33 s on one thread.  The counts are process-wide."""
+
+    @functools.wraps(fn)
+    def pinned(*args, **kwargs):
+        controls = _openblas_controls()
+        before = [get() for get, _ in controls]
+        for _, put in controls:
+            put(1)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            for (_, put), count in zip(controls, before):
+                put(count)
+
+    return pinned
 
 
 @dataclass(frozen=True)
@@ -214,11 +267,11 @@ def _diagonals(groups: Sequence[np.ndarray]) -> list[np.ndarray]:
     return diags
 
 
-def _rebuilt(flat: np.ndarray, groups: Sequence[np.ndarray]):
-    """Yield (start, blocks) for each _CHECK_CHUNK samples of a (T, n_half)
-    density stack: the groups' whole (C, n, n) blocks from sample start on.
+def _rebuilder(groups: Sequence[np.ndarray]) -> Callable[[np.ndarray], list[np.ndarray]]:
+    """h -> the groups' whole (C, n, n) blocks of C samples h of a (T,
+    n_half) density stack.
 
-    One take from [h, conj(h)] rebuilds a chunk in the layout of _kept, each
+    One take from [h, conj(h)] rebuilds them in the layout of _kept, each
     entry below a diagonal the conjugate of its mirror, so the blocks hold
     exactly the numbers of the Hermitian rho the kernel's vector describes.
     """
@@ -228,10 +281,21 @@ def _rebuilt(flat: np.ndarray, groups: Sequence[np.ndarray]):
     mirror[lower] = len(half) + strict
     sizes = [len(idx) for idx in groups]
     edges = np.cumsum([0] + [n * n for n in sizes])
-    for start in range(0, len(flat), _CHECK_CHUNK):
-        h = flat[start : start + _CHECK_CHUNK]
+
+    def rebuild(h: np.ndarray) -> list[np.ndarray]:
         whole = np.concatenate((h, h.conj()), axis=1).take(mirror, axis=1)
-        yield start, [whole[:, a:b].reshape(len(h), n, n) for n, a, b in zip(sizes, edges, edges[1:])]
+        return [whole[:, a:b].reshape(len(h), n, n) for n, a, b in zip(sizes, edges, edges[1:])]
+
+    return rebuild
+
+
+def _rebuilt(flat: np.ndarray, groups: Sequence[np.ndarray]):
+    """Yield (start, blocks) for each _CHECK_CHUNK samples of a (T, n_half)
+    density stack: the groups' whole (C, n, n) blocks from sample start on
+    (_rebuilder)."""
+    rebuild = _rebuilder(groups)
+    for start in range(0, len(flat), _CHECK_CHUNK):
+        yield start, rebuild(flat[start : start + _CHECK_CHUNK])
 
 
 class _TaylorExpm:
@@ -344,12 +408,9 @@ class _TaylorExpm:
         if len(offsets) > 1:
             early = offsets[:-1]
             # real weights on the (re, im) pairs of the terms (all offsets
-            # are 0 when tau is), summed in einsum's own loop: a BLAS gemm
-            # is 3-4x faster here, but wakes OpenBLAS's threads, which then
-            # spin through the matvecs (three_ion preset: 3.8 s CPU for
-            # 2.0 s wall, against 3.3 s for 2.3 s)
+            # are 0 when tau is)
             weights = (early / tau if tau > 0 else early)[:, None] ** np.arange(used + 1)
-            rows = np.einsum("ij,jk->ik", weights, terms[: used + 1].view(np.float64)).view(complex)
+            rows = (weights @ terms[: used + 1].view(np.float64)).view(complex)
             np.multiply(rows, np.exp(early * self.mu)[:, None], out=out[:-1])
         return out
 
@@ -441,10 +502,10 @@ def _factorizes(mats: np.ndarray) -> bool:
 # samples per step of the density checks, of the Taylor kernel's calls and
 # of every reader that needs whole blocks: evolve_density propagates each
 # run of 8 samples within a segment with one kernel call (two where the
-# theta_55 cap falls inside it) and checks all but positivity on it as soon
-# as it is filled, and each temporary (rebuilt blocks, a Cholesky input)
-# covers 8 samples, at most 13 MB for one block of dim 324 and 0.5 MB for
-# the fig3 preset's widest block
+# theta_55 cap falls inside it) and checks it as soon as it is filled, and
+# each temporary (rebuilt blocks, a Cholesky input) covers 8 samples, at
+# most 13 MB for one block of dim 324 and 0.5 MB for the fig3 preset's
+# widest block
 _CHECK_CHUNK = 8
 
 
@@ -453,8 +514,7 @@ def _check_density(
     times: np.ndarray,
     flat: np.ndarray,
     groups: Sequence[np.ndarray],
-    norms: bool = True,
-    positivity: bool = True,
+    rebuild: Callable[[np.ndarray], list[np.ndarray]] | None = None,
 ):
     """Trace, Hermiticity, truncation and positivity contracts of every sample.
 
@@ -465,31 +525,29 @@ def _check_density(
     entries are exact mirrors, so the Frobenius defect of rho - rho^dag is
     2 |Im diag|, and it is NaN when any stored entry is not finite.  A
     sample is positive exactly when each block is: a Cholesky factorization
-    of block + 1e-7 I, on blocks rebuilt _CHECK_CHUNK samples at a time,
-    succeeds exactly when its smallest eigenvalue is above -1e-7, which is
-    only computed to report a failure.  The stack is checked _CHECK_CHUNK
-    samples at a time, and the first failing sample raises, with the first
-    contract it fails in the order above.  Each test is written so that NaN
-    fails it; positivity is only tested on samples that pass the others,
-    whose entries are then finite.  norms False skips the first three
-    contracts, positivity False the last.
+    of block + 1e-7 I, on blocks rebuilt _CHECK_CHUNK samples at a time by
+    rebuild (default _rebuilder(groups), which a caller checking a run
+    chunk by chunk builds once), succeeds exactly when its smallest
+    eigenvalue is above -1e-7, which is only computed to report a failure.
+    The stack is checked _CHECK_CHUNK samples at a time, and the first
+    failing sample raises, with the first contract it fails in the order
+    above.  Each test is written so that NaN fails it; positivity is only
+    tested on samples that pass the others, whose entries are then finite.
     """
+    rebuild = rebuild or _rebuilder(groups)
     diags = _diagonals(groups)
     diag = np.concatenate(diags)
     tops = np.concatenate([d[idx % dims.n_fock == dims.n_fock - 1] for d, idx in zip(diags, groups)])
-    chunks = _rebuilt(flat, groups) if positivity else ((s, ()) for s in range(0, len(times), _CHECK_CHUNK))
-    for start, blocks in chunks:
+    for start in range(0, len(flat), _CHECK_CHUNK):
         chunk = flat[start : start + _CHECK_CHUNK]
-        earlier = np.zeros(len(chunk), dtype=bool)
-        if norms:
-            d = chunk[:, diag]
-            drift = np.abs(d.real.sum(axis=1) - 1.0)
-            asym = 2.0 * np.sqrt(np.square(d.imag).sum(axis=1))
-            asym[~np.isfinite(chunk).all(axis=1)] = np.nan
-            top = chunk[:, tops].real.sum(axis=1)
-            earlier = ~(drift <= 1e-8) | ~(asym <= 1e-10) | ~(top < TOP_FOCK_LIMIT)
+        d = chunk[:, diag]
+        drift = np.abs(d.real.sum(axis=1) - 1.0)
+        asym = 2.0 * np.sqrt(np.square(d.imag).sum(axis=1))
+        asym[~np.isfinite(chunk).all(axis=1)] = np.nan
+        top = chunk[:, tops].real.sum(axis=1)
+        earlier = ~(drift <= 1e-8) | ~(asym <= 1e-10) | ~(top < TOP_FOCK_LIMIT)
         low = np.zeros(len(chunk))  # per sample, the failing eigenvalue of its first non-positive block
-        for b in blocks:
+        for b in rebuild(chunk):
             shifted = b + POSITIVITY_FLOOR * np.eye(b.shape[-1])
             if _factorizes(shifted):
                 continue
@@ -536,6 +594,7 @@ def _kernel_calls(times: np.ndarray, ks: np.ndarray, norm_1: float) -> list[tupl
     return [(slice(r[0], r[-1] + 1), times[r[0] : r[-1] + 1] - times[max(r[0] - 1, 0)]) for r in runs]
 
 
+@_one_blas_thread
 def evolve_density(
     schedule: PulseSchedule,
     dims: SystemDims,
@@ -587,14 +646,12 @@ def evolve_density(
     diagonal's imaginary part and NaN), top Fock population below 1e-8 and
     eigenvalues above -1e-7.  The first violating sample raises
     NumericsError (TruncationError for the Fock limit) naming its time;
-    nothing is projected away.  The first three contracts are checked on
-    each _CHECK_CHUNK samples as soon as its last call has filled them, so
-    no call reaches past the chunk of a failing sample, and on a failure
-    the positivity of the samples before it too.  Otherwise positivity is
-    checked after the loop: OpenBLAS factorizes complex matrices 64 or
-    more wide on all its threads, which then spin on through the
-    propagation (on the fig3 preset, CPU time 1.8 -> 2.5 s at the same
-    wall time).
+    nothing is projected away.  All four contracts are checked on each
+    _CHECK_CHUNK samples as soon as its last call has filled them, so no
+    call reaches past the chunk of a failing sample.  The run keeps
+    OpenBLAS on one thread (_one_blas_thread): the Cholesky of a block 64
+    or more wide would otherwise wake a second thread, which then spins
+    through the single-threaded propagation that follows.
     """
     if initial.dims != dims:
         raise ValueError("initial state dims do not match")
@@ -628,6 +685,7 @@ def evolve_density(
     times = _sample_times(schedule, sample_dt)
     flat = np.empty((len(times), len(half)), dtype=complex)
     vec = initial.matrix.reshape(-1)[kept[half]]
+    rebuild = _rebuilder(groups)
     boundaries = schedule.boundaries()
     work = 0
     for seg_idx, ks in enumerate(_segment_samples(times, boundaries)):
@@ -645,14 +703,7 @@ def evolve_density(
             vec = flat[k]
             if k % _CHECK_CHUNK == _CHECK_CHUNK - 1 or k == len(times) - 1:
                 first = k - k % _CHECK_CHUNK
-                try:
-                    _check_density(dims, times[first : k + 1], flat[first : k + 1], groups, positivity=False)
-                except NumericsError:
-                    # an earlier sample may fail positivity first
-                    _check_density(dims, times[: k + 1], flat[: k + 1], groups)
-                    raise
-    del expm  # its terms, before the positivity check rebuilds blocks
-    _check_density(dims, times, flat, groups, norms=False)
+                _check_density(dims, times[first : k + 1], flat[first : k + 1], groups, rebuild)
     flat.setflags(write=False)
     return Trajectory(times, flat, dims, schedule, tuple(groups))
 

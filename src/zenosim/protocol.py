@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory, evolve_density, evolve_pure
+from .dynamics import Trajectory, _one_blas_thread, evolve_density, evolve_pure
 from .dressed import balanced_detuning
 from .hilbert import SystemDims, named_state, spin_state, thermal_product_state
 from .model import IonGeometry, NoiseModel, PulseSchedule, PulseSegment, carrier_pi_time, mean_decay_rate
@@ -189,6 +189,7 @@ def simulate_plan(
     return evolve_pure(schedule, dims, geom, named_state(dims, start, 0), sample_dt, shifts)
 
 
+@_one_blas_thread
 def simulate_plan_fidelity(
     plan: ProtocolPlan,
     noise: NoiseModel | None = None,
@@ -202,7 +203,9 @@ def simulate_plan_fidelity(
     The target is |T> for two ions and |W> for three, in the motional
     ground state.  An end-fidelity run samples only the segment boundaries
     unless sample_dt is given; a peak run takes the maximum over the
-    samples of simulate_plan.
+    samples of simulate_plan.  OpenBLAS runs on one thread for the call
+    (dynamics._one_blas_thread), which error_budget, fine_tune and the sweep
+    cells make, also outside run_scenario.
     """
     if sample_dt is None and at_end:
         sample_dt = plan_schedule(plan, duration).total_duration

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import zenosim
@@ -144,7 +144,9 @@ def test_cli_exit_codes(tmp_path):
     + [pytest.param("fig_s4", o, id=o) for o in ("scan.start=nan", "scan.stop=inf")]
     # finite values whose scan overflows the float range inside the eigensolver
     + [pytest.param("fig_s4", o, id=o) for o in ("scan.start=1e308", "drive.omega_s=1e308")]
-    + [pytest.param("fig3", o, id=o) for o in ("noise.n_bar=inf", "noise.gamma_du=nan")],
+    + [pytest.param("fig3", o, id=o) for o in ("noise.n_bar=inf", "noise.gamma_du=nan")]
+    # a composite leakage estimate (omega_d / omega_s)^4 that divides by zero or overflows
+    + [pytest.param("fig3", o, id=o) for o in ("drive.omega_s=0.0", "drive.omega_s=1e-300", "drive.omega_d=1e200")],
 )
 def test_invalid_override_exits_with_config_error(tmp_path, capsys, preset, override):
     assert main(["run", "--preset", preset, "--out", str(tmp_path), "--override", override]) == 2
@@ -616,6 +618,7 @@ _CHEAP_PRESET_KEYS = {
     "fig3": (
         ("drive.duration=3e-05", "n_fock=6"),
         (
+            "drive.omega_s",
             "drive.duration",
             "noise.gamma_du",
             "noise.gamma_ud",
@@ -657,6 +660,9 @@ def _extreme_values(key: str):
         [(preset, base, key) for preset, (base, keys) in _CHEAP_PRESET_KEYS.items() for key in keys]
     ).flatmap(lambda case: st.tuples(st.just(case), _extreme_values(case[2])))
 )
+# the composite leakage estimate (omega_d / omega_s)^4 divides by zero and overflows
+@example(case=(("fig3", _CHEAP_PRESET_KEYS["fig3"][0], "drive.omega_s"), "0.0"))
+@example(case=(("fig3", _CHEAP_PRESET_KEYS["fig3"][0], "drive.omega_s"), "1e-300"))
 def test_extreme_overrides_end_in_a_documented_exit_code(case):
     """One override of a cheap preset or scenario with a negative, zero or
     huge finite value ends in exit code 0, 2 (config), 3 (numerics) or 4 (convergence),

@@ -566,13 +566,11 @@ def test_positivity_failure_names_the_first_failing_sample():
 
 
 def test_an_in_loop_failure_reports_an_earlier_positivity_failure(monkeypatch):
-    """Positivity is checked after the loop, the other contracts as each
-    chunk fills; when a chunk fails one of those, the samples before it
-    are checked for positivity first.  The run of the positivity test
-    above at half the sample step fails positivity first at sample 7, and
-    its kernel returns NaN rows from sample 12 on: the run stops at the end
-    of the chunk of the first NaN sample, sample 15 of 20, and names sample
-    7's negative eigenvalue."""
+    """Positivity is checked with the other contracts as each chunk fills.
+    The run of the positivity test above at half the sample step fails
+    positivity first at sample 7, and its kernel returns NaN rows from
+    sample 12 on: the run stops with the chunk that sample 7 ends, before
+    any NaN sample is made, and names sample 7's negative eigenvalue."""
     dims = SystemDims(2, 2, leak_level=True)
     gamma, sample_dt = 1e4, 15e-6
     rho = np.zeros((dims.dim, dims.dim), dtype=complex)
@@ -595,7 +593,7 @@ def test_an_in_loop_failure_reports_an_earlier_positivity_failure(monkeypatch):
     assert -1.6e-7 * (1.0 - np.exp(-gamma * (t - sample_dt))) > -0.95e-7 and eig < -1.03e-7
     with pytest.raises(NumericsError, match=rf"negative eigenvalue {eig:.2e} at t = {t:.3e} s"):
         evolve_density(schedule, dims, GEOM2, NoiseModel(gamma_ou=gamma), DensityOperator(dims, rho), sample_dt)
-    assert len(reached) == 16  # samples 0-15
+    assert len(reached) == 8  # samples 0-7
 
 
 def test_density_matches_matrix_form_ode_reference():
@@ -909,3 +907,92 @@ def _assert_stacked_readout_matches_loop(plan, noise, dims):
     end = simulate_plan_fidelity(plan, noise, duration, dims, at_end=True)
     final = simulate_plan(plan, noise, duration, dims, duration).final
     assert abs(end - state_fidelity(dims, final, targets[0])) <= 1e-14
+
+
+def _blas_threads() -> list[int]:
+    return [get() for get, _ in dynamics._openblas_controls()]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every controlled OpenBLAS on two threads during the test, each one's
+    own count restored after it; skips where no OpenBLAS control is found."""
+    controls = dynamics._openblas_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread control found in this process")
+    before = _blas_threads()
+    for _, put in controls:
+        put(2)
+    yield [2] * len(controls)
+    for (_, put), count in zip(controls, before):
+        put(count)
+
+
+def test_scenarios_fidelities_and_density_runs_use_one_blas_thread(two_blas_threads, monkeypatch, tmp_path):
+    """Inside each entry point that pins BLAS, reached from a spy one layer
+    down, every controlled OpenBLAS reports one thread, and the count is
+    back at two after the call.  The search for the controls is cached."""
+    from zenosim import cli, protocol
+    from zenosim.config import load_preset
+
+    inside = {}
+
+    def spy(name, fn):
+        def recorded(*args, **kwargs):
+            inside[name] = _blas_threads()
+            return fn(*args, **kwargs)
+
+        return recorded
+
+    monkeypatch.setattr(dynamics._TaylorExpm, "__call__", spy("evolve_density", dynamics._TaylorExpm.__call__))
+    monkeypatch.setattr(protocol, "simulate_plan", spy("simulate_plan_fidelity", protocol.simulate_plan))
+    monkeypatch.setattr(cli, "_dressed_scan_scenario", spy("run_scenario", cli._dressed_scan_scenario))
+    dims = SystemDims(2, 6, leak_level=True)
+    evolve_density(single_pulse(), dims, GEOM2, NoiseModel(gamma_ou=1e3), named_state(dims, "uu", 0).to_density())
+    assert _blas_threads() == two_blas_threads
+    protocol.simulate_plan_fidelity(protocol.plan_single(OMEGA_S, 2))
+    assert _blas_threads() == two_blas_threads
+    cli.run_scenario(load_preset("fig_s4"), tmp_path)
+    assert _blas_threads() == two_blas_threads
+    ones = [1] * len(two_blas_threads)
+    assert inside == {"evolve_density": ones, "simulate_plan_fidelity": ones, "run_scenario": ones}
+    assert dynamics._openblas_controls() is dynamics._openblas_controls()
+
+
+def test_one_blas_thread_restores_the_count_after_a_return_a_raise_and_a_nested_call(two_blas_threads):
+    ones = [1] * len(two_blas_threads)
+    inner = dynamics._one_blas_thread(_blas_threads)
+
+    @dynamics._one_blas_thread
+    def outer():
+        return inner(), _blas_threads()
+
+    assert outer() == (ones, ones)  # the nested call restores the outer call's one thread
+    assert _blas_threads() == two_blas_threads
+
+    @dynamics._one_blas_thread
+    def fails():
+        assert _blas_threads() == ones
+        raise ValueError("inside")
+
+    with pytest.raises(ValueError, match="inside"):
+        fails()
+    assert _blas_threads() == two_blas_threads
+
+
+def test_one_blas_thread_is_a_no_op_without_an_openblas_control(monkeypatch):
+    """Where the search finds no control (another BLAS, another OS), the
+    decorated function runs as it is and no thread count changes."""
+    real = dynamics._openblas_controls()
+    before = [get() for get, _ in real]
+    monkeypatch.setattr(dynamics, "_openblas_controls", lambda: ())
+
+    @dynamics._one_blas_thread
+    def add(x, *, y):
+        """Adds."""
+        assert [get() for get, _ in real] == before
+        return x + y
+
+    assert add(1, y=2) == 3
+    assert (add.__name__, add.__doc__) == ("add", "Adds.")
+    assert [get() for get, _ in real] == before
