@@ -30,8 +30,10 @@ A Lindbladian maps Hermitian matrices to Hermitian matrices (Breuer &
 Petruccione, The Theory of Open Quantum Systems, sec. 3.2), so only the
 upper triangle of each block is computed (3,272 of 6,400 rows at the fig3
 preset) and the lower one is its exact conjugate, by construction.  A
-density run stores those triangles as the kernel computes them, and its
-readers rebuild whole blocks a few samples at a time where they need them.
+density run stores those triangles as the kernel computes them.  One layout
+object per run (_Fold) says where each stored number sits: the kernel takes
+its columns from it, the checks their diagonals, and the readers rebuild
+whole blocks with it a few samples at a time where they need them.
 """
 
 from __future__ import annotations
@@ -117,30 +119,35 @@ def _one_blas_thread(fn):
 class Trajectory:
     """The sampled states of one run, stacked along a leading time axis.
 
-    samples[k] holds the state at times[k].  A pure-state run (no groups)
+    samples[k] holds the state at times[k].  A pure-state run (fold None)
     stores a (T, dim) array of amplitudes.  A density run stores only the
     upper triangles (a <= b) of the blocks of rho within its index groups
     (see evolve_density), the vector its kernel computes: one (T, n_half)
-    array, each block's triangle row-major, block after block (_fold).
-    Readers take the diagonals in place (_diagonals) and rebuild whole
-    blocks _CHECK_CHUNK samples at a time where they need them (_rebuilt).
-    The propagator fills the stack in place and makes it read-only.  states
-    and final build PureState or DensityOperator objects, each validated
-    again.
+    array laid out by the run's fold (_Fold), each block's triangle
+    row-major, block after block.  Readers take the diagonals in place and
+    rebuild whole blocks _CHECK_CHUNK samples at a time where they need
+    them (_Fold.chunks).  The propagator fills the stack in place and makes
+    it read-only.  states and final build PureState or DensityOperator
+    objects, each validated again.
     """
 
     times: np.ndarray
     samples: np.ndarray
     dims: SystemDims
     schedule: PulseSchedule
-    groups: tuple[np.ndarray, ...] = ()
+    fold: _Fold | None = None
+
+    @property
+    def groups(self) -> tuple[np.ndarray, ...]:
+        """The index groups of a density run's blocks; () for a pure-state run."""
+        return () if self.fold is None else self.fold.groups
 
     def _states(self, sel: slice) -> list:
         samples = self.samples[sel]
-        if not self.groups:
+        if self.fold is None:
             return [PureState(self.dims, amps) for amps in samples]
         states = []
-        for _, blocks in _rebuilt(samples, self.groups):
+        for _, blocks in self.fold.chunks(samples):
             rho = np.zeros((len(blocks[0]), self.dims.dim, self.dims.dim), dtype=complex)
             for idx, block in zip(self.groups, blocks):
                 rho[:, idx[:, None], idx] = block
@@ -157,19 +164,12 @@ class Trajectory:
 
     def fidelities(self, target: PureState) -> np.ndarray:
         """<target|rho|target> at every sample time; see state_fidelity."""
-        return _fidelities(self.dims, self.samples, self.groups, [target])[0]
+        return _fidelities(self.dims, self.samples, self.fold, [target])[0]
 
     def spin_matrices(self, sel: slice = slice(None)) -> np.ndarray:
         """(T', spin_dim, spin_dim) spin density matrices of the samples in
         sel, with the motional mode traced out."""
-        return _read(self.dims, self.samples[sel], self.groups, (), True)[1]
-
-
-def _kept(dim: int, groups: Sequence[np.ndarray]) -> np.ndarray:
-    """Row-major flat indices of each group's block of a dim x dim matrix,
-    block after block: the whole blocks the kernel's generator acts on, and
-    the layout of _rebuilt's chunks."""
-    return np.concatenate([(idx[:, None] * dim + idx).ravel() for idx in groups])
+        return _read(self.dims, self.samples[sel], self.fold, (), True)[1]
 
 
 @dataclass(frozen=True)
@@ -231,71 +231,66 @@ _UNIT_ROUNDOFF = 2.0**-53
 _MAX_MATVECS = 1_000_000
 
 
-def _fold(groups: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The upper triangles of the whole blocks laid out as _kept.
+class _Fold:
+    """Where each number of a density run's stored samples sits.
 
-    half holds the positions of each block's entries (a, b) with a <= b,
-    block after block and row-major, the order of a density Trajectory's
-    samples; lower the positions of its entries a > b, and strict[k] the
+    The run keeps only the blocks of rho within its index groups.  In the
+    row-major vec(rho) their whole entries sit at kept, block after block:
+    the vector the kernel's generator acts on.  Within that vector half
+    holds the positions of each block's entries (a, b) with a <= b, block
+    after block and row-major, the order of a stored sample (n_half
+    entries); lower the positions of its entries a > b, and strict[k] the
     index into half of lower[k]'s mirror (b, a), so a Hermitian rho has
-    rho[lower] == rho[half][strict].conj().
+    rho[lower] == rho[half][strict].conj().  diagonals holds each group's
+    (a, a) as positions in a stored sample, diag all of them and tops those
+    on the top Fock level.
     """
-    half, lower, strict = [], [], []
-    start = n_half = 0
-    for idx in groups:
-        n = len(idx)
-        a, b = np.triu_indices(n)
-        off = a < b
-        half.append(start + a * n + b)
-        lower.append(start + b[off] * n + a[off])
-        strict.append(n_half + np.flatnonzero(off))
-        start += n * n
-        n_half += len(a)
-    return np.concatenate(half), np.concatenate(lower), np.concatenate(strict)
 
+    def __init__(self, dims: SystemDims, groups: Sequence[np.ndarray]):
+        self.groups = tuple(groups)
+        self.kept = np.concatenate([(idx[:, None] * dims.dim + idx).ravel() for idx in self.groups])
+        half, lower, strict, self.diagonals = [], [], [], []
+        start = n_half = 0
+        for idx in self.groups:
+            n = len(idx)
+            a, b = np.triu_indices(n)
+            off = a < b
+            half.append(start + a * n + b)
+            lower.append(start + b[off] * n + a[off])
+            strict.append(n_half + np.flatnonzero(off))
+            self.diagonals.append(n_half + np.flatnonzero(~off))
+            start += n * n
+            n_half += len(a)
+        self.half, self.lower, self.strict = (np.concatenate(x) for x in (half, lower, strict))
+        self.diag = np.concatenate(self.diagonals)
+        top = dims.n_fock - 1
+        self.tops = np.concatenate([d[idx % dims.n_fock == top] for d, idx in zip(self.diagonals, self.groups)])
+        self._mirror = np.empty(start, dtype=np.intp)
+        self._mirror[self.half] = np.arange(n_half)
+        self._mirror[self.lower] = n_half + self.strict
+        self._edges = np.cumsum([0] + [len(idx) ** 2 for idx in self.groups])
 
-def _diagonals(groups: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Each group's diagonal (a, a), as positions in a density Trajectory's
-    (T, n_half) samples: row a of an n-wide triangle starts a * n - a(a-1)/2
-    entries into the block's."""
-    diags, start = [], 0
-    for idx in groups:
-        n = len(idx)
-        a = np.arange(n)
-        diags.append(start + a * n - a * (a - 1) // 2)
-        start += n * (n + 1) // 2
-    return diags
+    def pack(self, rho: np.ndarray) -> np.ndarray:
+        """The stored sample of a dim x dim rho, or of each of a stack."""
+        return rho.reshape(*rho.shape[:-2], -1)[..., self.kept[self.half]]
 
+    def blocks(self, h: np.ndarray) -> list[np.ndarray]:
+        """The groups' whole (C, n, n) blocks of C stored samples h.
 
-def _rebuilder(groups: Sequence[np.ndarray]) -> Callable[[np.ndarray], list[np.ndarray]]:
-    """h -> the groups' whole (C, n, n) blocks of C samples h of a (T,
-    n_half) density stack.
+        One take from [h, conj(h)] rebuilds them in the layout of kept, each
+        entry below a diagonal the conjugate of its mirror, so the blocks
+        hold exactly the numbers of the Hermitian rho the kernel's vector
+        describes.
+        """
+        whole = np.concatenate((h, h.conj()), axis=1).take(self._mirror, axis=1)
+        edges = zip(self.groups, self._edges, self._edges[1:])
+        return [whole[:, a:b].reshape(len(h), len(idx), len(idx)) for idx, a, b in edges]
 
-    One take from [h, conj(h)] rebuilds them in the layout of _kept, each
-    entry below a diagonal the conjugate of its mirror, so the blocks hold
-    exactly the numbers of the Hermitian rho the kernel's vector describes.
-    """
-    half, lower, strict = _fold(groups)
-    mirror = np.empty(len(half) + len(lower), dtype=np.intp)
-    mirror[half] = np.arange(len(half))
-    mirror[lower] = len(half) + strict
-    sizes = [len(idx) for idx in groups]
-    edges = np.cumsum([0] + [n * n for n in sizes])
-
-    def rebuild(h: np.ndarray) -> list[np.ndarray]:
-        whole = np.concatenate((h, h.conj()), axis=1).take(mirror, axis=1)
-        return [whole[:, a:b].reshape(len(h), n, n) for n, a, b in zip(sizes, edges, edges[1:])]
-
-    return rebuild
-
-
-def _rebuilt(flat: np.ndarray, groups: Sequence[np.ndarray]):
-    """Yield (start, blocks) for each _CHECK_CHUNK samples of a (T, n_half)
-    density stack: the groups' whole (C, n, n) blocks from sample start on
-    (_rebuilder)."""
-    rebuild = _rebuilder(groups)
-    for start in range(0, len(flat), _CHECK_CHUNK):
-        yield start, rebuild(flat[start : start + _CHECK_CHUNK])
+    def chunks(self, flat: np.ndarray):
+        """Yield (start, blocks) for each _CHECK_CHUNK samples of a (T,
+        n_half) stack: the whole blocks from sample start on."""
+        for start in range(0, len(flat), _CHECK_CHUNK):
+            yield start, self.blocks(flat[start : start + _CHECK_CHUNK])
 
 
 class _TaylorExpm:
@@ -449,34 +444,27 @@ def evolve_pure(
     shifts), so a segment is diagonalized once for all schedules that
     differ only in durations.  States are sampled every sample_dt (default
     total/400) and at segment boundaries, into one (T, dim) stack of
-    amplitudes.  After the loop every sample is checked at once: the first
-    sample whose norm drifts beyond 1e-9 raises NumericsError, or whose top
-    Fock level holds more than 1e-8 raises TruncationError, naming its time.
+    amplitudes; each segment reaches the samples _segment_samples gives it,
+    the walk evolve_density takes.  After the walk every sample is checked
+    at once: the first sample whose norm drifts beyond 1e-9 raises
+    NumericsError, or whose top Fock level holds more than 1e-8 raises
+    TruncationError, naming its time.
     """
     if initial.dims != dims:
         raise ValueError("initial state dims do not match")
     shifts = None if stark_shifts is None else tuple(stark_shifts)
-
-    def spectrum(seg: PulseSegment) -> tuple[np.ndarray, np.ndarray]:
-        return _segment_spectrum(dims, geom, replace(seg, duration=0.0), shifts)
-
     times = _sample_times(schedule, sample_dt)
     amps = np.empty((len(times), dims.dim), dtype=complex)
-    psi = initial.amplitudes.copy()
-    t_seg_start = 0.0
-    seg_iter = iter(schedule.segments)
-    seg = next(seg_iter)
-    evals, evecs = spectrum(seg)
-    psi_seg = evecs.conj().T @ psi  # coordinates of the segment-start state
-    for k, t in enumerate(times):
-        # advance to the segment containing t
-        while t > t_seg_start + seg.duration + 1e-15:
-            psi = evecs @ (np.exp(-1j * evals * seg.duration) * psi_seg)
-            t_seg_start += seg.duration
-            seg = next(seg_iter)
-            evals, evecs = spectrum(seg)
-            psi_seg = evecs.conj().T @ psi
-        amps[k] = evecs @ (np.exp(-1j * evals * (t - t_seg_start)) * psi_seg)
+    psi, t0 = initial.amplitudes, 0.0  # the state at the start t0 of each segment
+    for seg, ks in zip(schedule.segments, _segment_samples(times, schedule.boundaries())):
+        evals, evecs = _segment_spectrum(dims, geom, replace(seg, duration=0.0), shifts)
+        psi_seg = evecs.conj().T @ psi  # its coordinates in the segment's eigenbasis
+        for k in ks:
+            amps[k] = evecs @ (np.exp(-1j * evals * (times[k] - t0)) * psi_seg)
+        if ks.stop == len(times):  # any later segment has zero length and no sample
+            break
+        psi = evecs @ (np.exp(-1j * evals * seg.duration) * psi_seg)
+        t0 += seg.duration
 
     drift = np.abs(np.linalg.norm(amps, axis=1) - 1.0)
     top = np.sum(np.abs(amps[:, dims.n_fock - 1 :: dims.n_fock]) ** 2, axis=1)
@@ -509,45 +497,33 @@ def _factorizes(mats: np.ndarray) -> bool:
 _CHECK_CHUNK = 8
 
 
-def _check_density(
-    dims: SystemDims,
-    times: np.ndarray,
-    flat: np.ndarray,
-    groups: Sequence[np.ndarray],
-    rebuild: Callable[[np.ndarray], list[np.ndarray]] | None = None,
-):
+def _check_density(fold: _Fold, times: np.ndarray, flat: np.ndarray):
     """Trace, Hermiticity, truncation and positivity contracts of every sample.
 
     flat is a (T, n_half) stack of the upper triangles of the blocks of rho
-    within the index groups, laid out as a density Trajectory stores them;
-    rho is zero outside them.  The trace and the top Fock population are
-    sums over the blocks' diagonals, read in place.  The off-diagonal
+    within the fold's index groups, laid out as a density Trajectory stores
+    them; rho is zero outside them.  The trace and the top Fock population
+    are sums over the blocks' diagonals, read in place.  The off-diagonal
     entries are exact mirrors, so the Frobenius defect of rho - rho^dag is
     2 |Im diag|, and it is NaN when any stored entry is not finite.  A
     sample is positive exactly when each block is: a Cholesky factorization
-    of block + 1e-7 I, on blocks rebuilt _CHECK_CHUNK samples at a time by
-    rebuild (default _rebuilder(groups), which a caller checking a run
-    chunk by chunk builds once), succeeds exactly when its smallest
-    eigenvalue is above -1e-7, which is only computed to report a failure.
-    The stack is checked _CHECK_CHUNK samples at a time, and the first
-    failing sample raises, with the first contract it fails in the order
-    above.  Each test is written so that NaN fails it; positivity is only
-    tested on samples that pass the others, whose entries are then finite.
+    of block + 1e-7 I, on the fold's whole blocks of _CHECK_CHUNK samples at
+    a time, succeeds exactly when its smallest eigenvalue is above -1e-7,
+    which is only computed to report a failure.  The first failing sample
+    raises, with the first contract it fails in the order above.  Each test
+    is written so that NaN fails it; positivity is only tested on samples
+    that pass the others, whose entries are then finite.
     """
-    rebuild = rebuild or _rebuilder(groups)
-    diags = _diagonals(groups)
-    diag = np.concatenate(diags)
-    tops = np.concatenate([d[idx % dims.n_fock == dims.n_fock - 1] for d, idx in zip(diags, groups)])
-    for start in range(0, len(flat), _CHECK_CHUNK):
+    for start, blocks in fold.chunks(flat):
         chunk = flat[start : start + _CHECK_CHUNK]
-        d = chunk[:, diag]
+        d = chunk[:, fold.diag]
         drift = np.abs(d.real.sum(axis=1) - 1.0)
         asym = 2.0 * np.sqrt(np.square(d.imag).sum(axis=1))
         asym[~np.isfinite(chunk).all(axis=1)] = np.nan
-        top = chunk[:, tops].real.sum(axis=1)
+        top = chunk[:, fold.tops].real.sum(axis=1)
         earlier = ~(drift <= 1e-8) | ~(asym <= 1e-10) | ~(top < TOP_FOCK_LIMIT)
         low = np.zeros(len(chunk))  # per sample, the failing eigenvalue of its first non-positive block
-        for b in rebuild(chunk):
+        for b in blocks:
             shifted = b + POSITIVITY_FLOOR * np.eye(b.shape[-1])
             if _factorizes(shifted):
                 continue
@@ -569,16 +545,17 @@ def _check_density(
             raise NumericsError(f"negative eigenvalue {low[j]:.2e} at t = {t:.3e} s")
 
 
-def _segment_samples(times: np.ndarray, boundaries: Sequence[float]) -> list[np.ndarray]:
-    """The indices of the samples each segment reaches, in order.  A sample
-    within 1e-15 past a boundary is reached within the segment before it;
-    every boundary is a sample time (_sample_times), so the last sample of a
-    segment is at its end."""
-    seg_of = np.searchsorted(np.asarray(boundaries[1:-1]) + 1e-15, times)
-    return [np.flatnonzero(seg_of == i) for i in range(len(boundaries) - 1)]
+def _segment_samples(times: np.ndarray, boundaries: Sequence[float]) -> list[range]:
+    """The range of sample indices each segment reaches, in order: the walk
+    of evolve_pure and evolve_density.  A sample within 1e-15 past a
+    boundary is reached within the segment before it; every boundary is a
+    sample time (_sample_times), so the last sample of a segment is at its
+    end."""
+    cuts = np.searchsorted(times, np.asarray(boundaries[1:-1]) + 1e-15, side="right").tolist()
+    return [range(a, b) for a, b in zip([0, *cuts], [*cuts, len(times)])]
 
 
-def _kernel_calls(times: np.ndarray, ks: np.ndarray, norm_1: float) -> list[tuple[slice, np.ndarray]]:
+def _kernel_calls(times: np.ndarray, ks: range, norm_1: float) -> list[tuple[slice, np.ndarray]]:
     """The samples ks of one segment split into kernel calls (samples,
     offsets): each call carries the state from the sample before its first
     (sample 0 from itself) to its samples, at those offsets.  A call's
@@ -623,18 +600,20 @@ def evolve_density(
     Only the diagonal blocks of rho over the index groups are propagated
     and stored: the leak sets of hilbert.leak_sectors if the initial state
     has no entry between different sets (exact, as nothing feeds those
-    entries), else one group, the whole space.  One sp.bmat per segment
-    builds the generator on those blocks alone, in the layout of _kept:
-    block (A, A) is K_AA x I + I x K_AA^*, as K keeps each leak set, and
-    each block (B, A) adds the jump feed sum_k L_k[B, A] x L_k[B, A]^*,
-    sliced once per run.  The shift is Re(tr L) / dim^2 of the full
-    generator, (sum_k |tr L_k|^2 - dim tr M) / dim^2; a complex shift would
-    not keep rho Hermitian.  vec holds only the upper triangle of each block
-    (_fold), from which the kernel computes those rows alone; the lower
-    triangles are the exact conjugates of the upper ones.  The Trajectory
-    keeps vec itself at each sample, one contiguous copy into a (T, n_half)
-    stack: 402 x 3,272 entries (21 MB) at the fig3 preset, in place of 41 MB
-    of whole blocks, and 402 x 9,162 (59 MB, not 116 MB) at three_ion.
+    entries), else one group, the whole space.  The run's layout (_Fold)
+    is built once for those groups and kept by the Trajectory.  One sp.bmat
+    per segment builds the generator on those blocks alone, in the fold's
+    kept order: block (A, A) is K_AA x I + I x K_AA^*, as K keeps each leak
+    set, and each block (B, A) adds the jump feed sum_k L_k[B, A] x
+    L_k[B, A]^*, sliced once per run.  The shift is Re(tr L) / dim^2 of the
+    full generator, (sum_k |tr L_k|^2 - dim tr M) / dim^2; a complex shift
+    would not keep rho Hermitian.  vec holds only the upper triangle of each
+    block (the fold's half), from which the kernel computes those rows
+    alone; the lower triangles are the exact conjugates of the upper ones.
+    The Trajectory keeps vec itself at each sample, one contiguous copy into
+    a (T, n_half) stack: 402 x 3,272 entries (21 MB) at the fig3 preset, in
+    place of 41 MB of whole blocks, and 402 x 9,162 (59 MB, not 116 MB) at
+    three_ion.
 
     Before a segment is propagated, the kernel's planned work for its
     calls, sum m * s of each call's last offset, is added to the run's;
@@ -655,12 +634,10 @@ def evolve_density(
     """
     if initial.dims != dims:
         raise ValueError("initial state dims do not match")
-    groups = leak_sectors(dims)
-    kept = _kept(dims.dim, groups)
-    if np.count_nonzero(initial.matrix.reshape(-1)[kept]) < np.count_nonzero(initial.matrix):
-        groups = [np.arange(dims.dim)]
-        kept = _kept(dims.dim, groups)
-    half, lower, strict = _fold(groups)
+    fold = _Fold(dims, leak_sectors(dims))
+    if np.count_nonzero(initial.matrix.reshape(-1)[fold.kept]) < np.count_nonzero(initial.matrix):
+        fold = _Fold(dims, [np.arange(dims.dim)])
+    groups = fold.groups
 
     shifts = noise.shifts_or_zero(dims.n_ions)
     mu, feed, m = 0.0, {}, [0] * len(groups)  # m[a]: the block (A, A) of M
@@ -680,12 +657,12 @@ def evolve_density(
         for a, idx in enumerate(groups):
             k = -1j * sp.csr_matrix(h[np.ix_(idx, idx)]) - 0.5 * m[a]
             blocks[a][a] = sp.kronsum(k.conj(), k) + feed.get((a, a), 0)  # K x I + I x K^*
-        return _TaylorExpm(sp.bmat(blocks, format="csr"), mu / dims.dim**2, np.concatenate((half, lower)), strict)
+        cols = np.concatenate((fold.half, fold.lower))
+        return _TaylorExpm(sp.bmat(blocks, format="csr"), mu / dims.dim**2, cols, fold.strict)
 
     times = _sample_times(schedule, sample_dt)
-    flat = np.empty((len(times), len(half)), dtype=complex)
-    vec = initial.matrix.reshape(-1)[kept[half]]
-    rebuild = _rebuilder(groups)
+    flat = np.empty((len(times), len(fold.half)), dtype=complex)
+    vec = fold.pack(initial.matrix)
     boundaries = schedule.boundaries()
     work = 0
     for seg_idx, ks in enumerate(_segment_samples(times, boundaries)):
@@ -703,36 +680,36 @@ def evolve_density(
             vec = flat[k]
             if k % _CHECK_CHUNK == _CHECK_CHUNK - 1 or k == len(times) - 1:
                 first = k - k % _CHECK_CHUNK
-                _check_density(dims, times[first : k + 1], flat[first : k + 1], groups, rebuild)
+                _check_density(fold, times[first : k + 1], flat[first : k + 1])
     flat.setflags(write=False)
-    return Trajectory(times, flat, dims, schedule, tuple(groups))
+    return Trajectory(times, flat, dims, schedule, fold)
 
 
 def _read(
-    dims: SystemDims, samples: np.ndarray, groups: Sequence[np.ndarray], full: Sequence[np.ndarray], trace: bool
+    dims: SystemDims, samples: np.ndarray, fold: _Fold | None, full: Sequence[np.ndarray], trace: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """<v|rho|v> for each full-space vector v of full, (len(full), T), and,
     if trace, the motion-traced (T, spin_dim, spin_dim) matrices of a stack
-    of samples; groups is empty for (T, dim) amplitudes, else the index
-    groups of a density stack.
+    of samples; fold is None for (T, dim) amplitudes, else the layout of a
+    density stack.
 
     A density stack is read in one pass over its blocks rebuilt _CHECK_CHUNK
-    samples at a time (_rebuilt), for the overlaps and the trace alike.  A
+    samples at a time (_Fold.chunks), for the overlaps and the trace alike.  A
     leak set holds every Fock level of each of its spin configurations, so
     a group's block traces to the spin block of those configurations.
     """
-    if not groups:
+    if fold is None:
         series = [np.vecdot(v, samples) for v in full]
         spins = partial_trace_motion(dims, samples) if trace else None
         return [np.hypot(o.real, o.imag) ** 2 for o in series], spins
     nf = dims.n_fock
     series = np.empty((len(full), len(samples)))
     spins = np.zeros((len(samples), dims.spin_dim, dims.spin_dim), dtype=complex) if trace else None
-    for start, blocks in _rebuilt(samples, groups) if full or trace else ():
+    for start, blocks in fold.chunks(samples) if full or trace else ():
         stop = start + len(blocks[0])
         for out, v in zip(series, full):
-            out[start:stop] = sum(np.vecdot(v[idx], block @ v[idx]).real for idx, block in zip(groups, blocks))
-        for idx, block in zip(groups, blocks) if trace else ():
+            out[start:stop] = sum(np.vecdot(v[idx], block @ v[idx]).real for idx, block in zip(fold.groups, blocks))
+        for idx, block in zip(fold.groups, blocks) if trace else ():
             conf = idx[::nf] // nf
             n = len(conf)
             spins[start:stop, conf[:, None], conf] = np.einsum("tanbn->tab", block.reshape(len(block), n, nf, n, nf))
@@ -740,7 +717,7 @@ def _read(
 
 
 def _fidelities(
-    dims: SystemDims, samples: np.ndarray, groups: Sequence[np.ndarray], targets: Sequence[PureState]
+    dims: SystemDims, samples: np.ndarray, fold: _Fold | None, targets: Sequence[PureState]
 ) -> list[np.ndarray]:
     """<target|rho|target> of each sample of a Trajectory's stack, per target.
 
@@ -755,7 +732,7 @@ def _fidelities(
     spin_dims = SystemDims(dims.n_ions, 1, dims.leak_level) if len(full) < len(targets) else dims
     if any(t.dims not in (dims, spin_dims) for t in targets):
         raise ValueError("target dims are compatible with neither the full nor the spin-only space")
-    series, spins = _read(dims, samples, groups, full, spin_dims != dims)
+    series, spins = _read(dims, samples, fold, full, spin_dims != dims)
     series = iter(series)
     return [next(series) if t.dims == dims else np.vecdot(t.amplitudes, spins @ t.amplitudes).real for t in targets]
 
@@ -765,13 +742,13 @@ def state_fidelity(dims: SystemDims, state, target: PureState) -> float:
 
     A target on the full space keeps its motional factor; a spin-only target
     (n_fock = 1) is compared against the motion-traced state.  A density
-    state is read as a density Trajectory stores it: its upper triangle,
-    one group over the whole space.
+    state is read as a density Trajectory stores it, packed by a fold of one
+    group over the whole space.
     """
     if isinstance(state, PureState):
-        return float(_fidelities(dims, state.amplitudes[None], (), [target])[0][0])
-    upper = state.matrix[np.triu_indices(dims.dim)]
-    return float(_fidelities(dims, upper[None], (np.arange(dims.dim),), [target])[0][0])
+        return float(_fidelities(dims, state.amplitudes[None], None, [target])[0][0])
+    fold = _Fold(dims, [np.arange(dims.dim)])
+    return float(_fidelities(dims, fold.pack(state.matrix)[None], fold, [target])[0][0])
 
 
 def extract_populations(
@@ -798,12 +775,12 @@ def extract_populations(
     if len(labels) != len(targets):
         raise ValueError("labels must match targets")
 
-    pure = not traj.groups
+    pure = traj.fold is None
     if pure:
         diag = np.abs(traj.samples) ** 2
     else:
         diag = np.zeros((len(traj.times), dims.dim))
-        for idx, pos in zip(traj.groups, _diagonals(traj.groups)):
+        for idx, pos in zip(traj.groups, traj.fold.diagonals):
             diag[:, idx] = traj.samples[:, pos].real
     masks = np.array([*up_count_projectors(dims), leak_mask(dims)])
     pops = np.vecdot(diag[:, None, :], masks)
@@ -813,6 +790,6 @@ def extract_populations(
         bad = np.flatnonzero(~(np.abs(total - 1.0) <= 1e-8))
         if bad.size:
             raise NumericsError(f"populations sum to {total[bad[0]]}, not 1")
-    fids = dict(zip(labels, _fidelities(dims, traj.samples, traj.groups, targets)))
+    fids = dict(zip(labels, _fidelities(dims, traj.samples, traj.fold, targets)))
     target_series = fids[labels[0]] if targets else np.zeros(len(traj.times))
     return PopulationRecord(traj.times, p_up, target_series, fids, leak)

@@ -181,8 +181,11 @@ def microwave_hamiltonian(dims: SystemDims, omega_d: float, phase: float = 0.0) 
 def carrier_pi_time(omega_d: float, n_ions: int) -> float:
     """Carrier pulse length pi / (2 sqrt(N) Omega_d) that maps the all-up
     state onto the symmetric single-flip state through their sqrt(N) Omega_d
-    coupling (the triplet for two ions, W for three)."""
-    return np.pi / (2 * np.sqrt(float(n_ions)) * omega_d)
+    coupling (the triplet for two ions, W for three).  omega_d = 0, or one
+    that overflows the product, gives inf or 0 without a warning: callers
+    reject a pi time that is not positive and finite."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.pi / (2 * np.sqrt(float(n_ions)) * omega_d)
 
 
 def stark_hamiltonian(dims: SystemDims, shifts: Sequence[float]) -> OperatorMatrix:

@@ -49,10 +49,14 @@ class ProtocolPlan:
     omega_s: float
     omega_d: float
     delta: float
-    t_pi: float
     t1: float | None = None
     t2: float | None = None
     n_ions: int = 2
+
+    @property
+    def t_pi(self) -> float:
+        """The carrier pi time of omega_d (model.carrier_pi_time)."""
+        return carrier_pi_time(self.omega_d, self.n_ions)
 
     def total_duration(self) -> float:
         if self.scheme == "composite":
@@ -86,7 +90,7 @@ def plan_single(omega_s: float, m: int) -> ProtocolPlan:
     delta = balanced_detuning(omega_s)
     d1 = (2.0 / np.sqrt(3.0)) * abs(omega_s)
     omega_d = d1 / (np.sqrt(2.0) * (4 * m + 1))
-    return ProtocolPlan("single", m, omega_s, omega_d, delta, carrier_pi_time(omega_d, 2))
+    return ProtocolPlan("single", m, omega_s, omega_d, delta)
 
 
 def plan_composite(omega_s: float, m: int) -> ProtocolPlan:
@@ -100,28 +104,25 @@ def plan_composite(omega_s: float, m: int) -> ProtocolPlan:
     delta = balanced_detuning(omega_s)
     omega_d = abs(omega_s) / (3.0 * np.sqrt(6.0) * m)
     t_pi = carrier_pi_time(omega_d, 2)
-    return ProtocolPlan("composite", m, omega_s, omega_d, delta, t_pi, t1=t_pi / 3.0, t2=2.0 * t_pi / 3.0)
+    return ProtocolPlan("composite", m, omega_s, omega_d, delta, t1=t_pi / 3.0, t2=2.0 * t_pi / 3.0)
 
 
 def plan_three_ion(omega_s: float, omega_d: float) -> ProtocolPlan:
     """Resonant three-ion plan; the carrier sets the pi time."""
-    return ProtocolPlan("single", None, omega_s, omega_d, 0.0, carrier_pi_time(omega_d, 3), n_ions=3)
+    return ProtocolPlan("single", None, omega_s, omega_d, 0.0, n_ions=3)
 
 
 def experimental_override(plan: ProtocolPlan, **fields) -> ProtocolPlan:
-    """Replace plan fields with measured values, recomputing dependents.
+    """Replace plan fields with measured values.
 
-    Overriding omega_d recomputes t_pi (and t1, t2 from their canonical
-    fractions for a composite plan) unless those are overridden explicitly.
+    t_pi follows omega_d.  Overriding omega_d of a composite plan also resets
+    t1 and t2 to their canonical fractions of the new t_pi, unless those are
+    overridden explicitly.
     """
     updated = dataclasses.replace(plan, **fields)
-    if "omega_d" in fields and "t_pi" not in fields:
-        t_pi = carrier_pi_time(updated.omega_d, plan.n_ions)
-        updated = dataclasses.replace(updated, t_pi=t_pi)
-        if plan.scheme == "composite":
-            t1 = fields.get("t1", t_pi / 3.0)
-            t2 = fields.get("t2", 2.0 * t_pi / 3.0)
-            updated = dataclasses.replace(updated, t1=t1, t2=t2)
+    if "omega_d" in fields and plan.scheme == "composite":
+        t_pi = updated.t_pi
+        updated = dataclasses.replace(updated, t1=fields.get("t1", t_pi / 3.0), t2=fields.get("t2", 2.0 * t_pi / 3.0))
     return updated
 
 
@@ -259,7 +260,7 @@ def leakage_estimate(plan: ProtocolPlan) -> float:
     return 1.0 / (4.0 * (1 + 2 * plan.m) ** 2)
 
 
-def error_budget(plan: ProtocolPlan, noise: NoiseModel, simulate: bool = True) -> ErrorBudget:
+def error_budget(plan: ProtocolPlan, noise: NoiseModel) -> ErrorBudget:
     """Per-channel fidelity-loss estimates for a plan under a noise model.
 
     Leakage and spontaneous entries are analytic; heating and stark entries
@@ -272,7 +273,7 @@ def error_budget(plan: ProtocolPlan, noise: NoiseModel, simulate: bool = True) -
     three = plan.n_ions == 3
     horizon = 1.25 * plan.t_pi if three else None
     at_end = not three
-    differential = simulate and (noise.gamma_heat > 0 or any(s != 0 for s in noise.stark_shifts))
+    differential = noise.gamma_heat > 0 or any(s != 0 for s in noise.stark_shifts)
     clean = simulate_plan_fidelity(plan, None, duration=horizon, at_end=at_end) if differential or three else None
     leakage = 1.0 - clean if three else leakage_estimate(plan)
     rate = mean_decay_rate(plan.n_ions, noise)
@@ -300,7 +301,7 @@ def fine_tune(plan: ProtocolPlan, free_params: tuple[str, ...] = ()) -> tuple[Pr
     Runs coordinate sweeps over a +/-20% box around the starting values;
     each sweep scans a coarse grid and polishes the best cell with bounded
     scalar minimization.  The objective is the noiseless simulated
-    end-state fidelity.  A tuned omega_d recomputes t_pi; the segment
+    end-state fidelity.  A tuned omega_d moves t_pi with it; the segment
     times t1, t2 stay as tuned.  Returns the refined plan, its fidelity,
     and whether it improved on the input.
     """
@@ -311,12 +312,6 @@ def fine_tune(plan: ProtocolPlan, free_params: tuple[str, ...] = ()) -> tuple[Pr
             raise ValueError(f"cannot tune {p!r}; choose from {_TUNABLE}")
         if p in ("t1", "t2") and plan.scheme != "composite":
             raise ValueError(f"{p} only exists for composite plans")
-
-    def with_value(p: ProtocolPlan, name: str, value: float) -> ProtocolPlan:
-        q = dataclasses.replace(p, **{name: value})
-        if name == "omega_d":
-            q = dataclasses.replace(q, t_pi=carrier_pi_time(value, p.n_ions))
-        return q
 
     start_fid = simulate_plan_fidelity(plan)
     best_plan, best_fid = plan, start_fid
@@ -330,11 +325,11 @@ def fine_tune(plan: ProtocolPlan, free_params: tuple[str, ...] = ()) -> tuple[Pr
         for name in free_params:
             lo, hi = bounds[name]
             grid = np.linspace(lo, hi, 25)
-            vals = [simulate_plan_fidelity(with_value(best_plan, name, g)) for g in grid]
+            vals = [simulate_plan_fidelity(dataclasses.replace(best_plan, **{name: g})) for g in grid]
             k = int(np.argmax(vals))
             left, right = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
             res = minimize_scalar(
-                lambda v: -simulate_plan_fidelity(with_value(best_plan, name, v)),
+                lambda v: -simulate_plan_fidelity(dataclasses.replace(best_plan, **{name: v})),
                 bounds=(left, right),
                 method="bounded",
                 options={"xatol": (hi - lo) * 1e-6},
@@ -342,7 +337,7 @@ def fine_tune(plan: ProtocolPlan, free_params: tuple[str, ...] = ()) -> tuple[Pr
             candidates = [(vals[k], grid[k]), (-res.fun, float(res.x))]
             fid, value = max(candidates)
             if fid > best_fid:
-                best_plan, best_fid = with_value(best_plan, name, value), fid
+                best_plan, best_fid = dataclasses.replace(best_plan, **{name: value}), fid
         if best_fid - previous < 1e-9:
             break
     return best_plan, best_fid, best_fid > start_fid + 1e-12

@@ -56,7 +56,7 @@ def test_criterion_02_fidelity_plateaus_m1_m2():
     ok1 = abs(fids[1] - 0.97) <= 0.01
     ok2 = abs(fids[2] - 0.99) <= 0.005
     # the closed-form plateau values hold for every m by construction
-    leaks = [error_budget(plan_single(OMEGA_S, m), NoiseModel(), simulate=False).leakage for m in (0, 1, 2)]
+    leaks = [error_budget(plan_single(OMEGA_S, m), NoiseModel()).leakage for m in (0, 1, 2)]
     ok_formula = np.allclose(leaks, [0.25, 1 / 36, 0.01], atol=1e-12)
     ok = ok1 and ok2 and ok_formula
     _report("2 fidelity plateaus (m=1,2)", ok, f"F1={fids[1]:.4f}, F2={fids[2]:.4f}, formula plateaus exact")

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -185,14 +186,28 @@ def test_invalid_tomography_value_exits_with_config_error(tmp_path, capsys, over
     assert capsys.readouterr().err.startswith("config error: [tomography]")
 
 
-@pytest.mark.parametrize("preset", ["fig2", "fig3", "three_ion"])
-@pytest.mark.parametrize("omega_d", ["-1.0", "0.0", "1e308"])
-def test_a_drive_without_a_usable_pi_time_exits_with_config_error(tmp_path, capsys, preset, omega_d):
+@pytest.mark.parametrize(
+    "preset, override, error",
+    [
+        *(
+            pytest.param(preset, f"drive.omega_d={omega_d}", "pi time", id=f"{omega_d}-{preset}")
+            for omega_d in ("-1.0", "0.0", "1e308")
+            for preset in ("fig2", "fig3", "three_ion")
+        ),
+        # the composite plan's own omega_d = |omega_s| / (3 sqrt 6 m) is 0
+        # here, and the preset's omega_d then divides by omega_s
+        pytest.param("fig3", "drive.omega_s=0.0", "the leakage estimate", id="omega_s=0.0-fig3"),
+    ],
+)
+def test_a_drive_without_a_usable_pi_time_exits_with_config_error(tmp_path, capsys, preset, override, error):
     """omega_d <= 0, or one so large that the pi time underflows to 0, ends
     in exit 2 before anything is simulated, not in a traceback from the
-    scatter preset whose rates the pi time sets."""
-    assert main(["run", "--preset", preset, "--out", str(tmp_path), "--override", f"drive.omega_d={omega_d}"]) == 2
-    assert capsys.readouterr().err.startswith("config error: [drive] pi time")
+    scatter preset whose rates the pi time sets, and without a numpy
+    warning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", "--preset", preset, "--out", str(tmp_path), "--override", override]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: [drive] {error}")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -104,17 +104,32 @@ def test_two_ion_subspace_closure():
 
 
 def test_lindblad_without_noise_matches_pure():
+    """The pure and the noise-free density run sample the same times and
+    agree, on one pulse and on a schedule whose zero-length middle segment
+    and sign flip put a grid sample a rounding error past the first
+    boundary, which both walks give to the segment before it."""
     dims = SystemDims(2, 8)
-    schedule = single_pulse()
     psi = named_state(dims, "uu", 0)
-    pure = evolve_pure(schedule, dims, GEOM2, psi, T_PI / 20)
-    dens = evolve_density(schedule, dims, GEOM2, NoiseModel(), psi.to_density(), sample_dt=T_PI / 20)
     target = named_state(dims, "T", 0)
-    for sp, sd in zip(pure.states, dens.states):
-        fp = state_fidelity(dims, sp, target)
-        fd = state_fidelity(dims, sd, target)
-        assert abs(fp - fd) < 1e-6
-    assert abs(dens.final.trace - 1.0) < 1e-8
+    flipped = PulseSchedule(
+        (
+            PulseSegment(0.3 * T_PI, OMEGA_S, OMEGA_D, DELTA),
+            PulseSegment(0.0, OMEGA_S, OMEGA_D, DELTA),
+            PulseSegment(0.7 * T_PI, -OMEGA_S, OMEGA_D, -DELTA),
+        )
+    )
+    first_boundary = flipped.boundaries()[1]
+    for schedule, sample_dt in ((single_pulse(), T_PI / 20), (flipped, T_PI / 10)):
+        pure = evolve_pure(schedule, dims, GEOM2, psi, sample_dt)
+        dens = evolve_density(schedule, dims, GEOM2, NoiseModel(), psi.to_density(), sample_dt=sample_dt)
+        np.testing.assert_array_equal(pure.times, dens.times)
+        for sp, sd in zip(pure.states, dens.states):
+            fp = state_fidelity(dims, sp, target)
+            fd = state_fidelity(dims, sd, target)
+            assert abs(fp - fd) < 1e-6
+        assert abs(dens.final.trace - 1.0) < 1e-8
+    past = pure.times[(pure.times > first_boundary) & (pure.times <= first_boundary + 1e-15)]
+    assert len(past) == 1 and first_boundary in pure.times  # the pair: the boundary and the sample just past it
 
 
 def test_uniform_decay_reproduces_mean_rate_deficit():
@@ -252,7 +267,7 @@ def test_three_ion_density_matches_full_generator_exponential(monkeypatch):
         traj = evolve_density(schedule, dims, geom, noise, rho0, sample_dt=2e-6)
         groups = leak_sectors(dims) if block_diagonal else [np.arange(dims.dim)]
         assert len(groups) == (8 if block_diagonal else 1)
-        kept = dynamics._kept(dims.dim, groups)
+        kept = dynamics._Fold(dims, groups).kept
         assert len(handed) == len(gens)
         for (gen, mu), full in zip(handed, gens):
             restricted = full.tocsr()[np.ix_(kept, kept)]
@@ -289,7 +304,7 @@ def test_stored_samples_mirror_the_computed_triangle_exactly():
         rho0 = PureState(dims, psi).to_density()
         traj = evolve_density(single_pulse(duration=0.5 * T_PI), dims, GEOM2, noise, rho0, T_PI / 20)
         assert len(traj.groups) == n_groups
-        chunks = [blocks for _, blocks in dynamics._rebuilt(traj.samples, traj.groups)]
+        chunks = [blocks for _, blocks in traj.fold.chunks(traj.samples)]
         blocks = [np.concatenate(parts) for parts in zip(*chunks)]
         for block in blocks:
             off = ~np.eye(block.shape[-1], dtype=bool)
@@ -389,30 +404,25 @@ def test_each_leak_block_is_checked():
         evolve_density(single_pulse(), dims, GEOM2, NoiseModel(), DensityOperator(dims, rho))
 
 
-def _packed(rhos, dims, groups):
-    """A (T, dim, dim) stack in the layout of a density Trajectory's samples."""
-    return rhos.reshape(len(rhos), -1)[:, dynamics._kept(dims.dim, groups)[dynamics._fold(groups)[0]]]
-
-
 def test_density_contracts_fail_on_nan():
     """A NaN sample fails the first contract it reaches: the trace if its
     diagonal is NaN, the Hermiticity if only an off-diagonal entry is."""
     dims = SystemDims(2, 2, leak_level=True)
     times = np.arange(3) * 1e-6
-    groups = [np.arange(dims.dim)]
+    whole = dynamics._Fold(dims, [np.arange(dims.dim)])
     with pytest.raises(NumericsError, match=r"trace drift nan at t = 0\.000e\+00 s"):
-        dynamics._check_density(dims, times, np.full((3, dims.dim**2), np.nan, dtype=complex), groups)
+        dynamics._check_density(whole, times, np.full((3, dims.dim**2), np.nan, dtype=complex))
     rhos = np.repeat(named_state(dims, "uu", 0).to_density().matrix[None], 3, axis=0)
     rhos[2, 0, 1] = np.nan
     with pytest.raises(NumericsError, match=r"Hermiticity defect nan at t = 2\.000e-06 s"):
-        dynamics._check_density(dims, times, _packed(rhos, dims, groups), groups)
+        dynamics._check_density(whole, times, whole.pack(rhos))
     for contract in ("trace", "Hermiticity"):  # the leak-sector path checks a NaN in one block
-        blocks = leak_sectors(dims)
+        fold = dynamics._Fold(dims, leak_sectors(dims))
         rhos = np.repeat(named_state(dims, "uu", 0).to_density().matrix[None], 3, axis=0)
-        i, j = blocks[-1][0], blocks[-1][-1]
+        i, j = fold.groups[-1][0], fold.groups[-1][-1]
         rhos[1, i, i if contract == "trace" else j] = np.nan
         with pytest.raises(NumericsError, match=rf"{contract} .* nan at t = 1\.000e-06 s"):
-            dynamics._check_density(dims, times, _packed(rhos, dims, blocks), blocks)
+            dynamics._check_density(fold, times, fold.pack(rhos))
 
 
 def test_a_run_stops_within_one_check_chunk_of_its_failure(monkeypatch):
@@ -667,10 +677,10 @@ def _folded_kernels():
     assert np.all(rho[between] != 0.0)
     kernels = []
     for groups in (leak_sectors(dims), [np.arange(dims.dim)]):
-        kept = dynamics._kept(dims.dim, groups)
-        half, lower, strict = dynamics._fold(groups)
-        pos = np.concatenate((half, lower))
-        kernel = _TaylorExpm(sp.csr_matrix(gen)[kept][:, kept], mu, pos, strict)
+        fold = dynamics._Fold(dims, groups)
+        kept, half = fold.kept, fold.half
+        pos = np.concatenate((half, fold.lower))
+        kernel = _TaylorExpm(sp.csr_matrix(gen)[kept][:, kept], mu, pos, fold.strict)
         shifted = (gen - mu * np.eye(n))[np.ix_(kept, kept)]
         assert abs(kernel.norm_1 - np.abs(shifted).sum(axis=0).max()) < 1e-12 * kernel.norm_1
         start = np.where(between, 0.0, rho) if len(groups) > 1 else rho

@@ -63,14 +63,14 @@ def test_plan_to_simulation_consistency():
 def test_error_budget_closed_forms():
     p1 = plan_single(OMEGA_S, 1)
     noise = spontaneous_preset(p1)
-    budget = error_budget(p1, noise, simulate=False)
+    budget = error_budget(p1, noise)
     assert abs(budget.leakage - 1.0 / 36.0) < 1e-12
     assert abs(budget.spontaneous - 8e-3) < 1e-6  # preset is inverted from this number
     for m, expected in ((0, 0.25), (1, 0.0278), (2, 0.01)):
-        leak = error_budget(plan_single(OMEGA_S, m), NoiseModel(), simulate=False).leakage
+        leak = error_budget(plan_single(OMEGA_S, m), NoiseModel()).leakage
         assert abs(leak - expected) < 2e-4
     pc = plan_composite(OMEGA_S, 1)
-    bc = error_budget(pc, NoiseModel(n_bar=0.006), simulate=False)
+    bc = error_budget(pc, NoiseModel(n_bar=0.006))
     assert abs(bc.leakage - (1.0 / (3 * np.sqrt(6))) ** 4) < 1e-12
     assert abs(bc.leakage - 4e-4) < 1e-4
     assert bc.thermal == 0.006
