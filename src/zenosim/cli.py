@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import PRESETS, SWEEP_AXES, ScenarioConfig, apply_override, load_preset, parse_config
 from .dressed import scan_detuning
-from .dynamics import _one_blas_thread, extract_populations
+from .dynamics import _one_blas_thread, _read_populations
 from .errors import ConfigError, ConvergenceError, NumericsError, ZenosimError
 from .hilbert import SystemDims, named_state, spin_state
 from .model import NoiseModel
@@ -25,6 +25,7 @@ from .protocol import (
     COMPOSITE_PULSE_SPONTANEOUS_DEFICIT,
     SINGLE_PULSE_SPONTANEOUS_DEFICIT,
     ProtocolPlan,
+    _plan_samples,
     default_dims,
     error_budget,
     experimental_override,
@@ -33,7 +34,6 @@ from .protocol import (
     plan_composite,
     plan_single,
     plan_three_ion,
-    simulate_plan,
     simulate_plan_fidelity,
     spontaneous_preset,
     three_ion_preset,
@@ -86,14 +86,12 @@ def _build_plan(config: ScenarioConfig) -> ProtocolPlan:
     # overflows t_pi, sets no usable pi time
     if not (plan.t_pi / 400 > 0 and plan.t_pi < np.inf):
         raise ConfigError(f"[drive] pi time {plan.t_pi:.3g} s is out of range; omega_d must be > 0")
-    # error_budget's closed form: omega_s = 0 divides the composite
-    # scheme's (omega_d / omega_s)^4 by zero, a tiny one overflows it
+    # error_budget's closed form, checked before anything is propagated
     try:
         if plan.n_ions == 2:
             leakage_estimate(plan)
-    except (ZeroDivisionError, OverflowError):
-        at = f"omega_s = {omega_s:.3g}, omega_d = {plan.omega_d:.3g} rad/s"
-        raise ConfigError(f"[drive] the leakage estimate (omega_d / omega_s)^4 at {at} is out of range") from None
+    except ValueError as exc:
+        raise ConfigError(f"[drive] {exc}; omega_s = {omega_s:.3g}, omega_d = {plan.omega_d:.3g} rad/s") from None
     return plan
 
 
@@ -156,9 +154,8 @@ def _trace_scenario(config: ScenarioConfig, out_dir: Path) -> dict:
         if config.n_fock < 1:
             raise ConfigError("n_fock must be >= 1")
         dims = SystemDims(plan.n_ions, config.n_fock, dims.leak_level)
-    # before the trace run, so its kernel and stack are freed before the trace's are made
+    # before the trace run, so the budget runs' kernels are freed before the trace's is made
     budget = error_budget(plan, noise)
-    traj = simulate_plan(plan, noise, config.drive.get("duration"), dims)
     if plan.n_ions == 2:
         targets = [named_state(dims, "T", 0), spin_state(dims, "S"), spin_state(dims, "dd"), spin_state(dims, "uu")]
         labels = ["F_T", "P_S", "P_dd", "P_uu"]
@@ -170,7 +167,10 @@ def _trace_scenario(config: ScenarioConfig, out_dir: Path) -> dict:
             spin_state(dims, "Wac"),
         ]
         labels = ["F_W", "P_Wbar", "P_Wc", "P_Wac"]
-    record = extract_populations(traj, targets, labels)
+    # a density run is read a check chunk at a time as it is propagated, and
+    # only the peak sample is kept, for the readout
+    times, fold, chunks = _plan_samples(plan, noise, config.drive.get("duration"), dims)
+    record, rho_spin = _read_populations(dims, times, fold, chunks, targets, labels, tomography is not None)
 
     columns = ["t_s"] + [f"P{k}" for k in range(plan.n_ions + 1)] + labels + ["leak"]
     rows = []
@@ -197,7 +197,6 @@ def _trace_scenario(config: ScenarioConfig, out_dir: Path) -> dict:
     paths = {"trace": trace_path, "budget": budget_path}
 
     if tomography is not None:
-        rho_spin = traj.spin_matrices(slice(peak_idx, peak_idx + 1))[0]
         paths.update(_run_tomography(tomography, config.seed, out_dir, rho_spin, plan.n_ions))
     return paths
 

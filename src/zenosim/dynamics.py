@@ -30,10 +30,11 @@ A Lindbladian maps Hermitian matrices to Hermitian matrices (Breuer &
 Petruccione, The Theory of Open Quantum Systems, sec. 3.2), so only the
 upper triangle of each block is computed (3,272 of 6,400 rows at the fig3
 preset) and the lower one is its exact conjugate, by construction.  A
-density run stores those triangles as the kernel computes them.  One layout
-object per run (_Fold) says where each stored number sits: the kernel takes
-its columns from it, the checks their diagonals, and the readers rebuild
-whole blocks with it a few samples at a time where they need them.
+density run hands those triangles on a check chunk at a time, with the
+chunk's whole blocks rebuilt once for the checks and the readers alike;
+only evolve_density stacks them.  One layout object per run (_Fold) says
+where each stored number sits: the kernel takes its columns from it, the
+checks and readers their diagonals and the whole blocks.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import ctypes
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -96,9 +97,9 @@ def _one_blas_thread(fn):
     give each its previous count back when fn returns or raises, so calls
     nest.  OpenBLAS hands a Cholesky 64 or more wide, eigh at dim 40 and
     wide stacked products to a second thread, which then busy-waits through
-    the single-threaded Python that follows: on two cores the fig3 preset's
-    call took 0.62 s of CPU for 0.32 s of wall time, and takes 0.32 s for
-    0.33 s on one thread.  The counts are process-wide."""
+    the single-threaded Python that follows.  The counts are process-wide,
+    and a generator's body runs in the frame that consumes it, so a
+    streamed density run (_density_run) is pinned by its consumer."""
 
     @functools.wraps(fn)
     def pinned(*args, **kwargs):
@@ -126,9 +127,10 @@ class Trajectory:
     array laid out by the run's fold (_Fold), each block's triangle
     row-major, block after block.  Readers take the diagonals in place and
     rebuild whole blocks _CHECK_CHUNK samples at a time where they need
-    them (_Fold.chunks).  The propagator fills the stack in place and makes
-    it read-only.  states and final build PureState or DensityOperator
-    objects, each validated again.
+    them (_Fold.chunks).  The stack is read-only.  Callers that need only
+    a few series of a density run read its chunks as they are made
+    (_density_run) and keep no stack.  states and final build PureState or
+    DensityOperator objects, each validated again.
     """
 
     times: np.ndarray
@@ -351,7 +353,8 @@ class _TaylorExpm:
         per dt, so a call reuses the plan of evolve_density's work budget."""
         if dt in self._plans:
             return self._plans[dt]
-        scaled_norm = dt * self.norm_1
+        with np.errstate(invalid="ignore", over="ignore"):  # NaN and inf fail the budget test below
+            scaled_norm = dt * self.norm_1
         if dt == 0 or scaled_norm == 0:  # 0 * inf is NaN, and exp(0 A) = I
             return 0, 1
         # m * s >= scaled_norm * m / theta_m > 5 * scaled_norm for every m,
@@ -487,62 +490,57 @@ def _factorizes(mats: np.ndarray) -> bool:
     return True
 
 
-# samples per step of the density checks, of the Taylor kernel's calls and
-# of every reader that needs whole blocks: evolve_density propagates each
-# run of 8 samples within a segment with one kernel call (two where the
-# theta_55 cap falls inside it) and checks it as soon as it is filled, and
-# each temporary (rebuilt blocks, a Cholesky input) covers 8 samples, at
-# most 13 MB for one block of dim 324 and 0.5 MB for the fig3 preset's
-# widest block
+# samples per step of a density run: each run of 8 samples within a
+# segment is one Taylor kernel call (two where the theta_55 cap falls inside
+# it), checked and handed to its readers as soon as it is filled, and each
+# temporary (the chunk buffer, its rebuilt blocks, a Cholesky input) covers
+# 8 samples, whatever the length of the run
 _CHECK_CHUNK = 8
 
 
-def _check_density(fold: _Fold, times: np.ndarray, flat: np.ndarray):
-    """Trace, Hermiticity, truncation and positivity contracts of every sample.
+def _check_density(fold: _Fold, times: np.ndarray, chunk: np.ndarray, blocks: list[np.ndarray]):
+    """Trace, Hermiticity, truncation and positivity contracts of a chunk of samples.
 
-    flat is a (T, n_half) stack of the upper triangles of the blocks of rho
-    within the fold's index groups, laid out as a density Trajectory stores
-    them; rho is zero outside them.  The trace and the top Fock population
-    are sums over the blocks' diagonals, read in place.  The off-diagonal
-    entries are exact mirrors, so the Frobenius defect of rho - rho^dag is
-    2 |Im diag|, and it is NaN when any stored entry is not finite.  A
-    sample is positive exactly when each block is: a Cholesky factorization
-    of block + 1e-7 I, on the fold's whole blocks of _CHECK_CHUNK samples at
-    a time, succeeds exactly when its smallest eigenvalue is above -1e-7,
-    which is only computed to report a failure.  The first failing sample
-    raises, with the first contract it fails in the order above.  Each test
-    is written so that NaN fails it; positivity is only tested on samples
-    that pass the others, whose entries are then finite.
+    chunk is a (C, n_half) stack of the upper triangles of the blocks of rho
+    within the fold's index groups, sampled at times, and blocks the fold's
+    whole blocks of it (_Fold.blocks); rho is zero outside them.  The trace
+    and the top Fock population are sums over the blocks' diagonals, read
+    in place.  The off-diagonal entries are exact mirrors, so the Frobenius
+    defect of rho - rho^dag is 2 |Im diag|, and it is NaN when any stored
+    entry is not finite.  A sample is positive exactly when each block is:
+    a Cholesky factorization of block + 1e-7 I succeeds exactly when its
+    smallest eigenvalue is above -1e-7, which is only computed to report a
+    failure.  The first failing sample raises, with the first contract it
+    fails in the order above.  Each test is written so that NaN fails it;
+    positivity is only tested on samples that pass the others, whose
+    entries are then finite.
     """
-    for start, blocks in fold.chunks(flat):
-        chunk = flat[start : start + _CHECK_CHUNK]
-        d = chunk[:, fold.diag]
-        drift = np.abs(d.real.sum(axis=1) - 1.0)
-        asym = 2.0 * np.sqrt(np.square(d.imag).sum(axis=1))
-        asym[~np.isfinite(chunk).all(axis=1)] = np.nan
-        top = chunk[:, fold.tops].real.sum(axis=1)
-        earlier = ~(drift <= 1e-8) | ~(asym <= 1e-10) | ~(top < TOP_FOCK_LIMIT)
-        low = np.zeros(len(chunk))  # per sample, the failing eigenvalue of its first non-positive block
-        for b in blocks:
-            shifted = b + POSITIVITY_FLOOR * np.eye(b.shape[-1])
-            if _factorizes(shifted):
-                continue
-            for j in np.flatnonzero((low == 0) & ~earlier):
-                if not _factorizes(shifted[j]):
-                    min_eig = float(np.linalg.eigvalsh(b[j])[0])
-                    if min_eig < -POSITIVITY_FLOOR:
-                        low[j] = min_eig
-        failed = np.flatnonzero(earlier | (low < 0))
-        if failed.size:
-            j = failed[0]
-            t = times[start + j]
-            if earlier[j]:
-                if not drift[j] <= 1e-8:
-                    raise NumericsError(f"trace drift {drift[j]:.2e} at t = {t:.3e} s")
-                if not asym[j] <= 1e-10:
-                    raise NumericsError(f"Hermiticity defect {asym[j]:.2e} at t = {t:.3e} s")
-                _check_truncation(top[j], t)
-            raise NumericsError(f"negative eigenvalue {low[j]:.2e} at t = {t:.3e} s")
+    d = chunk[:, fold.diag]
+    drift = np.abs(d.real.sum(axis=1) - 1.0)
+    asym = 2.0 * np.sqrt(np.square(d.imag).sum(axis=1))
+    asym[~np.isfinite(chunk).all(axis=1)] = np.nan
+    top = chunk[:, fold.tops].real.sum(axis=1)
+    earlier = ~(drift <= 1e-8) | ~(asym <= 1e-10) | ~(top < TOP_FOCK_LIMIT)
+    low = np.zeros(len(chunk))  # per sample, the failing eigenvalue of its first non-positive block
+    for b in blocks:
+        shifted = b + POSITIVITY_FLOOR * np.eye(b.shape[-1])
+        if _factorizes(shifted):
+            continue
+        for j in np.flatnonzero((low == 0) & ~earlier):
+            if not _factorizes(shifted[j]):
+                min_eig = float(np.linalg.eigvalsh(b[j])[0])
+                if min_eig < -POSITIVITY_FLOOR:
+                    low[j] = min_eig
+    failed = np.flatnonzero(earlier | (low < 0))
+    if failed.size:
+        j = failed[0]
+        if earlier[j]:
+            if not drift[j] <= 1e-8:
+                raise NumericsError(f"trace drift {drift[j]:.2e} at t = {times[j]:.3e} s")
+            if not asym[j] <= 1e-10:
+                raise NumericsError(f"Hermiticity defect {asym[j]:.2e} at t = {times[j]:.3e} s")
+            _check_truncation(top[j], times[j])
+        raise NumericsError(f"negative eigenvalue {low[j]:.2e} at t = {times[j]:.3e} s")
 
 
 def _segment_samples(times: np.ndarray, boundaries: Sequence[float]) -> list[range]:
@@ -571,66 +569,64 @@ def _kernel_calls(times: np.ndarray, ks: range, norm_1: float) -> list[tuple[sli
     return [(slice(r[0], r[-1] + 1), times[r[0] : r[-1] + 1] - times[max(r[0] - 1, 0)]) for r in runs]
 
 
-@_one_blas_thread
-def evolve_density(
+def _density_run(
     schedule: PulseSchedule,
     dims: SystemDims,
     geom: IonGeometry,
     noise: NoiseModel,
     initial: DensityOperator,
     sample_dt: float | None = None,
-) -> Trajectory:
-    """Propagate a density operator exactly through each constant segment.
+) -> tuple[np.ndarray, _Fold, Iterator[tuple[int, np.ndarray, list[np.ndarray]]]]:
+    """(times, fold, chunks) of a density operator propagated exactly
+    through each constant segment.
 
     Each segment's generator acts on the row-major vec(rho),
 
         K x I + I x K^* + sum_k L_k x L_k^*,  K = -i H - M / 2,
 
     with M = sum_k L_k^dag L_k; the dissipative parts are shared by all
-    segments.  States are sampled every sample_dt (default total/400) and
-    at segment boundaries.  The segment's Taylor kernel (_TaylorExpm),
-    accurate to working precision, carries the state from the last sample
-    to all the samples of one _CHECK_CHUNK within the segment in one call
-    (_kernel_calls): one series for the last of them, read at each earlier
-    one with the real weights (t_i / tau)^j of its dense output.  A call is
-    cut short where tau ||A||_1 would pass theta_55 = 9.9, up to which the
-    plan keeps one substep, so a sample whose own step passes it is a call
-    of its own.  The kernel's shift and norm are set up once per segment.
+    segments.  States are sampled at times: every sample_dt (default
+    total/400) and at segment boundaries.  The segment's Taylor kernel
+    (_TaylorExpm), accurate to working precision, carries the state from
+    the last sample to all the samples of one _CHECK_CHUNK within the
+    segment in one call (_kernel_calls): one series for the last of them,
+    read at each earlier one with the real weights (t_i / tau)^j of its
+    dense output.  A call is cut short where tau ||A||_1 would pass
+    theta_55 = 9.9, up to which the plan keeps one substep, so a sample
+    whose own step passes it is a call of its own.  The kernel's shift and
+    norm are set up once per segment.
 
-    Only the diagonal blocks of rho over the index groups are propagated
-    and stored: the leak sets of hilbert.leak_sectors if the initial state
-    has no entry between different sets (exact, as nothing feeds those
-    entries), else one group, the whole space.  The run's layout (_Fold)
-    is built once for those groups and kept by the Trajectory.  One sp.bmat
-    per segment builds the generator on those blocks alone, in the fold's
-    kept order: block (A, A) is K_AA x I + I x K_AA^*, as K keeps each leak
-    set, and each block (B, A) adds the jump feed sum_k L_k[B, A] x
-    L_k[B, A]^*, sliced once per run.  The shift is Re(tr L) / dim^2 of the
-    full generator, (sum_k |tr L_k|^2 - dim tr M) / dim^2; a complex shift
-    would not keep rho Hermitian.  vec holds only the upper triangle of each
-    block (the fold's half), from which the kernel computes those rows
-    alone; the lower triangles are the exact conjugates of the upper ones.
-    The Trajectory keeps vec itself at each sample, one contiguous copy into
-    a (T, n_half) stack: 402 x 3,272 entries (21 MB) at the fig3 preset, in
-    place of 41 MB of whole blocks, and 402 x 9,162 (59 MB, not 116 MB) at
-    three_ion.
+    Only the diagonal blocks of rho over the index groups are propagated:
+    the leak sets of hilbert.leak_sectors if the initial state has no entry
+    between different sets (exact, as nothing feeds those entries), else
+    one group, the whole space.  The run's layout, fold, is built once for
+    those groups.  One sp.bmat per segment builds the generator on those
+    blocks alone, in the fold's kept order: block (A, A) is K_AA x I + I x
+    K_AA^*, as K keeps each leak set, and each block (B, A) adds the jump
+    feed sum_k L_k[B, A] x L_k[B, A]^*, sliced once per run.  The shift is
+    Re(tr L) / dim^2 of the full generator, (sum_k |tr L_k|^2 - dim tr M) /
+    dim^2; a complex shift would not keep rho Hermitian.  vec holds only
+    the upper triangle of each block (the fold's half), from which the
+    kernel computes those rows alone; the lower triangles are the exact
+    conjugates of the upper ones.
 
-    Before a segment is propagated, the kernel's planned work for its
-    calls, sum m * s of each call's last offset, is added to the run's;
-    past _MAX_MATVECS, which only a rate or a duration far out of range
-    reaches, NumericsError is raised.
-
-    Every sample is checked, block by block (_check_density): trace to
-    1e-8, Hermiticity to 1e-10 (exact off the diagonal, so this guards the
+    chunks is a generator.  For each _CHECK_CHUNK samples it yields (start,
+    samples, blocks): the index of its first sample, a read-only (C, n_half)
+    view of vec at each of them and the fold's whole blocks of those
+    samples (_Fold.blocks), rebuilt once for the checks and the readers.
+    The view is of one buffer that the next chunk overwrites, so a reader
+    copies what it keeps.  Before a segment is propagated, the kernel's
+    planned work for its calls, sum m * s of each call's last offset, is
+    added to the run's; past _MAX_MATVECS, which only a rate or a duration
+    far out of range reaches, NumericsError is raised.  Every chunk is
+    checked before it is yielded (_check_density): trace to 1e-8,
+    Hermiticity to 1e-10 (exact off the diagonal, so this guards the
     diagonal's imaginary part and NaN), top Fock population below 1e-8 and
     eigenvalues above -1e-7.  The first violating sample raises
     NumericsError (TruncationError for the Fock limit) naming its time;
-    nothing is projected away.  All four contracts are checked on each
-    _CHECK_CHUNK samples as soon as its last call has filled them, so no
-    call reaches past the chunk of a failing sample.  The run keeps
-    OpenBLAS on one thread (_one_blas_thread): the Cholesky of a block 64
-    or more wide would otherwise wake a second thread, which then spins
-    through the single-threaded propagation that follows.
+    nothing is projected away, and no kernel call reaches past the chunk of
+    a failing sample.  The generator runs in its consumer's frame, so BLAS
+    stays on one thread only where the consumer is pinned (_one_blas_thread).
     """
     if initial.dims != dims:
         raise ValueError("initial state dims do not match")
@@ -661,42 +657,82 @@ def evolve_density(
         return _TaylorExpm(sp.bmat(blocks, format="csr"), mu / dims.dim**2, cols, fold.strict)
 
     times = _sample_times(schedule, sample_dt)
+
+    def chunks():
+        buffer = np.empty((_CHECK_CHUNK, len(fold.half)), dtype=complex)
+        vec = fold.pack(initial.matrix)
+        boundaries = schedule.boundaries()
+        work = 0
+        for seg_idx, ks in enumerate(_segment_samples(times, boundaries)):
+            expm = propagator(schedule.segments[seg_idx])
+            calls = _kernel_calls(times, ks, expm.norm_1)
+            work += sum(math.prod(expm.plan(offsets[-1])) for _, offsets in calls)
+            if work > _MAX_MATVECS:
+                raise NumericsError(
+                    f"the run plans {work:.3g} matvecs up to t = {boundaries[seg_idx + 1]:.3e} s, more than "
+                    f"{_MAX_MATVECS:.0e}; a rate or a duration is out of range"
+                )
+            for samples, offsets in calls:
+                first = samples.start - samples.start % _CHECK_CHUNK
+                rows = expm(offsets, vec)
+                buffer[samples.start - first : samples.stop - first] = rows
+                vec = rows[-1]  # the kernel's own output, which no later chunk overwrites
+                k = samples.stop - 1
+                if k % _CHECK_CHUNK == _CHECK_CHUNK - 1 or k == len(times) - 1:
+                    chunk = buffer[: k + 1 - first].view()
+                    chunk.setflags(write=False)
+                    blocks = fold.blocks(chunk)
+                    _check_density(fold, times[first : k + 1], chunk, blocks)
+                    yield first, chunk, blocks
+
+    return times, fold, chunks()
+
+
+@_one_blas_thread
+def evolve_density(
+    schedule: PulseSchedule,
+    dims: SystemDims,
+    geom: IonGeometry,
+    noise: NoiseModel,
+    initial: DensityOperator,
+    sample_dt: float | None = None,
+) -> Trajectory:
+    """Propagate a density operator exactly through each constant segment
+    and stack its samples into a Trajectory.
+
+    The run is _density_run's, sampled every sample_dt (default total/400)
+    and at segment boundaries.  The Trajectory keeps the run's fold and one
+    read-only (T, n_half) stack of the upper triangles of the leak-set
+    blocks: 21 MB at the fig3 preset and 59 MB at three_ion.  OpenBLAS runs
+    on one thread for the call (_one_blas_thread).
+    """
+    times, fold, chunks = _density_run(schedule, dims, geom, noise, initial, sample_dt)
     flat = np.empty((len(times), len(fold.half)), dtype=complex)
-    vec = fold.pack(initial.matrix)
-    boundaries = schedule.boundaries()
-    work = 0
-    for seg_idx, ks in enumerate(_segment_samples(times, boundaries)):
-        expm = propagator(schedule.segments[seg_idx])
-        calls = _kernel_calls(times, ks, expm.norm_1)
-        work += sum(math.prod(expm.plan(offsets[-1])) for _, offsets in calls)
-        if work > _MAX_MATVECS:
-            raise NumericsError(
-                f"the run plans {work:.3g} matvecs up to t = {boundaries[seg_idx + 1]:.3e} s, more than "
-                f"{_MAX_MATVECS:.0e}; a rate or a duration is out of range"
-            )
-        for samples, offsets in calls:
-            flat[samples] = expm(offsets, vec)
-            k = samples.stop - 1
-            vec = flat[k]
-            if k % _CHECK_CHUNK == _CHECK_CHUNK - 1 or k == len(times) - 1:
-                first = k - k % _CHECK_CHUNK
-                _check_density(fold, times[first : k + 1], flat[first : k + 1])
+    for start, samples, _ in chunks:
+        flat[start : start + len(samples)] = samples
     flat.setflags(write=False)
     return Trajectory(times, flat, dims, schedule, fold)
 
 
 def _read(
-    dims: SystemDims, samples: np.ndarray, fold: _Fold | None, full: Sequence[np.ndarray], trace: bool
+    dims: SystemDims,
+    samples: np.ndarray,
+    fold: _Fold | None,
+    full: Sequence[np.ndarray],
+    trace: bool,
+    blocks: list[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """<v|rho|v> for each full-space vector v of full, (len(full), T), and,
     if trace, the motion-traced (T, spin_dim, spin_dim) matrices of a stack
     of samples; fold is None for (T, dim) amplitudes, else the layout of a
     density stack.
 
-    A density stack is read in one pass over its blocks rebuilt _CHECK_CHUNK
-    samples at a time (_Fold.chunks), for the overlaps and the trace alike.  A
-    leak set holds every Fock level of each of its spin configurations, so
-    a group's block traces to the spin block of those configurations.
+    A density stack is read in one pass over its whole blocks, for the
+    overlaps and the trace alike: blocks, if given, are those of all the
+    samples (one chunk of _density_run), else they are rebuilt _CHECK_CHUNK
+    samples at a time (_Fold.chunks).  A leak set holds every Fock level of
+    each of its spin configurations, so a group's block traces to the spin
+    block of those configurations.
     """
     if fold is None:
         series = [np.vecdot(v, samples) for v in full]
@@ -705,7 +741,8 @@ def _read(
     nf = dims.n_fock
     series = np.empty((len(full), len(samples)))
     spins = np.zeros((len(samples), dims.spin_dim, dims.spin_dim), dtype=complex) if trace else None
-    for start, blocks in fold.chunks(samples) if full or trace else ():
+    chunks = fold.chunks(samples) if blocks is None else [(0, blocks)]
+    for start, blocks in chunks if full or trace else ():
         stop = start + len(blocks[0])
         for out, v in zip(series, full):
             out[start:stop] = sum(np.vecdot(v[idx], block @ v[idx]).real for idx, block in zip(fold.groups, blocks))
@@ -717,22 +754,27 @@ def _read(
 
 
 def _fidelities(
-    dims: SystemDims, samples: np.ndarray, fold: _Fold | None, targets: Sequence[PureState]
+    dims: SystemDims,
+    samples: np.ndarray,
+    fold: _Fold | None,
+    targets: Sequence[PureState],
+    blocks: list[np.ndarray] | None = None,
 ) -> list[np.ndarray]:
-    """<target|rho|target> of each sample of a Trajectory's stack, per target.
+    """<target|rho|target> of each sample of a stack or a chunk, per target.
 
     Targets on the full space keep their motional factor; spin-only targets
     (n_fock = 1) are compared against the motion-traced samples.  Both come
-    from one _read, so a density run's blocks are rebuilt once.  np.vecdot
-    conjugates its first argument and takes one BLAS dot per sample, and
-    np.hypot rounds as abs() of one complex scalar does, so each value is
-    the one a single-sample evaluation gives.
+    from one _read, so a density run's blocks are rebuilt once, or not at
+    all where a chunk's blocks are given.  np.vecdot conjugates its first
+    argument and takes one BLAS dot per sample, and np.hypot rounds as abs()
+    of one complex scalar does, so each value is the one a single-sample
+    evaluation gives.
     """
     full = [t.amplitudes for t in targets if t.dims == dims]
     spin_dims = SystemDims(dims.n_ions, 1, dims.leak_level) if len(full) < len(targets) else dims
     if any(t.dims not in (dims, spin_dims) for t in targets):
         raise ValueError("target dims are compatible with neither the full nor the spin-only space")
-    series, spins = _read(dims, samples, fold, full, spin_dims != dims)
+    series, spins = _read(dims, samples, fold, full, spin_dims != dims, blocks)
     series = iter(series)
     return [next(series) if t.dims == dims else np.vecdot(t.amplitudes, spins @ t.amplitudes).real for t in targets]
 
@@ -751,45 +793,73 @@ def state_fidelity(dims: SystemDims, state, target: PureState) -> float:
     return float(_fidelities(dims, fold.pack(state.matrix)[None], fold, [target])[0][0])
 
 
+def _read_populations(
+    dims: SystemDims,
+    times: np.ndarray,
+    fold: _Fold | None,
+    chunks: Iterable[tuple[int, np.ndarray, list[np.ndarray] | None]],
+    targets: Sequence[PureState],
+    labels: Sequence[str],
+    peak_spin: bool = False,
+) -> tuple[PopulationRecord, np.ndarray | None]:
+    """The population record of a run read chunk by chunk, and, if
+    peak_spin, the motion-traced spin matrix of its peak sample.
+
+    chunks yields (start, samples, blocks) as _density_run's do; a stack is
+    one chunk with blocks None.  P_k sums the projectors onto all spin
+    configurations with exactly k ions up, traced over motion: one product
+    of the samples' diagonals (of a density run, read in place from the
+    stored triangles) with the masks, built once per run, gives every P_k
+    and the leak population at once.  The target series come from one
+    _fidelities per chunk, on the chunk's blocks.  The peak is the first
+    sample of the highest first-target fidelity, as np.argmax picks it;
+    only its stored vector is kept as the chunks pass, and only it is
+    traced.  A pure-state run whose populations do not sum to 1 within 1e-8
+    raises NumericsError.
+    """
+    masks = np.array([*up_count_projectors(dims), leak_mask(dims)])
+    pops, series = [], []
+    peak, peak_fidelity = None, -np.inf
+    for _, samples, blocks in chunks:
+        if fold is None:
+            diag = np.abs(samples) ** 2
+        else:
+            diag = np.zeros((len(samples), dims.dim))
+            for idx, pos in zip(fold.groups, fold.diagonals):
+                diag[:, idx] = samples[:, pos].real
+        pops.append(np.vecdot(diag[:, None, :], masks))
+        if fold is None:
+            total = pops[-1][:, :-1].sum(axis=1) + pops[-1][:, -1]
+            bad = np.flatnonzero(~(np.abs(total - 1.0) <= 1e-8))
+            if bad.size:
+                raise NumericsError(f"populations sum to {total[bad[0]]}, not 1")
+        series.append(_fidelities(dims, samples, fold, targets, blocks))
+        if peak_spin:
+            j = int(np.argmax(series[-1][0]))
+            if series[-1][0][j] > peak_fidelity:  # a later equal maximum keeps the first, as np.argmax does
+                peak, peak_fidelity = samples[j].copy(), series[-1][0][j]
+    pops = np.concatenate(pops)
+    fids = {label: np.concatenate([chunk[i] for chunk in series]) for i, label in enumerate(labels)}
+    target_series = fids[labels[0]] if targets else np.zeros(len(times))
+    spin = _read(dims, peak[None], fold, (), True)[1][0] if peak_spin else None
+    return PopulationRecord(times, pops[:, :-1], target_series, fids, pops[:, -1]), spin
+
+
 def extract_populations(
     traj: Trajectory,
     targets: Sequence[PureState],
     labels: Sequence[str] | None = None,
 ) -> PopulationRecord:
-    """Population record of a trajectory, read from its stack of samples.
-
-    P_k sums the projectors onto all spin configurations with exactly k ions
-    up, traced over motion: one product of the samples' diagonals (of a
-    density run, read in place from the stored triangles) with the masks
-    gives every P_k and the leak population at once.  The first target
-    supplies the headline fidelity series; every target also appears in
-    aux_populations under its label.  All series come from one stacked
-    fidelity evaluation (_fidelities), which rebuilds a density run's
-    blocks once, for the full-space targets and for the motion trace of
-    the spin-only ones.  A pure-state run whose populations do not sum
-    to 1 within 1e-8 raises NumericsError.
+    """Population record of a trajectory, read from its stack of samples as
+    one chunk (_read_populations): P_k, the probability of exactly k ions up
+    traced over motion, the leak population, and one fidelity series per
+    target under its label, the first also as the headline series.  A
+    pure-state run whose populations do not sum to 1 within 1e-8 raises
+    NumericsError.
     """
-    dims = traj.dims
     if labels is None:
         labels = [f"target_{i}" for i in range(len(targets))]
     if len(labels) != len(targets):
         raise ValueError("labels must match targets")
-
-    pure = traj.fold is None
-    if pure:
-        diag = np.abs(traj.samples) ** 2
-    else:
-        diag = np.zeros((len(traj.times), dims.dim))
-        for idx, pos in zip(traj.groups, traj.fold.diagonals):
-            diag[:, idx] = traj.samples[:, pos].real
-    masks = np.array([*up_count_projectors(dims), leak_mask(dims)])
-    pops = np.vecdot(diag[:, None, :], masks)
-    p_up, leak = pops[:, :-1], pops[:, -1]
-    if pure:
-        total = p_up.sum(axis=1) + leak
-        bad = np.flatnonzero(~(np.abs(total - 1.0) <= 1e-8))
-        if bad.size:
-            raise NumericsError(f"populations sum to {total[bad[0]]}, not 1")
-    fids = dict(zip(labels, _fidelities(dims, traj.samples, traj.fold, targets)))
-    target_series = fids[labels[0]] if targets else np.zeros(len(traj.times))
-    return PopulationRecord(traj.times, p_up, target_series, fids, leak)
+    chunks = [(0, traj.samples, None)]
+    return _read_populations(traj.dims, traj.times, traj.fold, chunks, targets, labels)[0]

@@ -151,16 +151,18 @@ def sideband_hamiltonian(dims: SystemDims, geom: IonGeometry, seg: PulseSegment)
         raise ValueError(f"geometry is for {geom.n_ions} ions, dims for {dims.n_ions}")
     a = build_mode_op(dims, "annihilate").matrix
     number = build_mode_op(dims, "number").matrix
-    h = seg.delta * number
-    coupling = np.zeros_like(h)
+    coupling = np.zeros_like(number)
     for i in range(dims.n_ions):
         s = np.sign(geom.mode_amplitudes[i])
         if s == 0:
             continue
         phase = np.exp(1j * geom.phase_per_ion[i])
         coupling += s * phase * build_spin_op(dims, i, "lower").matrix
-    term = seg.omega_s * np.exp(1j * seg.laser_phase) * (coupling @ a)
-    h = h + term + term.conj().T
+    # a frequency near the float range overflows here; OperatorMatrix rejects
+    # the non-finite entries with NumericsError
+    with np.errstate(over="ignore", invalid="ignore"):
+        term = seg.omega_s * np.exp(1j * seg.laser_phase) * (coupling @ a)
+        h = seg.delta * number + term + term.conj().T
     return OperatorMatrix(dims, h, True)
 
 

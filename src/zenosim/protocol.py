@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from .dynamics import Trajectory, _one_blas_thread, evolve_density, evolve_pure
+from .dynamics import Trajectory, _density_run, _fidelities, _Fold, _one_blas_thread, evolve_density, evolve_pure
 from .dressed import balanced_detuning
-from .hilbert import SystemDims, named_state, spin_state, thermal_product_state
+from .hilbert import DensityOperator, PureState, SystemDims, named_state, spin_state, thermal_product_state
 from .model import IonGeometry, NoiseModel, PulseSchedule, PulseSegment, carrier_pi_time, mean_decay_rate
 
 #: differential qubit-frequency shift (outer ions vs center) used by the
@@ -162,6 +163,16 @@ def plan_geometry(plan: ProtocolPlan) -> IonGeometry:
     return IonGeometry.two_ion_stretch() if plan.n_ions == 2 else IonGeometry.three_ion_com()
 
 
+def _start(plan: ProtocolPlan, noise: NoiseModel | None, dims: SystemDims) -> PureState | DensityOperator:
+    """The start state of a run of the plan: |uu>, or |uuu> for three ions,
+    in the motional ground state, or, for a noise model with Lindblad rates
+    or a thermal start (n_bar > 0), the thermal product state of it."""
+    start = "uuu" if plan.n_ions == 3 else "uu"
+    if noise is not None and (noise.has_lindblad or noise.n_bar > 0):
+        return thermal_product_state(dims, spin_state(dims, start), noise.n_bar)
+    return named_state(dims, start, 0)
+
+
 def simulate_plan(
     plan: ProtocolPlan,
     noise: NoiseModel | None = None,
@@ -171,23 +182,41 @@ def simulate_plan(
 ) -> Trajectory:
     """Run the plan from all ions up and return the sampled trajectory.
 
-    The start state is |uu>, or |uuu> for three ions, in the motional
-    ground state.  A noise model with Lindblad rates or a thermal start
-    (n_bar > 0) propagates the density operator of the thermal product
-    state; anything else propagates the pure state with the model's Stark
-    shifts.  dims defaults to default_dims(plan, noise), duration and
-    sample_dt to those of plan_schedule and the propagators (total / 400).
+    A density start (_start) propagates the density operator; a pure one
+    propagates the pure state with the model's Stark shifts.  dims defaults
+    to default_dims(plan, noise), duration and sample_dt to those of
+    plan_schedule and the propagators (total / 400).
     """
     if dims is None:
         dims = default_dims(plan, noise)
     geom = plan_geometry(plan)
     schedule = plan_schedule(plan, duration)
-    start = "uuu" if plan.n_ions == 3 else "uu"
-    if noise is not None and (noise.has_lindblad or noise.n_bar > 0):
-        rho0 = thermal_product_state(dims, spin_state(dims, start), noise.n_bar)
-        return evolve_density(schedule, dims, geom, noise, rho0, sample_dt)
+    state = _start(plan, noise, dims)
+    if isinstance(state, DensityOperator):
+        return evolve_density(schedule, dims, geom, noise, state, sample_dt)
     shifts = noise.shifts_or_zero(plan.n_ions) if noise is not None else None
-    return evolve_pure(schedule, dims, geom, named_state(dims, start, 0), sample_dt, shifts)
+    return evolve_pure(schedule, dims, geom, state, sample_dt, shifts)
+
+
+def _plan_samples(
+    plan: ProtocolPlan,
+    noise: NoiseModel | None,
+    duration: float | None,
+    dims: SystemDims,
+    sample_dt: float | None = None,
+) -> tuple[np.ndarray, _Fold | None, Iterable]:
+    """(times, fold, chunks) of simulate_plan's run, for callers that read a
+    few series of it and keep no density stack.
+
+    A density run is dynamics._density_run's, a check chunk at a time.  A
+    pure-state run is simulate_plan's stack, at most 0.4 MB, as one chunk
+    (0, samples, None) with fold None.
+    """
+    state = _start(plan, noise, dims)
+    if isinstance(state, DensityOperator):
+        return _density_run(plan_schedule(plan, duration), dims, plan_geometry(plan), noise, state, sample_dt)
+    traj = simulate_plan(plan, noise, duration, dims, sample_dt)
+    return traj.times, None, [(0, traj.samples, None)]
 
 
 @_one_blas_thread
@@ -204,15 +233,19 @@ def simulate_plan_fidelity(
     The target is |T> for two ions and |W> for three, in the motional
     ground state.  An end-fidelity run samples only the segment boundaries
     unless sample_dt is given; a peak run takes the maximum over the
-    samples of simulate_plan.  OpenBLAS runs on one thread for the call
+    samples of simulate_plan.  A density run is read a check chunk at a
+    time as it is propagated (_plan_samples), so no stack of its samples is
+    kept.  OpenBLAS runs on one thread for the call
     (dynamics._one_blas_thread), which error_budget, fine_tune and the sweep
     cells make, also outside run_scenario.
     """
     if sample_dt is None and at_end:
         sample_dt = plan_schedule(plan, duration).total_duration
-    traj = simulate_plan(plan, noise, duration, dims, sample_dt)
-    target = named_state(traj.dims, "T" if plan.n_ions == 2 else "W", 0)
-    fids = traj.fidelities(target)
+    if dims is None:
+        dims = default_dims(plan, noise)
+    target = named_state(dims, "T" if plan.n_ions == 2 else "W", 0)
+    _, fold, chunks = _plan_samples(plan, noise, duration, dims, sample_dt)
+    fids = np.concatenate([_fidelities(dims, samples, fold, [target], blocks)[0] for _, samples, blocks in chunks])
     return float(fids[-1] if at_end else fids.max())
 
 
@@ -252,10 +285,17 @@ def three_ion_preset(plan: ProtocolPlan) -> NoiseModel:
 
 
 def leakage_estimate(plan: ProtocolPlan) -> float:
-    """Closed-form leakage of the two-ion schemes; three ions have none."""
+    """Closed-form leakage of the two-ion schemes; three ions have none.
+
+    The composite form (omega_d / omega_s)^4 holds deep in the Zeno regime,
+    omega_d << |omega_s|; at omega_d >= |omega_s| it is not below 1, not a
+    probability, and raises ValueError.
+    """
     if plan.n_ions != 2:
         raise ValueError("leakage_estimate has closed forms for two ions only")
     if plan.scheme == "composite":
+        if not plan.omega_d < abs(plan.omega_s):
+            raise ValueError("the leakage estimate (omega_d / omega_s)^4 needs omega_d < |omega_s|")
         return (plan.omega_d / abs(plan.omega_s)) ** 4
     return 1.0 / (4.0 * (1 + 2 * plan.m) ** 2)
 

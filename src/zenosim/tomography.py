@@ -625,7 +625,8 @@ def bootstrap(
     the frozen bins), all resamples are refit as one stack, and the 0.16 /
     0.84 fidelity quantiles give the half width eps0.  The interval is
     (F - eps0 - eps_syst, F + eps0), using whatever epsilon_syst the
-    estimate already carries.  The log-likelihood ratio of the original fit
+    estimate already carries; it is not clipped to [0, 1], so ci_upper
+    passes 1 for an estimate within eps0 of it.  The log-likelihood ratio of the original fit
     is ranked inside the bootstrap distribution as a goodness-of-fit
     percentile.  The original counts are inputs.counts.  Each resample draws from its own spawned generator, so
     results do not depend on the stacking; a resample whose fit does not

@@ -213,9 +213,10 @@ def test_a_drive_without_a_usable_pi_time_exits_with_config_error(tmp_path, caps
 
 def test_invalid_tomography_value_exits_before_propagating(tmp_path, capsys, monkeypatch):
     def no_propagation(*args, **kwargs):
-        raise AssertionError("simulate_plan was called")
+        raise AssertionError("the trace run was propagated")
 
-    monkeypatch.setattr("zenosim.cli.simulate_plan", no_propagation)
+    monkeypatch.setattr("zenosim.cli._plan_samples", no_propagation)
+    monkeypatch.setattr("zenosim.cli.error_budget", no_propagation)
     overrides = ["--override", "tomography.enabled=true", "--override", "tomography.n_bins=1"]
     assert main(["run", "--preset", "fig3", "--out", str(tmp_path), *overrides]) == 2
     assert capsys.readouterr().err.startswith("config error: [tomography] n_bins")
@@ -239,27 +240,44 @@ def test_huge_finite_values_exit_3_within_seconds(tmp_path, override):
 
 def test_an_overflowing_hamiltonian_exits_3(tmp_path, capsys):
     """A drive so strong that the sideband Hamiltonian overflows ends in
-    exit code 3, not in a traceback from the Hermiticity check."""
-    assert main(["run", "--preset", "fig_s6a", "--out", str(tmp_path), "--override", "drive.omega_s=1e308"]) == 3
+    exit code 3, not in a traceback from the Hermiticity check, and prints
+    no numpy warning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", "--preset", "fig_s6a", "--out", str(tmp_path), "--override", "drive.omega_s=1e308"]) == 3
     assert "operator has non-finite entries" in capsys.readouterr().err
+
+
+def test_a_composite_drive_outside_the_zeno_regime_exits_with_config_error(tmp_path, capsys):
+    """At omega_d >= |omega_s| the composite leakage estimate (omega_d /
+    omega_s)^4 is not below 1, so the run ends in exit 2 before anything is
+    propagated instead of writing a budget_leakage far above 1."""
+    overrides = ["drive.omega_s=1e3", "drive.duration=3e-5", "n_fock=6"]
+    args = [arg for o in overrides for arg in ("--override", o)]
+    assert main(["run", "--preset", "fig3", "--out", str(tmp_path), *args]) == 2
+    assert capsys.readouterr().err.startswith("config error: [drive] the leakage estimate")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_peak_spin_matrix_matches_dense_reference(tmp_path, monkeypatch):
     """The readout of a leak-level three-ion run starts from the peak
-    state's spin matrix, traced from the stored leak-set blocks: it equals
-    the motional partial trace of the dense peak state."""
+    state's spin matrix, traced from the leak-set blocks of the one sample
+    the streamed trace keeps: it equals the motional partial trace of the
+    dense peak state of simulate_plan's run of the same plan and dims."""
     import zenosim.cli as cli
     from zenosim.dynamics import state_fidelity
     from zenosim.hilbert import named_state, partial_trace_motion
+    from zenosim.protocol import simulate_plan
 
     runs, readouts = [], []
-    real_simulate = cli.simulate_plan
-    monkeypatch.setattr(cli, "simulate_plan", lambda *a: runs.append(real_simulate(*a)) or runs[-1])
+    real_samples = cli._plan_samples
+    monkeypatch.setattr(cli, "_plan_samples", lambda *a: runs.append(a) or real_samples(*a))
     monkeypatch.setattr(cli, "_run_tomography", lambda settings, seed, out, rho, dims: readouts.append(rho) or {})
     overrides = ["noise.gamma_heat=0", "noise.n_bar=0", "n_fock=8", "tomography.enabled=true"]
     args = [arg for o in overrides for arg in ("--override", o)]
     assert main(["run", "--preset", "three_ion", "--out", str(tmp_path), *args]) == 0
-    (traj,), (rho_spin,) = runs, readouts
+    (run,), (rho_spin,) = runs, readouts
+    traj = simulate_plan(*run)
     assert traj.dims.leak_level and len(traj.groups) == 8
     target = named_state(traj.dims, "W", 0)
     states = traj.states
@@ -675,13 +693,16 @@ def _extreme_values(key: str):
         [(preset, base, key) for preset, (base, keys) in _CHEAP_PRESET_KEYS.items() for key in keys]
     ).flatmap(lambda case: st.tuples(st.just(case), _extreme_values(case[2])))
 )
-# the composite leakage estimate (omega_d / omega_s)^4 divides by zero and overflows
+# the composite leakage estimate (omega_d / omega_s)^4 at omega_s = 0, at a
+# tiny omega_s and at an omega_s below omega_d, where it passes 1
 @example(case=(("fig3", _CHEAP_PRESET_KEYS["fig3"][0], "drive.omega_s"), "0.0"))
 @example(case=(("fig3", _CHEAP_PRESET_KEYS["fig3"][0], "drive.omega_s"), "1e-300"))
+@example(case=(("fig3", _CHEAP_PRESET_KEYS["fig3"][0], "drive.omega_s"), "1000.0"))
 def test_extreme_overrides_end_in_a_documented_exit_code(case):
     """One override of a cheap preset or scenario with a negative, zero or
     huge finite value ends in exit code 0, 2 (config), 3 (numerics) or 4 (convergence),
-    prints no traceback, and an exit-0 run writes no nan."""
+    prints no traceback, and an exit-0 run writes no nan and a budget
+    leakage within [0, 1]."""
     import contextlib
     import io
     import tempfile
@@ -700,3 +721,6 @@ def test_extreme_overrides_end_in_a_documented_exit_code(case):
     assert "Traceback" not in out.getvalue() + err.getvalue()
     if code == 0:
         assert not any("nan" in text.lower() for text in written)
+        lines = [line for text in written for line in text.splitlines()]
+        leakage = [float(line.split(" = ")[1]) for line in lines if line.startswith("budget_leakage = ")]
+        assert all(0 <= value <= 1 for value in leakage), leakage

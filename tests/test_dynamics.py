@@ -410,19 +410,23 @@ def test_density_contracts_fail_on_nan():
     dims = SystemDims(2, 2, leak_level=True)
     times = np.arange(3) * 1e-6
     whole = dynamics._Fold(dims, [np.arange(dims.dim)])
+
+    def check(fold, chunk):
+        dynamics._check_density(fold, times, chunk, fold.blocks(chunk))
+
     with pytest.raises(NumericsError, match=r"trace drift nan at t = 0\.000e\+00 s"):
-        dynamics._check_density(whole, times, np.full((3, dims.dim**2), np.nan, dtype=complex))
+        check(whole, np.full((3, len(whole.half)), np.nan, dtype=complex))
     rhos = np.repeat(named_state(dims, "uu", 0).to_density().matrix[None], 3, axis=0)
     rhos[2, 0, 1] = np.nan
     with pytest.raises(NumericsError, match=r"Hermiticity defect nan at t = 2\.000e-06 s"):
-        dynamics._check_density(whole, times, whole.pack(rhos))
+        check(whole, whole.pack(rhos))
     for contract in ("trace", "Hermiticity"):  # the leak-sector path checks a NaN in one block
         fold = dynamics._Fold(dims, leak_sectors(dims))
         rhos = np.repeat(named_state(dims, "uu", 0).to_density().matrix[None], 3, axis=0)
         i, j = fold.groups[-1][0], fold.groups[-1][-1]
         rhos[1, i, i if contract == "trace" else j] = np.nan
         with pytest.raises(NumericsError, match=rf"{contract} .* nan at t = 1\.000e-06 s"):
-            dynamics._check_density(fold, times, fold.pack(rhos))
+            check(fold, fold.pack(rhos))
 
 
 def test_a_run_stops_within_one_check_chunk_of_its_failure(monkeypatch):

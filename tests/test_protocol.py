@@ -254,3 +254,61 @@ def test_fine_tune_of_durations_adds_no_spectrum_misses():
     info = _segment_spectrum.cache_info()
     assert info.misses == 2
     assert info.hits > 100
+
+
+_STREAMED_RUNS = {
+    # a cut two-ion composite run with the leak level and scatter
+    "composite-leak-scatter": lambda: (
+        plan_composite(OMEGA_S, 1),
+        spontaneous_preset(plan_composite(OMEGA_S, 1)),
+        SystemDims(2, 6, leak_level=True),
+    ),
+    "three-ion-heating": lambda: (
+        plan_three_ion(2 * np.pi * 19.0e3, 2 * np.pi * 1.24e3),
+        NoiseModel(gamma_heat=136.0),
+        SystemDims(3, 12),
+    ),
+}
+
+
+@pytest.mark.parametrize("run", sorted(_STREAMED_RUNS))
+def test_streamed_fidelity_equals_the_stacked_trajectorys(run):
+    """simulate_plan_fidelity reads a density run a check chunk at a time as
+    it is propagated; its peak and end fidelities equal, bit for bit, those
+    read from simulate_plan's stack of the same run."""
+    plan, noise, dims = _STREAMED_RUNS[run]()
+    duration = 1.25 * plan.t_pi if plan.n_ions == 3 else None
+    target = named_state(dims, "T" if plan.n_ions == 2 else "W", 0)
+    traj = simulate_plan(plan, noise, duration, dims)
+    assert traj.fold is not None and len(traj.times) > 8 * 8
+    assert simulate_plan_fidelity(plan, noise, duration, dims, at_end=False) == traj.fidelities(target).max()
+    ends = simulate_plan(plan, noise, duration, dims, plan_schedule(plan, duration).total_duration)
+    assert simulate_plan_fidelity(plan, noise, duration, dims) == ends.fidelities(target)[-1]
+
+
+def test_a_streamed_fidelity_keeps_no_stack():
+    """Four times the samples of a density simulate_plan_fidelity raise its
+    traced peak allocation by less than a tenth of what a stack of the extra
+    samples would take."""
+    import tracemalloc
+
+    from zenosim.dynamics import _sample_times
+
+    plan, noise, dims = _STREAMED_RUNS["composite-leak-scatter"]()
+    sample_dt = plan.total_duration() / 400
+    n_half = simulate_plan(plan, noise, dims=dims, sample_dt=plan.total_duration()).samples.shape[1]
+    simulate_plan_fidelity(plan, noise, dims=dims, at_end=False, sample_dt=sample_dt)  # fills the memos
+
+    def peak_bytes(dt):
+        tracemalloc.start()
+        try:
+            simulate_plan_fidelity(plan, noise, dims=dims, at_end=False, sample_dt=dt)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    schedule = plan_schedule(plan)
+    extra = len(_sample_times(schedule, sample_dt / 4)) - len(_sample_times(schedule, sample_dt))
+    stack_bytes = extra * n_half * np.dtype(complex).itemsize
+    assert extra > 1000
+    assert peak_bytes(sample_dt / 4) - peak_bytes(sample_dt) < 0.1 * stack_bytes
