@@ -25,6 +25,7 @@ from .protocol import (
     COMPOSITE_PULSE_SPONTANEOUS_DEFICIT,
     SINGLE_PULSE_SPONTANEOUS_DEFICIT,
     ProtocolPlan,
+    _plan_fidelities,
     _plan_samples,
     default_dims,
     error_budget,
@@ -34,7 +35,6 @@ from .protocol import (
     plan_composite,
     plan_single,
     plan_three_ion,
-    simulate_plan_fidelity,
     spontaneous_preset,
     three_ion_preset,
 )
@@ -48,6 +48,7 @@ def _fmt(x) -> str:
 
 
 def _write_table(path: Path, header_params: dict, columns: list[str], rows) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         for key, value in header_params.items():
             fh.write(f"# {key} = {_fmt(value)}\n")
@@ -57,6 +58,7 @@ def _write_table(path: Path, header_params: dict, columns: list[str], rows) -> N
 
 
 def _write_report(path: Path, entries: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         for key, value in entries.items():
             fh.write(f"{key} = {_fmt(value)}\n")
@@ -260,7 +262,7 @@ def _run_tomography(settings: dict, seed: int, out_dir: Path, rho_spin: np.ndarr
     paths = {}
     if settings["write_histograms"]:
         hist_dir = out_dir / "histograms"
-        hist_dir.mkdir(exist_ok=True)
+        hist_dir.mkdir(parents=True, exist_ok=True)
         for h in list(refs) + list(data):
             tom.write_histogram(hist_dir / f"{h.label}.txt", h)
         paths["histograms"] = hist_dir
@@ -343,10 +345,11 @@ _MAX_RESAMPLES = 10_000
 #: default 5; 1e12 points would allocate terabytes
 _MAX_EPSILON_POINTS = 1_000
 
-#: per-axis edit of a sweep cell's (plan, noise) at one grid value
+#: per-axis edit of a sweep cell's (plan, noise) at one grid value; the t1
+#: axis, always the inner one, is applied to a whole row in run_sweep
 _SWEEP_EDITS = {
-    "omega_ratio": lambda plan, noise, r: (experimental_override(plan, omega_d=plan.omega_s / r), noise),
-    "t1": lambda plan, noise, f: (experimental_override(plan, t1=f * plan.t_pi, t2=(1 - f) * plan.t_pi), noise),
+    # a Python division: a ratio that overflows omega_d gives inf, rejected as a pi time of 0, without a warning
+    "omega_ratio": lambda plan, noise, r: (experimental_override(plan, omega_d=plan.omega_s / float(r)), noise),
     "n_bar": lambda plan, noise, v: (plan, NoiseModel(n_bar=v)),
     "gamma": lambda plan, noise, v: (plan, NoiseModel(gamma_du=v, gamma_ud=v, gamma_ou=v, gamma_od=v)),
 }
@@ -393,9 +396,11 @@ def run_sweep(config: ScenarioConfig, out_dir: Path) -> dict:
     actual maximum shifts a few percent from the first-order pulse time).
     Every other sweep records the end fidelity, since the pulse times are
     the calibrated quantity there.
+
+    The t1 cells of one ratio, or of a whole 1-D t1 sweep, form a row: they
+    share their pi time, checked once with the row's first cell named, and
+    one protocol._plan_fidelities call; any other cell is a row of its own.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     sweep = config.sweep
     axes = [_sweep_axis(sweep, "")]
     if sweep.get("axis2") is not None:
@@ -417,30 +422,29 @@ def run_sweep(config: ScenarioConfig, out_dir: Path) -> dict:
         )
     )
     peak = names == ["omega_ratio"]
-
-    def cell(point) -> float:
-        plan, noise = base, None
-        for name, value in zip(names, point):
-            plan, noise = _SWEEP_EDITS[name](plan, noise, value)
-        # omega_s <= 0, or a ratio that under- or overflows omega_d, sets no usable pi time
-        if not (plan.t_pi / 300 > 0 and 1.15 * plan.t_pi < np.inf):
-            at = ", ".join(f"{name} = {value:.6g}" for name, value in zip(names, point))
-            raise ConfigError(f"[sweep] pi time {plan.t_pi:.3g} s at {at} is out of range")
-        if peak:
-            return simulate_plan_fidelity(plan, duration=1.15 * plan.t_pi, at_end=False, sample_dt=plan.t_pi / 300)
-        return simulate_plan_fidelity(plan, noise)
-
     keys = ("axis", "start", "stop", "points")
     header = dict(zip(keys, axes[0])) | {"scheme": base.scheme, "seed": config.seed}
     if len(axes) == 2:
         header |= dict(zip((key + "2" for key in keys), axes[1]))
     grids = [np.linspace(start, stop, points) for _, start, stop, points in axes]
-    rows = []
-    for point in itertools.product(*grids):
-        fid = cell(point)
-        rows.append([*point, fid, 1.0 - fid])
-    path = out_dir / "sweep.tsv"
-    _write_table(path, header, names + ["fidelity", "error"], rows)
+    inner = grids.pop() if names[-1] == "t1" else None
+    table = []
+    for outer in itertools.product(*grids):
+        plan, noise = base, None
+        for name, value in zip(names, outer):
+            plan, noise = _SWEEP_EDITS[name](plan, noise, value)
+        points = [outer] if inner is None else [(*outer, f) for f in inner]
+        # omega_s <= 0, or a ratio that under- or overflows omega_d, sets no usable pi time
+        if not (plan.t_pi / 300 > 0 and 1.15 * plan.t_pi < np.inf):
+            at = ", ".join(f"{name} = {value:.6g}" for name, value in zip(names, points[0]))
+            raise ConfigError(f"[sweep] pi time {plan.t_pi:.3g} s at {at} is out of range")
+        t_pi = plan.t_pi
+        plans = [plan] if inner is None else [dataclasses.replace(plan, t1=f * t_pi, t2=(1 - f) * t_pi) for f in inner]
+        opts = {"duration": 1.15 * plan.t_pi, "at_end": False, "sample_dt": plan.t_pi / 300} if peak else {}
+        fids = _plan_fidelities(plans, noise, **opts)
+        table += [[*point, fid, 1.0 - fid] for point, fid in zip(points, fids)]
+    path = Path(out_dir) / "sweep.tsv"
+    _write_table(path, header, names + ["fidelity", "error"], table)
     return {"sweep": path}
 
 
@@ -450,11 +454,12 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path | None = None) -> d
 
     Returns a dict naming every file written.  Raises ConfigError,
     NumericsError, or ConvergenceError; the command-line wrapper translates
-    these into exit codes 2, 3, and 4.  OpenBLAS runs on one thread for
-    the call (dynamics._one_blas_thread).
+    these into exit codes 2, 3, and 4.  out_dir, with any missing parent,
+    is made as the first output is written, after the config is validated,
+    so a run that raises ConfigError leaves no directory behind.  OpenBLAS
+    runs on one thread for the call (dynamics._one_blas_thread).
     """
     out = Path(out_dir if out_dir is not None else (config.out or "."))
-    out.mkdir(parents=True, exist_ok=True)
     if config.scenario in ("two_ion_single", "two_ion_composite", "three_ion_w"):
         return _trace_scenario(config, out)
     if config.scenario == "dressed_scan":

@@ -39,6 +39,7 @@ checks and readers their diagonals and the whole blocks.
 
 from __future__ import annotations
 
+import bisect
 import ctypes
 import functools
 import math
@@ -198,7 +199,7 @@ def _sample_times(schedule: PulseSchedule, sample_dt: float | None) -> np.ndarra
         raise ValueError("sample_dt must be > 0")
     points = {0.0, *schedule.boundaries()}
     if total > 0:
-        n = int(np.floor(total / sample_dt + 1e-9))
+        n = math.floor(total / sample_dt + 1e-9)
         points.update(k * sample_dt for k in range(1, n + 1))
     times = np.array(sorted(points))
     return times[times <= total + 1e-15]
@@ -419,7 +420,7 @@ def _segment_spectrum(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (evals, evecs) of eigh(segment_hamiltonian(...)).
 
-    The memo of evolve_pure.  seg comes with its duration set to 0, which
+    The memo of _pure_walk.  seg comes with its duration set to 0, which
     the Hamiltonian does not depend on, so schedules that differ only in
     their durations (a t1 or t2 edit) share their entries.  It holds at most
     32 spectra: a sweep or fine_tune over the durations of one plan needs
@@ -432,42 +433,59 @@ def _segment_spectrum(
     return evals, evecs
 
 
-def evolve_pure(
-    schedule: PulseSchedule,
+#: the most cells of one _pure_walk: a segment's (cells, samples, dim)
+#: temporaries of a composite t1 sweep (two samples, dim 40) are then 1.3 MB
+#: each, not 128 MB at 100,000 cells
+_WALK_CELLS = 1024
+
+
+def _pure_walk(
+    schedules: Sequence[PulseSchedule],
     dims: SystemDims,
     geom: IonGeometry,
-    initial: PureState,
-    sample_dt: float | None = None,
-    stark_shifts: Sequence[float] | None = None,
-) -> Trajectory:
-    """Propagate a pure state exactly through each constant segment.
+    initial: np.ndarray,
+    sample_dts: Sequence[float | None],
+    stark_shifts: tuple[float, ...] | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(times, amps, starts) of the runs of schedules that differ only in
+    their segments' durations, from the amplitudes initial, walked together.
 
-    Each segment's spectrum comes from a bounded memo (_segment_spectrum)
-    keyed by (dims, geom, the segment without its duration, the Stark
-    shifts), so a segment is diagonalized once for all schedules that
-    differ only in durations.  States are sampled every sample_dt (default
-    total/400) and at segment boundaries, into one (T, dim) stack of
-    amplitudes; each segment reaches the samples _segment_samples gives it,
-    the walk evolve_density takes.  After the walk every sample is checked
-    at once: the first sample whose norm drifts beyond 1e-9 raises
-    NumericsError, or whose top Fock level holds more than 1e-8 raises
+    Cell b samples its schedule every sample_dts[b] (_sample_times) and owns
+    rows starts[b]:starts[b + 1] of the stacked times and read-only
+    amplitudes.  Segment i has one spectrum (_segment_spectrum) and one
+    product for all cells, (exp(-i outer(offsets, evals)) * coords) @
+    evecs.T, over the (cells, n) offsets from each cell's segment start of
+    the samples _segment_samples gives it there, padded with 0; one more
+    gives the states at the segment ends.  Every sample is then checked:
+    the first, cell by cell, whose norm drifts beyond 1e-9 raises
+    NumericsError, or whose top Fock level holds more than 1e-8
     TruncationError, naming its time.
     """
-    if initial.dims != dims:
-        raise ValueError("initial state dims do not match")
-    shifts = None if stark_shifts is None else tuple(stark_shifts)
-    times = _sample_times(schedule, sample_dt)
+    times = [_sample_times(s, dt) for s, dt in zip(schedules, sample_dts)]
+    starts = np.cumsum([0] + [len(t) for t in times])
+    # cuts[b, i]: the row of cell b's first sample in segment i; cuts[b, -1] = starts[b + 1]
+    reached = [_segment_samples(t, s.boundaries()) for t, s in zip(times, schedules)]
+    cuts = starts[:-1, None] + [[0] + [ks.stop for ks in r] for r in reached]
+    durations = np.array([[seg.duration for seg in s.segments] for s in schedules])
+    times = np.concatenate(times)
     amps = np.empty((len(times), dims.dim), dtype=complex)
-    psi, t0 = initial.amplitudes, 0.0  # the state at the start t0 of each segment
-    for seg, ks in zip(schedule.segments, _segment_samples(times, schedule.boundaries())):
-        evals, evecs = _segment_spectrum(dims, geom, replace(seg, duration=0.0), shifts)
-        psi_seg = evecs.conj().T @ psi  # its coordinates in the segment's eigenbasis
-        for k in ks:
-            amps[k] = evecs @ (np.exp(-1j * evals * (times[k] - t0)) * psi_seg)
-        if ks.stop == len(times):  # any later segment has zero length and no sample
-            break
-        psi = evecs @ (np.exp(-1j * evals * seg.duration) * psi_seg)
-        t0 += seg.duration
+    psi, t0 = initial[None], np.zeros(len(schedules))  # each cell's state at the start t0 of each segment
+    for i, seg in enumerate(schedules[0].segments):
+        evals, evecs = _segment_spectrum(dims, geom, replace(seg, duration=0.0), stark_shifts)
+        counts = cuts[:, i + 1] - cuts[:, i]
+        held = np.arange(counts.max()) < counts[:, None]  # (cells, n)
+        rows = (cuts[:, i, None] + np.arange(held.shape[1]))[held]
+        offsets = np.zeros(held.shape)
+        offsets[held] = times[rows] - np.repeat(t0, counts)
+        # non-finite amplitudes (a frequency far out of range) fail the norm check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            coords = psi @ evecs.conj()  # in the segment's eigenbasis
+            states = np.exp(-1j * (offsets[..., None] * evals)) * coords[:, None]
+            amps[rows] = (states.reshape(-1, dims.dim) @ evecs.T).reshape(states.shape)[held]
+            if (cuts[:, i + 1] == starts[1:]).all():
+                break  # any later segment has zero length and no sample
+            psi = (np.exp(-1j * (durations[:, i, None] * evals)) * coords) @ evecs.T
+        t0 += durations[:, i]
 
     drift = np.abs(np.linalg.norm(amps, axis=1) - 1.0)
     top = np.sum(np.abs(amps[:, dims.n_fock - 1 :: dims.n_fock]) ** 2, axis=1)
@@ -478,6 +496,33 @@ def evolve_pure(
             raise NumericsError(f"norm drift {drift[k]:.2e} at t = {times[k]:.3e} s")
         _check_truncation(top[k], times[k])
     amps.setflags(write=False)
+    return times, amps, starts
+
+
+def evolve_pure(
+    schedule: PulseSchedule,
+    dims: SystemDims,
+    geom: IonGeometry,
+    initial: PureState,
+    sample_dt: float | None = None,
+    stark_shifts: Sequence[float] | None = None,
+) -> Trajectory:
+    """Propagate a pure state exactly through each constant segment: the
+    stacked walk (_pure_walk) of one schedule.
+
+    Each segment's spectrum comes from a bounded memo (_segment_spectrum)
+    keyed by (dims, geom, the segment without its duration, the Stark
+    shifts), so a segment is diagonalized once for all schedules that
+    differ only in durations.  States are sampled every sample_dt (default
+    total/400) and at segment boundaries, each segment's in one product,
+    into a read-only (T, dim) stack of amplitudes.  The first sample whose
+    norm drifts beyond 1e-9 raises NumericsError, or whose top Fock level
+    holds more than 1e-8 TruncationError, naming its time.
+    """
+    if initial.dims != dims:
+        raise ValueError("initial state dims do not match")
+    shifts = None if stark_shifts is None else tuple(stark_shifts)
+    times, amps, _ = _pure_walk([schedule], dims, geom, initial.amplitudes, [sample_dt], shifts)
     return Trajectory(times, amps, dims, schedule)
 
 
@@ -545,11 +590,11 @@ def _check_density(fold: _Fold, times: np.ndarray, chunk: np.ndarray, blocks: li
 
 def _segment_samples(times: np.ndarray, boundaries: Sequence[float]) -> list[range]:
     """The range of sample indices each segment reaches, in order: the walk
-    of evolve_pure and evolve_density.  A sample within 1e-15 past a
+    of _pure_walk and evolve_density.  A sample within 1e-15 past a
     boundary is reached within the segment before it; every boundary is a
     sample time (_sample_times), so the last sample of a segment is at its
     end."""
-    cuts = np.searchsorted(times, np.asarray(boundaries[1:-1]) + 1e-15, side="right").tolist()
+    cuts = [bisect.bisect_right(times, b + 1e-15) for b in boundaries[1:-1]]
     return [range(a, b) for a, b in zip([0, *cuts], [*cuts, len(times)])]
 
 

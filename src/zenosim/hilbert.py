@@ -158,8 +158,13 @@ class OperatorMatrix:
             raise ValueError(f"matrix shape {mat.shape} != ({d}, {d})")
         if not np.isfinite(mat).all():
             raise NumericsError("operator has non-finite entries; a frequency or a rate is out of range")
-        if self.hermitian_flag and not np.linalg.norm(mat - mat.conj().T) < 1e-12 * max(1.0, np.linalg.norm(mat)):
-            raise ValueError("operator flagged Hermitian is not Hermitian")
+        if self.hermitian_flag:
+            # scaled by a power of two to entries below 1, so no norm
+            # overflows and every rounding, and so the test, is the unscaled one
+            scale = 2.0 ** -max(int(np.frexp(np.abs(np.ascontiguousarray(mat).view(float)).max())[1]), 0)
+            mat = mat * scale
+            if not np.linalg.norm(mat - mat.conj().T) < 1e-12 * max(scale, np.linalg.norm(mat)):
+                raise ValueError("operator flagged Hermitian is not Hermitian")
 
 
 def _single_ion_matrix(levels: int, kind: str) -> np.ndarray:

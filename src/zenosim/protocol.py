@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dynamics import Trajectory, _density_run, _fidelities, _Fold, _one_blas_thread, evolve_density, evolve_pure
+from .dynamics import _WALK_CELLS, Trajectory, _density_run, _fidelities, _Fold, _one_blas_thread, _pure_walk
+from .dynamics import evolve_density, evolve_pure
 from .dressed import balanced_detuning
 from .hilbert import DensityOperator, PureState, SystemDims, named_state, spin_state, thermal_product_state
 from .model import IonGeometry, NoiseModel, PulseSchedule, PulseSegment, carrier_pi_time, mean_decay_rate
@@ -219,7 +220,6 @@ def _plan_samples(
     return traj.times, None, [(0, traj.samples, None)]
 
 
-@_one_blas_thread
 def simulate_plan_fidelity(
     plan: ProtocolPlan,
     noise: NoiseModel | None = None,
@@ -233,20 +233,66 @@ def simulate_plan_fidelity(
     The target is |T> for two ions and |W> for three, in the motional
     ground state.  An end-fidelity run samples only the segment boundaries
     unless sample_dt is given; a peak run takes the maximum over the
-    samples of simulate_plan.  A density run is read a check chunk at a
-    time as it is propagated (_plan_samples), so no stack of its samples is
-    kept.  OpenBLAS runs on one thread for the call
-    (dynamics._one_blas_thread), which error_budget, fine_tune and the sweep
-    cells make, also outside run_scenario.
+    samples of simulate_plan.  This is the one-plan case of _plan_fidelities.
+    OpenBLAS runs on one thread for the call (dynamics._one_blas_thread),
+    also outside run_scenario.
     """
-    if sample_dt is None and at_end:
-        sample_dt = plan_schedule(plan, duration).total_duration
-    if dims is None:
-        dims = default_dims(plan, noise)
-    target = named_state(dims, "T" if plan.n_ions == 2 else "W", 0)
-    _, fold, chunks = _plan_samples(plan, noise, duration, dims, sample_dt)
-    fids = np.concatenate([_fidelities(dims, samples, fold, [target], blocks)[0] for _, samples, blocks in chunks])
-    return float(fids[-1] if at_end else fids.max())
+    return _plan_fidelities([plan], noise, duration, dims, at_end, sample_dt)[0]
+
+
+@_one_blas_thread
+def _plan_fidelities(
+    plans: Sequence[ProtocolPlan],
+    noise: NoiseModel | None = None,
+    duration: float | None = None,
+    dims: SystemDims | None = None,
+    at_end: bool = True,
+    sample_dt: float | None = None,
+) -> list[float]:
+    """simulate_plan_fidelity of each plan, in order, with the same options.
+
+    Pure-state plans next to each other that differ only in t1 and t2 (a
+    sweep's t1 row, a fine_tune grid) share one dynamics._pure_walk of at
+    most _WALK_CELLS cells; any other pure plan walks alone, and a density
+    run is read a check chunk at a time (_plan_samples).  A walk checks its
+    cells before the next plan runs, so failing plans raise what
+    simulate_plan_fidelity raises for the first of them.
+    """
+    fids: list[float] = []
+    k = 0
+    while k < len(plans):
+        plan = plans[k]
+        plan_dims = default_dims(plan, noise) if dims is None else dims
+        target = named_state(plan_dims, "T" if plan.n_ions == 2 else "W", 0)
+        state = _start(plan, noise, plan_dims)
+        cells = 1  # the plans from k on that walk together
+        while (
+            isinstance(state, PureState)
+            and k + cells < len(plans)
+            and cells < _WALK_CELLS
+            and _shares_spectra(plans[k + cells], plan)
+        ):
+            cells += 1
+        walked = [plan_schedule(p, duration) for p in plans[k : k + cells]]
+        # an end-fidelity run samples only the segment boundaries
+        steps = [s.total_duration if sample_dt is None and at_end else sample_dt for s in walked]
+        if isinstance(state, DensityOperator):
+            _, fold, chunks = _plan_samples(plan, noise, duration, plan_dims, steps[0])
+            series = np.concatenate([_fidelities(plan_dims, rows, fold, [target], b)[0] for _, rows, b in chunks])
+            fids.append(float(series[-1] if at_end else series.max()))
+        else:
+            shifts = noise.shifts_or_zero(plan.n_ions) if noise is not None else None
+            _, amps, starts = _pure_walk(walked, plan_dims, plan_geometry(plan), state.amplitudes, steps, shifts)
+            series = _fidelities(plan_dims, amps, None, [target])[0]
+            fids += (series[starts[1:] - 1] if at_end else np.maximum.reduceat(series, starts[:-1])).tolist()
+        k += cells
+    return fids
+
+
+def _shares_spectra(plan: ProtocolPlan, other: ProtocolPlan) -> bool:
+    """Whether the plans differ at most in t1 and t2, which plan_schedule
+    makes segment durations alone, so that their runs share segment spectra."""
+    return {**vars(plan), "t1": None, "t2": None} == {**vars(other), "t1": None, "t2": None}
 
 
 def spontaneous_preset(plan: ProtocolPlan, deficit: float | None = None) -> NoiseModel:
@@ -339,8 +385,9 @@ def fine_tune(plan: ProtocolPlan, free_params: tuple[str, ...] = ()) -> tuple[Pr
     """Derivative-free refinement of selected plan parameters.
 
     Runs coordinate sweeps over a +/-20% box around the starting values;
-    each sweep scans a coarse grid and polishes the best cell with bounded
-    scalar minimization.  The objective is the noiseless simulated
+    each sweep scans a 25-point grid (one stacked walk for t1 or t2,
+    _plan_fidelities) and polishes the best cell with bounded scalar
+    minimization.  The objective is the noiseless simulated
     end-state fidelity.  A tuned omega_d moves t_pi with it; the segment
     times t1, t2 stay as tuned.  Returns the refined plan, its fidelity,
     and whether it improved on the input.
@@ -365,7 +412,7 @@ def fine_tune(plan: ProtocolPlan, free_params: tuple[str, ...] = ()) -> tuple[Pr
         for name in free_params:
             lo, hi = bounds[name]
             grid = np.linspace(lo, hi, 25)
-            vals = [simulate_plan_fidelity(dataclasses.replace(best_plan, **{name: g})) for g in grid]
+            vals = _plan_fidelities([dataclasses.replace(best_plan, **{name: g}) for g in grid])
             k = int(np.argmax(vals))
             left, right = grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]
             res = minimize_scalar(

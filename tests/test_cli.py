@@ -22,7 +22,7 @@ from zenosim.config import (
 )
 from zenosim.errors import ConfigError
 from zenosim.model import NoiseModel
-from zenosim.protocol import plan_composite, plan_single, simulate_plan_fidelity
+from zenosim.protocol import experimental_override, plan_composite, plan_single, simulate_plan_fidelity
 
 GOOD_CONFIG = """
 scenario = two_ion_single
@@ -724,3 +724,88 @@ def test_extreme_overrides_end_in_a_documented_exit_code(case):
         lines = [line for text in written for line in text.splitlines()]
         leakage = [float(line.split(" = ")[1]) for line in lines if line.startswith("budget_leakage = ")]
         assert all(0 <= value <= 1 for value in leakage), leakage
+
+
+def test_a_t1_sweep_longer_than_a_walk_matches_each_cell_alone(tmp_path, monkeypatch):
+    """A 1-D t1 sweep of _WALK_CELLS + 3 cells is two stacked walks, capped
+    at _WALK_CELLS cells, and each printed fidelity is the cell's
+    one-at-a-time value."""
+    from zenosim import dynamics, protocol
+
+    walks = []
+    real_walk = protocol._pure_walk
+
+    def counted(schedules, *args):
+        walks.append(len(schedules))
+        return real_walk(schedules, *args)
+
+    monkeypatch.setattr(protocol, "_pure_walk", counted)
+    points = dynamics._WALK_CELLS + 3
+    sweep = {"scheme": "composite", "axis": "t1", "start": 0.0, "stop": 1.0, "points": points}
+    cfg = ScenarioConfig(scenario="sweep", drive={"omega_s": 2 * np.pi * 17.6e3}, sweep=sweep)
+    lines = run_scenario(cfg, tmp_path)["sweep"].read_text().splitlines()
+    assert walks == [dynamics._WALK_CELLS, 3]
+    rows = [line.split("\t") for line in lines if not line.startswith("#")]
+    assert rows[0] == ["t1", "fidelity", "error"]
+    printed = [float(row[1]) for row in rows[1:]]
+    base = plan_composite(2 * np.pi * 17.6e3, 1)
+    plans = [experimental_override(base, t1=f * base.t_pi, t2=(1 - f) * base.t_pi) for f in np.linspace(0, 1, points)]
+    alone = [simulate_plan_fidelity(p) for p in plans]
+    np.testing.assert_allclose(printed, alone, rtol=0, atol=1e-12)  # 12 printed digits
+
+
+def test_a_sweep_row_out_of_range_names_its_first_cell(tmp_path):
+    """A row is validated once, before it is walked, with the message the
+    cell-by-cell loop gave at the row's first cell; nothing is written."""
+    sweep = {
+        "scheme": "composite",
+        "axis": "omega_ratio",
+        "start": 8.0,
+        "stop": 1e-310,
+        "points": 2,
+        "axis2": "t1",
+        "start2": 0.2,
+        "stop2": 0.5,
+        "points2": 3,
+    }
+    cfg = ScenarioConfig(scenario="sweep", drive={"omega_s": 2 * np.pi * 17.6e3}, sweep=sweep)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        message = r"^\[sweep\] pi time 0 s at omega_ratio = 1e-310, t1 = 0\.2 is out of range$"
+        with pytest.raises(ConfigError, match=message):
+            run_scenario(cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--preset", "fig3", "--override=drive.omega_s=1e3", "--override=drive.duration=3e-5", "--override=n_fock=6"],
+        ["--preset", "fig_s6a", "--override=sweep.scheme=bogus"],
+    ],
+    ids=["fig3-leakage", "fig_s6a-scheme"],
+)
+def test_a_run_that_exits_2_leaves_no_output_directory(tmp_path, args, capsys):
+    out = tmp_path / "fresh" / "out"
+    assert main(["run", *args, "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "fresh").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        ["drive.omega_s=1e200"],
+        ["sweep.scheme=composite", "sweep.start=1e-300"],
+    ],
+    ids=["omega_s-1e200", "composite-ratio-1e-300"],
+)
+def test_overflowing_sweeps_print_no_numpy_warning(tmp_path, overrides):
+    """Phases and Hamiltonians far out of range raise no RuntimeWarning on
+    the way to exit 0: the pure-state phase product runs under np.errstate
+    (its norm check rejects non-finite amplitudes) and the Hermiticity
+    check of hilbert.OperatorMatrix is scale-free."""
+    args = [arg for text in overrides for arg in ("--override", text)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", "--preset", "fig_s6a", *args, "--out", str(tmp_path)]) == 0

@@ -959,7 +959,7 @@ def test_scenarios_fidelities_and_density_runs_use_one_blas_thread(two_blas_thre
         return recorded
 
     monkeypatch.setattr(dynamics._TaylorExpm, "__call__", spy("evolve_density", dynamics._TaylorExpm.__call__))
-    monkeypatch.setattr(protocol, "simulate_plan", spy("simulate_plan_fidelity", protocol.simulate_plan))
+    monkeypatch.setattr(protocol, "_pure_walk", spy("simulate_plan_fidelity", protocol._pure_walk))
     monkeypatch.setattr(cli, "_dressed_scan_scenario", spy("run_scenario", cli._dressed_scan_scenario))
     dims = SystemDims(2, 6, leak_level=True)
     evolve_density(single_pulse(), dims, GEOM2, NoiseModel(gamma_ou=1e3), named_state(dims, "uu", 0).to_density())

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from zenosim.hilbert import (
     LEAK,
     UP,
     DensityOperator,
+    OperatorMatrix,
     PureState,
     SystemDims,
     build_mode_op,
@@ -307,3 +310,20 @@ def test_state_constructors_reject_nan():
     rho[0, 1] = np.nan
     with pytest.raises(ValueError, match="Hermitian"):
         DensityOperator(dims, rho)
+
+
+def test_hermiticity_check_is_scale_free():
+    """The check scales by a power of two before taking norms, so entries
+    near the float range pass or fail as at unit scale, without an
+    overflow warning."""
+    dims = SystemDims(2, 1)
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    herm = a + a.conj().T
+    skew = herm + 1e-9 * np.eye(4, k=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for scale in (1.0, 2.0**900, 1e200, 1e307):
+            OperatorMatrix(dims, scale * herm, True)
+            with pytest.raises(ValueError, match="not Hermitian"):
+                OperatorMatrix(dims, scale * skew, True)

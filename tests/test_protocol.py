@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from zenosim import protocol
+from zenosim.errors import TruncationError
 from zenosim.hilbert import DensityOperator, PureState, SystemDims, named_state
 from zenosim.model import NoiseModel, carrier_pi_time, mean_decay_rate
 from zenosim.protocol import (
@@ -145,6 +146,11 @@ def test_fine_tune_composite_times():
     assert 1 - fid <= 6e-4
     assert abs(tuned.t1 - 24.18e-6) < 0.5e-6
     assert abs(tuned.t2 - 47.57e-6) < 0.5e-6
+    # the values of grids run one cell at a time, within fine_tune's xatol
+    # of each box (0.4 of the start value, times 1e-6)
+    assert abs(tuned.t1 - 2.3819588851940157e-05) <= 0.4e-6 * p.t1
+    assert abs(tuned.t2 - 4.789278188861608e-05) <= 0.4e-6 * p.t2
+    assert abs(fid - 0.999624926834506) <= 1e-12
 
 
 def test_fine_tune_of_omega_d_keeps_the_composite_pi_time():
@@ -312,3 +318,70 @@ def test_a_streamed_fidelity_keeps_no_stack():
     stack_bytes = extra * n_half * np.dtype(complex).itemsize
     assert extra > 1000
     assert peak_bytes(sample_dt / 4) - peak_bytes(sample_dt) < 0.1 * stack_bytes
+
+
+def _counting_walks(monkeypatch) -> list[int]:
+    """The number of cells of each stacked walk _plan_fidelities makes."""
+    walks = []
+    real_walk = protocol._pure_walk
+
+    def counted(schedules, *args):
+        walks.append(len(schedules))
+        return real_walk(schedules, *args)
+
+    monkeypatch.setattr(protocol, "_pure_walk", counted)
+    return walks
+
+
+@pytest.mark.parametrize("noise", [None, NoiseModel(stark_shifts=(2 * np.pi * 0.7e3, -2 * np.pi * 0.4e3))])
+def test_a_t1_row_is_one_walk_with_each_cells_own_value(noise, monkeypatch):
+    """A composite t1 row over [0, 1] is one stacked walk, and every cell,
+    the two end cells with a zero-length segment and one sample fewer
+    among them, gets its one-at-a-time fidelity within 1e-14."""
+    plan = experimental_override(plan_composite(OMEGA_S, 1), omega_d=OMEGA_S / 9.0)
+    plans = [experimental_override(plan, t1=f * plan.t_pi, t2=(1 - f) * plan.t_pi) for f in np.linspace(0, 1, 21)]
+    assert [len(simulate_plan(p, noise, sample_dt=p.total_duration()).times) for p in plans[:2]] == [2, 3]
+    assert len(simulate_plan(plans[-1], noise, sample_dt=plans[-1].total_duration()).times) == 2
+    walks = _counting_walks(monkeypatch)
+    row = protocol._plan_fidelities(plans, noise)
+    alone = [simulate_plan_fidelity(p, noise) for p in plans]
+    assert walks == [21] + [1] * 21
+    np.testing.assert_allclose(row, alone, rtol=0, atol=1e-14)
+
+
+def test_a_failing_row_raises_what_its_first_failing_cell_raises(monkeypatch):
+    """At four Fock levels the first two cells of this row of stretched
+    composite pulses pass and the third breaks the Fock limit: the stacked
+    walk raises the exception, message included, of the one-at-a-time loop."""
+    plan = plan_composite(OMEGA_S, 1)
+    scales = np.linspace(0.1, 1, 10)
+    plans = [experimental_override(plan, t1=g * plan.t_pi / 3, t2=2 * g * plan.t_pi / 3) for g in scales]
+    dims = SystemDims(2, 4)
+    for p in plans[:2]:
+        simulate_plan_fidelity(p, dims=dims)
+    with pytest.raises(TruncationError) as alone:
+        for p in plans:
+            simulate_plan_fidelity(p, dims=dims)
+    walks = _counting_walks(monkeypatch)
+    with pytest.raises(TruncationError) as row:
+        protocol._plan_fidelities(plans, dims=dims)
+    assert walks == [10]
+    assert str(row.value) == str(alone.value)
+
+
+def test_plans_walk_together_only_when_they_differ_in_durations(monkeypatch):
+    """Neighbours that differ in t1 or t2 share a walk; a plan with another
+    omega_d walks alone, and a density plan is propagated as before."""
+    plan = plan_composite(OMEGA_S, 1)
+    longer = experimental_override(plan, t2=1.1 * plan.t2)
+    other = experimental_override(plan, omega_d=1.01 * plan.omega_d)
+    walks = _counting_walks(monkeypatch)
+    fids = protocol._plan_fidelities([plan, longer, other, plan])
+    assert walks == [2, 1, 1]
+    alone = [simulate_plan_fidelity(p) for p in (plan, longer, other, plan)]
+    np.testing.assert_allclose(fids[:2], alone[:2], rtol=0, atol=1e-14)
+    assert fids[2:] == alone[2:]  # a walk of one cell is simulate_plan_fidelity's own
+    noise = spontaneous_preset(plan)
+    walks.clear()
+    assert protocol._plan_fidelities([plan, plan], noise) == [simulate_plan_fidelity(plan, noise)] * 2
+    assert walks == []
