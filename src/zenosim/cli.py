@@ -252,12 +252,9 @@ def _run_tomography(settings: dict, seed: int, out_dir: Path, rho_spin: np.ndarr
         for i in range(len(design.analysis_rotations))
     ]
     inputs = tom.FitInputs(tuple(refs), tuple(data), design, boundaries)
-    estimate = tom.fit_ml(inputs)
-    if not estimate.converged:
-        raise ConvergenceError("maximum-likelihood fit did not converge")
+    # the estimate is the sweep's epsilon = 0 fit; the sweep raises ConvergenceError if it does not converge
     sweep = tom.systematic_sweep(inputs, n_points=settings["epsilon_points"])
-    estimate = dataclasses.replace(estimate, epsilon_syst=sweep.epsilon_syst)
-    estimate = tom.bootstrap(inputs, estimate, resamples=settings["resamples"], seed=seed + 1)
+    estimate = tom.bootstrap(inputs, sweep.estimate, resamples=settings["resamples"], seed=seed + 1)
 
     paths = {}
     if settings["write_histograms"]:
@@ -328,15 +325,15 @@ def _tomography_demo_scenario(config: ScenarioConfig, out_dir: Path) -> dict:
 _MAX_POINTS = 100_000
 
 #: the largest mean photon count per shot: the counts reach n_ions times it,
-#: and choose_bins passes over every count value once per bin, so three
-#: ions at 1,000 (25x the default 39) take about 2 s to bin, and numpy's
-#: Poisson draw rejects means above about 1e19
+#: and each bin choose_bins adds scores every count value once, so three
+#: ions at 1,000 (25x the default 39) take about 0.1 s to bin into 7, and
+#: numpy's Poisson draw rejects means above about 1e19
 _MAX_MEAN = 1000.0
 #: the most shots of one histogram: 33x the default 30,000 data shots; a
 #: draw holds a few int64 arrays of this length, 8 MB each
 _MAX_SHOTS = 1_000_000
 #: the most bins: 10x the two-ion default; choose_bins' work grows with
-#: the bins times the count values, about 20 s for three ions at _MAX_MEAN
+#: the bins times the count values, about 1 s for three ions at _MAX_MEAN
 _MAX_BINS = 50
 #: the most bootstrap resamples: 20x the default 500, about 6 minutes of
 #: fits at the two-ion demo's 36 ms a resample

@@ -682,15 +682,17 @@ def _density_run(
 
     shifts = noise.shifts_or_zero(dims.n_ions)
     mu, feed, m = 0.0, {}, [0] * len(groups)  # m[a]: the block (A, A) of M
-    for l in (op.matrix for op in lindblad_operators(dims, noise)):
-        mu += abs(np.trace(l)) ** 2 - dims.dim * np.vdot(l, l).real  # tr(L^dag L) = |L|_F^2
-        for b, rows in enumerate(groups):
-            for a, idx in enumerate(groups):
-                l_ba = l[np.ix_(rows, idx)]
-                if l_ba.any():
-                    l_ba = sp.csr_matrix(l_ba)
-                    m[a] += l_ba.conj().T @ l_ba
-                    feed[b, a] = feed.get((b, a), 0) + sp.kron(l_ba, l_ba.conj())
+    # here and in propagator, an overflow leaves a NaN or inf norm, which _TaylorExpm.plan rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l in (op.matrix for op in lindblad_operators(dims, noise)):
+            mu += abs(np.trace(l)) ** 2 - dims.dim * np.vdot(l, l).real  # tr(L^dag L) = |L|_F^2
+            for b, rows in enumerate(groups):
+                for a, idx in enumerate(groups):
+                    l_ba = l[np.ix_(rows, idx)]
+                    if l_ba.any():
+                        l_ba = sp.csr_matrix(l_ba)
+                        m[a] += l_ba.conj().T @ l_ba
+                        feed[b, a] = feed.get((b, a), 0) + sp.kron(l_ba, l_ba.conj())
 
     def propagator(seg: PulseSegment) -> _TaylorExpm:
         h = segment_hamiltonian(dims, geom, seg, shifts).matrix
@@ -709,8 +711,9 @@ def _density_run(
         boundaries = schedule.boundaries()
         work = 0
         for seg_idx, ks in enumerate(_segment_samples(times, boundaries)):
-            expm = propagator(schedule.segments[seg_idx])
-            calls = _kernel_calls(times, ks, expm.norm_1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                expm = propagator(schedule.segments[seg_idx])
+                calls = _kernel_calls(times, ks, expm.norm_1)
             work += sum(math.prod(expm.plan(offsets[-1])) for _, offsets in calls)
             if work > _MAX_MATVECS:
                 raise NumericsError(

@@ -278,10 +278,9 @@ def rebin(hist: CountHistogram, boundaries) -> np.ndarray:
     bounds = tuple(int(b) for b in boundaries)
     if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])) or (bounds and bounds[0] < 1):
         raise ValueError("boundaries must be strictly increasing positive integers")
-    counts = np.zeros(len(bounds) + 1)
-    for c, k in hist.counts_by_photon_number.items():
-        counts[np.searchsorted(bounds, c, side="right")] += k
-    return counts
+    values = np.fromiter(hist.counts_by_photon_number, dtype=int)
+    shots = np.fromiter(hist.counts_by_photon_number.values(), dtype=float)
+    return np.bincount(np.searchsorted(bounds, values, side="right"), weights=shots, minlength=len(bounds) + 1)
 
 
 def _initial_q(n_fits: int, n_classes: int, n_bins: int) -> np.ndarray:
@@ -343,18 +342,6 @@ def _estimate_class_conditionals(counts: np.ndarray, weights: np.ndarray, n_iter
     return _em_to_convergence(counts, weights[None], f, 1e-12, n_iter)[0]
 
 
-def _binned_information(f: np.ndarray, priors: np.ndarray, starts: np.ndarray) -> float:
-    """Expected log-likelihood ratio between class conditionals and their
-    mixture after binning; starts lists the first count of every bin."""
-    fb = np.add.reduceat(f, starts, axis=1)
-    mix = priors @ fb
-    info = 0.0
-    for n in range(f.shape[0]):
-        mask = fb[n] > 0
-        info += priors[n] * np.sum(fb[n, mask] * np.log(fb[n, mask] / np.clip(mix[mask], 1e-300, None)))
-    return float(info)
-
-
 def choose_bins(held_out: list[CountHistogram], n_bins: int, n_ions: int = 2) -> tuple[int, ...]:
     """Greedy search for contiguous bin boundaries that lose as little class
     discrimination as possible.
@@ -362,8 +349,9 @@ def choose_bins(held_out: list[CountHistogram], n_bins: int, n_ions: int = 2) ->
     Class-conditional count distributions are estimated from the held-out
     reference histograms, then interior boundaries are added one at a time,
     each maximizing the retained discrimination information; ties go to the
-    lower count value.  The returned boundaries stay fixed for all later
-    analysis.
+    lower count value.  A step scores every cut at once, its bin masses read
+    off prefix sums of the distributions, so it is linear in the count
+    values.  The returned boundaries stay fixed for all later analysis.
     """
     if n_bins < 2:
         raise ValueError("n_bins must be >= 2")
@@ -379,20 +367,22 @@ def choose_bins(held_out: list[CountHistogram], n_bins: int, n_ions: int = 2) ->
         )
     f = _estimate_class_conditionals(counts / counts.sum(axis=1, keepdims=True), ref_weights)
     priors = ref_weights.mean(axis=0)
+    prefix = np.concatenate((np.zeros((len(f), 1)), np.cumsum(f, axis=1)), axis=1)
     boundaries: list[int] = []
     for _ in range(n_bins - 1):
-        best = (-np.inf, None)
-        for cut in range(1, n_max):
-            if cut in boundaries:
-                continue
-            trial = np.array(sorted(boundaries + [cut]))
-            edges = np.concatenate(([0], trial))
-            info = _binned_information(f, priors, edges)
-            if info > best[0] + 1e-15:
-                best = (info, cut)
-        if best[1] is None:
+        cuts = np.setdiff1d(np.arange(1, n_max), boundaries)
+        kept = np.broadcast_to([0, *boundaries, n_max], (len(cuts), len(boundaries) + 2))
+        edges = np.sort(np.column_stack((kept, cuts)))  # row i: the bin edges with cut i added
+        mass = np.diff(prefix[:, edges], axis=-1)  # (classes, cuts, bins)
+        ratio = mass / np.clip(priors @ mass.transpose(1, 0, 2), 1e-300, None)
+        infos = priors @ (mass * np.log(np.where(mass > 0, ratio, 1.0))).sum(axis=-1)
+        best, pick = -np.inf, None
+        for cut, info in zip(cuts.tolist(), infos.tolist()):
+            if info > best + 1e-15:
+                best, pick = info, cut
+        if pick is None:
             break
-        boundaries.append(best[1])
+        boundaries.append(pick)
     return tuple(sorted(boundaries))
 
 
@@ -566,6 +556,21 @@ def _fidelity(design: MeasurementDesign, rho: np.ndarray) -> float:
     return float(np.real(design.target @ rho @ design.target.conj()))
 
 
+def _estimate(design: MeasurementDesign, fits) -> TomographyEstimate:
+    """The estimate of the first fit of a _fit_stack result; its populations
+    are the no-pulse row of design_weights."""
+    rho, iterations, converged, history = (a[0] for a in fits)
+    return TomographyEstimate(
+        rho_ml=rho,
+        fidelity=_fidelity(design, rho),
+        populations=design_weights(design, rho)[0],
+        target_name=design.target_name,
+        converged=bool(converged),
+        n_iterations=int(iterations),
+        log_likelihoods=history[:iterations].copy(),
+    )
+
+
 def fit_ml(inputs: FitInputs) -> TomographyEstimate:
     """Joint maximum-likelihood fit of count distributions and spin state.
 
@@ -573,22 +578,10 @@ def fit_ml(inputs: FitInputs) -> TomographyEstimate:
     binned class probabilities with R rho R updates of the density matrix,
     keeping the joint likelihood non-decreasing, until an iteration gains
     less than 1e-10 of the log-likelihood.  Returns the estimate flagged
-    unconverged after 5000 iterations; its populations are the no-pulse row
-    of design_weights.
+    unconverged after 5000 iterations: systematic_sweep's estimate.
     """
-    design = inputs.design
-    w_ref = reference_weights(design.n_ions)
-    rho, iterations, converged, history = _fit_stack(inputs.counts[None], w_ref[None], design)
-    rho = rho[0]
-    return TomographyEstimate(
-        rho_ml=rho,
-        fidelity=_fidelity(design, rho),
-        populations=design_weights(design, rho)[0],
-        target_name=design.target_name,
-        converged=bool(converged[0]),
-        n_iterations=int(iterations[0]),
-        log_likelihoods=history[0, : iterations[0]].copy(),
-    )
+    w_ref = reference_weights(inputs.design.n_ions)
+    return _estimate(inputs.design, _fit_stack(inputs.counts[None], w_ref[None], inputs.design))
 
 
 # ---------------------------------------------------------------------------
@@ -626,12 +619,12 @@ def bootstrap(
     0.84 fidelity quantiles give the half width eps0.  The interval is
     (F - eps0 - eps_syst, F + eps0), using whatever epsilon_syst the
     estimate already carries; it is not clipped to [0, 1], so ci_upper
-    passes 1 for an estimate within eps0 of it.  The log-likelihood ratio of the original fit
-    is ranked inside the bootstrap distribution as a goodness-of-fit
-    percentile.  The original counts are inputs.counts.  Each resample draws from its own spawned generator, so
-    results do not depend on the stacking; a resample whose fit does not
-    converge is redrawn from it, and after three draws ConvergenceError is
-    raised.
+    passes 1 for an estimate within eps0 of it.  The log-likelihood ratio
+    of the original fit is ranked inside the bootstrap distribution as a
+    goodness-of-fit percentile.  The original counts are inputs.counts.
+    Each resample draws from its own spawned generator, so results do not
+    depend on the stacking; a resample whose fit does not converge is
+    redrawn from it, and after three draws ConvergenceError is raised.
     """
     if resamples == 0:
         return estimate
@@ -682,6 +675,7 @@ class SystematicSweepResult:
     epsilons: np.ndarray
     infidelities: np.ndarray
     linear: bool
+    estimate: TomographyEstimate
 
 
 def systematic_sweep(inputs: FitInputs, n_points: int = 5) -> SystematicSweepResult:
@@ -693,14 +687,16 @@ def systematic_sweep(inputs: FitInputs, n_points: int = 5) -> SystematicSweepRes
     fitted as one stack, and a point whose fit does not converge raises
     ConvergenceError.  A line through inferred infidelity versus epsilon
     gives the slope c; the systematic term is |c| * 0.001, the preparation
-    error bound of the experiment.  The result is flagged non-linear when the points
-    stray more than 20% of the swept response from the line.
+    error bound of the experiment.  The result is flagged non-linear when
+    the points stray more than 20% of the swept response from the line.
+    Its estimate is the epsilon = 0 fit, which is fit_ml's, bit for bit,
+    carrying epsilon_syst.
     """
     design = inputs.design
     eps_grid = np.linspace(0.0, 0.002, n_points)
     w_ref = np.stack([reference_weights(design.n_ions, eps) for eps in eps_grid])
     c = np.broadcast_to(inputs.counts, (n_points,) + inputs.counts.shape)
-    rho, _, converged, _ = _fit_stack(c, w_ref, design)
+    rho, _, converged, _ = fits = _fit_stack(c, w_ref, design)
     if not converged.all():
         raise ConvergenceError(f"systematic sweep fit at epsilon = {eps_grid[~converged][0]:g} did not converge")
     infids = 1.0 - np.array([_fidelity(design, r) for r in rho])
@@ -708,7 +704,9 @@ def systematic_sweep(inputs: FitInputs, n_points: int = 5) -> SystematicSweepRes
     line = slope * eps_grid + intercept
     span = max(infids.max() - infids.min(), 1e-12)
     linear = bool(np.max(np.abs(infids - line)) <= 0.2 * span)
-    return SystematicSweepResult(float(slope), float(abs(slope) * 0.001), eps_grid, infids, linear)
+    epsilon_syst = float(abs(slope) * 0.001)
+    estimate = dataclasses.replace(_estimate(design, fits), epsilon_syst=epsilon_syst)
+    return SystematicSweepResult(float(slope), epsilon_syst, eps_grid, infids, linear, estimate)
 
 
 # ---------------------------------------------------------------------------

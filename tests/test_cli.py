@@ -248,6 +248,19 @@ def test_an_overflowing_hamiltonian_exits_3(tmp_path, capsys):
     assert "operator has non-finite entries" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", ["noise.gamma_ou=1e308", "noise.gamma_heat=1e308"])
+def test_an_overflowing_rate_exits_3_without_numpy_warnings(tmp_path, capsys, override):
+    """A rate that overflows the Lindblad generator ends in exit code 3 from
+    the kernel's norm check, and the generator's build, in scipy's sparse
+    products and kron (the heating jumps' feed overflows there first),
+    prints no numpy warning on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", "--preset", "fig3", "--out", str(tmp_path), "--override", override]) == 3
+    err = capsys.readouterr().err
+    assert "generator 1-norm nan" in err and "RuntimeWarning" not in err
+
+
 def test_a_composite_drive_outside_the_zeno_regime_exits_with_config_error(tmp_path, capsys):
     """At omega_d >= |omega_s| the composite leakage estimate (omega_d /
     omega_s)^4 is not below 1, so the run ends in exit 2 before anything is
@@ -415,6 +428,32 @@ def test_tomography_demo_scenario(tmp_path):
     # determinism of the whole chain
     paths2 = run_scenario(cfg, tmp_path / "again")
     assert paths["estimate"].read_bytes() == paths2["estimate"].read_bytes()
+
+
+def test_tomography_demo_fits_each_problem_once(tmp_path, monkeypatch):
+    """The readout fits the systematic sweep's points and the bootstrap's
+    resamples, and takes its estimate from the sweep's epsilon = 0 point
+    instead of fitting that problem a second time."""
+    from zenosim import tomography
+
+    fits = []
+    fit_stack = tomography._fit_stack
+    monkeypatch.setattr(tomography, "_fit_stack", lambda c, *args: fits.append(len(c)) or fit_stack(c, *args))
+    settings = {"resamples": 6, "epsilon_points": 3, "shots_data": 8000, "shots_analysis": 600, "shots_reference": 2000}
+    run_scenario(ScenarioConfig(scenario="tomography_demo", seed=21, tomography=settings), tmp_path)
+    assert fits == [3, 6]
+
+
+def test_an_unconverged_readout_estimate_exits_4(tmp_path, monkeypatch, capsys):
+    """The readout's estimate is the sweep's epsilon = 0 fit, and a sweep
+    fit that does not converge ends in exit code 4."""
+    from zenosim import tomography
+
+    monkeypatch.setattr(tomography, "_MAX_OUTER", 3)
+    cfg = tmp_path / "demo.cfg"
+    cfg.write_text("scenario = tomography_demo\n[tomography]\nresamples = 2\nshots_reference = 2000\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 4
+    assert "fit at epsilon = 0 did not converge" in capsys.readouterr().err
 
 
 def test_three_ion_trace_noiseless(tmp_path):
