@@ -32,7 +32,8 @@ upper triangle of each block is computed (3,272 of 6,400 rows at the fig3
 preset) and the lower one is its exact conjugate, by construction.  A
 density run hands those triangles on a check chunk at a time, with the
 chunk's whole blocks rebuilt once for the checks and the readers alike;
-only evolve_density stacks them.  One layout object per run (_Fold) says
+only _stacked stacks them, and a stack is read back in the same chunks
+(Trajectory._chunks).  One layout object per run (_Fold) says
 where each stored number sits: the kernel takes its columns from it, the
 checks and readers their diagonals and the whole blocks.
 """
@@ -126,12 +127,13 @@ class Trajectory:
     upper triangles (a <= b) of the blocks of rho within its index groups
     (see evolve_density), the vector its kernel computes: one (T, n_half)
     array laid out by the run's fold (_Fold), each block's triangle
-    row-major, block after block.  Readers take the diagonals in place and
-    rebuild whole blocks _CHECK_CHUNK samples at a time where they need
-    them (_Fold.chunks).  The stack is read-only.  Callers that need only
-    a few series of a density run read its chunks as they are made
-    (_density_run) and keep no stack.  states and final build PureState or
-    DensityOperator objects, each validated again.
+    row-major, block after block.  The stack is read-only.  Its readers
+    replay it in the chunks of a streamed run (_chunks): a density stack
+    _CHECK_CHUNK samples at a time with their whole blocks, a pure one as
+    one chunk.  Callers that need only a few series of a run read its
+    chunks as they are made (protocol._plan_samples) and keep no stack.
+    states and final build PureState or DensityOperator objects, each
+    validated again.
     """
 
     times: np.ndarray
@@ -145,12 +147,18 @@ class Trajectory:
         """The index groups of a density run's blocks; () for a pure-state run."""
         return () if self.fold is None else self.fold.groups
 
-    def _states(self, sel: slice) -> list:
+    def _chunks(self, sel: slice = slice(None)) -> Iterable[tuple[int, np.ndarray, list[np.ndarray] | None]]:
+        """The samples in sel as a streamed run hands them on, (start,
+        samples, blocks): a density stack a check chunk at a time with its
+        whole blocks (_Fold.chunks), a pure one as one chunk with blocks None."""
         samples = self.samples[sel]
+        return [(0, samples, None)] if self.fold is None else self.fold.chunks(samples)
+
+    def _states(self, sel: slice) -> list:
         if self.fold is None:
-            return [PureState(self.dims, amps) for amps in samples]
+            return [PureState(self.dims, amps) for amps in self.samples[sel]]
         states = []
-        for _, blocks in self.fold.chunks(samples):
+        for _, _, blocks in self._chunks(sel):
             rho = np.zeros((len(blocks[0]), self.dims.dim, self.dims.dim), dtype=complex)
             for idx, block in zip(self.groups, blocks):
                 rho[:, idx[:, None], idx] = block
@@ -167,12 +175,12 @@ class Trajectory:
 
     def fidelities(self, target: PureState) -> np.ndarray:
         """<target|rho|target> at every sample time; see state_fidelity."""
-        return _fidelities(self.dims, self.samples, self.fold, [target])[0]
+        return np.concatenate([_fidelities(self.dims, s, self.fold, [target], b)[0] for _, s, b in self._chunks()])
 
     def spin_matrices(self, sel: slice = slice(None)) -> np.ndarray:
         """(T', spin_dim, spin_dim) spin density matrices of the samples in
         sel, with the motional mode traced out."""
-        return _read(self.dims, self.samples[sel], self.fold, (), True)[1]
+        return np.concatenate([_read(self.dims, s, self.fold, (), True, b)[1] for _, s, b in self._chunks(sel)])
 
 
 @dataclass(frozen=True)
@@ -289,11 +297,13 @@ class _Fold:
         edges = zip(self.groups, self._edges, self._edges[1:])
         return [whole[:, a:b].reshape(len(h), len(idx), len(idx)) for idx, a, b in edges]
 
-    def chunks(self, flat: np.ndarray):
-        """Yield (start, blocks) for each _CHECK_CHUNK samples of a (T,
-        n_half) stack: the whole blocks from sample start on."""
-        for start in range(0, len(flat), _CHECK_CHUNK):
-            yield start, self.blocks(flat[start : start + _CHECK_CHUNK])
+    def chunks(self, flat: np.ndarray) -> Iterator[tuple[int, np.ndarray, list[np.ndarray]]]:
+        """Yield (start, samples, blocks) for each _CHECK_CHUNK samples of a
+        (T, n_half) stack, as _density_run's chunks: the samples from start
+        on and their whole blocks.  A stack of no samples is one empty chunk."""
+        for start in range(0, len(flat) or 1, _CHECK_CHUNK):
+            samples = flat[start : start + _CHECK_CHUNK]
+            yield start, samples, self.blocks(samples)
 
 
 class _TaylorExpm:
@@ -749,13 +759,19 @@ def evolve_density(
     and stack its samples into a Trajectory.
 
     The run is _density_run's, sampled every sample_dt (default total/400)
-    and at segment boundaries.  The Trajectory keeps the run's fold and one
-    read-only (T, n_half) stack of the upper triangles of the leak-set
+    and at segment boundaries.  Its Trajectory (_stacked) keeps the fold and
+    one read-only (T, n_half) stack of the upper triangles of the leak-set
     blocks: 21 MB at the fig3 preset and 59 MB at three_ion.  OpenBLAS runs
     on one thread for the call (_one_blas_thread).
     """
     times, fold, chunks = _density_run(schedule, dims, geom, noise, initial, sample_dt)
-    flat = np.empty((len(times), len(fold.half)), dtype=complex)
+    return _stacked(schedule, dims, times, fold, chunks)
+
+
+def _stacked(schedule: PulseSchedule, dims: SystemDims, times: np.ndarray, fold: _Fold | None, chunks) -> Trajectory:
+    """The Trajectory of a run handed on as chunks (start, samples,
+    blocks), its samples copied into one read-only stack."""
+    flat = np.empty((len(times), dims.dim if fold is None else len(fold.half)), dtype=complex)
     for start, samples, _ in chunks:
         flat[start : start + len(samples)] = samples
     flat.setflags(write=False)
@@ -768,36 +784,29 @@ def _read(
     fold: _Fold | None,
     full: Sequence[np.ndarray],
     trace: bool,
-    blocks: list[np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """<v|rho|v> for each full-space vector v of full, (len(full), T), and,
-    if trace, the motion-traced (T, spin_dim, spin_dim) matrices of a stack
-    of samples; fold is None for (T, dim) amplitudes, else the layout of a
-    density stack.
-
-    A density stack is read in one pass over its whole blocks, for the
-    overlaps and the trace alike: blocks, if given, are those of all the
-    samples (one chunk of _density_run), else they are rebuilt _CHECK_CHUNK
-    samples at a time (_Fold.chunks).  A leak set holds every Fock level of
-    each of its spin configurations, so a group's block traces to the spin
-    block of those configurations.
+    blocks: list[np.ndarray] | None,
+) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """<v|rho|v> for each full-space vector v of full, one (T,) series
+    each, and, if trace, the motion-traced (T, spin_dim, spin_dim) matrices
+    of the T samples of one chunk of a run: fold and blocks are None for
+    amplitudes, else the run's layout and the chunk's whole blocks, from
+    which the overlaps and the trace alike are read.  A leak set holds
+    every Fock level of each of its spin configurations, so a group's
+    block traces to the spin block of those configurations.
     """
     if fold is None:
         series = [np.vecdot(v, samples) for v in full]
         spins = partial_trace_motion(dims, samples) if trace else None
         return [np.hypot(o.real, o.imag) ** 2 for o in series], spins
+    series = [sum(np.vecdot(v[idx], block @ v[idx]).real for idx, block in zip(fold.groups, blocks)) for v in full]
+    if not trace:
+        return series, None
     nf = dims.n_fock
-    series = np.empty((len(full), len(samples)))
-    spins = np.zeros((len(samples), dims.spin_dim, dims.spin_dim), dtype=complex) if trace else None
-    chunks = fold.chunks(samples) if blocks is None else [(0, blocks)]
-    for start, blocks in chunks if full or trace else ():
-        stop = start + len(blocks[0])
-        for out, v in zip(series, full):
-            out[start:stop] = sum(np.vecdot(v[idx], block @ v[idx]).real for idx, block in zip(fold.groups, blocks))
-        for idx, block in zip(fold.groups, blocks) if trace else ():
-            conf = idx[::nf] // nf
-            n = len(conf)
-            spins[start:stop, conf[:, None], conf] = np.einsum("tanbn->tab", block.reshape(len(block), n, nf, n, nf))
+    spins = np.zeros((len(samples), dims.spin_dim, dims.spin_dim), dtype=complex)
+    for idx, block in zip(fold.groups, blocks):
+        conf = idx[::nf] // nf
+        n = len(conf)
+        spins[:, conf[:, None], conf] = np.einsum("tanbn->tab", block.reshape(len(block), n, nf, n, nf))
     return series, spins
 
 
@@ -806,14 +815,13 @@ def _fidelities(
     samples: np.ndarray,
     fold: _Fold | None,
     targets: Sequence[PureState],
-    blocks: list[np.ndarray] | None = None,
+    blocks: list[np.ndarray] | None,
 ) -> list[np.ndarray]:
-    """<target|rho|target> of each sample of a stack or a chunk, per target.
+    """<target|rho|target> of each sample of one chunk of a run, per target.
 
     Targets on the full space keep their motional factor; spin-only targets
     (n_fock = 1) are compared against the motion-traced samples.  Both come
-    from one _read, so a density run's blocks are rebuilt once, or not at
-    all where a chunk's blocks are given.  np.vecdot conjugates its first
+    from one _read of the chunk's blocks.  np.vecdot conjugates its first
     argument and takes one BLAS dot per sample, and np.hypot rounds as abs()
     of one complex scalar does, so each value is the one a single-sample
     evaluation gives.
@@ -831,14 +839,15 @@ def state_fidelity(dims: SystemDims, state, target: PureState) -> float:
     """Overlap with a target state.
 
     A target on the full space keeps its motional factor; a spin-only target
-    (n_fock = 1) is compared against the motion-traced state.  A density
-    state is read as a density Trajectory stores it, packed by a fold of one
-    group over the whole space.
+    (n_fock = 1) is compared against the motion-traced state.  The state is
+    read as one chunk of a run: amplitudes, or a density matrix packed and
+    rebuilt by a fold of one group over the whole space (_Fold.chunks).
     """
     if isinstance(state, PureState):
-        return float(_fidelities(dims, state.amplitudes[None], None, [target])[0][0])
+        return float(_fidelities(dims, state.amplitudes[None], None, [target], None)[0][0])
     fold = _Fold(dims, [np.arange(dims.dim)])
-    return float(_fidelities(dims, fold.pack(state.matrix)[None], fold, [target])[0][0])
+    ((_, packed, blocks),) = fold.chunks(fold.pack(state.matrix)[None])
+    return float(_fidelities(dims, packed, fold, [target], blocks)[0][0])
 
 
 def _read_populations(
@@ -853,17 +862,17 @@ def _read_populations(
     """The population record of a run read chunk by chunk, and, if
     peak_spin, the motion-traced spin matrix of its peak sample.
 
-    chunks yields (start, samples, blocks) as _density_run's do; a stack is
-    one chunk with blocks None.  P_k sums the projectors onto all spin
+    chunks yields (start, samples, blocks) as _density_run's do; a pure
+    run's blocks are None.  P_k sums the projectors onto all spin
     configurations with exactly k ions up, traced over motion: one product
     of the samples' diagonals (of a density run, read in place from the
     stored triangles) with the masks, built once per run, gives every P_k
     and the leak population at once.  The target series come from one
     _fidelities per chunk, on the chunk's blocks.  The peak is the first
     sample of the highest first-target fidelity, as np.argmax picks it;
-    only its stored vector is kept as the chunks pass, and only it is
-    traced.  A pure-state run whose populations do not sum to 1 within 1e-8
-    raises NumericsError.
+    only its sample and a copy of its blocks are kept as the chunks pass,
+    and only it is traced.  A pure-state run whose populations do not sum
+    to 1 within 1e-8 raises NumericsError.
     """
     masks = np.array([*up_count_projectors(dims), leak_mask(dims)])
     pops, series = [], []
@@ -885,11 +894,12 @@ def _read_populations(
         if peak_spin:
             j = int(np.argmax(series[-1][0]))
             if series[-1][0][j] > peak_fidelity:  # a later equal maximum keeps the first, as np.argmax does
-                peak, peak_fidelity = samples[j].copy(), series[-1][0][j]
+                peak = samples[j : j + 1].copy(), None if blocks is None else [b[j : j + 1].copy() for b in blocks]
+                peak_fidelity = series[-1][0][j]
     pops = np.concatenate(pops)
     fids = {label: np.concatenate([chunk[i] for chunk in series]) for i, label in enumerate(labels)}
     target_series = fids[labels[0]] if targets else np.zeros(len(times))
-    spin = _read(dims, peak[None], fold, (), True)[1][0] if peak_spin else None
+    spin = _read(dims, peak[0], fold, (), True, peak[1])[1][0] if peak_spin else None
     return PopulationRecord(times, pops[:, :-1], target_series, fids, pops[:, -1]), spin
 
 
@@ -898,16 +908,15 @@ def extract_populations(
     targets: Sequence[PureState],
     labels: Sequence[str] | None = None,
 ) -> PopulationRecord:
-    """Population record of a trajectory, read from its stack of samples as
-    one chunk (_read_populations): P_k, the probability of exactly k ions up
-    traced over motion, the leak population, and one fidelity series per
-    target under its label, the first also as the headline series.  A
-    pure-state run whose populations do not sum to 1 within 1e-8 raises
-    NumericsError.
+    """Population record of a trajectory, its stack replayed as a run's
+    chunks (Trajectory._chunks, _read_populations): P_k, the probability of
+    exactly k ions up traced over motion, the leak population, and one
+    fidelity series per target under its label, the first also as the
+    headline series.  A pure-state run whose populations do not sum to 1
+    within 1e-8 raises NumericsError.
     """
     if labels is None:
         labels = [f"target_{i}" for i in range(len(targets))]
     if len(labels) != len(targets):
         raise ValueError("labels must match targets")
-    chunks = [(0, traj.samples, None)]
-    return _read_populations(traj.dims, traj.times, traj.fold, chunks, targets, labels)[0]
+    return _read_populations(traj.dims, traj.times, traj.fold, traj._chunks(), targets, labels)[0]

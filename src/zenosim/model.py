@@ -5,7 +5,7 @@ within one pulse segment the Hamiltonian is constant:
 
     H = delta * a^dag a
         + Omega_s e^{i phi} (sum_i s_i e^{i theta_i} sigma_i^-) a + h.c.
-        + Omega_d sum_i (e^{i phi_mw} sigma_i^- + h.c.)
+        + Omega_d sum_i (sigma_i^- + h.c.)
         + sum_i (shift_i / 2) sigma_i^z
 
 s_i is the sign of ion i's normal-mode amplitude and theta_i the optical
@@ -37,7 +37,6 @@ class PulseSegment:
     omega_d: float = 0.0
     delta: float = 0.0
     laser_phase: float = 0.0
-    microwave_phase: float = 0.0
 
     def __post_init__(self):
         if self.duration < 0:
@@ -166,16 +165,15 @@ def sideband_hamiltonian(dims: SystemDims, geom: IonGeometry, seg: PulseSegment)
     return OperatorMatrix(dims, h, True)
 
 
-def microwave_hamiltonian(dims: SystemDims, omega_d: float, phase: float = 0.0) -> OperatorMatrix:
-    """Uniform carrier drive Omega_d sum_i (e^{i phi} sigma_i^- + h.c.).
-
-    At phi = 0 this is Omega_d sum_i sigma_i^x, which couples adjacent
-    symmetric collective states with matrix elements sqrt(2) Omega_d (two
-    ions) and sqrt(3), 2 Omega_d (three ions).
+def microwave_hamiltonian(dims: SystemDims, omega_d: float) -> OperatorMatrix:
+    """Uniform carrier drive Omega_d sum_i (sigma_i^- + h.c.) = Omega_d sum_i
+    sigma_i^x, which couples adjacent symmetric collective states with
+    matrix elements sqrt(2) Omega_d (two ions) and sqrt(3), 2 Omega_d (three
+    ions).
     """
     h = np.zeros((dims.dim, dims.dim), dtype=complex)
     for i in range(dims.n_ions):
-        term = omega_d * np.exp(1j * phase) * build_spin_op(dims, i, "lower").matrix
+        term = omega_d * build_spin_op(dims, i, "lower").matrix
         h += term + term.conj().T
     return OperatorMatrix(dims, h, True)
 
@@ -210,7 +208,7 @@ def segment_hamiltonian(
     """Full constant Hamiltonian of one segment (sideband + carrier + shifts)."""
     h = sideband_hamiltonian(dims, geom, seg).matrix
     if seg.omega_d != 0.0:
-        h = h + microwave_hamiltonian(dims, seg.omega_d, seg.microwave_phase).matrix
+        h = h + microwave_hamiltonian(dims, seg.omega_d).matrix
     if stark_shifts is not None and any(s != 0.0 for s in stark_shifts):
         h = h + stark_hamiltonian(dims, stark_shifts).matrix
     return OperatorMatrix(dims, h, True)

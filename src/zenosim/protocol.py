@@ -21,8 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dynamics import _WALK_CELLS, Trajectory, _density_run, _fidelities, _Fold, _one_blas_thread, _pure_walk
-from .dynamics import evolve_density, evolve_pure
+from .dynamics import _WALK_CELLS, Trajectory, _density_run, _fidelities, _Fold, _one_blas_thread, _pure_walk, _stacked
 from .dressed import balanced_detuning
 from .hilbert import DensityOperator, PureState, SystemDims, named_state, spin_state, thermal_product_state
 from .model import IonGeometry, NoiseModel, PulseSchedule, PulseSegment, carrier_pi_time, mean_decay_rate
@@ -131,15 +130,17 @@ def experimental_override(plan: ProtocolPlan, **fields) -> ProtocolPlan:
 def plan_schedule(plan: ProtocolPlan, duration: float | None = None) -> PulseSchedule:
     """Pulse schedule realizing the plan.
 
-    For a single-pulse plan the optional duration extends or shortens the
-    run (the trace scenarios plot past the pi time); composite plans keep
-    their two segments, stretching only the second one.
+    The optional duration sets the length of the run (the trace scenarios
+    plot past the pi time).  A composite plan keeps its two segments: the
+    first ends at t1 or at duration, whichever comes first, and the second
+    takes the rest, none if duration is at most t1.
     """
     if plan.scheme == "composite":
-        t2 = plan.t2 if duration is None else max(duration - plan.t1, 0.0)
+        t1 = plan.t1 if duration is None else min(plan.t1, duration)
+        t2 = plan.t2 if duration is None else duration - t1
         return PulseSchedule(
             (
-                PulseSegment(plan.t1, plan.omega_s, plan.omega_d, plan.delta),
+                PulseSegment(t1, plan.omega_s, plan.omega_d, plan.delta),
                 PulseSegment(t2, -plan.omega_s, plan.omega_d, -plan.delta),
             )
         )
@@ -174,6 +175,7 @@ def _start(plan: ProtocolPlan, noise: NoiseModel | None, dims: SystemDims) -> Pu
     return named_state(dims, start, 0)
 
 
+@_one_blas_thread
 def simulate_plan(
     plan: ProtocolPlan,
     noise: NoiseModel | None = None,
@@ -181,22 +183,17 @@ def simulate_plan(
     dims: SystemDims | None = None,
     sample_dt: float | None = None,
 ) -> Trajectory:
-    """Run the plan from all ions up and return the sampled trajectory.
+    """Run the plan from all ions up and return the sampled trajectory: the
+    run of _plan_samples, stacked (dynamics._stacked).
 
-    A density start (_start) propagates the density operator; a pure one
-    propagates the pure state with the model's Stark shifts.  dims defaults
-    to default_dims(plan, noise), duration and sample_dt to those of
-    plan_schedule and the propagators (total / 400).
+    dims defaults to default_dims(plan, noise), duration and sample_dt to
+    those of plan_schedule and the propagators (total / 400).  OpenBLAS
+    runs on one thread for the call (dynamics._one_blas_thread).
     """
     if dims is None:
         dims = default_dims(plan, noise)
-    geom = plan_geometry(plan)
-    schedule = plan_schedule(plan, duration)
-    state = _start(plan, noise, dims)
-    if isinstance(state, DensityOperator):
-        return evolve_density(schedule, dims, geom, noise, state, sample_dt)
-    shifts = noise.shifts_or_zero(plan.n_ions) if noise is not None else None
-    return evolve_pure(schedule, dims, geom, state, sample_dt, shifts)
+    times, fold, chunks = _plan_samples(plan, noise, duration, dims, sample_dt)
+    return _stacked(plan_schedule(plan, duration), dims, times, fold, chunks)
 
 
 def _plan_samples(
@@ -206,18 +203,22 @@ def _plan_samples(
     dims: SystemDims,
     sample_dt: float | None = None,
 ) -> tuple[np.ndarray, _Fold | None, Iterable]:
-    """(times, fold, chunks) of simulate_plan's run, for callers that read a
-    few series of it and keep no density stack.
+    """(times, fold, chunks) of a plan's run from its start state (_start):
+    the one place it starts, for simulate_plan and for callers that read a
+    few series of it and keep no stack.
 
-    A density run is dynamics._density_run's, a check chunk at a time.  A
-    pure-state run is simulate_plan's stack, at most 0.4 MB, as one chunk
-    (0, samples, None) with fold None.
+    A density start is propagated a check chunk at a time
+    (dynamics._density_run).  A pure one is walked with the model's Stark
+    shifts (dynamics._pure_walk), at most 0.4 MB, and handed on as one
+    chunk (0, amps, None) with fold None.
     """
     state = _start(plan, noise, dims)
+    schedule, geom = plan_schedule(plan, duration), plan_geometry(plan)
     if isinstance(state, DensityOperator):
-        return _density_run(plan_schedule(plan, duration), dims, plan_geometry(plan), noise, state, sample_dt)
-    traj = simulate_plan(plan, noise, duration, dims, sample_dt)
-    return traj.times, None, [(0, traj.samples, None)]
+        return _density_run(schedule, dims, geom, noise, state, sample_dt)
+    shifts = noise.shifts_or_zero(plan.n_ions) if noise is not None else None
+    times, amps, _ = _pure_walk([schedule], dims, geom, state.amplitudes, [sample_dt], shifts)
+    return times, None, [(0, amps, None)]
 
 
 def simulate_plan_fidelity(
@@ -283,7 +284,7 @@ def _plan_fidelities(
         else:
             shifts = noise.shifts_or_zero(plan.n_ions) if noise is not None else None
             _, amps, starts = _pure_walk(walked, plan_dims, plan_geometry(plan), state.amplitudes, steps, shifts)
-            series = _fidelities(plan_dims, amps, None, [target])[0]
+            series = _fidelities(plan_dims, amps, None, [target], None)[0]
             fids += (series[starts[1:] - 1] if at_end else np.maximum.reduceat(series, starts[:-1])).tolist()
         k += cells
     return fids

@@ -41,33 +41,16 @@ def _ladder_vectors(dims: SystemDims) -> list[PureState]:
     ]
 
 
-def three_ion_ladder(
-    omega_s_prime: float,
-    omega_d_prime: float,
-    dims: SystemDims | None = None,
-    geom: IonGeometry | None = None,
-) -> ThreeIonLadder:
+def three_ion_ladder(omega_s_prime: float, omega_d_prime: float) -> ThreeIonLadder:
     """Restrict the full resonant Hamiltonians to the working states.
 
-    Entries are computed from the full-space operators, not typed in, so
-    this doubles as a check of the interference pattern: the column of the
-    sideband matrix at |W,0> must vanish identically.
+    Entries are computed from the full-space operators of the canonical 2pi/3
+    phase geometry (IonGeometry.three_ion_com) on four Fock levels, not typed
+    in, so this doubles as a check of the interference pattern: the column
+    of the sideband matrix at |W,0> must vanish identically.
     """
-    if dims is None:
-        dims = SystemDims(3, 4)
-    if dims.n_ions != 3:
-        raise ValueError("three_ion_ladder needs a three-ion space")
-    canonical = IonGeometry.three_ion_com()
-    if geom is None:
-        geom = canonical
-    if (
-        geom.n_ions != 3
-        or not np.allclose(geom.phase_per_ion, canonical.phase_per_ion)
-        or not np.allclose(np.sign(geom.mode_amplitudes), np.sign(canonical.mode_amplitudes))
-    ):
-        raise ValueError("three-ion restriction requires the canonical 2pi/3 phase geometry")
-    seg = PulseSegment(1.0, omega_s_prime, 0.0, 0.0)
-    h_s = sideband_hamiltonian(dims, geom, seg).matrix
+    dims = SystemDims(3, 4)
+    h_s = sideband_hamiltonian(dims, IonGeometry.three_ion_com(), PulseSegment(1.0, omega_s_prime)).matrix
     h_d = microwave_hamiltonian(dims, omega_d_prime).matrix
     vecs = _ladder_vectors(dims)
     n = len(vecs)

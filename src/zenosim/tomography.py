@@ -45,6 +45,8 @@ ANALYSIS_PHASES = tuple(np.pi * n / 10.0 for n in range(20))
 #: and is flagged unconverged after _MAX_OUTER iterations
 _STOP = 1e-10
 _MAX_OUTER = 5000
+#: the most EM sweeps of _estimate_class_conditionals
+_CLASS_EM_SWEEPS = 400
 
 
 @dataclass(frozen=True)
@@ -328,18 +330,18 @@ def _em_to_convergence(c: np.ndarray, w: np.ndarray, q: np.ndarray, tol: float, 
     return out
 
 
-def _estimate_class_conditionals(counts: np.ndarray, weights: np.ndarray, n_iter: int = 400) -> np.ndarray:
+def _estimate_class_conditionals(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """EM estimate of per-class count distributions from mixture histograms.
 
     counts is (histograms, count values), weights (histograms, classes) with
     known mixing proportions.  Returns f with rows summing to one after
-    n_iter EM sweeps, or fewer once no entry moves by 1e-12.  On held-out
-    reference histograms of a few thousand shots that tolerance is not
-    met, and all n_iter sweeps run (400 of 400 on the tomography_readout
-    benchmark's references); choose_bins' boundaries depend on that count.
+    _CLASS_EM_SWEEPS EM sweeps, or fewer once no entry moves by 1e-12.  On
+    held-out reference histograms of a few thousand shots that tolerance is
+    not met, and all 400 sweeps run (on the tomography_readout benchmark's
+    references); choose_bins' boundaries depend on that count.
     """
     f = _initial_q(1, weights.shape[1], counts.shape[1])
-    return _em_to_convergence(counts, weights[None], f, 1e-12, n_iter)[0]
+    return _em_to_convergence(counts, weights[None], f, 1e-12, _CLASS_EM_SWEEPS)[0]
 
 
 def choose_bins(held_out: list[CountHistogram], n_bins: int, n_ions: int = 2) -> tuple[int, ...]:

@@ -304,13 +304,37 @@ def test_stored_samples_mirror_the_computed_triangle_exactly():
         rho0 = PureState(dims, psi).to_density()
         traj = evolve_density(single_pulse(duration=0.5 * T_PI), dims, GEOM2, noise, rho0, T_PI / 20)
         assert len(traj.groups) == n_groups
-        chunks = [blocks for _, blocks in traj.fold.chunks(traj.samples)]
+        chunks = [blocks for _, _, blocks in traj.fold.chunks(traj.samples)]
         blocks = [np.concatenate(parts) for parts in zip(*chunks)]
         for block in blocks:
             off = ~np.eye(block.shape[-1], dtype=bool)
             assert np.array_equal(block[:, off], block.conj().swapaxes(1, 2)[:, off])
         widest = max(blocks, key=lambda b: b.shape[-1])
         assert np.count_nonzero(widest.imag) > widest.size // 4
+
+
+def test_a_stored_stack_replays_its_runs_chunks_bit_for_bit():
+    """A Trajectory reads its stack back in the shape its run handed it on:
+    a density stack yields the starts, samples and whole blocks of
+    _density_run's chunks, bit for bit, and a pure stack is one chunk with
+    blocks None.  An empty selection reads as no samples."""
+    dims = SystemDims(2, 6, leak_level=True)
+    noise = _full_noise((300.0, 200.0, 150.0, 100.0), 40.0, stark=(2e3, -1e3))
+    start = named_state(dims, "uu", 0)
+    schedule = single_pulse(duration=0.5 * T_PI)
+    _, _, run = dynamics._density_run(schedule, dims, GEOM2, noise, start.to_density(), T_PI / 50)
+    streamed = [(first, samples.copy(), blocks) for first, samples, blocks in run]
+    stored = evolve_density(schedule, dims, GEOM2, noise, start.to_density(), T_PI / 50)
+    replayed = list(stored._chunks())
+    assert len(streamed) == len(replayed) > 2
+    for (s0, x0, b0), (s1, x1, b1) in zip(streamed, replayed):
+        assert s0 == s1 and x0.tobytes() == x1.tobytes()
+        assert len(b0) == len(b1) and all(a.tobytes() == b.tobytes() for a, b in zip(b0, b1))
+    pure = evolve_pure(schedule, dims, GEOM2, start, T_PI / 50)
+    ((first, samples, blocks),) = pure._chunks()
+    assert first == 0 and samples.tobytes() == pure.samples.tobytes() and blocks is None
+    for traj in (stored, pure):  # a selection of no samples reads as none
+        assert traj.spin_matrices(slice(0, 0)).shape == (0, dims.spin_dim, dims.spin_dim)
 
 
 def _whole_blocks(traj):
@@ -971,6 +995,21 @@ def test_scenarios_fidelities_and_density_runs_use_one_blas_thread(two_blas_thre
     ones = [1] * len(two_blas_threads)
     assert inside == {"evolve_density": ones, "simulate_plan_fidelity": ones, "run_scenario": ones}
     assert dynamics._openblas_controls() is dynamics._openblas_controls()
+
+
+def test_simulate_plan_uses_one_blas_thread_from_either_start(two_blas_threads, monkeypatch):
+    """simulate_plan pins BLAS while it stacks its run, from a pure start
+    as from a density one, and the count is back at two after the call."""
+    from zenosim import protocol
+
+    inside = []
+    stacked = protocol._stacked
+    monkeypatch.setattr(protocol, "_stacked", lambda *args: inside.append(_blas_threads()) or stacked(*args))
+    plan = protocol.plan_single(OMEGA_S, 2)
+    protocol.simulate_plan(plan, None, dims=SystemDims(2, 6))
+    protocol.simulate_plan(plan, NoiseModel(gamma_du=50.0), dims=SystemDims(2, 6), sample_dt=plan.t_pi / 4)
+    assert inside == [[1] * len(two_blas_threads)] * 2
+    assert _blas_threads() == two_blas_threads
 
 
 def test_one_blas_thread_restores_the_count_after_a_return_a_raise_and_a_nested_call(two_blas_threads):

@@ -234,6 +234,36 @@ def test_simulate_plan_picks_the_state_kind():
         assert traj.states[0].matrix[0, 0].real == pytest.approx(1.0 / (1.0 + noise.n_bar))
 
 
+@pytest.mark.parametrize("noise", [None, NoiseModel(gamma_du=50.0)], ids=["pure", "density"])
+def test_simulate_plan_stacks_exactly_the_plans_run(noise):
+    """simulate_plan holds, bit for bit, the samples _plan_samples hands on
+    for the same plan: one chunk of amplitudes from a pure start, the
+    stored triangles of each check chunk from a density start."""
+    plan = plan_composite(OMEGA_S, 1)
+    dims = SystemDims(2, 6)
+    sample_dt = plan.total_duration() / 50
+    traj = simulate_plan(plan, noise, None, dims, sample_dt)
+    times, fold, chunks = protocol._plan_samples(plan, noise, None, dims, sample_dt)
+    streamed = [(start, samples.copy()) for start, samples, _ in chunks]
+    assert (traj.fold is None) == (fold is None) == (noise is None)
+    assert traj.times.tobytes() == times.tobytes() and traj.schedule == plan_schedule(plan)
+    assert [start for start, _ in streamed] == ([0] if noise is None else list(range(0, len(times), 8)))
+    assert np.concatenate([samples for _, samples in streamed]).tobytes() == traj.samples.tobytes()
+
+
+def test_a_composite_run_lasts_exactly_its_duration():
+    """A duration cuts a composite plan's first segment too, so its run
+    lasts the duration, shorter than t1 or not, as a single-pulse run does."""
+    plan = plan_composite(2 * np.pi * 17.3e3, 1)
+    cut = plan_schedule(plan, 0.5 * plan.t1)
+    assert [(s.duration, s.omega_s) for s in cut.segments] == [(0.5 * plan.t1, plan.omega_s), (0.0, -plan.omega_s)]
+    assert simulate_plan(plan, None, 0.5 * plan.t1, SystemDims(2, 6)).times[-1] == 0.5 * plan.t1
+    for duration in (plan.t1, 1.5 * plan.t_pi):
+        schedule = plan_schedule(plan, duration)
+        assert schedule.segments[0].duration == plan.t1
+        assert schedule.total_duration == pytest.approx(duration, rel=1e-15)
+
+
 def test_duration_edits_share_segment_spectra():
     """Two composite plans that differ only in t1 and t2 diagonalize each
     of their two segments once between them."""

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from zenosim.dynamics import evolve_pure, state_fidelity
 from zenosim.hilbert import SystemDims, named_state
@@ -30,11 +29,6 @@ def test_full_space_dark_state():
     h = sideband_hamiltonian(dims, geom, PulseSegment(1.0, OMEGA_S, 0.0, 0.0)).matrix
     w0 = named_state(dims, "W", 0).amplitudes
     assert np.linalg.norm(h @ w0) < 1e-12 * OMEGA_S
-
-
-def test_wrong_geometry_rejected():
-    with pytest.raises(ValueError):
-        three_ion_ladder(OMEGA_S, OMEGA_D, geom=IonGeometry(3, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0)))
 
 
 def test_effective_two_level_dynamics():
