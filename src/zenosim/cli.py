@@ -33,6 +33,7 @@ from .protocol import (
     fine_tune,
     leakage_estimate,
     plan_composite,
+    plan_schedule,
     plan_single,
     plan_three_ion,
     spontaneous_preset,
@@ -120,7 +121,9 @@ def _build_noise(config: ScenarioConfig, plan: ProtocolPlan) -> NoiseModel:
     return noise
 
 
-def _plan_header(plan: ProtocolPlan, noise: NoiseModel, dims: SystemDims, seed: int) -> dict:
+def _plan_header(plan: ProtocolPlan, noise: NoiseModel, dims: SystemDims, seed: int, duration: float | None) -> dict:
+    """The trace file's header: the plan, the noise, the space and, for a
+    composite plan, the segment times of the schedule that ran."""
     header = {
         "scheme": plan.scheme,
         "n_ions": plan.n_ions,
@@ -140,8 +143,7 @@ def _plan_header(plan: ProtocolPlan, noise: NoiseModel, dims: SystemDims, seed: 
         "seed": seed,
     }
     if plan.scheme == "composite":
-        header["t1_s"] = plan.t1
-        header["t2_s"] = plan.t2
+        header["t1_s"], header["t2_s"] = (seg.duration for seg in plan_schedule(plan, duration).segments)
     return header
 
 
@@ -181,7 +183,7 @@ def _trace_scenario(config: ScenarioConfig, out_dir: Path) -> dict:
         row += [record.aux_populations[lab][i] for lab in labels]
         row.append(record.leak_population[i])
         rows.append(row)
-    header = _plan_header(plan, noise, dims, config.seed)
+    header = _plan_header(plan, noise, dims, config.seed, config.drive.get("duration"))
     trace_path = out_dir / f"{config.scenario}_trace.tsv"
     _write_table(trace_path, header, columns, rows)
 

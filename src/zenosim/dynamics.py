@@ -22,7 +22,11 @@ one set: drives, Stark shifts and heating keep each ion's leak status, and a
 leak jump maps the block (A, A) to (A+k, A+k).  A state that starts block
 diagonal over the leak sets therefore stays so exactly, and only those
 blocks are propagated, stored and checked (Buca & Prosen, New J. Phys. 14,
-073007 (2012)).  Its samples are checked as they are made, so a run that
+073007 (2012)).  The same weak-symmetry argument splits a run without a
+leak level whose every part commutes with U, the cyclic shift of the ions
+dressed with a Fock-level phase (hilbert.cycle_shift): rho then stays
+block diagonal over U's eigen-sectors, and only those blocks are kept, in
+U's eigenbasis.  Its samples are checked as they are made, so a run that
 breaks its trace, its Hermiticity, the Fock limit or positivity stops
 within a few samples.
 
@@ -43,6 +47,7 @@ from __future__ import annotations
 import bisect
 import ctypes
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Sequence
@@ -55,6 +60,8 @@ from .hilbert import (
     DensityOperator,
     PureState,
     SystemDims,
+    cycle_sectors,
+    cycle_shift,
     leak_mask,
     leak_sectors,
     partial_trace_motion,
@@ -124,10 +131,10 @@ class Trajectory:
 
     samples[k] holds the state at times[k].  A pure-state run (fold None)
     stores a (T, dim) array of amplitudes.  A density run stores only the
-    upper triangles (a <= b) of the blocks of rho within its index groups
-    (see evolve_density), the vector its kernel computes: one (T, n_half)
-    array laid out by the run's fold (_Fold), each block's triangle
-    row-major, block after block.  The stack is read-only.  Its readers
+    upper triangles (a <= b) of the blocks of rho, in its fold's basis,
+    within its index groups (see _density_run), the vector its kernel
+    computes: one (T, n_half) array laid out by the run's fold (_Fold),
+    each block's triangle row-major, block after block.  The stack is read-only.  Its readers
     replay it in the chunks of a streamed run (_chunks): a density stack
     _CHECK_CHUNK samples at a time with their whole blocks, a pure one as
     one chunk.  Callers that need only a few series of a run read its
@@ -157,13 +164,7 @@ class Trajectory:
     def _states(self, sel: slice) -> list:
         if self.fold is None:
             return [PureState(self.dims, amps) for amps in self.samples[sel]]
-        states = []
-        for _, _, blocks in self._chunks(sel):
-            rho = np.zeros((len(blocks[0]), self.dims.dim, self.dims.dim), dtype=complex)
-            for idx, block in zip(self.groups, blocks):
-                rho[:, idx[:, None], idx] = block
-            states.extend(DensityOperator(self.dims, r) for r in rho)
-        return states
+        return [DensityOperator(self.dims, r) for _, _, b in self._chunks(sel) for r in self.fold.matrices(b)]
 
     @property
     def states(self) -> tuple:
@@ -245,20 +246,24 @@ _MAX_MATVECS = 1_000_000
 class _Fold:
     """Where each number of a density run's stored samples sits.
 
-    The run keeps only the blocks of rho within its index groups.  In the
-    row-major vec(rho) their whole entries sit at kept, block after block:
-    the vector the kernel's generator acts on.  Within that vector half
-    holds the positions of each block's entries (a, b) with a <= b, block
-    after block and row-major, the order of a stored sample (n_half
-    entries); lower the positions of its entries a > b, and strict[k] the
-    index into half of lower[k]'s mirror (b, a), so a Hermitian rho has
-    rho[lower] == rho[half][strict].conj().  diagonals holds each group's
-    (a, a) as positions in a stored sample, diag all of them and tops those
-    on the top Fock level.
+    The run keeps only the blocks of rho within its index groups, which
+    index the columns of its basis: w of basis = (w, rep), from
+    hilbert.cycle_sectors, so the run's matrix is w^dag rho w and rep[c]
+    gives column c's labels, or without basis the computational one.  In the
+    row-major vec of that matrix their whole entries sit at kept, block
+    after block: the vector the kernel's generator acts on.  Within that
+    vector half holds the positions of each block's entries (a, b) with a
+    <= b, block after block and row-major, the order of a stored sample
+    (n_half entries); lower the positions of its entries a > b, and
+    strict[k] the index into half of lower[k]'s mirror (b, a), so a
+    Hermitian rho has rho[lower] == rho[half][strict].conj().  diagonals
+    holds each group's (a, a) as positions in a stored sample, diag all of
+    them and tops those on the top Fock level.
     """
 
-    def __init__(self, dims: SystemDims, groups: Sequence[np.ndarray]):
+    def __init__(self, dims: SystemDims, groups: Sequence[np.ndarray], basis: tuple | None = None):
         self.groups = tuple(groups)
+        self.w, self.rep = basis if basis is not None else (None, np.arange(dims.dim))
         self.kept = np.concatenate([(idx[:, None] * dims.dim + idx).ravel() for idx in self.groups])
         half, lower, strict, self.diagonals = [], [], [], []
         start = n_half = 0
@@ -275,14 +280,20 @@ class _Fold:
         self.half, self.lower, self.strict = (np.concatenate(x) for x in (half, lower, strict))
         self.diag = np.concatenate(self.diagonals)
         top = dims.n_fock - 1
-        self.tops = np.concatenate([d[idx % dims.n_fock == top] for d, idx in zip(self.diagonals, self.groups)])
+        on_top = self.rep % dims.n_fock == top
+        self.tops = np.concatenate([d[on_top[idx]] for d, idx in zip(self.diagonals, self.groups)])
         self._mirror = np.empty(start, dtype=np.intp)
         self._mirror[self.half] = np.arange(n_half)
         self._mirror[self.lower] = n_half + self.strict
         self._edges = np.cumsum([0] + [len(idx) ** 2 for idx in self.groups])
 
+    def to_basis(self, a: np.ndarray) -> np.ndarray:
+        """The matrix, or each of a stack, in the run's basis: w^dag a w."""
+        return a if self.w is None else self.w.conj().T @ a @ self.w
+
     def pack(self, rho: np.ndarray) -> np.ndarray:
         """The stored sample of a dim x dim rho, or of each of a stack."""
+        rho = self.to_basis(rho)
         return rho.reshape(*rho.shape[:-2], -1)[..., self.kept[self.half]]
 
     def blocks(self, h: np.ndarray) -> list[np.ndarray]:
@@ -304,6 +315,14 @@ class _Fold:
         for start in range(0, len(flat) or 1, _CHECK_CHUNK):
             samples = flat[start : start + _CHECK_CHUNK]
             yield start, samples, self.blocks(samples)
+
+    def matrices(self, blocks: list[np.ndarray]) -> np.ndarray:
+        """The (C, dim, dim) rho, in the computational basis, of a chunk's whole blocks."""
+        dim = len(self.rep)
+        rho = np.zeros((len(blocks[0]), dim, dim), dtype=complex)
+        for idx, block in zip(self.groups, blocks):
+            rho[:, idx[:, None], idx] = block
+        return rho if self.w is None else self.w @ rho @ self.w.conj().T
 
 
 class _TaylorExpm:
@@ -624,6 +643,64 @@ def _kernel_calls(times: np.ndarray, ks: range, norm_1: float) -> list[tuple[sli
     return [(slice(r[0], r[-1] + 1), times[r[0] : r[-1] + 1] - times[max(r[0] - 1, 0)]) for r in runs]
 
 
+def _cycle_symmetry(
+    dims: SystemDims,
+    geom: IonGeometry,
+    schedule: PulseSchedule,
+    shifts: tuple[float, ...],
+    ops: Sequence[np.ndarray],
+    rho: np.ndarray,
+) -> tuple[int, list[int | None]] | None:
+    """(step, moves) if U of hilbert.cycle_shift(dims, step) is a symmetry
+    of the run, else None.
+
+    First the cheap tests: no leak level, equal Stark shifts, and couplings
+    g_i = sign(a_i) exp(i theta_i) with one ratio g_{i+1} / g_i = exp(-2 pi
+    i step / N) around the cycle.  Then, each to 1e-12 relative in the
+    computational basis: U commutes with each segment's Hamiltonian, maps
+    the collapse operators ops onto themselves up to unit phases and fixes
+    rho.  moves[k] is s where U L_k U^dag = exp(2 pi i s / N) L_k, and None
+    where U maps L_k onto another operator.
+    """
+    n = dims.n_ions
+    g = np.sign(geom.mode_amplitudes) * np.exp(1j * np.array(geom.phase_per_ion))
+    if dims.leak_level or len(set(shifts)) > 1 or not g.all():
+        return None
+    ratios = np.roll(g, -1) / g
+    step = round(-np.angle(ratios[0]) * n / (2 * np.pi)) % n
+    if not np.all(np.abs(ratios - np.exp(-2j * np.pi * step / n)) <= 1e-12):
+        return None
+    image, phase = cycle_shift(dims, step)
+
+    def moved(a: np.ndarray) -> np.ndarray:  # U a U^dag
+        out = np.empty_like(a)
+        out[np.ix_(image, image)] = phase[:, None] * a * phase.conj()
+        return out
+
+    def close(a: np.ndarray, b: np.ndarray) -> bool:
+        return bool(np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b))
+
+    hams = (segment_hamiltonian(dims, geom, seg, shifts).matrix for seg in schedule.segments)
+    if not close(moved(rho), rho) or not all(close(moved(h), h) for h in hams):
+        return None
+    # compared at unit largest entry, which U keeps, so that no tiny rate underflows
+    scales = [np.abs(l).max() for l in ops]
+    units = [l / scale for l, scale in zip(ops, scales)]
+    moves, free = [], list(range(len(ops)))
+    for k, l in enumerate(units):
+        image_l = moved(l)
+        for j in free:
+            c = np.vdot(units[j], image_l) / np.vdot(units[j], units[j])
+            same_scale = abs(scales[k] - scales[j]) <= 1e-12 * scales[j]
+            if same_scale and abs(abs(c) - 1) <= 1e-12 and close(image_l, c * units[j]):
+                break
+        else:
+            return None
+        free.remove(j)
+        moves.append(round(np.angle(c) * n / (2 * np.pi)) % n if j == k else None)
+    return step, moves
+
+
 def _density_run(
     schedule: PulseSchedule,
     dims: SystemDims,
@@ -652,13 +729,18 @@ def _density_run(
     norm are set up once per segment.
 
     Only the diagonal blocks of rho over the index groups are propagated:
-    the leak sets of hilbert.leak_sectors if the initial state has no entry
-    between different sets (exact, as nothing feeds those entries), else
-    one group, the whole space.  The run's layout, fold, is built once for
-    those groups.  One sp.bmat per segment builds the generator on those
-    blocks alone, in the fold's kept order: block (A, A) is K_AA x I + I x
-    K_AA^*, as K keeps each leak set, and each block (B, A) adds the jump
-    feed sum_k L_k[B, A] x L_k[B, A]^*, sliced once per run.  The shift is
+    the eigen-sectors of U, in its eigenbasis (hilbert.cycle_sectors), if
+    the run has the ions' cycle symmetry (_cycle_symmetry); else the leak
+    sets of hilbert.leak_sectors if the initial state has no entry between
+    different sets (exact, as nothing feeds those entries), or one group,
+    the whole space.  The run's layout, fold, is built once for those
+    groups, and each operator is taken into its basis once.  One sp.bmat
+    per segment builds the generator on those blocks alone, in the fold's
+    kept order: block (A, A) is K_AA x I + I x K_AA^*, as K keeps each
+    group, and each block (B, A) adds the jump feed sum_k L_k[B, A] x
+    L_k[B, A]^*, sliced once per run, and for a jump operator that U
+    multiplies by a phase only where it moves a sector, so no rounding of
+    a block that vanishes reaches the generator.  The shift is
     Re(tr L) / dim^2 of the full generator, (sum_k |tr L_k|^2 - dim tr M) /
     dim^2; a complex shift would not keep rho Hermitian.  vec holds only
     the upper triangle of each block (the fold's half), from which the
@@ -685,28 +767,39 @@ def _density_run(
     """
     if initial.dims != dims:
         raise ValueError("initial state dims do not match")
-    fold = _Fold(dims, leak_sectors(dims))
-    if np.count_nonzero(initial.matrix.reshape(-1)[fold.kept]) < np.count_nonzero(initial.matrix):
-        fold = _Fold(dims, [np.arange(dims.dim)])
-    groups = fold.groups
-
     shifts = noise.shifts_or_zero(dims.n_ions)
-    mu, feed, m = 0.0, {}, [0] * len(groups)  # m[a]: the block (A, A) of M
+    ops = [op.matrix for op in lindblad_operators(dims, noise)]
+    symmetry = _cycle_symmetry(dims, geom, schedule, shifts, ops, initial.matrix)
+    if symmetry is not None:
+        step, moves = symmetry
+        w, sector, rep = cycle_sectors(dims, step)
+        fold = _Fold(dims, [np.flatnonzero(sector == s) for s in range(dims.n_ions)], (w, rep))
+    else:
+        moves = [None] * len(ops)
+        fold = _Fold(dims, leak_sectors(dims))
+        if np.count_nonzero(initial.matrix.reshape(-1)[fold.kept]) < np.count_nonzero(initial.matrix):
+            fold = _Fold(dims, [np.arange(dims.dim)])
+    groups = fold.groups
+    n = len(groups)
+
+    mu, feed, m = 0.0, {}, [0] * n  # m[a]: the block (A, A) of M
     # here and in propagator, an overflow leaves a NaN or inf norm, which _TaylorExpm.plan rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        for l in (op.matrix for op in lindblad_operators(dims, noise)):
+        for l, move in zip(ops, moves):
             mu += abs(np.trace(l)) ** 2 - dims.dim * np.vdot(l, l).real  # tr(L^dag L) = |L|_F^2
-            for b, rows in enumerate(groups):
-                for a, idx in enumerate(groups):
-                    l_ba = l[np.ix_(rows, idx)]
-                    if l_ba.any():
-                        l_ba = sp.csr_matrix(l_ba)
-                        m[a] += l_ba.conj().T @ l_ba
-                        feed[b, a] = feed.get((b, a), 0) + sp.kron(l_ba, l_ba.conj())
+            l = fold.to_basis(l)
+            # the blocks (B, A) that L may have: from each A to A + move alone for an eigen-operator of U
+            pairs = itertools.product(range(n), repeat=2) if move is None else [((a + move) % n, a) for a in range(n)]
+            for b, a in pairs:
+                l_ba = l[np.ix_(groups[b], groups[a])]
+                if l_ba.any():
+                    l_ba = sp.csr_matrix(l_ba)
+                    m[a] += l_ba.conj().T @ l_ba
+                    feed[b, a] = feed.get((b, a), 0) + sp.kron(l_ba, l_ba.conj())
 
     def propagator(seg: PulseSegment) -> _TaylorExpm:
-        h = segment_hamiltonian(dims, geom, seg, shifts).matrix
-        blocks = [[feed.get((b, a)) for a in range(len(groups))] for b in range(len(groups))]
+        h = fold.to_basis(segment_hamiltonian(dims, geom, seg, shifts).matrix)
+        blocks = [[feed.get((b, a)) for a in range(n)] for b in range(n)]
         for a, idx in enumerate(groups):
             k = -1j * sp.csr_matrix(h[np.ix_(idx, idx)]) - 0.5 * m[a]
             blocks[a][a] = sp.kronsum(k.conj(), k) + feed.get((a, a), 0)  # K x I + I x K^*
@@ -760,8 +853,8 @@ def evolve_density(
 
     The run is _density_run's, sampled every sample_dt (default total/400)
     and at segment boundaries.  Its Trajectory (_stacked) keeps the fold and
-    one read-only (T, n_half) stack of the upper triangles of the leak-set
-    blocks: 21 MB at the fig3 preset and 59 MB at three_ion.  OpenBLAS runs
+    one read-only (T, n_half) stack of the upper triangles of its blocks:
+    21 MB at the fig3 preset and 59 MB at three_ion.  OpenBLAS runs
     on one thread for the call (_one_blas_thread).
     """
     times, fold, chunks = _density_run(schedule, dims, geom, noise, initial, sample_dt)
@@ -792,15 +885,21 @@ def _read(
     amplitudes, else the run's layout and the chunk's whole blocks, from
     which the overlaps and the trace alike are read.  A leak set holds
     every Fock level of each of its spin configurations, so a group's
-    block traces to the spin block of those configurations.
+    block traces to the spin block of those configurations.  A run in the
+    cycle sectors reads each v as w^dag v and traces the rho its blocks
+    rebuild (_Fold.matrices).
     """
     if fold is None:
         series = [np.vecdot(v, samples) for v in full]
         spins = partial_trace_motion(dims, samples) if trace else None
         return [np.hypot(o.real, o.imag) ** 2 for o in series], spins
+    if fold.w is not None:
+        full = [fold.w.conj().T @ v for v in full]
     series = [sum(np.vecdot(v[idx], block @ v[idx]).real for idx, block in zip(fold.groups, blocks)) for v in full]
     if not trace:
         return series, None
+    if fold.w is not None:
+        return series, partial_trace_motion(dims, fold.matrices(blocks))
     nf = dims.n_fock
     spins = np.zeros((len(samples), dims.spin_dim, dims.spin_dim), dtype=complex)
     for idx, block in zip(fold.groups, blocks):
@@ -866,8 +965,9 @@ def _read_populations(
     run's blocks are None.  P_k sums the projectors onto all spin
     configurations with exactly k ions up, traced over motion: one product
     of the samples' diagonals (of a density run, read in place from the
-    stored triangles) with the masks, built once per run, gives every P_k
-    and the leak population at once.  The target series come from one
+    stored triangles, each at its column's labels _Fold.rep) with the
+    masks, built once per run, gives every P_k and the leak population at
+    once.  The target series come from one
     _fidelities per chunk, on the chunk's blocks.  The peak is the first
     sample of the highest first-target fidelity, as np.argmax picks it;
     only its sample and a copy of its blocks are kept as the chunks pass,
@@ -883,7 +983,7 @@ def _read_populations(
         else:
             diag = np.zeros((len(samples), dims.dim))
             for idx, pos in zip(fold.groups, fold.diagonals):
-                diag[:, idx] = samples[:, pos].real
+                diag[:, fold.rep[idx]] = samples[:, pos].real
         pops.append(np.vecdot(diag[:, None, :], masks))
         if fold is None:
             total = pops[-1][:, :-1].sum(axis=1) + pops[-1][:, -1]

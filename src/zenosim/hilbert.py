@@ -389,6 +389,49 @@ def leak_sectors(dims: SystemDims) -> list[np.ndarray]:
     return [np.flatnonzero(key == k) for k in np.unique(key)]
 
 
+def cycle_shift(dims: SystemDims, step: int) -> tuple[np.ndarray, np.ndarray]:
+    """(image, phase) of U = (the cyclic ion shift) x exp(2 pi i step n /
+    n_ions), which moves each ion's level to the next ion (the last to the
+    first) and multiplies Fock level n by its phase: U|j> = phase[j]
+    |image[j]> for each basis index j."""
+    configs = np.array(dims.spin_configurations())
+    spin_image = np.roll(configs, 1, axis=1) @ dims.levels_per_ion ** np.arange(dims.n_ions - 1, -1, -1)
+    fock = np.arange(dims.n_fock)
+    image = (spin_image[:, None] * dims.n_fock + fock).ravel()
+    return image, np.tile(np.exp(2j * np.pi * (step * fock % dims.n_ions) / dims.n_ions), dims.spin_dim)
+
+
+def cycle_sectors(dims: SystemDims, step: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(w, sector, rep): an orthonormal eigenbasis of cycle_shift's U.
+
+    Column c of the unitary w is the Fourier vector exp(-2 pi i k j / r) /
+    sqrt(r) over the r configurations U^j s of one orbit at one Fock level
+    n, so U w_c = exp(2 pi i sector[c] / n_ions) w_c with sector[c] = (step
+    n + k n_ions / r) mod n_ions.  rep[c], the basis index of (U^k s, n),
+    lies on the column's support and carries its Fock level, up count and
+    leak set; rep is a permutation.
+    """
+    n, nf = dims.n_ions, dims.n_fock
+    spin_image = cycle_shift(dims, step)[0][::nf] // nf
+    w = np.zeros((dims.dim, dims.dim), dtype=complex)
+    sector, rep = np.empty(dims.dim, dtype=int), np.empty(dims.dim, dtype=int)
+    seen, col, fock = np.zeros(dims.spin_dim, dtype=bool), 0, np.arange(nf)
+    for first in range(dims.spin_dim):
+        if seen[first]:
+            continue
+        orbit = [first]
+        while spin_image[orbit[-1]] != first:
+            orbit.append(spin_image[orbit[-1]])
+        seen[orbit] = True
+        r, rows = len(orbit), np.array(orbit)[:, None] * nf + fock
+        for k in range(r):
+            cols = col + fock
+            w[rows, cols] = np.exp(-2j * np.pi * k * np.arange(r) / r)[:, None] / np.sqrt(r)
+            sector[cols], rep[cols] = (step * fock + k * n // r) % n, rows[k]
+            col += nf
+    return w, sector, rep
+
+
 def leak_mask(dims: SystemDims) -> np.ndarray:
     """Diagonal mask of the basis states with at least one ion leaked."""
     mask = np.ones(dims.dim)

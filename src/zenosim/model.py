@@ -146,6 +146,11 @@ def sideband_hamiltonian(dims: SystemDims, geom: IonGeometry, seg: PulseSegment)
     pattern; for the three-ion geometry the 2pi/3 phases make the symmetric
     single-excitation state dark.
     """
+    return OperatorMatrix(dims, _sideband(dims, geom, seg), True)
+
+
+def _sideband(dims: SystemDims, geom: IonGeometry, seg: PulseSegment) -> np.ndarray:
+    """The matrix of sideband_hamiltonian, unchecked."""
     if geom.n_ions != dims.n_ions:
         raise ValueError(f"geometry is for {geom.n_ions} ions, dims for {dims.n_ions}")
     a = build_mode_op(dims, "annihilate").matrix
@@ -161,8 +166,7 @@ def sideband_hamiltonian(dims: SystemDims, geom: IonGeometry, seg: PulseSegment)
     # the non-finite entries with NumericsError
     with np.errstate(over="ignore", invalid="ignore"):
         term = seg.omega_s * np.exp(1j * seg.laser_phase) * (coupling @ a)
-        h = seg.delta * number + term + term.conj().T
-    return OperatorMatrix(dims, h, True)
+        return seg.delta * number + term + term.conj().T
 
 
 def microwave_hamiltonian(dims: SystemDims, omega_d: float) -> OperatorMatrix:
@@ -171,11 +175,16 @@ def microwave_hamiltonian(dims: SystemDims, omega_d: float) -> OperatorMatrix:
     matrix elements sqrt(2) Omega_d (two ions) and sqrt(3), 2 Omega_d (three
     ions).
     """
+    return OperatorMatrix(dims, _microwave(dims, omega_d), True)
+
+
+def _microwave(dims: SystemDims, omega_d: float) -> np.ndarray:
+    """The matrix of microwave_hamiltonian, unchecked."""
     h = np.zeros((dims.dim, dims.dim), dtype=complex)
     for i in range(dims.n_ions):
         term = omega_d * build_spin_op(dims, i, "lower").matrix
         h += term + term.conj().T
-    return OperatorMatrix(dims, h, True)
+    return h
 
 
 def carrier_pi_time(omega_d: float, n_ions: int) -> float:
@@ -190,13 +199,18 @@ def carrier_pi_time(omega_d: float, n_ions: int) -> float:
 
 def stark_hamiltonian(dims: SystemDims, shifts: Sequence[float]) -> OperatorMatrix:
     """Static per-ion qubit-frequency shifts, sum_i (shift_i / 2) sigma_i^z."""
+    return OperatorMatrix(dims, _stark(dims, shifts), True)
+
+
+def _stark(dims: SystemDims, shifts: Sequence[float]) -> np.ndarray:
+    """The matrix of stark_hamiltonian, unchecked."""
     if len(shifts) != dims.n_ions:
         raise ValueError(f"expected {dims.n_ions} shifts, got {len(shifts)}")
     h = np.zeros((dims.dim, dims.dim), dtype=complex)
     for i, s in enumerate(shifts):
         if s != 0.0:
             h += 0.5 * s * build_spin_op(dims, i, "z").matrix
-    return OperatorMatrix(dims, h, True)
+    return h
 
 
 def segment_hamiltonian(
@@ -205,12 +219,13 @@ def segment_hamiltonian(
     seg: PulseSegment,
     stark_shifts: Sequence[float] | None = None,
 ) -> OperatorMatrix:
-    """Full constant Hamiltonian of one segment (sideband + carrier + shifts)."""
-    h = sideband_hamiltonian(dims, geom, seg).matrix
+    """Full constant Hamiltonian of one segment (sideband + carrier +
+    shifts), its Hermiticity and finiteness checked once, on the sum."""
+    h = _sideband(dims, geom, seg)
     if seg.omega_d != 0.0:
-        h = h + microwave_hamiltonian(dims, seg.omega_d).matrix
+        h = h + _microwave(dims, seg.omega_d)
     if stark_shifts is not None and any(s != 0.0 for s in stark_shifts):
-        h = h + stark_hamiltonian(dims, stark_shifts).matrix
+        h = h + _stark(dims, stark_shifts)
     return OperatorMatrix(dims, h, True)
 
 

@@ -300,10 +300,14 @@ def _initial_q(n_fits: int, n_classes: int, n_bins: int) -> np.ndarray:
 def _q_update(c: np.ndarray, w: np.ndarray, q: np.ndarray) -> np.ndarray:
     """One EM sweep for class-conditional bin probabilities q (..., classes,
     bins) from counts c (..., histograms, bins) mixed with known weights w
-    (..., histograms, classes); leading axes index independent problems."""
+    (..., histograms, classes); leading axes index independent problems.
+    Entries below the smallest normal float are set to 0: subnormal ones,
+    which a vanishing class probability reaches after about 1,000 sweeps,
+    slow every product they enter."""
     p = np.maximum(w @ q, 1e-300)
     q_new = q * (np.swapaxes(w, -1, -2) @ (c / p))
     q_new /= np.maximum(q_new.sum(axis=-1, keepdims=True), 1e-300)
+    q_new[q_new < np.finfo(float).tiny] = 0.0
     return q_new
 
 

@@ -357,6 +357,18 @@ def test_noiseless_trace_run(tmp_path):
     assert float(budget["peak_fidelity"]) > 0.985
 
 
+def test_a_cut_composite_trace_names_the_schedule_that_ran(tmp_path):
+    """A duration shorter than t1 cuts the composite run in its first
+    segment, and the trace header gives that schedule's segment times."""
+    out = tmp_path / "cut"
+    overrides = ["--override", "drive.duration=1e-5", "--override", "n_fock=6"]
+    assert main(["run", "--preset", "fig3", *overrides, "--out", str(out)]) == 0
+    lines = (out / "two_ion_composite_trace.tsv").read_text().splitlines()
+    header = dict(line[2:].split(" = ") for line in lines if line.startswith("# "))
+    assert (float(header["t1_s"]), float(header["t2_s"])) == (1e-5, 0.0)
+    assert float(lines[-1].split("\t")[0]) == 1e-5
+
+
 def test_repeated_runs_are_bit_identical(tmp_path):
     for sub in ("a", "b"):
         assert main(["run", "--preset", "fig_s4", "--out", str(tmp_path / sub)]) == 0

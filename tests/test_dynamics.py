@@ -410,6 +410,84 @@ def test_readers_of_the_stored_triangles_match_whole_blocks(n_ions, gamma, gamma
     np.testing.assert_array_equal(traj.final.matrix, rhos[-1])
 
 
+def _density_runs(schedule, dims, geom, noise, rho0, sample_dt):
+    """The run of evolve_density, and the same run with the cycle-symmetry
+    test switched off: the leak-set path."""
+    traj = evolve_density(schedule, dims, geom, noise, rho0, sample_dt)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_cycle_symmetry", lambda *args: None)
+        plain = evolve_density(schedule, dims, geom, noise, rho0, sample_dt)
+    return traj, plain
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    n_ions=st.sampled_from([2, 3]),
+    gamma=st.tuples(st.floats(0.0, 2e3), st.floats(0.0, 2e3)),
+    gamma_heat=st.floats(0.0, 50.0),
+    stark=st.floats(-2e4, 2e4),
+    n_bar=st.floats(0.0, 0.002),
+)
+def test_a_run_in_the_cycle_sectors_matches_the_plain_run(n_ions, gamma, gamma_heat, stark, n_bar):
+    """Without a leak level, with uniform rates, equal Stark shifts and a
+    start of all ions up, a run has the ions' cycle symmetry and is
+    propagated in its n_ions sectors; every sample matches the same run
+    with the symmetry test switched off, one block over the whole space, to
+    1e-12: rho, P_k, the leak population, full-space and spin-only
+    fidelities, the top Fock population and spin_matrices.  The two-ion
+    run crosses the composite sign flip at t1."""
+    from zenosim.protocol import plan_composite, plan_geometry, plan_schedule, plan_three_ion
+
+    if n_ions == 2:
+        plan, dims, names = plan_composite(OMEGA_S, 1), SystemDims(2, 8), ("uu", "T", "S", "dd")
+    else:
+        plan = plan_three_ion(2 * np.pi * 19.0e3, 2 * np.pi * 1.24e3)
+        dims, names = SystemDims(3, 7), ("uuu", "W", "Wbar", "Wc")
+    noise = NoiseModel(gamma_du=gamma[0], gamma_ud=gamma[1], gamma_heat=gamma_heat, stark_shifts=(stark,) * n_ions)
+    duration = (0.5 if n_ions == 2 else 0.25) * plan.t_pi
+    rho0 = thermal_product_state(dims, spin_state(dims, names[0]), n_bar)
+    traj, plain = _density_runs(plan_schedule(plan, duration), dims, plan_geometry(plan), noise, rho0, duration / 11)
+    assert traj.fold.w is not None and len(traj.groups) == n_ions and len(plain.groups) == 1
+    for state, ref in zip(traj.states, plain.states, strict=True):
+        np.testing.assert_allclose(state.matrix, ref.matrix, rtol=0, atol=1e-12)
+    targets = [named_state(dims, names[1], 0), spin_state(dims, names[2]), spin_state(dims, names[3])]
+    rec, ref = extract_populations(traj, targets), extract_populations(plain, targets)
+    pairs = [(rec.p_up_counts, ref.p_up_counts), (rec.leak_population, ref.leak_population)]
+    pairs += [(rec.aux_populations[k], ref.aux_populations[k]) for k in ref.aux_populations]
+    pairs.append(tuple(t.samples[:, t.fold.tops].real.sum(axis=1) for t in (traj, plain)))  # the Fock limit's series
+    for got, want in [*pairs, (traj.spin_matrices(), plain.spin_matrices())]:
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_a_run_without_the_cycle_symmetry_keeps_the_leak_set_path():
+    """Unequal Stark shifts, a leak level, a |uud> start and a geometry
+    whose couplings do not step by one ratio each break the symmetry: the
+    run keeps the leak-set layout, bit for bit the run with the symmetry
+    test switched off."""
+    from zenosim.protocol import plan_schedule, plan_three_ion
+
+    plan = plan_three_ion(2 * np.pi * 19.0e3, 2 * np.pi * 1.24e3)
+    schedule = plan_schedule(plan, 0.25 * plan.t_pi)
+    dims, leaky = SystemDims(3, 7), SystemDims(3, 7, leak_level=True)
+    geom = IonGeometry.three_ion_com()
+    noise = NoiseModel(gamma_du=300.0, gamma_heat=20.0, n_bar=0.001)
+    uud = np.zeros(dims.dim, dtype=complex)
+    uud[dims.basis_index((UP, UP, DOWN), 0)] = 1.0
+    uneven = IonGeometry(3, (2 * np.pi / 3, 0.0, 0.0), geom.mode_amplitudes)
+    uuu = thermal_product_state(dims, spin_state(dims, "uuu"), noise.n_bar)
+    cases = [
+        (dims, geom, NoiseModel(gamma_du=300.0, gamma_heat=20.0, stark_shifts=(2e3, 0.0, 2e3), n_bar=0.001), uuu),
+        (leaky, geom, noise, thermal_product_state(leaky, spin_state(leaky, "uuu"), noise.n_bar)),
+        (dims, geom, noise, PureState(dims, uud).to_density()),
+        (dims, uneven, noise, uuu),
+    ]
+    for case_dims, case_geom, case_noise, rho0 in cases:
+        traj, plain = _density_runs(schedule, case_dims, case_geom, case_noise, rho0, plan.t_pi / 40)
+        assert traj.fold.w is None
+        assert [list(idx) for idx in traj.groups] == [list(idx) for idx in leak_sectors(case_dims)]
+        assert traj.samples.tobytes() == plain.samples.tobytes()
+
+
 def test_each_leak_block_is_checked():
     """Contract violations confined to a leaked block are caught at t = 0."""
     dims = SystemDims(2, 4, leak_level=True)
@@ -885,7 +963,7 @@ def test_stacked_readout_matches_per_sample_loop(gamma, gamma_heat, stark, n_bar
     """The stacked readout of two-ion runs against the loop over dense
     states.  Without rates or a thermal start the run is pure-state, with
     the Stark shifts; without leak rates the density run is one block, the
-    whole space."""
+    whole space, or, with equal shifts, one block per cycle sector."""
     from zenosim.protocol import plan_single
 
     noise = _full_noise(gamma, gamma_heat, stark, n_bar) if lindblad else NoiseModel(stark_shifts=stark)
@@ -909,8 +987,8 @@ def _assert_stacked_readout_matches_loop(plan, noise, dims):
     state_fidelity and the diagonal of each sample, gives the same numbers
     for full-space and spin-only targets, and spin_matrices gives each
     state's motion-traced matrix.  A density run stores the upper
-    triangles of the blocks of its index groups, the leak sets, side by
-    side: (T, n_half) entries."""
+    triangles of the blocks of its index groups, the leak sets or the
+    cycle sectors, side by side: (T, n_half) entries."""
     from zenosim.protocol import simulate_plan, simulate_plan_fidelity
 
     duration, sample_dt = 0.5 * plan.t_pi, plan.t_pi / 40
@@ -918,8 +996,11 @@ def _assert_stacked_readout_matches_loop(plan, noise, dims):
     pure = not (noise.has_lindblad or noise.n_bar > 0)
     if pure:
         assert traj.groups == () and traj.samples.shape == (len(traj.times), dims.dim)
-    else:
+    elif traj.fold.w is None:
         assert [list(idx) for idx in traj.groups] == [list(idx) for idx in leak_sectors(dims)]
+    else:  # equal Stark shifts without leak rates: the sectors of the ions' cycle symmetry
+        assert len(traj.groups) == dims.n_ions
+    if not pure:
         assert traj.samples.shape == (len(traj.times), sum(len(idx) * (len(idx) + 1) // 2 for idx in traj.groups))
 
     if plan.n_ions == 2:

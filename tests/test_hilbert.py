@@ -14,6 +14,8 @@ from zenosim.hilbert import (
     SystemDims,
     build_mode_op,
     build_spin_op,
+    cycle_sectors,
+    cycle_shift,
     leak_sectors,
     named_state,
     partial_trace_motion,
@@ -294,6 +296,28 @@ def test_leak_sectors_partition_the_basis_by_leak_set():
         assert np.all(np.diff(idx) > 0)
         leaked = {tuple(s == LEAK for s in dims.spin_configurations()[i // dims.n_fock]) for i in idx}
         assert len(leaked) == 1
+
+
+@pytest.mark.parametrize("dims, step", [(DIMS2, 1), (DIMS3, 1), (SystemDims(3, 4), 2), (SystemDims(3, 2, True), 0)])
+def test_cycle_sectors_diagonalize_the_cycle_shift(dims, step):
+    """U moves each ion's level to the next ion and multiplies Fock level n
+    by exp(2 pi i step n / N); the columns of w are orthonormal eigenvectors
+    of U, each on one orbit at one Fock level, whose labels rep carries."""
+    image, phase = cycle_shift(dims, step)
+    u = np.zeros((dims.dim, dims.dim), dtype=complex)
+    u[image, np.arange(dims.dim)] = phase
+    levels = [UP, DOWN, DOWN][: dims.n_ions]
+    moved = basis_vector(dims, [DOWN, UP, DOWN][: dims.n_ions], 1) * np.exp(2j * np.pi * step / dims.n_ions)
+    np.testing.assert_allclose(u @ basis_vector(dims, levels, 1), moved, rtol=0, atol=1e-15)
+
+    w, sector, rep = cycle_sectors(dims, step)
+    np.testing.assert_allclose(w.conj().T @ w, np.eye(dims.dim), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(u @ w, w * np.exp(2j * np.pi * sector / dims.n_ions), rtol=0, atol=1e-15)
+    assert sorted(rep) == list(range(dims.dim)) and np.all(w[rep, np.arange(dims.dim)] != 0)
+    ups = np.array([sum(s == UP for s in c) for c in dims.spin_configurations()]).repeat(dims.n_fock)
+    for c in range(dims.dim):
+        support = np.flatnonzero(w[:, c])
+        assert set(support % dims.n_fock) == {rep[c] % dims.n_fock} and set(ups[support]) == {ups[rep[c]]}
 
 
 @pytest.mark.parametrize("n_bar", [np.inf, np.nan, -0.1])

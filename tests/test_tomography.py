@@ -442,6 +442,19 @@ def test_stacked_em_matches_single_problems():
     assert 0 < sum(not np.array_equal(s, u) for s, u in zip(stacked, unbounded)) < 6
 
 
+def test_class_probabilities_skip_the_subnormals():
+    """A class probability that the data drive to 0 decays geometrically
+    and, within 5,000 sweeps, goes from a normal float straight to 0: no
+    entry _q_update returns lies in (0, tiny)."""
+    c = np.array([[10.0, 0.0], [5.0, 5.0]])
+    w = np.array([[[1.0, 0.0], [0.5, 0.5]]])
+    q = np.full((1, 2, 2), 0.5)
+    for _ in range(5000):
+        q = tomography._q_update(c, w, q)
+        assert not np.any((q > 0) & (q < np.finfo(float).tiny))
+    assert q[0, 0, 1] == 0.0
+
+
 def test_unconverged_fits_raise(two_ion_setup, monkeypatch):
     refs, _, boundaries, design = two_ion_setup
     t = spin_vector(2, "T")
