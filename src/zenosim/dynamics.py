@@ -22,17 +22,18 @@ one set: drives, Stark shifts and heating keep each ion's leak status, and a
 leak jump maps the block (A, A) to (A+k, A+k).  A state that starts block
 diagonal over the leak sets therefore stays so exactly, and only those
 blocks are propagated, stored and checked (Buca & Prosen, New J. Phys. 14,
-073007 (2012)).  The same weak-symmetry argument splits a run without a
-leak level whose every part commutes with U, the cyclic shift of the ions
-dressed with a Fock-level phase (hilbert.cycle_shift): rho then stays
-block diagonal over U's eigen-sectors, and only those blocks are kept, in
-U's eigenbasis.  Its samples are checked as they are made, so a run that
+073007 (2012)).  The same weak-symmetry argument splits a run whose every
+part commutes with U, the cyclic shift of the ions dressed with a
+Fock-level phase (hilbert.cycle_shift): rho then stays block diagonal over
+U's eigen-sectors too, and as U only permutes the leak sets of one orbit,
+over the pairs (leak-set orbit, sector); only those blocks are kept, in U's
+eigenbasis.  Its samples are checked as they are made, so a run that
 breaks its trace, its Hermiticity, the Fock limit or positivity stops
 within a few samples.
 
 A Lindbladian maps Hermitian matrices to Hermitian matrices (Breuer &
 Petruccione, The Theory of Open Quantum Systems, sec. 3.2), so only the
-upper triangle of each block is computed (3,272 of 6,400 rows at the fig3
+upper triangle of each block is computed (2,184 of 4,224 rows at the fig3
 preset) and the lower one is its exact conjugate, by construction.  A
 density run hands those triangles on a check chunk at a time, with the
 chunk's whole blocks rebuilt once for the checks and the readers alike;
@@ -44,10 +45,8 @@ checks and readers their diagonals and the whole blocks.
 
 from __future__ import annotations
 
-import bisect
 import ctypes
 import functools
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Sequence
@@ -57,6 +56,7 @@ import scipy.sparse as sp
 
 from .errors import NumericsError, TruncationError
 from .hilbert import (
+    LEAK,
     DensityOperator,
     PureState,
     SystemDims,
@@ -201,17 +201,48 @@ class PopulationRecord:
 
 
 def _sample_times(schedule: PulseSchedule, sample_dt: float | None) -> np.ndarray:
-    total = schedule.total_duration
-    if sample_dt is None:
-        sample_dt = total / 400.0 if total > 0 else 1.0
-    if sample_dt <= 0:
+    """The sample times of one schedule, as _walk_samples takes them."""
+    return _walk_samples([schedule], [sample_dt])[0]
+
+
+def _walk_samples(
+    schedules: Sequence[PulseSchedule], sample_dts: Sequence[float | None]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(times, starts, cuts) of the samples of schedules with one number
+    of segments, each sampled every sample_dts[b]: the cells of a
+    _pure_walk, or a density run's one schedule.
+
+    Cell b's samples are times[starts[b]:starts[b + 1]]: 0, its segment
+    boundaries and the multiples k dt of its step dt (default total/400, 1
+    for a zero total) for k = 1 to floor(total / dt + 1e-9), ascending,
+    each value once, up to total + 1e-15; a step <= 0 raises ValueError.
+    Its segment i reaches rows cuts[b, i]:cuts[b, i + 1]; a sample within
+    1e-15 past a boundary is reached within the segment before it, and as
+    every boundary is a sample time, the last sample of a segment is at
+    its end.  Each cell's boundaries and step multiples are merged by rank
+    into a row of one padded array and cut there.
+    """
+    totals = [s.total_duration for s in schedules]
+    steps = [(total / 400.0 if total > 0 else 1.0) if dt is None else dt for total, dt in zip(totals, sample_dts)]
+    if any(dt <= 0 for dt in steps):
         raise ValueError("sample_dt must be > 0")
-    points = {0.0, *schedule.boundaries()}
-    if total > 0:
-        n = math.floor(total / sample_dt + 1e-9)
-        points.update(k * sample_dt for k in range(1, n + 1))
-    times = np.array(sorted(points))
-    return times[times <= total + 1e-15]
+    counts = np.array([math.floor(total / dt + 1e-9) if total > 0 else 0 for total, dt in zip(totals, steps)])
+    durations = np.array([[seg.duration for seg in s.segments] for s in schedules])
+    bounds = np.cumsum(np.concatenate((np.zeros((len(schedules), 1)), durations), axis=1), axis=1)
+    k = np.arange(1, counts.max(initial=0) + 1)
+    grid = np.where(k <= counts[:, None], k * np.array(steps)[:, None], np.inf)
+    # the two ascending rows merged: each point's rank, a boundary before an equal grid point
+    rows = np.arange(len(schedules))[:, None]
+    points = np.empty((len(schedules), bounds.shape[1] + len(k)))
+    points[rows, np.arange(bounds.shape[1]) + (grid[:, None, :] < bounds[:, :, None]).sum(axis=2)] = bounds
+    points[rows, np.arange(len(k)) + (bounds[:, :, None] <= grid[:, None, :]).sum(axis=1)] = grid
+    kept = points <= np.array(totals)[:, None] + 1e-15
+    kept[:, 1:] &= points[:, 1:] != points[:, :-1]
+    reached = (kept[:, None, :] & (points[:, None, :] <= bounds[:, 1:-1, None] + 1e-15)).sum(axis=2)
+    counts = kept.sum(axis=1)
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    cuts = starts[:-1, None] + np.column_stack((np.zeros(len(schedules), dtype=int), reached, counts))
+    return points[kept], starts, cuts
 
 
 def _check_truncation(pop: float, t: float):
@@ -243,25 +274,35 @@ _UNIT_ROUNDOFF = 2.0**-53
 _MAX_MATVECS = 1_000_000
 
 
+def _runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, offset) of each item of consecutive runs of counts[k] items:
+    run owner[i] holds item i at offset[i] in it."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
 class _Fold:
     """Where each number of a density run's stored samples sits.
 
     The run keeps only the blocks of rho within its index groups, which
-    index the columns of its basis: w of basis = (w, rep), from
-    hilbert.cycle_sectors, so the run's matrix is w^dag rho w and rep[c]
-    gives column c's labels, or without basis the computational one.  In the
-    row-major vec of that matrix their whole entries sit at kept, block
-    after block: the vector the kernel's generator acts on.  Within that
-    vector half holds the positions of each block's entries (a, b) with a
-    <= b, block after block and row-major, the order of a stored sample
-    (n_half entries); lower the positions of its entries a > b, and
-    strict[k] the index into half of lower[k]'s mirror (b, a), so a
-    Hermitian rho has rho[lower] == rho[half][strict].conj().  diagonals
-    holds each group's (a, a) as positions in a stored sample, diag all of
-    them and tops those on the top Fock level.
+    index the columns of its basis: w of basis = (w, rep), a sparse unitary
+    from hilbert.cycle_sectors, so the run's matrix is w^dag rho w and
+    rep[c] gives column c's labels, or without basis the computational one.
+    group[c] is column c's group.  In the row-major vec of that matrix the
+    groups' whole entries sit at kept, block after block: the vector the
+    kernel's generator acts on, in which at(c, d) is the position of the
+    entry (c, d) of a block.  Within that vector half holds the positions
+    of each block's entries (a, b) with a <= b, block after block and
+    row-major, the order of a stored sample (n_half entries); lower the
+    positions of its entries a > b, and strict[k] the index into half of
+    lower[k]'s mirror (b, a), so a Hermitian rho has rho[lower] ==
+    rho[half][strict].conj().  diagonals holds each group's (a, a) as
+    positions in a stored sample, diag all of them and tops those on the
+    top Fock level.
     """
 
     def __init__(self, dims: SystemDims, groups: Sequence[np.ndarray], basis: tuple | None = None):
+        self.dims = dims
         self.groups = tuple(groups)
         self.w, self.rep = basis if basis is not None else (None, np.arange(dims.dim))
         self.kept = np.concatenate([(idx[:, None] * dims.dim + idx).ravel() for idx in self.groups])
@@ -286,13 +327,33 @@ class _Fold:
         self._mirror[self.half] = np.arange(n_half)
         self._mirror[self.lower] = n_half + self.strict
         self._edges = np.cumsum([0] + [len(idx) ** 2 for idx in self.groups])
+        self.group = np.empty(dims.dim, dtype=np.intp)
+        self._pos, self._width = np.empty(dims.dim, dtype=np.intp), np.empty(dims.dim, dtype=np.intp)
+        for g, idx in enumerate(self.groups):
+            self.group[idx], self._pos[idx], self._width[idx] = g, np.arange(len(idx)), len(idx)
+        self._members = np.concatenate(self.groups)
+        self._first = np.cumsum([0] + [len(idx) for idx in self.groups])
+        self._w_dag = None if self.w is None else self.w.conj().T.tocsr()
 
-    def to_basis(self, a: np.ndarray) -> np.ndarray:
-        """The matrix, or each of a stack, in the run's basis: w^dag a w."""
-        return a if self.w is None else self.w.conj().T @ a @ self.w
+    def at(self, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """The positions in kept of the entries (c, d), each pair within one group."""
+        return self._edges[self.group[c]] + self._pos[c] * self._width[c] + self._pos[d]
+
+    def partners(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(i, d): each column d of the group of column c[i], for each i."""
+        i, offset = _runs(self._width[c])
+        return i, self._members[self._first[self.group[c[i]]] + offset]
+
+    def to_basis(self, a):
+        """A dim x dim matrix, dense or sparse, in the run's basis: w^dag a w."""
+        return a if self.w is None else self._w_dag @ a @ self.w
+
+    def coords(self, v: np.ndarray) -> np.ndarray:
+        """A full-space vector in the run's basis: w^dag v."""
+        return v if self.w is None else self._w_dag @ v
 
     def pack(self, rho: np.ndarray) -> np.ndarray:
-        """The stored sample of a dim x dim rho, or of each of a stack."""
+        """The stored sample of a dim x dim rho, or, without a basis, of each of a stack."""
         rho = self.to_basis(rho)
         return rho.reshape(*rho.shape[:-2], -1)[..., self.kept[self.half]]
 
@@ -317,12 +378,67 @@ class _Fold:
             yield start, samples, self.blocks(samples)
 
     def matrices(self, blocks: list[np.ndarray]) -> np.ndarray:
-        """The (C, dim, dim) rho, in the computational basis, of a chunk's whole blocks."""
+        """The (C, dim, dim) rho, in the computational basis, of a chunk's
+        whole blocks.  A run with a basis keeps rho block diagonal over the
+        leak sets (_sector_fold), so the entries between them, which w R
+        w^dag cancels only to rounding, are set to exactly 0."""
         dim = len(self.rep)
         rho = np.zeros((len(blocks[0]), dim, dim), dtype=complex)
         for idx, block in zip(self.groups, blocks):
             rho[:, idx[:, None], idx] = block
-        return rho if self.w is None else self.w @ rho @ self.w.conj().T
+        if self.w is None:
+            return rho
+        w = self.w.toarray()
+        rho = w @ rho @ w.conj().T
+        rho[:, self._between] = 0.0
+        return rho
+
+    @functools.cached_property
+    def _between(self) -> np.ndarray:
+        """The (dim, dim) mask of the entries between different leak sets (hilbert.leak_sectors)."""
+        leak_set = np.empty(len(self.rep), dtype=np.intp)
+        for k, idx in enumerate(leak_sectors(self.dims)):
+            leak_set[idx] = k
+        return leak_set[:, None] != leak_set
+
+    def spins(self, h: np.ndarray) -> np.ndarray:
+        """The motion-traced (C, spin_dim, spin_dim) spin matrices of C
+        stored samples h of a run with a basis: one product (_spin_map)."""
+        take, mirrored, weights = self._spin_map
+        picked = h[:, take]
+        np.conjugate(picked, out=picked, where=mirrored)
+        sd = self.dims.spin_dim
+        return (picked @ weights).reshape(len(h), sd, sd)
+
+    @functools.cached_property
+    def _spin_map(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(take, mirrored, weights): the flattened spin matrix of a stored
+        sample h is x @ weights, where x is h[take], conjugated where
+        mirrored, the entries of the run's matrix it reads.
+
+        Entry (c, d) of the run's matrix adds w[i, c] conj(w[j, d]) of itself
+        to the spin entry of the basis states i and j.  Each column of w lies
+        on one Fock level, so only pairs (c, d) at one level contribute, and
+        a column holds at most n_ions nonzeros, its orbit.
+        """
+        nf, sd = self.dims.n_fock, self.dims.spin_dim
+        w = self.w.tocsc()
+        counts = np.diff(w.indptr)
+        rows = np.zeros((len(self.rep), counts.max()), dtype=np.intp)  # each column's nonzeros, padded with 0s
+        vals = np.zeros(rows.shape, dtype=complex)
+        col, slot = _runs(counts)
+        rows[col, slot], vals[col, slot] = w.indices, w.data
+        c, d = np.divmod(self.kept, len(self.rep))
+        entry = np.flatnonzero(self.rep[c] % nf == self.rep[d] % nf)
+        c, d = c[entry], d[entry]
+        spin = (rows[c, :, None] // nf) * sd + rows[d, None, :] // nf
+        weight = vals[c, :, None] * vals[d, None, :].conj()
+        source = np.broadcast_to(self._mirror[entry, None, None], spin.shape)
+        sources, source = np.unique(source, return_inverse=True)
+        weights = np.zeros((len(sources), sd * sd), dtype=complex)
+        np.add.at(weights, (source, spin), weight)
+        mirrored = sources >= len(self.half)
+        return sources % len(self.half), mirrored, weights
 
 
 class _TaylorExpm:
@@ -479,24 +595,19 @@ def _pure_walk(
     """(times, amps, starts) of the runs of schedules that differ only in
     their segments' durations, from the amplitudes initial, walked together.
 
-    Cell b samples its schedule every sample_dts[b] (_sample_times) and owns
-    rows starts[b]:starts[b + 1] of the stacked times and read-only
-    amplitudes.  Segment i has one spectrum (_segment_spectrum) and one
+    Cell b samples its schedule every sample_dts[b] and owns rows
+    starts[b]:starts[b + 1] of the stacked times and read-only amplitudes
+    (_walk_samples).  Segment i has one spectrum (_segment_spectrum) and one
     product for all cells, (exp(-i outer(offsets, evals)) * coords) @
     evecs.T, over the (cells, n) offsets from each cell's segment start of
-    the samples _segment_samples gives it there, padded with 0; one more
+    the samples it reaches there, padded with 0; one more
     gives the states at the segment ends.  Every sample is then checked:
     the first, cell by cell, whose norm drifts beyond 1e-9 raises
     NumericsError, or whose top Fock level holds more than 1e-8
     TruncationError, naming its time.
     """
-    times = [_sample_times(s, dt) for s, dt in zip(schedules, sample_dts)]
-    starts = np.cumsum([0] + [len(t) for t in times])
-    # cuts[b, i]: the row of cell b's first sample in segment i; cuts[b, -1] = starts[b + 1]
-    reached = [_segment_samples(t, s.boundaries()) for t, s in zip(times, schedules)]
-    cuts = starts[:-1, None] + [[0] + [ks.stop for ks in r] for r in reached]
+    times, starts, cuts = _walk_samples(schedules, sample_dts)
     durations = np.array([[seg.duration for seg in s.segments] for s in schedules])
-    times = np.concatenate(times)
     amps = np.empty((len(times), dims.dim), dtype=complex)
     psi, t0 = initial[None], np.zeros(len(schedules))  # each cell's state at the start t0 of each segment
     for i, seg in enumerate(schedules[0].segments):
@@ -584,8 +695,11 @@ def _check_density(fold: _Fold, times: np.ndarray, chunk: np.ndarray, blocks: li
     entry is not finite.  A sample is positive exactly when each block is:
     a Cholesky factorization of block + 1e-7 I succeeds exactly when its
     smallest eigenvalue is above -1e-7, which is only computed to report a
-    failure.  The first failing sample raises, with the first contract it
-    fails in the order above.  Each test is written so that NaN fails it;
+    failure.  The blocks of one width are factorized in one stacked call;
+    only where it fails are they taken block by block and sample by sample,
+    in block order, so a sample reports its first non-positive block.  The
+    first failing sample raises, with the first contract it fails in the
+    order above.  Each test is written so that NaN fails it;
     positivity is only tested on samples that pass the others, whose
     entries are then finite.
     """
@@ -596,7 +710,17 @@ def _check_density(fold: _Fold, times: np.ndarray, chunk: np.ndarray, blocks: li
     top = chunk[:, fold.tops].real.sum(axis=1)
     earlier = ~(drift <= 1e-8) | ~(asym <= 1e-10) | ~(top < TOP_FOCK_LIMIT)
     low = np.zeros(len(chunk))  # per sample, the failing eigenvalue of its first non-positive block
+    widths: dict[int, list[np.ndarray]] = {}
     for b in blocks:
+        widths.setdefault(b.shape[-1], []).append(b)
+    positive = {}
+    for n, same in widths.items():
+        stack = np.concatenate(same)
+        stack[:, range(n), range(n)] += POSITIVITY_FLOOR
+        positive[n] = _factorizes(stack)
+    for b in blocks:
+        if positive[b.shape[-1]]:
+            continue
         shifted = b + POSITIVITY_FLOOR * np.eye(b.shape[-1])
         if _factorizes(shifted):
             continue
@@ -615,16 +739,6 @@ def _check_density(fold: _Fold, times: np.ndarray, chunk: np.ndarray, blocks: li
                 raise NumericsError(f"Hermiticity defect {asym[j]:.2e} at t = {times[j]:.3e} s")
             _check_truncation(top[j], times[j])
         raise NumericsError(f"negative eigenvalue {low[j]:.2e} at t = {times[j]:.3e} s")
-
-
-def _segment_samples(times: np.ndarray, boundaries: Sequence[float]) -> list[range]:
-    """The range of sample indices each segment reaches, in order: the walk
-    of _pure_walk and evolve_density.  A sample within 1e-15 past a
-    boundary is reached within the segment before it; every boundary is a
-    sample time (_sample_times), so the last sample of a segment is at its
-    end."""
-    cuts = [bisect.bisect_right(times, b + 1e-15) for b in boundaries[1:-1]]
-    return [range(a, b) for a, b in zip([0, *cuts], [*cuts, len(times)])]
 
 
 def _kernel_calls(times: np.ndarray, ks: range, norm_1: float) -> list[tuple[slice, np.ndarray]]:
@@ -646,59 +760,119 @@ def _kernel_calls(times: np.ndarray, ks: range, norm_1: float) -> list[tuple[sli
 def _cycle_symmetry(
     dims: SystemDims,
     geom: IonGeometry,
-    schedule: PulseSchedule,
     shifts: tuple[float, ...],
-    ops: Sequence[np.ndarray],
-    rho: np.ndarray,
+    hams: Sequence[sp.csr_matrix],
+    ops: Sequence[sp.csr_matrix],
+    rho: sp.csr_matrix,
 ) -> tuple[int, list[int | None]] | None:
     """(step, moves) if U of hilbert.cycle_shift(dims, step) is a symmetry
     of the run, else None.
 
-    First the cheap tests: no leak level, equal Stark shifts, and couplings
-    g_i = sign(a_i) exp(i theta_i) with one ratio g_{i+1} / g_i = exp(-2 pi
-    i step / N) around the cycle.  Then, each to 1e-12 relative in the
-    computational basis: U commutes with each segment's Hamiltonian, maps
-    the collapse operators ops onto themselves up to unit phases and fixes
-    rho.  moves[k] is s where U L_k U^dag = exp(2 pi i s / N) L_k, and None
-    where U maps L_k onto another operator.
+    First the cheap tests: equal Stark shifts, and couplings g_i = sign(a_i)
+    exp(i theta_i) with one ratio g_{i+1} / g_i = exp(-2 pi i step / N)
+    around the cycle.  Then, each to 1e-12 relative in the computational
+    basis: U commutes with each segment's Hamiltonian of hams, maps the
+    collapse operators ops onto themselves up to unit phases and fixes rho.
+    moves[k] is s where U L_k U^dag = exp(2 pi i s / N) L_k, and None where
+    U maps L_k onto another operator.  hams, ops and rho are CSR matrices,
+    each test reads only their stored entries and those entries' images,
+    and the overlaps <L_j, U L_k U^dag> of all pairs are one product.
     """
     n = dims.n_ions
     g = np.sign(geom.mode_amplitudes) * np.exp(1j * np.array(geom.phase_per_ion))
-    if dims.leak_level or len(set(shifts)) > 1 or not g.all():
+    if len(set(shifts)) > 1 or not g.all():
         return None
     ratios = np.roll(g, -1) / g
     step = round(-np.angle(ratios[0]) * n / (2 * np.pi)) % n
     if not np.all(np.abs(ratios - np.exp(-2j * np.pi * step / n)) <= 1e-12):
         return None
     image, phase = cycle_shift(dims, step)
+    dim = dims.dim
 
-    def moved(a: np.ndarray) -> np.ndarray:  # U a U^dag
-        out = np.empty_like(a)
-        out[np.ix_(image, image)] = phase[:, None] * a * phase.conj()
+    def entries(a: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:  # (row * dim + column, value) of a's entries
+        return np.repeat(np.arange(dim), np.diff(a.indptr)) * dim + a.indices, a.data
+
+    def moved(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:  # U a U^dag
+        row, col = np.divmod(keys, dim)
+        return image[row] * dim + image[col], phase[row] * vals * phase[col].conj()
+
+    def on(support: np.ndarray, keys: np.ndarray, vals: np.ndarray) -> np.ndarray:  # a's entries at support
+        out = np.zeros(len(support), dtype=complex)
+        out[np.searchsorted(support, keys)] = vals
         return out
 
     def close(a: np.ndarray, b: np.ndarray) -> bool:
         return bool(np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b))
 
-    hams = (segment_hamiltonian(dims, geom, seg, shifts).matrix for seg in schedule.segments)
-    if not close(moved(rho), rho) or not all(close(moved(h), h) for h in hams):
+    def fixed(a) -> bool:
+        keys, vals = entries(a)
+        image_keys, image_vals = moved(keys, vals)
+        support = np.union1d(keys, image_keys)
+        return close(on(support, image_keys, image_vals), on(support, keys, vals))
+
+    if not fixed(rho) or not all(fixed(h) for h in hams):
         return None
+    if not ops:
+        return step, []
     # compared at unit largest entry, which U keeps, so that no tiny rate underflows
-    scales = [np.abs(l).max() for l in ops]
-    units = [l / scale for l, scale in zip(ops, scales)]
+    ents = [entries(l) for l in ops]
+    scales = [np.abs(vals).max() for _, vals in ents]
+    units = [(keys, vals / scale) for (keys, vals), scale in zip(ents, scales)]
+    images = [moved(*unit) for unit in units]
+    support = np.unique(np.concatenate([keys for keys, _ in units + images]))
+    units, images = (np.array([on(support, *x) for x in xs]) for xs in (units, images))
+    overlaps = (units.conj() @ images.T) / np.vecdot(units, units)[:, None]  # [j, k]: <L_j, U L_k U^dag> / |L_j|^2
     moves, free = [], list(range(len(ops)))
-    for k, l in enumerate(units):
-        image_l = moved(l)
+    for k in range(len(ops)):
         for j in free:
-            c = np.vdot(units[j], image_l) / np.vdot(units[j], units[j])
+            c = overlaps[j, k]
             same_scale = abs(scales[k] - scales[j]) <= 1e-12 * scales[j]
-            if same_scale and abs(abs(c) - 1) <= 1e-12 and close(image_l, c * units[j]):
+            if same_scale and abs(abs(c) - 1) <= 1e-12 and close(images[k], c * units[j]):
                 break
         else:
             return None
         free.remove(j)
         moves.append(round(np.angle(c) * n / (2 * np.pi)) % n if j == k else None)
     return step, moves
+
+
+def _sector_fold(dims: SystemDims, step: int, moves: Sequence[int | None]) -> tuple[_Fold, dict[int, np.ndarray]]:
+    """(fold, targets) of a run in the eigen-sectors of U (hilbert.cycle_sectors).
+
+    The groups are the columns of w that share the orbit of rep's leak set
+    under the cyclic shift, labelled by its smallest bit mask O, and a
+    sector s, ordered by O N + s; without a leak level, the sectors.  U only
+    permutes the leak sets within an orbit, so a rho block diagonal over the
+    leak sets and fixed by U is block diagonal over these groups.
+    targets[s][g], for each move s of moves, is the group (O, s_g + s) that
+    an operator U multiplies by exp(2 pi i s / N) takes group g to, or -1.
+    """
+    n = dims.n_ions
+    w, sector, rep = cycle_sectors(dims, step)
+    leaked = (np.array(dims.spin_configurations()) == LEAK)[rep // dims.n_fock]
+    orbit = np.min([np.roll(leaked, j, axis=1) @ (1 << np.arange(n)) for j in range(n)], axis=0)
+    keys, label = np.unique(orbit * n + sector, return_inverse=True)
+    fold = _Fold(dims, [np.flatnonzero(label == g) for g in range(len(keys))], (sp.csr_matrix(w), rep))
+    index = {key: g for g, key in enumerate(keys)}
+    targets = {s: np.array([index.get(key - key % n + (key + s) % n, -1) for key in keys]) for s in set(moves) - {None}}
+    return fold, targets
+
+
+def _feed(fold: _Fold, jumps: Sequence[sp.coo_matrix]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, columns, values) of the feed sum_k L_k x L_k^* on the fold's
+    blocks, at positions in its kept vector: one entry per pair (p, q) of
+    entries of one L_k of jumps, in the fold's basis, in one block (B, A)."""
+    n = len(fold.groups)
+    parts = [(np.zeros(0, dtype=np.intp),) * 3 + (np.zeros(0, dtype=complex),)]
+    parts += [(np.full(l.nnz, k), l.row, l.col, l.data) for k, l in enumerate(jumps)]
+    kind, rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
+    bucket = (kind * n + fold.group[rows]) * n + fold.group[cols]
+    order = np.argsort(bucket, kind="stable")
+    _, start, size = np.unique(bucket[order], return_index=True, return_counts=True)
+    run = np.repeat(np.arange(len(size)), size)  # the bucket of each entry in sorted order
+    i, offset = _runs(size[run])  # each sorted entry i, once per entry of its bucket
+    p, q = order[i], order[start[run[i]] + offset]
+    return fold.at(rows[p], rows[q]), fold.at(cols[p], cols[q]), vals[p] * vals[q].conj()
 
 
 def _density_run(
@@ -728,19 +902,20 @@ def _density_run(
     whose own step passes it is a call of its own.  The kernel's shift and
     norm are set up once per segment.
 
-    Only the diagonal blocks of rho over the index groups are propagated:
-    the eigen-sectors of U, in its eigenbasis (hilbert.cycle_sectors), if
-    the run has the ions' cycle symmetry (_cycle_symmetry); else the leak
-    sets of hilbert.leak_sectors if the initial state has no entry between
-    different sets (exact, as nothing feeds those entries), or one group,
-    the whole space.  The run's layout, fold, is built once for those
-    groups, and each operator is taken into its basis once.  One sp.bmat
-    per segment builds the generator on those blocks alone, in the fold's
-    kept order: block (A, A) is K_AA x I + I x K_AA^*, as K keeps each
-    group, and each block (B, A) adds the jump feed sum_k L_k[B, A] x
-    L_k[B, A]^*, sliced once per run, and for a jump operator that U
-    multiplies by a phase only where it moves a sector, so no rounding of
-    a block that vanishes reaches the generator.  The shift is
+    Only the diagonal blocks of rho over the index groups are propagated.
+    If the initial state has no entry between different leak sets
+    (hilbert.leak_sectors), nothing feeds those entries; then the groups
+    are those of _sector_fold, in U's eigenbasis, if the run has the ions'
+    cycle symmetry (_cycle_symmetry), else the leak sets.  Otherwise the
+    one group is the whole space.  The run's layout, fold, is built once
+    for those groups, and each operator is taken into its basis once.  The
+    generator is built on those blocks alone, in the fold's kept order, as
+    one list of entries turned into one sparse matrix per segment: K x I +
+    I x K^* on each block, as K keeps each group, and the feed sum_k L_k x
+    L_k^* over each pair of entries of one L_k in one block (B, A), listed
+    once per run.  A jump operator that U multiplies by a phase keeps only
+    its entries from each group to the group it moves it to, so no
+    rounding of a block that vanishes reaches the generator.  The shift is
     Re(tr L) / dim^2 of the full generator, (sum_k |tr L_k|^2 - dim tr M) /
     dim^2; a complex shift would not keep rho Hermitian.  vec holds only
     the upper triangle of each block (the fold's half), from which the
@@ -768,54 +943,62 @@ def _density_run(
     if initial.dims != dims:
         raise ValueError("initial state dims do not match")
     shifts = noise.shifts_or_zero(dims.n_ions)
+    hams = [sp.csr_matrix(segment_hamiltonian(dims, geom, seg, shifts).matrix) for seg in schedule.segments]
     ops = [op.matrix for op in lindblad_operators(dims, noise)]
-    symmetry = _cycle_symmetry(dims, geom, schedule, shifts, ops, initial.matrix)
+    sparse_ops = [sp.csr_matrix(l) for l in ops]
+    fold = _Fold(dims, leak_sectors(dims))
+    block_diagonal = not initial.matrix[fold.group[:, None] != fold.group].any()
+    symmetry = None
+    if block_diagonal:
+        with np.errstate(over="ignore", invalid="ignore"):  # a rate or a drive far out of range fails later, in plan
+            symmetry = _cycle_symmetry(dims, geom, shifts, hams, sparse_ops, sp.csr_matrix(initial.matrix))
+    moves, targets = [None] * len(ops), {}
     if symmetry is not None:
         step, moves = symmetry
-        w, sector, rep = cycle_sectors(dims, step)
-        fold = _Fold(dims, [np.flatnonzero(sector == s) for s in range(dims.n_ions)], (w, rep))
-    else:
-        moves = [None] * len(ops)
-        fold = _Fold(dims, leak_sectors(dims))
-        if np.count_nonzero(initial.matrix.reshape(-1)[fold.kept]) < np.count_nonzero(initial.matrix):
-            fold = _Fold(dims, [np.arange(dims.dim)])
-    groups = fold.groups
-    n = len(groups)
+        fold, targets = _sector_fold(dims, step, moves)
+    elif not block_diagonal:
+        fold = _Fold(dims, [np.arange(dims.dim)])
+    group = fold.group
 
-    mu, feed, m = 0.0, {}, [0] * n  # m[a]: the block (A, A) of M
-    # here and in propagator, an overflow leaves a NaN or inf norm, which _TaylorExpm.plan rejects
+    mu, m, jumps = 0.0, sp.csr_matrix((dims.dim, dims.dim), dtype=complex), []
+    # here and in generator, an overflow leaves a NaN or inf norm, which _TaylorExpm.plan rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        for l, move in zip(ops, moves):
+        for l, sparse, move in zip(ops, sparse_ops, moves):
             mu += abs(np.trace(l)) ** 2 - dims.dim * np.vdot(l, l).real  # tr(L^dag L) = |L|_F^2
-            l = fold.to_basis(l)
-            # the blocks (B, A) that L may have: from each A to A + move alone for an eigen-operator of U
-            pairs = itertools.product(range(n), repeat=2) if move is None else [((a + move) % n, a) for a in range(n)]
-            for b, a in pairs:
-                l_ba = l[np.ix_(groups[b], groups[a])]
-                if l_ba.any():
-                    l_ba = sp.csr_matrix(l_ba)
-                    m[a] += l_ba.conj().T @ l_ba
-                    feed[b, a] = feed.get((b, a), 0) + sp.kron(l_ba, l_ba.conj())
+            l = fold.to_basis(sparse).tocoo()
+            keep = l.data != 0
+            if move is not None:  # an eigen-operator of U: from each group to its group at move alone
+                keep &= group[l.row] == targets[move][group[l.col]]
+            l = sp.csr_matrix((l.data[keep], (l.row[keep], l.col[keep])), shape=l.shape)
+            m = m + l.conj().T @ l
+            jumps.append(l.tocoo())
+        feed = _feed(fold, jumps)
+    n_kept, kernel_cols = len(fold.kept), np.concatenate((fold.half, fold.lower))
 
-    def propagator(seg: PulseSegment) -> _TaylorExpm:
-        h = fold.to_basis(segment_hamiltonian(dims, geom, seg, shifts).matrix)
-        blocks = [[feed.get((b, a)) for a in range(n)] for b in range(n)]
-        for a, idx in enumerate(groups):
-            k = -1j * sp.csr_matrix(h[np.ix_(idx, idx)]) - 0.5 * m[a]
-            blocks[a][a] = sp.kronsum(k.conj(), k) + feed.get((a, a), 0)  # K x I + I x K^*
-        cols = np.concatenate((fold.half, fold.lower))
-        return _TaylorExpm(sp.bmat(blocks, format="csr"), mu / dims.dim**2, cols, fold.strict)
+    def generator(h: sp.csr_matrix) -> sp.csr_matrix:
+        k = (-1j * fold.to_basis(h) - 0.5 * m).tocoo()
+        within = group[k.row] == group[k.col]
+        e, other = fold.partners(k.row[within])  # each entry e of K within a group, with each column of it
+        r, c, v = k.row[within][e], k.col[within][e], k.data[within][e]
+        n_k = len(v)
+        rows, cols = np.empty((2, 2 * n_k + len(feed[2])), dtype=np.int32)  # scipy's own index type here
+        vals = np.empty(rows.shape, dtype=complex)
+        rows[:n_k], cols[:n_k], vals[:n_k] = fold.at(r, other), fold.at(c, other), v  # K x I
+        rows[n_k : 2 * n_k], cols[n_k : 2 * n_k] = fold.at(other, r), fold.at(other, c)  # I x K^*
+        vals[n_k : 2 * n_k] = v.conj()
+        rows[2 * n_k :], cols[2 * n_k :], vals[2 * n_k :] = feed
+        return sp.coo_matrix((vals, (rows, cols)), shape=(n_kept, n_kept)).tocsr()
 
-    times = _sample_times(schedule, sample_dt)
+    times, _, (cuts,) = _walk_samples([schedule], [sample_dt])
 
     def chunks():
         buffer = np.empty((_CHECK_CHUNK, len(fold.half)), dtype=complex)
         vec = fold.pack(initial.matrix)
         boundaries = schedule.boundaries()
         work = 0
-        for seg_idx, ks in enumerate(_segment_samples(times, boundaries)):
+        for seg_idx, ks in enumerate(map(range, cuts[:-1], cuts[1:])):
             with np.errstate(over="ignore", invalid="ignore"):
-                expm = propagator(schedule.segments[seg_idx])
+                expm = _TaylorExpm(generator(hams[seg_idx]), mu / dims.dim**2, kernel_cols, fold.strict)
                 calls = _kernel_calls(times, ks, expm.norm_1)
             work += sum(math.prod(expm.plan(offsets[-1])) for _, offsets in calls)
             if work > _MAX_MATVECS:
@@ -886,20 +1069,19 @@ def _read(
     which the overlaps and the trace alike are read.  A leak set holds
     every Fock level of each of its spin configurations, so a group's
     block traces to the spin block of those configurations.  A run in the
-    cycle sectors reads each v as w^dag v and traces the rho its blocks
-    rebuild (_Fold.matrices).
+    cycle sectors reads each v as w^dag v (_Fold.coords) and traces the
+    stored samples through one precomputed map (_Fold.spins).
     """
     if fold is None:
         series = [np.vecdot(v, samples) for v in full]
         spins = partial_trace_motion(dims, samples) if trace else None
         return [np.hypot(o.real, o.imag) ** 2 for o in series], spins
-    if fold.w is not None:
-        full = [fold.w.conj().T @ v for v in full]
+    full = [fold.coords(v) for v in full]
     series = [sum(np.vecdot(v[idx], block @ v[idx]).real for idx, block in zip(fold.groups, blocks)) for v in full]
     if not trace:
         return series, None
     if fold.w is not None:
-        return series, partial_trace_motion(dims, fold.matrices(blocks))
+        return series, fold.spins(samples)
     nf = dims.n_fock
     spins = np.zeros((len(samples), dims.spin_dim, dims.spin_dim), dtype=complex)
     for idx, block in zip(fold.groups, blocks):

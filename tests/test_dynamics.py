@@ -1,3 +1,6 @@
+import bisect
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -192,6 +195,63 @@ def test_sample_dt_validation():
         evolve_pure(single_pulse(), dims, GEOM2, named_state(dims, "uu", 0), -1.0)
 
 
+_DURATIONS = st.one_of(st.sampled_from([0.0, 1e-5, 2.5e-5, 1.16e-4]), st.floats(0.0, 2e-4))
+_SAMPLE_DTS = st.one_of(st.none(), st.sampled_from([1e-6, 2.5e-6, 1e-3]), st.floats(1e-7, 1e-4))
+
+
+def _per_cell_sample_times(schedule, sample_dt):
+    """The sample times of one schedule, one cell at a time: the reference
+    for dynamics._walk_samples."""
+    total = schedule.total_duration
+    if sample_dt is None:
+        sample_dt = total / 400.0 if total > 0 else 1.0
+    if sample_dt <= 0:
+        raise ValueError("sample_dt must be > 0")
+    points = {0.0, *schedule.boundaries()}
+    if total > 0:
+        points.update(k * sample_dt for k in range(1, math.floor(total / sample_dt + 1e-9) + 1))
+    times = np.array(sorted(points))
+    return times[times <= total + 1e-15]
+
+
+def _per_cell_segment_ranges(times, boundaries):
+    """The range of sample indices each segment reaches, a sample within
+    1e-15 past a boundary within the segment before it: the reference for
+    dynamics._walk_samples."""
+    cuts = [bisect.bisect_right(times, b + 1e-15) for b in boundaries[1:-1]]
+    return [range(a, b) for a, b in zip([0, *cuts], [*cuts, len(times)])]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_segments=st.integers(1, 3),
+    cells=st.lists(st.tuples(st.lists(_DURATIONS, min_size=3, max_size=3), _SAMPLE_DTS), min_size=1, max_size=6),
+)
+def test_a_walks_sample_times_are_each_cells_bit_for_bit(n_segments, cells):
+    """The sample times and segment ranges of a walk's cells, taken at once,
+    are bit for bit those of each cell alone: its times from a set of its
+    boundaries and step multiples, and its ranges by bisection.  A step
+    that one cell rejects (a subnormal duration's default step is 0) fails
+    the walk too."""
+    schedules = [
+        PulseSchedule(tuple(PulseSegment(d, OMEGA_S, OMEGA_D, DELTA) for d in durations[:n_segments]))
+        for durations, _ in cells
+    ]
+    sample_dts = [dt for _, dt in cells]
+    try:
+        per_cell = [_per_cell_sample_times(schedule, dt) for schedule, dt in zip(schedules, sample_dts)]
+    except ValueError:
+        with pytest.raises(ValueError, match="sample_dt must be > 0"):
+            dynamics._walk_samples(schedules, sample_dts)
+        return
+    times, starts, cuts = dynamics._walk_samples(schedules, sample_dts)
+    assert starts[0] == 0 and starts[-1] == len(times) and cuts.shape == (len(cells), n_segments + 1)
+    for b, (schedule, own) in enumerate(zip(schedules, per_cell)):
+        assert times[starts[b] : starts[b + 1]].tobytes() == own.tobytes()
+        ranges = _per_cell_segment_ranges(own, schedule.boundaries())
+        assert [range(a, z) for a, z in zip(cuts[b, :-1] - starts[b], cuts[b, 1:] - starts[b])] == ranges
+
+
 def _full_noise(gamma, gamma_heat, stark=(), n_bar=0.0):
     return NoiseModel(
         gamma_du=gamma[0],
@@ -368,7 +428,9 @@ def test_readers_of_the_stored_triangles_match_whole_blocks(n_ions, gamma, gamma
     gives on the whole blocks rebuilt here from the stored triangles:
     populations, leak population, full-space and spin-only fidelities,
     spin_matrices and states[k].matrix.  The runs have more samples than
-    one check chunk, so the readers' chunk boundaries are crossed."""
+    one check chunk, so the readers' chunk boundaries are crossed.  The
+    draws include equal Stark shifts, so the cycle-symmetry test is
+    switched off: these are the leak-set readers."""
     from zenosim.protocol import plan_single, plan_three_ion, simulate_plan
 
     if n_ions == 2:
@@ -378,7 +440,9 @@ def test_readers_of_the_stored_triangles_match_whole_blocks(n_ions, gamma, gamma
         dims, names = SystemDims(3, 7, leak_level=True), ("W", "Wbar", "Wc")
     noise = _full_noise(gamma, gamma_heat, stark[:n_ions], n_bar)
     duration = 0.25 * plan.t_pi
-    traj = simulate_plan(plan, noise, duration, dims, duration / 11)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_cycle_symmetry", lambda *args: None)
+        traj = simulate_plan(plan, noise, duration, dims, duration / 11)
     assert len(traj.times) > dynamics._CHECK_CHUNK and len(traj.groups) == 2**n_ions
     targets = [named_state(dims, names[0], 0), spin_state(dims, names[1]), spin_state(dims, names[2])]
     rec = extract_populations(traj, targets)
@@ -436,18 +500,47 @@ def test_a_run_in_the_cycle_sectors_matches_the_plain_run(n_ions, gamma, gamma_h
     1e-12: rho, P_k, the leak population, full-space and spin-only
     fidelities, the top Fock population and spin_matrices.  The two-ion
     run crosses the composite sign flip at t1."""
+    noise = NoiseModel(gamma_du=gamma[0], gamma_ud=gamma[1], gamma_heat=gamma_heat, stark_shifts=(stark,) * n_ions)
+    traj, plain = _assert_sector_run_matches_plain_run(n_ions, False, noise, n_bar)
+    assert len(traj.groups) == n_ions and len(plain.groups) == 1
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    n_ions=st.sampled_from([2, 3]),
+    gamma=st.tuples(st.floats(0.0, 2e3), st.floats(0.0, 2e3), st.floats(1.0, 2e3), st.floats(0.0, 2e3)),
+    gamma_heat=st.floats(0.0, 50.0),
+    stark=st.floats(-2e4, 2e4),
+    n_bar=st.floats(0.0, 0.002),
+)
+def test_a_leak_level_run_in_the_cycle_sectors_matches_the_plain_run(n_ions, gamma, gamma_heat, stark, n_bar):
+    """With a leak level, uniform rates into it and out of the qubit
+    levels, equal Stark shifts and a start of all ions up, a run has the
+    ions' cycle symmetry and is propagated in its sectors of each leak-set
+    orbit (n_ions + 1 orbits of n_ions sectors); every sample matches the
+    same run with the symmetry test switched off, over the leak sets, to
+    1e-12, as without a leak level."""
+    noise = _full_noise(gamma, gamma_heat, (stark,) * n_ions)
+    traj, plain = _assert_sector_run_matches_plain_run(n_ions, True, noise, n_bar)
+    assert len(traj.groups) == n_ions * (n_ions + 1) and len(plain.groups) == 2**n_ions
+
+
+def _assert_sector_run_matches_plain_run(n_ions, leak_level, noise, n_bar):
+    """The run of _density_runs from all ions up, in the cycle sectors,
+    against the plain run on every sample, to 1e-12: rho, P_k, the leak
+    population, full-space and spin-only fidelities, the top Fock
+    population and spin_matrices.  Returns both trajectories."""
     from zenosim.protocol import plan_composite, plan_geometry, plan_schedule, plan_three_ion
 
     if n_ions == 2:
-        plan, dims, names = plan_composite(OMEGA_S, 1), SystemDims(2, 8), ("uu", "T", "S", "dd")
+        plan, dims, names = plan_composite(OMEGA_S, 1), SystemDims(2, 8, leak_level), ("uu", "T", "S", "dd")
     else:
         plan = plan_three_ion(2 * np.pi * 19.0e3, 2 * np.pi * 1.24e3)
-        dims, names = SystemDims(3, 7), ("uuu", "W", "Wbar", "Wc")
-    noise = NoiseModel(gamma_du=gamma[0], gamma_ud=gamma[1], gamma_heat=gamma_heat, stark_shifts=(stark,) * n_ions)
+        dims, names = SystemDims(3, 7, leak_level), ("uuu", "W", "Wbar", "Wc")
     duration = (0.5 if n_ions == 2 else 0.25) * plan.t_pi
     rho0 = thermal_product_state(dims, spin_state(dims, names[0]), n_bar)
     traj, plain = _density_runs(plan_schedule(plan, duration), dims, plan_geometry(plan), noise, rho0, duration / 11)
-    assert traj.fold.w is not None and len(traj.groups) == n_ions and len(plain.groups) == 1
+    assert traj.fold.w is not None and plain.fold.w is None
     for state, ref in zip(traj.states, plain.states, strict=True):
         np.testing.assert_allclose(state.matrix, ref.matrix, rtol=0, atol=1e-12)
     targets = [named_state(dims, names[1], 0), spin_state(dims, names[2]), spin_state(dims, names[3])]
@@ -457,13 +550,35 @@ def test_a_run_in_the_cycle_sectors_matches_the_plain_run(n_ions, gamma, gamma_h
     pairs.append(tuple(t.samples[:, t.fold.tops].real.sum(axis=1) for t in (traj, plain)))  # the Fock limit's series
     for got, want in [*pairs, (traj.spin_matrices(), plain.spin_matrices())]:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    return traj, plain
+
+
+def test_a_start_with_coherence_between_leak_sets_takes_the_whole_space():
+    """A start fixed by U but with coherence between two leak sets, (|uu>
+    + |oo>) / sqrt(2), is not block diagonal over them: the run with the
+    ions' cycle symmetry falls back to one group, the whole space, bit for
+    bit the run with the symmetry test switched off."""
+    import scipy.sparse as sp
+
+    from zenosim.protocol import plan_composite, plan_geometry, plan_schedule
+
+    plan, dims = plan_composite(OMEGA_S, 1), SystemDims(2, 6, leak_level=True)
+    psi = np.zeros(dims.dim, dtype=complex)
+    psi[[dims.basis_index((UP, UP), 0), dims.basis_index((LEAK, LEAK), 0)]] = 1 / np.sqrt(2)
+    noise = _full_noise((300.0, 200.0, 150.0, 100.0), 20.0, (1e3, 1e3))
+    schedule = plan_schedule(plan, 0.25 * plan.t_pi)
+    rho0 = PureState(dims, psi).to_density()
+    assert dynamics._cycle_symmetry(dims, plan_geometry(plan), noise.stark_shifts, [], [], sp.csr_matrix(rho0.matrix))
+    traj, plain = _density_runs(schedule, dims, plan_geometry(plan), noise, rho0, plan.t_pi / 40)
+    assert traj.fold.w is None and len(traj.groups) == 1
+    assert traj.samples.tobytes() == plain.samples.tobytes()
 
 
 def test_a_run_without_the_cycle_symmetry_keeps_the_leak_set_path():
-    """Unequal Stark shifts, a leak level, a |uud> start and a geometry
-    whose couplings do not step by one ratio each break the symmetry: the
-    run keeps the leak-set layout, bit for bit the run with the symmetry
-    test switched off."""
+    """Unequal Stark shifts, without and with a leak level, a |uud> start
+    and a geometry whose couplings do not step by one ratio each break the
+    symmetry: the run keeps the leak-set layout, bit for bit the run with
+    the symmetry test switched off."""
     from zenosim.protocol import plan_schedule, plan_three_ion
 
     plan = plan_three_ion(2 * np.pi * 19.0e3, 2 * np.pi * 1.24e3)
@@ -475,9 +590,10 @@ def test_a_run_without_the_cycle_symmetry_keeps_the_leak_set_path():
     uud[dims.basis_index((UP, UP, DOWN), 0)] = 1.0
     uneven = IonGeometry(3, (2 * np.pi / 3, 0.0, 0.0), geom.mode_amplitudes)
     uuu = thermal_product_state(dims, spin_state(dims, "uuu"), noise.n_bar)
+    leaky_uuu = thermal_product_state(leaky, spin_state(leaky, "uuu"), noise.n_bar)
     cases = [
         (dims, geom, NoiseModel(gamma_du=300.0, gamma_heat=20.0, stark_shifts=(2e3, 0.0, 2e3), n_bar=0.001), uuu),
-        (leaky, geom, noise, thermal_product_state(leaky, spin_state(leaky, "uuu"), noise.n_bar)),
+        (leaky, geom, _full_noise((300.0, 0.0, 200.0, 100.0), 20.0, (2e3, 0.0, 2e3), 0.001), leaky_uuu),
         (dims, geom, noise, PureState(dims, uud).to_density()),
         (dims, uneven, noise, uuu),
     ]
@@ -504,6 +620,30 @@ def test_each_leak_block_is_checked():
     rho[uu, uu], rho[top, top] = 1.0 - 1e-6, 1e-6
     with pytest.raises(TruncationError, match=r"at t = 0\.00 us"):
         evolve_density(single_pulse(), dims, GEOM2, NoiseModel(), DensityOperator(dims, rho))
+
+
+def test_the_first_non_positive_block_of_the_first_failing_sample_is_reported():
+    """Blocks of one width are factorized in one stacked call, yet the
+    report is the per-block one: the first failing sample, with the
+    eigenvalue of its first non-positive block in block order.  Of the two
+    equal-width leak blocks, the second fails at sample 1 (-0.01) and the
+    first only at sample 2; the narrower block after them fails at sample 1
+    too (-0.02)."""
+    dims = SystemDims(2, 4, leak_level=True)
+    fold = dynamics._Fold(dims, leak_sectors(dims))
+    assert [len(idx) for idx in fold.groups] == [16, 8, 8, 4]
+    rhos = np.zeros((3, dims.dim, dims.dim), dtype=complex)
+    rhos[:, dims.basis_index((UP, UP), 0), dims.basis_index((UP, UP), 0)] = 1.0
+    for k, pair, x in [
+        (1, [(UP, LEAK), (DOWN, LEAK)], 0.01),  # the second 8-wide block
+        (1, [(LEAK, LEAK), (LEAK, LEAK)], 0.02),  # the 4-wide block, Fock levels 0 and 1
+        (2, [(LEAK, UP), (LEAK, DOWN)], 0.03),  # the first 8-wide block
+    ]:
+        i, j = dims.basis_index(pair[0], 0), dims.basis_index(pair[1], int(pair[0] == pair[1]))
+        rhos[k, i, j] = rhos[k, j, i] = x
+    chunk = fold.pack(rhos)
+    with pytest.raises(NumericsError, match=r"negative eigenvalue -1\.00e-02 at t = 1\.000e-06 s"):
+        dynamics._check_density(fold, np.arange(3) * 1e-6, chunk, fold.blocks(chunk))
 
 
 def test_density_contracts_fail_on_nan():
@@ -962,8 +1102,8 @@ def test_density_samples_stay_physical(gamma, gamma_heat, stark, n_bar):
 def test_stacked_readout_matches_per_sample_loop(gamma, gamma_heat, stark, n_bar, lindblad):
     """The stacked readout of two-ion runs against the loop over dense
     states.  Without rates or a thermal start the run is pure-state, with
-    the Stark shifts; without leak rates the density run is one block, the
-    whole space, or, with equal shifts, one block per cycle sector."""
+    the Stark shifts; the density run is stored as its leak-set blocks, or,
+    with equal shifts, as one block per cycle sector and leak-set orbit."""
     from zenosim.protocol import plan_single
 
     noise = _full_noise(gamma, gamma_heat, stark, n_bar) if lindblad else NoiseModel(stark_shifts=stark)
@@ -998,8 +1138,8 @@ def _assert_stacked_readout_matches_loop(plan, noise, dims):
         assert traj.groups == () and traj.samples.shape == (len(traj.times), dims.dim)
     elif traj.fold.w is None:
         assert [list(idx) for idx in traj.groups] == [list(idx) for idx in leak_sectors(dims)]
-    else:  # equal Stark shifts without leak rates: the sectors of the ions' cycle symmetry
-        assert len(traj.groups) == dims.n_ions
+    else:  # equal Stark shifts: the sectors of the ions' cycle symmetry, per leak-set orbit with a leak level
+        assert len(traj.groups) == dims.n_ions * (dims.n_ions + 1 if dims.leak_level else 1)
     if not pure:
         assert traj.samples.shape == (len(traj.times), sum(len(idx) * (len(idx) + 1) // 2 for idx in traj.groups))
 
