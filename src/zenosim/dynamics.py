@@ -19,28 +19,25 @@ size or tolerance to choose.
 The generator never couples blocks of rho between different leak sets (the
 sets of ions in the leak level, hilbert.leak_sectors) to the blocks within
 one set: drives, Stark shifts and heating keep each ion's leak status, and a
-leak jump maps the block (A, A) to (A+k, A+k).  A state that starts block
-diagonal over the leak sets therefore stays so exactly, and only those
-blocks are propagated, stored and checked (Buca & Prosen, New J. Phys. 14,
-073007 (2012)).  The same weak-symmetry argument splits a run whose every
-part commutes with U, the cyclic shift of the ions dressed with a
-Fock-level phase (hilbert.cycle_shift): rho then stays block diagonal over
-U's eigen-sectors too, and as U only permutes the leak sets of one orbit,
-over the pairs (leak-set orbit, sector); only those blocks are kept, in U's
-eigenbasis.  Its samples are checked as they are made, so a run that
-breaks its trace, its Hermiticity, the Fock limit or positivity stops
-within a few samples.
+leak jump maps the block (A, A) to (A+k, A+k).  A start block diagonal over
+the leak sets stays so exactly; if every part of the run commutes with U,
+the cyclic shift of the ions dressed with a Fock-level phase
+(hilbert.cycle_shift), it stays block diagonal over U's eigen-sectors too,
+and, as U only permutes the leak sets of one orbit, over the pairs
+(leak-set orbit, sector) (Buca & Prosen, New J. Phys. 14, 073007 (2012)).
+Every density run keeps only the blocks of its index groups, in its basis
+(_Fold): these pairs in U's eigenbasis, else the leak sets, or for a start
+with coherence between them the whole space, in the identity.  Its samples
+are checked as they are made, so a run that breaks its trace, its
+Hermiticity, the Fock limit or positivity stops within a few samples.
 
 A Lindbladian maps Hermitian matrices to Hermitian matrices (Breuer &
 Petruccione, The Theory of Open Quantum Systems, sec. 3.2), so only the
 upper triangle of each block is computed (2,184 of 4,224 rows at the fig3
-preset) and the lower one is its exact conjugate, by construction.  A
-density run hands those triangles on a check chunk at a time, with the
-chunk's whole blocks rebuilt once for the checks and the readers alike;
-only _stacked stacks them, and a stack is read back in the same chunks
-(Trajectory._chunks).  One layout object per run (_Fold) says
-where each stored number sits: the kernel takes its columns from it, the
-checks and readers their diagonals and the whole blocks.
+preset) and the lower one is its exact conjugate.  A density run hands
+those triangles on a check chunk at a time, with the chunk's whole blocks
+rebuilt once for the checks and the readers; only _stacked stacks them,
+and a stack is read back in the same chunks (Trajectory._chunks).
 """
 
 from __future__ import annotations
@@ -200,11 +197,6 @@ class PopulationRecord:
     leak_population: np.ndarray
 
 
-def _sample_times(schedule: PulseSchedule, sample_dt: float | None) -> np.ndarray:
-    """The sample times of one schedule, as _walk_samples takes them."""
-    return _walk_samples([schedule], [sample_dt])[0]
-
-
 def _walk_samples(
     schedules: Sequence[PulseSchedule], sample_dts: Sequence[float | None]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -284,27 +276,26 @@ def _runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _Fold:
     """Where each number of a density run's stored samples sits.
 
-    The run keeps only the blocks of rho within its index groups, which
-    index the columns of its basis: w of basis = (w, rep), a sparse unitary
-    from hilbert.cycle_sectors, so the run's matrix is w^dag rho w and
-    rep[c] gives column c's labels, or without basis the computational one.
-    group[c] is column c's group.  In the row-major vec of that matrix the
-    groups' whole entries sit at kept, block after block: the vector the
-    kernel's generator acts on, in which at(c, d) is the position of the
-    entry (c, d) of a block.  Within that vector half holds the positions
-    of each block's entries (a, b) with a <= b, block after block and
-    row-major, the order of a stored sample (n_half entries); lower the
-    positions of its entries a > b, and strict[k] the index into half of
-    lower[k]'s mirror (b, a), so a Hermitian rho has rho[lower] ==
-    rho[half][strict].conj().  diagonals holds each group's (a, a) as
-    positions in a stored sample, diag all of them and tops those on the
-    top Fock level.
+    The run keeps only the blocks of R = w^dag rho w within its index
+    groups, which index the columns of its basis (w, rep): a sparse unitary
+    w, the identity or the eigenbasis of hilbert.cycle_sectors, and rep[c],
+    the basis index whose labels column c carries.  group[c] is column c's
+    group.  In the row-major vec of R the groups' whole entries sit at
+    kept, block after block: the vector the kernel's generator acts on, in
+    which at(c, d) is the position of the entry (c, d) of a block.  Within
+    that vector half holds the positions of each block's entries (a, b)
+    with a <= b, block after block and row-major, the order of a stored
+    sample (n_half entries); lower the positions of its entries a > b, and
+    strict[k] the index into half of lower[k]'s mirror (b, a), so a
+    Hermitian R has R[lower] == R[half][strict].conj().  diagonals holds
+    each group's (a, a) as positions in a stored sample, diag all of them
+    and tops those on the top Fock level.
     """
 
     def __init__(self, dims: SystemDims, groups: Sequence[np.ndarray], basis: tuple | None = None):
         self.dims = dims
         self.groups = tuple(groups)
-        self.w, self.rep = basis if basis is not None else (None, np.arange(dims.dim))
+        self.w, self.rep = basis or (sp.identity(dims.dim, dtype=complex, format="csr"), np.arange(dims.dim))
         self.kept = np.concatenate([(idx[:, None] * dims.dim + idx).ravel() for idx in self.groups])
         half, lower, strict, self.diagonals = [], [], [], []
         start = n_half = 0
@@ -333,7 +324,7 @@ class _Fold:
             self.group[idx], self._pos[idx], self._width[idx] = g, np.arange(len(idx)), len(idx)
         self._members = np.concatenate(self.groups)
         self._first = np.cumsum([0] + [len(idx) for idx in self.groups])
-        self._w_dag = None if self.w is None else self.w.conj().T.tocsr()
+        self._w_dag = self.w.conj().T.tocsr()
 
     def at(self, c: np.ndarray, d: np.ndarray) -> np.ndarray:
         """The positions in kept of the entries (c, d), each pair within one group."""
@@ -344,17 +335,17 @@ class _Fold:
         i, offset = _runs(self._width[c])
         return i, self._members[self._first[self.group[c[i]]] + offset]
 
-    def to_basis(self, a):
-        """A dim x dim matrix, dense or sparse, in the run's basis: w^dag a w."""
-        return a if self.w is None else self._w_dag @ a @ self.w
+    def to_basis(self, a: sp.csr_matrix) -> sp.csr_matrix:
+        """A sparse dim x dim matrix in the run's basis: w^dag a w."""
+        return self._w_dag @ a @ self.w
 
     def coords(self, v: np.ndarray) -> np.ndarray:
         """A full-space vector in the run's basis: w^dag v."""
-        return v if self.w is None else self._w_dag @ v
+        return self._w_dag @ v
 
     def pack(self, rho: np.ndarray) -> np.ndarray:
-        """The stored sample of a dim x dim rho, or, without a basis, of each of a stack."""
-        rho = self.to_basis(rho)
+        """The stored samples of a dim x dim rho or of each of a stack."""
+        rho = _conjugate(self._w_dag, rho, self.w)
         return rho.reshape(*rho.shape[:-2], -1)[..., self.kept[self.half]]
 
     def blocks(self, h: np.ndarray) -> list[np.ndarray]:
@@ -378,19 +369,18 @@ class _Fold:
             yield start, samples, self.blocks(samples)
 
     def matrices(self, blocks: list[np.ndarray]) -> np.ndarray:
-        """The (C, dim, dim) rho, in the computational basis, of a chunk's
-        whole blocks.  A run with a basis keeps rho block diagonal over the
-        leak sets (_sector_fold), so the entries between them, which w R
-        w^dag cancels only to rounding, are set to exactly 0."""
+        """The (C, dim, dim) rho = w R w^dag of a chunk's whole blocks.  A
+        layout of several groups is built for a start block diagonal over
+        the leak sets, which the run keeps, so the entries between them,
+        which w R w^dag may cancel only to rounding, are set to exactly 0;
+        the one group of the whole space keeps its coherences."""
         dim = len(self.rep)
         rho = np.zeros((len(blocks[0]), dim, dim), dtype=complex)
         for idx, block in zip(self.groups, blocks):
             rho[:, idx[:, None], idx] = block
-        if self.w is None:
-            return rho
-        w = self.w.toarray()
-        rho = w @ rho @ w.conj().T
-        rho[:, self._between] = 0.0
+        rho = _conjugate(self.w, rho, self._w_dag)
+        if len(self.groups) > 1:
+            rho[:, self._between] = 0.0
         return rho
 
     @functools.cached_property
@@ -403,42 +393,48 @@ class _Fold:
 
     def spins(self, h: np.ndarray) -> np.ndarray:
         """The motion-traced (C, spin_dim, spin_dim) spin matrices of C
-        stored samples h of a run with a basis: one product (_spin_map)."""
+        stored samples h, C-contiguous: one sparse product (_spin_map)."""
         take, mirrored, weights = self._spin_map
         picked = h[:, take]
         np.conjugate(picked, out=picked, where=mirrored)
         sd = self.dims.spin_dim
-        return (picked @ weights).reshape(len(h), sd, sd)
+        return np.ascontiguousarray((weights @ picked.T).T).reshape(len(h), sd, sd)
 
     @functools.cached_property
-    def _spin_map(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _spin_map(self) -> tuple[np.ndarray, np.ndarray, sp.csr_matrix]:
         """(take, mirrored, weights): the flattened spin matrix of a stored
-        sample h is x @ weights, where x is h[take], conjugated where
-        mirrored, the entries of the run's matrix it reads.
+        sample h is weights @ x, where x is h[take], conjugated where
+        mirrored, the entries of R it reads, and weights is sparse
+        (spin_dim^2, len(take)).
 
-        Entry (c, d) of the run's matrix adds w[i, c] conj(w[j, d]) of itself
-        to the spin entry of the basis states i and j.  Each column of w lies
-        on one Fock level, so only pairs (c, d) at one level contribute, and
-        a column holds at most n_ions nonzeros, its orbit.
+        Entry (c, d) of R adds w[i, c] conj(w[j, d]) of itself to the spin
+        entry of the basis states i and j.  Each column of w lies on one
+        Fock level, so only pairs (c, d) at one level contribute, taken in
+        the order of their positions in [h, conj(h)].
         """
         nf, sd = self.dims.n_fock, self.dims.spin_dim
         w = self.w.tocsc()
         counts = np.diff(w.indptr)
-        rows = np.zeros((len(self.rep), counts.max()), dtype=np.intp)  # each column's nonzeros, padded with 0s
-        vals = np.zeros(rows.shape, dtype=complex)
-        col, slot = _runs(counts)
-        rows[col, slot], vals[col, slot] = w.indices, w.data
         c, d = np.divmod(self.kept, len(self.rep))
         entry = np.flatnonzero(self.rep[c] % nf == self.rep[d] % nf)
-        c, d = c[entry], d[entry]
-        spin = (rows[c, :, None] // nf) * sd + rows[d, None, :] // nf
-        weight = vals[c, :, None] * vals[d, None, :].conj()
-        source = np.broadcast_to(self._mirror[entry, None, None], spin.shape)
-        sources, source = np.unique(source, return_inverse=True)
-        weights = np.zeros((len(sources), sd * sd), dtype=complex)
-        np.add.at(weights, (source, spin), weight)
-        mirrored = sources >= len(self.half)
-        return sources % len(self.half), mirrored, weights
+        entry = entry[np.argsort(self._mirror[entry])]
+        e, p = _runs(counts[c[entry]])  # each entry e with each nonzero p of its column c
+        p += w.indptr[c[entry[e]]]
+        k, q = _runs(counts[d[entry[e]]])  # each of those, k, with each nonzero q of column d
+        e, p, q = e[k], p[k], q + w.indptr[d[entry[e[k]]]]
+        spin = (w.indices[p] // nf) * sd + w.indices[q] // nf
+        weights = sp.csr_matrix((w.data[p] * w.data[q].conj(), (spin, e)), shape=(sd * sd, len(entry)))
+        sources = self._mirror[entry]
+        return sources % len(self.half), sources >= len(self.half), weights
+
+
+def _conjugate(left: sp.csr_matrix, stack: np.ndarray, right: sp.csr_matrix) -> np.ndarray:
+    """left @ a @ right for each dim x dim matrix a of a (..., dim, dim)
+    stack: two sparse products over the stack's matrices side by side."""
+    dim = stack.shape[-1]
+    side_by_side = np.moveaxis(stack.reshape(-1, dim, dim), 0, 1).reshape(dim, -1)
+    left_product = (left @ side_by_side).reshape(dim, -1, dim)
+    return (np.moveaxis(left_product, 1, 0).reshape(-1, dim) @ right).reshape(stack.shape)
 
 
 class _TaylorExpm:
@@ -666,15 +662,6 @@ def evolve_pure(
     return Trajectory(times, amps, dims, schedule)
 
 
-def _factorizes(mats: np.ndarray) -> bool:
-    """Whether np.linalg.cholesky succeeds on one matrix or on every matrix of a stack."""
-    try:
-        np.linalg.cholesky(mats)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 # samples per step of a density run: each run of 8 samples within a
 # segment is one Taylor kernel call (two where the theta_55 cap falls inside
 # it), checked and handed to its readers as soon as it is filled, and each
@@ -694,12 +681,12 @@ def _check_density(fold: _Fold, times: np.ndarray, chunk: np.ndarray, blocks: li
     defect of rho - rho^dag is 2 |Im diag|, and it is NaN when any stored
     entry is not finite.  A sample is positive exactly when each block is:
     a Cholesky factorization of block + 1e-7 I succeeds exactly when its
-    smallest eigenvalue is above -1e-7, which is only computed to report a
-    failure.  The blocks of one width are factorized in one stacked call;
-    only where it fails are they taken block by block and sample by sample,
-    in block order, so a sample reports its first non-positive block.  The
-    first failing sample raises, with the first contract it fails in the
-    order above.  Each test is written so that NaN fails it;
+    smallest eigenvalue is above -1e-7.  The blocks of one width are
+    factorized in one stacked call; only where it fails are the smallest
+    eigenvalues of that width's blocks taken, in one call, and a sample
+    reports its first block, in block order, whose smallest eigenvalue is
+    below -1e-7.  The first failing sample raises, with the first contract
+    it fails in the order above.  Each test is written so that NaN fails it;
     positivity is only tested on samples that pass the others, whose
     entries are then finite.
     """
@@ -709,26 +696,23 @@ def _check_density(fold: _Fold, times: np.ndarray, chunk: np.ndarray, blocks: li
     asym[~np.isfinite(chunk).all(axis=1)] = np.nan
     top = chunk[:, fold.tops].real.sum(axis=1)
     earlier = ~(drift <= 1e-8) | ~(asym <= 1e-10) | ~(top < TOP_FOCK_LIMIT)
-    low = np.zeros(len(chunk))  # per sample, the failing eigenvalue of its first non-positive block
-    widths: dict[int, list[np.ndarray]] = {}
-    for b in blocks:
-        widths.setdefault(b.shape[-1], []).append(b)
-    positive = {}
+    widths: dict[int, list[int]] = {}
+    for k, b in enumerate(blocks):
+        widths.setdefault(b.shape[-1], []).append(k)
+    lowest = {}  # block k -> its smallest eigenvalue at each sample, 0 where earlier
     for n, same in widths.items():
-        stack = np.concatenate(same)
+        stack = np.concatenate([blocks[k] for k in same])
         stack[:, range(n), range(n)] += POSITIVITY_FLOOR
-        positive[n] = _factorizes(stack)
-    for b in blocks:
-        if positive[b.shape[-1]]:
-            continue
-        shifted = b + POSITIVITY_FLOOR * np.eye(b.shape[-1])
-        if _factorizes(shifted):
-            continue
-        for j in np.flatnonzero((low == 0) & ~earlier):
-            if not _factorizes(shifted[j]):
-                min_eig = float(np.linalg.eigvalsh(b[j])[0])
-                if min_eig < -POSITIVITY_FLOOR:
-                    low[j] = min_eig
+        try:
+            np.linalg.cholesky(stack)
+        except np.linalg.LinAlgError:
+            eigs = np.zeros((len(same), len(chunk)))
+            eigs[:, ~earlier] = np.linalg.eigvalsh(np.stack([blocks[k][~earlier] for k in same]))[..., 0]
+            lowest.update(zip(same, eigs))
+    low = np.zeros(len(chunk))  # per sample, the smallest eigenvalue of its first non-positive block
+    for k in sorted(lowest):
+        first = (low == 0) & (lowest[k] < -POSITIVITY_FLOOR)
+        low[first] = lowest[k][first]
     failed = np.flatnonzero(earlier | (low < 0))
     if failed.size:
         j = failed[0]
@@ -770,13 +754,13 @@ def _cycle_symmetry(
 
     First the cheap tests: equal Stark shifts, and couplings g_i = sign(a_i)
     exp(i theta_i) with one ratio g_{i+1} / g_i = exp(-2 pi i step / N)
-    around the cycle.  Then, each to 1e-12 relative in the computational
-    basis: U commutes with each segment's Hamiltonian of hams, maps the
-    collapse operators ops onto themselves up to unit phases and fixes rho.
-    moves[k] is s where U L_k U^dag = exp(2 pi i s / N) L_k, and None where
-    U maps L_k onto another operator.  hams, ops and rho are CSR matrices,
-    each test reads only their stored entries and those entries' images,
-    and the overlaps <L_j, U L_k U^dag> of all pairs are one product.
+    around the cycle.  Then, each to 1e-12 relative in the Frobenius norm,
+    with U a CSR matrix and the CSR matrices hams, ops and rho: U fixes rho,
+    commutes with each segment's Hamiltonian of hams and maps the collapse
+    operators ops onto themselves up to unit phases.  moves[k] is s where U
+    L_k U^dag = exp(2 pi i s / N) L_k, and None where U maps L_k onto
+    another operator; the overlaps <L_j, U L_k U^dag> of all pairs are one
+    sparse product.
     """
     n = dims.n_ions
     g = np.sign(geom.mode_amplitudes) * np.exp(1j * np.array(geom.phase_per_ion))
@@ -788,40 +772,23 @@ def _cycle_symmetry(
         return None
     image, phase = cycle_shift(dims, step)
     dim = dims.dim
+    u = sp.csr_matrix((phase, (image, np.arange(dim))), shape=(dim, dim))
+    u_dag = u.conj().T.tocsr()
 
-    def entries(a: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:  # (row * dim + column, value) of a's entries
-        return np.repeat(np.arange(dim), np.diff(a.indptr)) * dim + a.indices, a.data
+    def close(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
+        return bool(np.linalg.norm((a - b).data) <= 1e-12 * np.linalg.norm(b.data))
 
-    def moved(keys: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:  # U a U^dag
-        row, col = np.divmod(keys, dim)
-        return image[row] * dim + image[col], phase[row] * vals * phase[col].conj()
-
-    def on(support: np.ndarray, keys: np.ndarray, vals: np.ndarray) -> np.ndarray:  # a's entries at support
-        out = np.zeros(len(support), dtype=complex)
-        out[np.searchsorted(support, keys)] = vals
-        return out
-
-    def close(a: np.ndarray, b: np.ndarray) -> bool:
-        return bool(np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b))
-
-    def fixed(a) -> bool:
-        keys, vals = entries(a)
-        image_keys, image_vals = moved(keys, vals)
-        support = np.union1d(keys, image_keys)
-        return close(on(support, image_keys, image_vals), on(support, keys, vals))
-
-    if not fixed(rho) or not all(fixed(h) for h in hams):
+    if not close(u @ rho @ u_dag, rho) or not all(close(u @ h @ u_dag, h) for h in hams):
         return None
     if not ops:
         return step, []
     # compared at unit largest entry, which U keeps, so that no tiny rate underflows
-    ents = [entries(l) for l in ops]
-    scales = [np.abs(vals).max() for _, vals in ents]
-    units = [(keys, vals / scale) for (keys, vals), scale in zip(ents, scales)]
-    images = [moved(*unit) for unit in units]
-    support = np.unique(np.concatenate([keys for keys, _ in units + images]))
-    units, images = (np.array([on(support, *x) for x in xs]) for xs in (units, images))
-    overlaps = (units.conj() @ images.T) / np.vecdot(units, units)[:, None]  # [j, k]: <L_j, U L_k U^dag> / |L_j|^2
+    scales = [np.abs(l.data).max() for l in ops]
+    units = sp.vstack([l / scale for l, scale in zip(ops, scales)], format="csr")  # the L_k on top of each other
+    images = sp.kron(sp.identity(len(ops)), u) @ units @ u_dag  # and each U L_k U^dag
+    units, images = (x.reshape(len(ops), dim * dim).tocsr() for x in (units, images))  # one row each
+    norms = np.asarray(units.multiply(units.conj()).sum(axis=1)).real
+    overlaps = (units.conj() @ images.T).toarray() / norms  # [j, k]: <L_j, U L_k U^dag> / |L_j|^2
     moves, free = [], list(range(len(ops)))
     for k in range(len(ops)):
         for j in free:
@@ -852,7 +819,7 @@ def _sector_fold(dims: SystemDims, step: int, moves: Sequence[int | None]) -> tu
     leaked = (np.array(dims.spin_configurations()) == LEAK)[rep // dims.n_fock]
     orbit = np.min([np.roll(leaked, j, axis=1) @ (1 << np.arange(n)) for j in range(n)], axis=0)
     keys, label = np.unique(orbit * n + sector, return_inverse=True)
-    fold = _Fold(dims, [np.flatnonzero(label == g) for g in range(len(keys))], (sp.csr_matrix(w), rep))
+    fold = _Fold(dims, [np.flatnonzero(label == g) for g in range(len(keys))], (w, rep))
     index = {key: g for g, key in enumerate(keys)}
     targets = {s: np.array([index.get(key - key % n + (key + s) % n, -1) for key in keys]) for s in set(moves) - {None}}
     return fold, targets
@@ -902,13 +869,11 @@ def _density_run(
     whose own step passes it is a call of its own.  The kernel's shift and
     norm are set up once per segment.
 
-    Only the diagonal blocks of rho over the index groups are propagated.
-    If the initial state has no entry between different leak sets
-    (hilbert.leak_sectors), nothing feeds those entries; then the groups
-    are those of _sector_fold, in U's eigenbasis, if the run has the ions'
-    cycle symmetry (_cycle_symmetry), else the leak sets.  Otherwise the
-    one group is the whole space.  The run's layout, fold, is built once
-    for those groups, and each operator is taken into its basis once.  The
+    Only the blocks of the run's layout, fold, are propagated: those of
+    _sector_fold if the start has no entry between different leak sets
+    (hilbert.leak_sectors) and the run has the ions' cycle symmetry
+    (_cycle_symmetry), else the leak sets for such a start, else the whole
+    space.  Each operator is taken into the fold's basis once.  The
     generator is built on those blocks alone, in the fold's kept order, as
     one list of entries turned into one sparse matrix per segment: K x I +
     I x K^* on each block, as K keeps each group, and the feed sum_k L_k x
@@ -1065,12 +1030,10 @@ def _read(
     """<v|rho|v> for each full-space vector v of full, one (T,) series
     each, and, if trace, the motion-traced (T, spin_dim, spin_dim) matrices
     of the T samples of one chunk of a run: fold and blocks are None for
-    amplitudes, else the run's layout and the chunk's whole blocks, from
-    which the overlaps and the trace alike are read.  A leak set holds
-    every Fock level of each of its spin configurations, so a group's
-    block traces to the spin block of those configurations.  A run in the
-    cycle sectors reads each v as w^dag v (_Fold.coords) and traces the
-    stored samples through one precomputed map (_Fold.spins).
+    amplitudes, else the run's layout and the chunk's whole blocks.  A
+    density chunk's overlaps are read from its blocks, each v taken into
+    the run's basis (_Fold.coords), and its trace from its stored samples
+    through one sparse map (_Fold.spins).
     """
     if fold is None:
         series = [np.vecdot(v, samples) for v in full]
@@ -1078,17 +1041,7 @@ def _read(
         return [np.hypot(o.real, o.imag) ** 2 for o in series], spins
     full = [fold.coords(v) for v in full]
     series = [sum(np.vecdot(v[idx], block @ v[idx]).real for idx, block in zip(fold.groups, blocks)) for v in full]
-    if not trace:
-        return series, None
-    if fold.w is not None:
-        return series, fold.spins(samples)
-    nf = dims.n_fock
-    spins = np.zeros((len(samples), dims.spin_dim, dims.spin_dim), dtype=complex)
-    for idx, block in zip(fold.groups, blocks):
-        conf = idx[::nf] // nf
-        n = len(conf)
-        spins[:, conf[:, None], conf] = np.einsum("tanbn->tab", block.reshape(len(block), n, nf, n, nf))
-    return series, spins
+    return series, fold.spins(samples) if trace else None
 
 
 def _fidelities(

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import NumericsError, TruncationError
 
@@ -401,19 +402,19 @@ def cycle_shift(dims: SystemDims, step: int) -> tuple[np.ndarray, np.ndarray]:
     return image, np.tile(np.exp(2j * np.pi * (step * fock % dims.n_ions) / dims.n_ions), dims.spin_dim)
 
 
-def cycle_sectors(dims: SystemDims, step: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def cycle_sectors(dims: SystemDims, step: int) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
     """(w, sector, rep): an orthonormal eigenbasis of cycle_shift's U.
 
-    Column c of the unitary w is the Fourier vector exp(-2 pi i k j / r) /
-    sqrt(r) over the r configurations U^j s of one orbit at one Fock level
-    n, so U w_c = exp(2 pi i sector[c] / n_ions) w_c with sector[c] = (step
-    n + k n_ions / r) mod n_ions.  rep[c], the basis index of (U^k s, n),
-    lies on the column's support and carries its Fock level, up count and
-    leak set; rep is a permutation.
+    Column c of the sparse unitary w is the Fourier vector exp(-2 pi i k j
+    / r) / sqrt(r) over the r configurations U^j s of one orbit at one Fock
+    level n, so U w_c = exp(2 pi i sector[c] / n_ions) w_c with sector[c] =
+    (step n + k n_ions / r) mod n_ions.  rep[c], the basis index of (U^k s,
+    n), lies on the column's support and carries its Fock level, up count
+    and leak set; rep is a permutation.
     """
     n, nf = dims.n_ions, dims.n_fock
     spin_image = cycle_shift(dims, step)[0][::nf] // nf
-    w = np.zeros((dims.dim, dims.dim), dtype=complex)
+    entries = []  # (rows, columns, values) of each column of one orbit and Fourier index k
     sector, rep = np.empty(dims.dim, dtype=int), np.empty(dims.dim, dtype=int)
     seen, col, fock = np.zeros(dims.spin_dim, dtype=bool), 0, np.arange(nf)
     for first in range(dims.spin_dim):
@@ -426,10 +427,12 @@ def cycle_sectors(dims: SystemDims, step: int) -> tuple[np.ndarray, np.ndarray, 
         r, rows = len(orbit), np.array(orbit)[:, None] * nf + fock
         for k in range(r):
             cols = col + fock
-            w[rows, cols] = np.exp(-2j * np.pi * k * np.arange(r) / r)[:, None] / np.sqrt(r)
+            vals = np.exp(-2j * np.pi * k * np.arange(r) / r)[:, None] / np.sqrt(r)
+            entries.append([np.broadcast_to(x, rows.shape).ravel() for x in (rows, cols, vals)])
             sector[cols], rep[cols] = (step * fock + k * n // r) % n, rows[k]
             col += nf
-    return w, sector, rep
+    rows, cols, vals = (np.concatenate(x) for x in zip(*entries))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(dims.dim, dims.dim)), sector, rep
 
 
 def leak_mask(dims: SystemDims) -> np.ndarray:

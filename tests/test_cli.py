@@ -72,12 +72,24 @@ def test_every_non_text_key_rejects_non_finite_values():
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
     """Only fine_tune and find_balanced_detunings need scipy.optimize, which
-    takes about 0.4 s to import; a fresh `import zenosim.cli` must not load it."""
+    takes about 0.4 s to import; a fresh `import zenosim.cli` must not load
+    it.  Nor may a cut fig3 run, a density run in the cycle sectors, load
+    it or scipy.sparse.linalg, which takes about 0.1 s, the whole run's time."""
     src = str(Path(zenosim.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, zenosim.cli; print('scipy.optimize' in sys.modules)"
+    code = """
+import sys, tempfile
+import zenosim.cli
+from zenosim.config import apply_override, load_preset
+
+slow = ("scipy.optimize", "scipy.sparse.linalg")
+print([m for m in slow if m in sys.modules])
+with tempfile.TemporaryDirectory() as out:
+    zenosim.cli.run_scenario(apply_override(load_preset("fig3"), "drive.duration=1e-5"), out)
+print([m for m in slow if m in sys.modules])
+"""
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split("\n")[:2] == ["[]", "[]"]
 
 
 def test_parse_and_reject_unknown_keys():

@@ -474,6 +474,14 @@ def test_readers_of_the_stored_triangles_match_whole_blocks(n_ions, gamma, gamma
     np.testing.assert_array_equal(traj.final.matrix, rhos[-1])
 
 
+def _has_identity_basis(fold) -> bool:
+    """Whether a density run's layout keeps its blocks in the computational basis."""
+    import scipy.sparse as sp
+
+    dim = fold.dims.dim
+    return (fold.w != sp.identity(dim)).nnz == 0 and np.array_equal(fold.rep, np.arange(dim))
+
+
 def _density_runs(schedule, dims, geom, noise, rho0, sample_dt):
     """The run of evolve_density, and the same run with the cycle-symmetry
     test switched off: the leak-set path."""
@@ -540,7 +548,7 @@ def _assert_sector_run_matches_plain_run(n_ions, leak_level, noise, n_bar):
     duration = (0.5 if n_ions == 2 else 0.25) * plan.t_pi
     rho0 = thermal_product_state(dims, spin_state(dims, names[0]), n_bar)
     traj, plain = _density_runs(plan_schedule(plan, duration), dims, plan_geometry(plan), noise, rho0, duration / 11)
-    assert traj.fold.w is not None and plain.fold.w is None
+    assert not _has_identity_basis(traj.fold) and _has_identity_basis(plain.fold)
     for state, ref in zip(traj.states, plain.states, strict=True):
         np.testing.assert_allclose(state.matrix, ref.matrix, rtol=0, atol=1e-12)
     targets = [named_state(dims, names[1], 0), spin_state(dims, names[2]), spin_state(dims, names[3])]
@@ -570,8 +578,66 @@ def test_a_start_with_coherence_between_leak_sets_takes_the_whole_space():
     rho0 = PureState(dims, psi).to_density()
     assert dynamics._cycle_symmetry(dims, plan_geometry(plan), noise.stark_shifts, [], [], sp.csr_matrix(rho0.matrix))
     traj, plain = _density_runs(schedule, dims, plan_geometry(plan), noise, rho0, plan.t_pi / 40)
-    assert traj.fold.w is None and len(traj.groups) == 1
+    assert _has_identity_basis(traj.fold) and len(traj.groups) == 1
     assert traj.samples.tobytes() == plain.samples.tobytes()
+
+
+def test_rebuilt_states_are_exactly_zero_between_leak_sets_unless_the_start_is_not():
+    """Every state rebuilt from a run in the cycle sectors, from |uu> with
+    leak rates and equal shifts, is exactly 0 between different leak sets,
+    which w R w^dag cancels only to rounding; a start with coherence
+    between them, (|uu> + |oo>) / sqrt(2), runs over the whole space and
+    keeps that coherence in every state."""
+    from zenosim.protocol import plan_composite, plan_geometry, plan_schedule
+
+    plan, dims = plan_composite(OMEGA_S, 1), SystemDims(2, 6, leak_level=True)
+    schedule, geom = plan_schedule(plan, 0.25 * plan.t_pi), plan_geometry(plan)
+    noise = _full_noise((300.0, 200.0, 150.0, 100.0), 20.0, (1e3, 1e3))
+    between = _between_leak_sets(dims)
+    uu = thermal_product_state(dims, spin_state(dims, "uu"), 0.005)
+    traj = evolve_density(schedule, dims, geom, noise, uu, plan.t_pi / 40)
+    assert not _has_identity_basis(traj.fold)
+    assert all(np.all(state.matrix[between] == 0.0) for state in traj.states)
+    psi = np.zeros(dims.dim, dtype=complex)
+    psi[[dims.basis_index((UP, UP), 0), dims.basis_index((LEAK, LEAK), 0)]] = 1 / np.sqrt(2)
+    traj = evolve_density(schedule, dims, geom, noise, PureState(dims, psi).to_density(), plan.t_pi / 40)
+    assert len(traj.groups) == 1
+    assert all(np.abs(state.matrix[between]).max() > 0.1 for state in traj.states)
+
+
+def test_the_cycle_symmetry_test_on_hand_built_operators():
+    """Three ions, whose couplings step by exp(-2 pi i / 3): U is the shift
+    by one ion with step 1.  A symmetric Hamiltonian, the all-up ground
+    state and the heating pair with one decay per ion pass: U multiplies a
+    by exp(-2 pi i / 3) and a^dag by its conjugate (moves -1 and +1 mod
+    3), and maps each ion's operator to the next ion's (move None).  A set
+    missing one ion's operator, one ion's rate doubled, a start that U
+    moves and a Hamiltonian U does not commute with each break it."""
+    import scipy.sparse as sp
+
+    from zenosim.hilbert import build_mode_op, build_spin_op
+
+    dims, geom = SystemDims(3, 4), IonGeometry.three_ion_com()
+
+    def csr(*ops, scale=1.0):
+        return sp.csr_matrix(scale * sum(op.matrix for op in ops))
+
+    z = [build_spin_op(dims, i, "z") for i in range(3)]
+    ham = csr(*z, build_mode_op(dims, "number"))
+    heat = [csr(build_mode_op(dims, kind), scale=np.sqrt(20.0)) for kind in ("annihilate", "create")]
+    decay = [csr(build_spin_op(dims, i, "lower"), scale=np.sqrt(300.0)) for i in range(3)]
+    uuu = csr(named_state(dims, "uuu", 0).to_density())
+    uud = np.zeros(dims.dim, dtype=complex)
+    uud[dims.basis_index((UP, UP, DOWN), 0)] = 1.0
+
+    def symmetry(hams=(ham,), ops=(*heat, *decay), rho=uuu):
+        return dynamics._cycle_symmetry(dims, geom, (0.0,) * 3, list(hams), list(ops), rho)
+
+    assert symmetry() == (1, [2, 1, None, None, None])
+    assert symmetry(ops=(*heat, *decay[:2])) is None
+    assert symmetry(ops=(*heat, *decay[:2], decay[2] * np.sqrt(2.0))) is None
+    assert symmetry(rho=csr(PureState(dims, uud).to_density())) is None
+    assert symmetry(hams=(ham, csr(z[0]))) is None
 
 
 def test_a_run_without_the_cycle_symmetry_keeps_the_leak_set_path():
@@ -599,7 +665,7 @@ def test_a_run_without_the_cycle_symmetry_keeps_the_leak_set_path():
     ]
     for case_dims, case_geom, case_noise, rho0 in cases:
         traj, plain = _density_runs(schedule, case_dims, case_geom, case_noise, rho0, plan.t_pi / 40)
-        assert traj.fold.w is None
+        assert _has_identity_basis(traj.fold)
         assert [list(idx) for idx in traj.groups] == [list(idx) for idx in leak_sectors(case_dims)]
         assert traj.samples.tobytes() == plain.samples.tobytes()
 
@@ -1136,7 +1202,7 @@ def _assert_stacked_readout_matches_loop(plan, noise, dims):
     pure = not (noise.has_lindblad or noise.n_bar > 0)
     if pure:
         assert traj.groups == () and traj.samples.shape == (len(traj.times), dims.dim)
-    elif traj.fold.w is None:
+    elif _has_identity_basis(traj.fold):
         assert [list(idx) for idx in traj.groups] == [list(idx) for idx in leak_sectors(dims)]
     else:  # equal Stark shifts: the sectors of the ions' cycle symmetry, per leak-set orbit with a leak level
         assert len(traj.groups) == dims.n_ions * (dims.n_ions + 1 if dims.leak_level else 1)

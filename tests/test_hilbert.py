@@ -302,21 +302,26 @@ def test_leak_sectors_partition_the_basis_by_leak_set():
 def test_cycle_sectors_diagonalize_the_cycle_shift(dims, step):
     """U moves each ion's level to the next ion and multiplies Fock level n
     by exp(2 pi i step n / N); the columns of w are orthonormal eigenvectors
-    of U, each on one orbit at one Fock level, whose labels rep carries."""
+    of U, each on one orbit at one Fock level, whose labels rep carries.
+    w is read as the CSR matrix it comes as."""
+    import scipy.sparse as sp
+
     image, phase = cycle_shift(dims, step)
-    u = np.zeros((dims.dim, dims.dim), dtype=complex)
-    u[image, np.arange(dims.dim)] = phase
+    u = sp.csr_matrix((phase, (image, np.arange(dims.dim))), shape=(dims.dim, dims.dim))
     levels = [UP, DOWN, DOWN][: dims.n_ions]
     moved = basis_vector(dims, [DOWN, UP, DOWN][: dims.n_ions], 1) * np.exp(2j * np.pi * step / dims.n_ions)
     np.testing.assert_allclose(u @ basis_vector(dims, levels, 1), moved, rtol=0, atol=1e-15)
 
     w, sector, rep = cycle_sectors(dims, step)
-    np.testing.assert_allclose(w.conj().T @ w, np.eye(dims.dim), rtol=0, atol=1e-15)
-    np.testing.assert_allclose(u @ w, w * np.exp(2j * np.pi * sector / dims.n_ions), rtol=0, atol=1e-15)
-    assert sorted(rep) == list(range(dims.dim)) and np.all(w[rep, np.arange(dims.dim)] != 0)
+    assert w.format == "csr" and np.all(w.data != 0)
+    assert abs(w.conj().T @ w - sp.identity(dims.dim)).max() <= 1e-15
+    assert abs(u @ w - w @ sp.diags(np.exp(2j * np.pi * sector / dims.n_ions))).max() <= 1e-15
+    assert sorted(rep) == list(range(dims.dim))
     ups = np.array([sum(s == UP for s in c) for c in dims.spin_configurations()]).repeat(dims.n_fock)
+    columns = w.tocsc()
     for c in range(dims.dim):
-        support = np.flatnonzero(w[:, c])
+        support = columns.indices[columns.indptr[c] : columns.indptr[c + 1]]
+        assert rep[c] in support
         assert set(support % dims.n_fock) == {rep[c] % dims.n_fock} and set(ups[support]) == {ups[rep[c]]}
 
 

@@ -328,7 +328,7 @@ def test_a_streamed_fidelity_keeps_no_stack():
     samples would take."""
     import tracemalloc
 
-    from zenosim.dynamics import _sample_times
+    from zenosim.dynamics import _walk_samples
 
     plan, noise, dims = _STREAMED_RUNS["composite-leak-scatter"]()
     sample_dt = plan.total_duration() / 400
@@ -344,7 +344,7 @@ def test_a_streamed_fidelity_keeps_no_stack():
             tracemalloc.stop()
 
     schedule = plan_schedule(plan)
-    extra = len(_sample_times(schedule, sample_dt / 4)) - len(_sample_times(schedule, sample_dt))
+    extra = len(_walk_samples([schedule], [sample_dt / 4])[0]) - len(_walk_samples([schedule], [sample_dt])[0])
     stack_bytes = extra * n_half * np.dtype(complex).itemsize
     assert extra > 1000
     assert peak_bytes(sample_dt / 4) - peak_bytes(sample_dt) < 0.1 * stack_bytes
