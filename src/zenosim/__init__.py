@@ -21,14 +21,7 @@ from .dressed import (
     scan_detuning,
     undesired_hamiltonian,
 )
-from .dynamics import (
-    PopulationRecord,
-    Trajectory,
-    evolve_density,
-    evolve_pure,
-    extract_populations,
-    state_fidelity,
-)
+from .dynamics import PopulationRecord, Trajectory, evolve_pure
 from .errors import ConfigError, ConvergenceError, NumericsError, TruncationError, ZenosimError
 from .hilbert import (
     DensityOperator,

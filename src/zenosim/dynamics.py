@@ -34,10 +34,10 @@ Hermiticity, the Fock limit or positivity stops within a few samples.
 A Lindbladian maps Hermitian matrices to Hermitian matrices (Breuer &
 Petruccione, The Theory of Open Quantum Systems, sec. 3.2), so only the
 upper triangle of each block is computed (2,184 of 4,224 rows at the fig3
-preset) and the lower one is its exact conjugate.  A density run hands
-those triangles on a check chunk at a time, with the chunk's whole blocks
-rebuilt once for the checks and the readers; only _stacked stacks them,
-and a stack is read back in the same chunks (Trajectory._chunks).
+preset) and the lower one is its exact conjugate.  A density run is a
+stream: it hands those triangles on a check chunk at a time, with the
+chunk's whole blocks rebuilt once for the checks and the readers
+(_read_populations, _fidelities), and keeps no stack of its samples.
 """
 
 from __future__ import annotations
@@ -124,61 +124,25 @@ def _one_blas_thread(fn):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """The sampled states of one run, stacked along a leading time axis.
+    """The sampled amplitudes of one pure-state run (evolve_pure).
 
-    samples[k] holds the state at times[k].  A pure-state run (fold None)
-    stores a (T, dim) array of amplitudes.  A density run stores only the
-    upper triangles (a <= b) of the blocks of rho, in its fold's basis,
-    within its index groups (see _density_run), the vector its kernel
-    computes: one (T, n_half) array laid out by the run's fold (_Fold),
-    each block's triangle row-major, block after block.  The stack is read-only.  Its readers
-    replay it in the chunks of a streamed run (_chunks): a density stack
-    _CHECK_CHUNK samples at a time with their whole blocks, a pure one as
-    one chunk.  Callers that need only a few series of a run read its
-    chunks as they are made (protocol._plan_samples) and keep no stack.
-    states and final build PureState or DensityOperator objects, each
-    validated again.
+    samples[k], a read-only row of a (T, dim) array, holds the state at
+    times[k]; states and final build PureState objects, each validated
+    again.
     """
 
     times: np.ndarray
     samples: np.ndarray
     dims: SystemDims
     schedule: PulseSchedule
-    fold: _Fold | None = None
 
     @property
-    def groups(self) -> tuple[np.ndarray, ...]:
-        """The index groups of a density run's blocks; () for a pure-state run."""
-        return () if self.fold is None else self.fold.groups
-
-    def _chunks(self, sel: slice = slice(None)) -> Iterable[tuple[int, np.ndarray, list[np.ndarray] | None]]:
-        """The samples in sel as a streamed run hands them on, (start,
-        samples, blocks): a density stack a check chunk at a time with its
-        whole blocks (_Fold.chunks), a pure one as one chunk with blocks None."""
-        samples = self.samples[sel]
-        return [(0, samples, None)] if self.fold is None else self.fold.chunks(samples)
-
-    def _states(self, sel: slice) -> list:
-        if self.fold is None:
-            return [PureState(self.dims, amps) for amps in self.samples[sel]]
-        return [DensityOperator(self.dims, r) for _, _, b in self._chunks(sel) for r in self.fold.matrices(b)]
+    def states(self) -> tuple[PureState, ...]:
+        return tuple(PureState(self.dims, amps) for amps in self.samples)
 
     @property
-    def states(self) -> tuple:
-        return tuple(self._states(slice(None)))
-
-    @property
-    def final(self):
-        return self._states(slice(-1, None))[0]
-
-    def fidelities(self, target: PureState) -> np.ndarray:
-        """<target|rho|target> at every sample time; see state_fidelity."""
-        return np.concatenate([_fidelities(self.dims, s, self.fold, [target], b)[0] for _, s, b in self._chunks()])
-
-    def spin_matrices(self, sel: slice = slice(None)) -> np.ndarray:
-        """(T', spin_dim, spin_dim) spin density matrices of the samples in
-        sel, with the motional mode traced out."""
-        return np.concatenate([_read(self.dims, s, self.fold, (), True, b)[1] for _, s, b in self._chunks(sel)])
+    def final(self) -> PureState:
+        return PureState(self.dims, self.samples[-1])
 
 
 @dataclass(frozen=True)
@@ -274,7 +238,7 @@ def _runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Fold:
-    """Where each number of a density run's stored samples sits.
+    """Where each number of the samples a density run hands on sits.
 
     The run keeps only the blocks of R = w^dag rho w within its index
     groups, which index the columns of its basis (w, rep): a sparse unitary
@@ -284,12 +248,12 @@ class _Fold:
     kept, block after block: the vector the kernel's generator acts on, in
     which at(c, d) is the position of the entry (c, d) of a block.  Within
     that vector half holds the positions of each block's entries (a, b)
-    with a <= b, block after block and row-major, the order of a stored
-    sample (n_half entries); lower the positions of its entries a > b, and
+    with a <= b, block after block and row-major, the order of a sample
+    (n_half entries); lower the positions of its entries a > b, and
     strict[k] the index into half of lower[k]'s mirror (b, a), so a
     Hermitian R has R[lower] == R[half][strict].conj().  diagonals holds
-    each group's (a, a) as positions in a stored sample, diag all of them
-    and tops those on the top Fock level.
+    each group's (a, a) as positions in a sample, diag all of them and tops
+    those on the top Fock level.
     """
 
     def __init__(self, dims: SystemDims, groups: Sequence[np.ndarray], basis: tuple | None = None):
@@ -344,12 +308,12 @@ class _Fold:
         return self._w_dag @ v
 
     def pack(self, rho: np.ndarray) -> np.ndarray:
-        """The stored samples of a dim x dim rho or of each of a stack."""
-        rho = _conjugate(self._w_dag, rho, self.w)
-        return rho.reshape(*rho.shape[:-2], -1)[..., self.kept[self.half]]
+        """The sample of a dim x dim rho: the upper triangles of the
+        blocks of w^dag rho w."""
+        return (self._w_dag @ rho @ self.w).reshape(-1)[self.kept[self.half]]
 
     def blocks(self, h: np.ndarray) -> list[np.ndarray]:
-        """The groups' whole (C, n, n) blocks of C stored samples h.
+        """The groups' whole (C, n, n) blocks of C samples h.
 
         One take from [h, conj(h)] rebuilds them in the layout of kept, each
         entry below a diagonal the conjugate of its mirror, so the blocks
@@ -360,40 +324,9 @@ class _Fold:
         edges = zip(self.groups, self._edges, self._edges[1:])
         return [whole[:, a:b].reshape(len(h), len(idx), len(idx)) for idx, a, b in edges]
 
-    def chunks(self, flat: np.ndarray) -> Iterator[tuple[int, np.ndarray, list[np.ndarray]]]:
-        """Yield (start, samples, blocks) for each _CHECK_CHUNK samples of a
-        (T, n_half) stack, as _density_run's chunks: the samples from start
-        on and their whole blocks.  A stack of no samples is one empty chunk."""
-        for start in range(0, len(flat) or 1, _CHECK_CHUNK):
-            samples = flat[start : start + _CHECK_CHUNK]
-            yield start, samples, self.blocks(samples)
-
-    def matrices(self, blocks: list[np.ndarray]) -> np.ndarray:
-        """The (C, dim, dim) rho = w R w^dag of a chunk's whole blocks.  A
-        layout of several groups is built for a start block diagonal over
-        the leak sets, which the run keeps, so the entries between them,
-        which w R w^dag may cancel only to rounding, are set to exactly 0;
-        the one group of the whole space keeps its coherences."""
-        dim = len(self.rep)
-        rho = np.zeros((len(blocks[0]), dim, dim), dtype=complex)
-        for idx, block in zip(self.groups, blocks):
-            rho[:, idx[:, None], idx] = block
-        rho = _conjugate(self.w, rho, self._w_dag)
-        if len(self.groups) > 1:
-            rho[:, self._between] = 0.0
-        return rho
-
-    @functools.cached_property
-    def _between(self) -> np.ndarray:
-        """The (dim, dim) mask of the entries between different leak sets (hilbert.leak_sectors)."""
-        leak_set = np.empty(len(self.rep), dtype=np.intp)
-        for k, idx in enumerate(leak_sectors(self.dims)):
-            leak_set[idx] = k
-        return leak_set[:, None] != leak_set
-
     def spins(self, h: np.ndarray) -> np.ndarray:
         """The motion-traced (C, spin_dim, spin_dim) spin matrices of C
-        stored samples h, C-contiguous: one sparse product (_spin_map)."""
+        samples h, C-contiguous: one sparse product (_spin_map)."""
         take, mirrored, weights = self._spin_map
         picked = h[:, take]
         np.conjugate(picked, out=picked, where=mirrored)
@@ -402,7 +335,7 @@ class _Fold:
 
     @functools.cached_property
     def _spin_map(self) -> tuple[np.ndarray, np.ndarray, sp.csr_matrix]:
-        """(take, mirrored, weights): the flattened spin matrix of a stored
+        """(take, mirrored, weights): the flattened spin matrix of a
         sample h is weights @ x, where x is h[take], conjugated where
         mirrored, the entries of R it reads, and weights is sparse
         (spin_dim^2, len(take)).
@@ -426,15 +359,6 @@ class _Fold:
         weights = sp.csr_matrix((w.data[p] * w.data[q].conj(), (spin, e)), shape=(sd * sd, len(entry)))
         sources = self._mirror[entry]
         return sources % len(self.half), sources >= len(self.half), weights
-
-
-def _conjugate(left: sp.csr_matrix, stack: np.ndarray, right: sp.csr_matrix) -> np.ndarray:
-    """left @ a @ right for each dim x dim matrix a of a (..., dim, dim)
-    stack: two sparse products over the stack's matrices side by side."""
-    dim = stack.shape[-1]
-    side_by_side = np.moveaxis(stack.reshape(-1, dim, dim), 0, 1).reshape(dim, -1)
-    left_product = (left @ side_by_side).reshape(dim, -1, dim)
-    return (np.moveaxis(left_product, 1, 0).reshape(-1, dim) @ right).reshape(stack.shape)
 
 
 class _TaylorExpm:
@@ -492,7 +416,7 @@ class _TaylorExpm:
 
     def plan(self, dt: float) -> tuple[int, int]:
         """(m, s) of a step dt: s substeps of at most m matvecs each, kept
-        per dt, so a call reuses the plan of evolve_density's work budget."""
+        per dt, so a call reuses the plan of _density_run's work budget."""
         if dt in self._plans:
             return self._plans[dt]
         with np.errstate(invalid="ignore", over="ignore"):  # NaN and inf fail the budget test below
@@ -644,14 +568,16 @@ def evolve_pure(
     stark_shifts: Sequence[float] | None = None,
 ) -> Trajectory:
     """Propagate a pure state exactly through each constant segment: the
-    stacked walk (_pure_walk) of one schedule.
+    walk (_pure_walk) of one schedule.
 
     Each segment's spectrum comes from a bounded memo (_segment_spectrum)
     keyed by (dims, geom, the segment without its duration, the Stark
     shifts), so a segment is diagonalized once for all schedules that
     differ only in durations.  States are sampled every sample_dt (default
     total/400) and at segment boundaries, each segment's in one product,
-    into a read-only (T, dim) stack of amplitudes.  The first sample whose
+    into the read-only (T, dim) amplitudes of the Trajectory.  A density
+    run has no such call: it is read as a stream (protocol._plan_samples,
+    _density_run).  The first sample whose
     norm drifts beyond 1e-9 raises NumericsError, or whose top Fock level
     holds more than 1e-8 TruncationError, naming its time.
     """
@@ -678,7 +604,7 @@ def _check_density(fold: _Fold, times: np.ndarray, chunk: np.ndarray, blocks: li
     whole blocks of it (_Fold.blocks); rho is zero outside them.  The trace
     and the top Fock population are sums over the blocks' diagonals, read
     in place.  The off-diagonal entries are exact mirrors, so the Frobenius
-    defect of rho - rho^dag is 2 |Im diag|, and it is NaN when any stored
+    defect of rho - rho^dag is 2 |Im diag|, and it is NaN when any
     entry is not finite.  A sample is positive exactly when each block is:
     a Cholesky factorization of block + 1e-7 I succeeds exactly when its
     smallest eigenvalue is above -1e-7.  The blocks of one width are
@@ -987,38 +913,6 @@ def _density_run(
     return times, fold, chunks()
 
 
-@_one_blas_thread
-def evolve_density(
-    schedule: PulseSchedule,
-    dims: SystemDims,
-    geom: IonGeometry,
-    noise: NoiseModel,
-    initial: DensityOperator,
-    sample_dt: float | None = None,
-) -> Trajectory:
-    """Propagate a density operator exactly through each constant segment
-    and stack its samples into a Trajectory.
-
-    The run is _density_run's, sampled every sample_dt (default total/400)
-    and at segment boundaries.  Its Trajectory (_stacked) keeps the fold and
-    one read-only (T, n_half) stack of the upper triangles of its blocks:
-    21 MB at the fig3 preset and 59 MB at three_ion.  OpenBLAS runs
-    on one thread for the call (_one_blas_thread).
-    """
-    times, fold, chunks = _density_run(schedule, dims, geom, noise, initial, sample_dt)
-    return _stacked(schedule, dims, times, fold, chunks)
-
-
-def _stacked(schedule: PulseSchedule, dims: SystemDims, times: np.ndarray, fold: _Fold | None, chunks) -> Trajectory:
-    """The Trajectory of a run handed on as chunks (start, samples,
-    blocks), its samples copied into one read-only stack."""
-    flat = np.empty((len(times), dims.dim if fold is None else len(fold.half)), dtype=complex)
-    for start, samples, _ in chunks:
-        flat[start : start + len(samples)] = samples
-    flat.setflags(write=False)
-    return Trajectory(times, flat, dims, schedule, fold)
-
-
 def _read(
     dims: SystemDims,
     samples: np.ndarray,
@@ -1032,7 +926,7 @@ def _read(
     of the T samples of one chunk of a run: fold and blocks are None for
     amplitudes, else the run's layout and the chunk's whole blocks.  A
     density chunk's overlaps are read from its blocks, each v taken into
-    the run's basis (_Fold.coords), and its trace from its stored samples
+    the run's basis (_Fold.coords), and its trace from its samples
     through one sparse map (_Fold.spins).
     """
     if fold is None:
@@ -1069,21 +963,6 @@ def _fidelities(
     return [next(series) if t.dims == dims else np.vecdot(t.amplitudes, spins @ t.amplitudes).real for t in targets]
 
 
-def state_fidelity(dims: SystemDims, state, target: PureState) -> float:
-    """Overlap with a target state.
-
-    A target on the full space keeps its motional factor; a spin-only target
-    (n_fock = 1) is compared against the motion-traced state.  The state is
-    read as one chunk of a run: amplitudes, or a density matrix packed and
-    rebuilt by a fold of one group over the whole space (_Fold.chunks).
-    """
-    if isinstance(state, PureState):
-        return float(_fidelities(dims, state.amplitudes[None], None, [target], None)[0][0])
-    fold = _Fold(dims, [np.arange(dims.dim)])
-    ((_, packed, blocks),) = fold.chunks(fold.pack(state.matrix)[None])
-    return float(_fidelities(dims, packed, fold, [target], blocks)[0][0])
-
-
 def _read_populations(
     dims: SystemDims,
     times: np.ndarray,
@@ -1096,18 +975,17 @@ def _read_populations(
     """The population record of a run read chunk by chunk, and, if
     peak_spin, the motion-traced spin matrix of its peak sample.
 
-    chunks yields (start, samples, blocks) as _density_run's do; a pure
-    run's blocks are None.  P_k sums the projectors onto all spin
-    configurations with exactly k ions up, traced over motion: one product
-    of the samples' diagonals (of a density run, read in place from the
-    stored triangles, each at its column's labels _Fold.rep) with the
+    chunks yields (start, samples, blocks) as protocol._plan_samples hands
+    them on: a density run's chunks (_density_run), or a pure run's
+    amplitudes as one chunk with blocks None.  P_k sums the projectors onto
+    all spin configurations with exactly k ions up, traced over motion: one
+    product of the samples' diagonals (of a density run, read in place from
+    the triangles, each at its column's labels _Fold.rep) with the
     masks, built once per run, gives every P_k and the leak population at
-    once.  The target series come from one
-    _fidelities per chunk, on the chunk's blocks.  The peak is the first
-    sample of the highest first-target fidelity, as np.argmax picks it;
-    only its sample and a copy of its blocks are kept as the chunks pass,
-    and only it is traced.  A pure-state run whose populations do not sum
-    to 1 within 1e-8 raises NumericsError.
+    once.  The target series come from one _fidelities per chunk, on the
+    chunk's blocks.  The peak is the first sample of the highest
+    first-target fidelity, as np.argmax picks it; only its sample and a
+    copy of its blocks are kept as the chunks pass, and only it is traced.
     """
     masks = np.array([*up_count_projectors(dims), leak_mask(dims)])
     pops, series = [], []
@@ -1120,11 +998,6 @@ def _read_populations(
             for idx, pos in zip(fold.groups, fold.diagonals):
                 diag[:, fold.rep[idx]] = samples[:, pos].real
         pops.append(np.vecdot(diag[:, None, :], masks))
-        if fold is None:
-            total = pops[-1][:, :-1].sum(axis=1) + pops[-1][:, -1]
-            bad = np.flatnonzero(~(np.abs(total - 1.0) <= 1e-8))
-            if bad.size:
-                raise NumericsError(f"populations sum to {total[bad[0]]}, not 1")
         series.append(_fidelities(dims, samples, fold, targets, blocks))
         if peak_spin:
             j = int(np.argmax(series[-1][0]))
@@ -1136,22 +1009,3 @@ def _read_populations(
     target_series = fids[labels[0]] if targets else np.zeros(len(times))
     spin = _read(dims, peak[0], fold, (), True, peak[1])[1][0] if peak_spin else None
     return PopulationRecord(times, pops[:, :-1], target_series, fids, pops[:, -1]), spin
-
-
-def extract_populations(
-    traj: Trajectory,
-    targets: Sequence[PureState],
-    labels: Sequence[str] | None = None,
-) -> PopulationRecord:
-    """Population record of a trajectory, its stack replayed as a run's
-    chunks (Trajectory._chunks, _read_populations): P_k, the probability of
-    exactly k ions up traced over motion, the leak population, and one
-    fidelity series per target under its label, the first also as the
-    headline series.  A pure-state run whose populations do not sum to 1
-    within 1e-8 raises NumericsError.
-    """
-    if labels is None:
-        labels = [f"target_{i}" for i in range(len(targets))]
-    if len(labels) != len(targets):
-        raise ValueError("labels must match targets")
-    return _read_populations(traj.dims, traj.times, traj.fold, traj._chunks(), targets, labels)[0]

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dynamics import _WALK_CELLS, Trajectory, _density_run, _fidelities, _Fold, _one_blas_thread, _pure_walk, _stacked
+from .dynamics import _WALK_CELLS, _density_run, _fidelities, _Fold, _one_blas_thread, _pure_walk
 from .dressed import balanced_detuning
 from .hilbert import DensityOperator, PureState, SystemDims, named_state, spin_state, thermal_product_state
 from .model import IonGeometry, NoiseModel, PulseSchedule, PulseSegment, carrier_pi_time, mean_decay_rate
@@ -175,27 +175,6 @@ def _start(plan: ProtocolPlan, noise: NoiseModel | None, dims: SystemDims) -> Pu
     return named_state(dims, start, 0)
 
 
-@_one_blas_thread
-def simulate_plan(
-    plan: ProtocolPlan,
-    noise: NoiseModel | None = None,
-    duration: float | None = None,
-    dims: SystemDims | None = None,
-    sample_dt: float | None = None,
-) -> Trajectory:
-    """Run the plan from all ions up and return the sampled trajectory: the
-    run of _plan_samples, stacked (dynamics._stacked).
-
-    dims defaults to default_dims(plan, noise), duration and sample_dt to
-    those of plan_schedule and the propagators (total / 400).  OpenBLAS
-    runs on one thread for the call (dynamics._one_blas_thread).
-    """
-    if dims is None:
-        dims = default_dims(plan, noise)
-    times, fold, chunks = _plan_samples(plan, noise, duration, dims, sample_dt)
-    return _stacked(plan_schedule(plan, duration), dims, times, fold, chunks)
-
-
 def _plan_samples(
     plan: ProtocolPlan,
     noise: NoiseModel | None,
@@ -204,8 +183,8 @@ def _plan_samples(
     sample_dt: float | None = None,
 ) -> tuple[np.ndarray, _Fold | None, Iterable]:
     """(times, fold, chunks) of a plan's run from its start state (_start):
-    the one place it starts, for simulate_plan and for callers that read a
-    few series of it and keep no stack.
+    the one place it starts, for its readers (_plan_fidelities and the
+    CLI's trace), which read it as it is made and keep no stack.
 
     A density start is propagated a check chunk at a time
     (dynamics._density_run).  A pure one is walked with the model's Stark
@@ -229,12 +208,14 @@ def simulate_plan_fidelity(
     at_end: bool = True,
     sample_dt: float | None = None,
 ) -> float:
-    """End (or peak) fidelity of simulate_plan against the entangled target.
+    """End (or peak) fidelity of the plan's run (_plan_samples) against
+    the entangled target.
 
     The target is |T> for two ions and |W> for three, in the motional
-    ground state.  An end-fidelity run samples only the segment boundaries
-    unless sample_dt is given; a peak run takes the maximum over the
-    samples of simulate_plan.  This is the one-plan case of _plan_fidelities.
+    ground state, and dims defaults to default_dims(plan, noise).  An
+    end-fidelity run samples only the segment boundaries unless sample_dt
+    is given; a peak run takes the maximum over its samples (default
+    every total / 400).  This is the one-plan case of _plan_fidelities.
     OpenBLAS runs on one thread for the call (dynamics._one_blas_thread),
     also outside run_scenario.
     """

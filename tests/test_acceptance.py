@@ -16,7 +16,7 @@ from zenosim.dressed import (
     perturbative_composite,
     perturbative_single,
 )
-from zenosim.dynamics import evolve_pure, state_fidelity
+from zenosim.dynamics import evolve_pure
 from zenosim.hilbert import SystemDims, named_state
 from zenosim.model import IonGeometry, NoiseModel, PulseSchedule, PulseSegment, mean_decay_rate, sideband_hamiltonian
 from zenosim.protocol import (
@@ -31,6 +31,8 @@ from zenosim.protocol import (
     three_ion_preset,
 )
 from zenosim import tomography as tom
+
+from _runs import fidelity
 
 OMEGA_S = 2 * np.pi * 17.6e3
 
@@ -145,7 +147,7 @@ def test_criterion_07_three_ion_protocol():
     dims_u = SystemDims(3, 6)
     schedule = PulseSchedule((PulseSegment(1.25 * plan.t_pi, omega_s, omega_d, 0.0),))
     traj = evolve_pure(schedule, dims_u, geom, named_state(dims_u, "uuu", 0), plan.t_pi / 300)
-    fid = [state_fidelity(dims_u, s, named_state(dims_u, "W", 0)) for s in traj.states]
+    fid = [fidelity(dims_u, s, named_state(dims_u, "W", 0)) for s in traj.states]
     t_peak = traj.times[int(np.argmax(fid))]
     ok_time = abs(t_peak - plan.t_pi) <= 0.02 * plan.t_pi
     # full noise preset reproduces the predicted peak population

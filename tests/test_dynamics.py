@@ -3,11 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zenosim import dynamics
-from zenosim.dynamics import Trajectory, evolve_density, evolve_pure, extract_populations, state_fidelity
+from zenosim.dynamics import evolve_pure
 from zenosim.errors import NumericsError, TruncationError
 from zenosim.hilbert import (
     DOWN,
@@ -25,6 +25,8 @@ from zenosim.hilbert import (
     up_count_projectors,
 )
 from zenosim.model import IonGeometry, NoiseModel, PulseSchedule, PulseSegment
+
+from _runs import density_run, fidelity, plan_run, pure_run
 
 GEOM2 = IonGeometry.two_ion_stretch()
 
@@ -57,8 +59,8 @@ def test_pure_microwave_flop_matches_ladder_closed_form():
     target = named_state(dims, "T", 0)
     for t, state in zip(traj.times, traj.states):
         expected = 0.5 * np.sin(2 * OMEGA_D * t) ** 2
-        assert abs(state_fidelity(dims, state, target) - expected) < 1e-10
-    peak = max(state_fidelity(dims, s, target) for s in traj.states)
+        assert abs(fidelity(dims, state, target) - expected) < 1e-10
+    peak = max(fidelity(dims, s, target) for s in traj.states)
     assert abs(peak - 0.5) < 1e-3
 
 
@@ -67,7 +69,7 @@ def test_peak_fidelity_near_effective_pi_time():
     schedule = single_pulse(duration=1.4 * T_PI)
     traj = evolve_pure(schedule, dims, GEOM2, named_state(dims, "uu", 0), T_PI / 300)
     target = named_state(dims, "T", 0)
-    fid = np.array([state_fidelity(dims, s, target) for s in traj.states])
+    fid = np.array([fidelity(dims, s, target) for s in traj.states])
     t_peak = traj.times[np.argmax(fid)]
     assert abs(t_peak - 116e-6) < 0.05 * 116e-6
     assert fid.max() > 0.95
@@ -124,11 +126,11 @@ def test_lindblad_without_noise_matches_pure():
     first_boundary = flipped.boundaries()[1]
     for schedule, sample_dt in ((single_pulse(), T_PI / 20), (flipped, T_PI / 10)):
         pure = evolve_pure(schedule, dims, GEOM2, psi, sample_dt)
-        dens = evolve_density(schedule, dims, GEOM2, NoiseModel(), psi.to_density(), sample_dt=sample_dt)
+        dens = density_run(schedule, dims, GEOM2, NoiseModel(), psi.to_density(), sample_dt=sample_dt)
         np.testing.assert_array_equal(pure.times, dens.times)
-        for sp, sd in zip(pure.states, dens.states):
-            fp = state_fidelity(dims, sp, target)
-            fd = state_fidelity(dims, sd, target)
+        for sp, sd in zip(pure.states, dens.states()):
+            fp = fidelity(dims, sp, target)
+            fd = fidelity(dims, sd, target)
             assert abs(fp - fd) < 1e-6
         assert abs(dens.final.trace - 1.0) < 1e-8
     past = pure.times[(pure.times > first_boundary) & (pure.times <= first_boundary + 1e-15)]
@@ -147,8 +149,8 @@ def test_uniform_decay_reproduces_mean_rate_deficit():
     target = named_state(dims, "T", 0)
     psi = named_state(dims, "uu", 0)
     clean = evolve_pure(schedule, dims, GEOM2, psi, T_PI)
-    noisy = evolve_density(schedule, dims, GEOM2, noise, psi.to_density(), sample_dt=T_PI)
-    deficit = state_fidelity(dims, clean.final, target) - state_fidelity(dims, noisy.final, target)
+    noisy = density_run(schedule, dims, GEOM2, noise, psi.to_density(), sample_dt=T_PI)
+    deficit = fidelity(dims, clean.final, target) - fidelity(dims, noisy.final, target)
     expected = 1.0 - np.exp(-mean_decay_rate(2, noise) * T_PI)
     assert abs(deficit - expected) < 0.10 * expected
 
@@ -159,9 +161,9 @@ def test_thermal_initial_state_deficit_small():
     schedule = single_pulse()
     target = named_state(dims, "T", 0)
     rho0 = thermal_product_state(dims, spin_state(dims, "uu"), n_bar)
-    noisy = evolve_density(schedule, dims, GEOM2, NoiseModel(n_bar=n_bar), rho0, sample_dt=T_PI)
+    noisy = density_run(schedule, dims, GEOM2, NoiseModel(n_bar=n_bar), rho0, sample_dt=T_PI)
     clean = evolve_pure(schedule, dims, GEOM2, named_state(dims, "uu", 0), T_PI)
-    deficit = state_fidelity(dims, clean.final, target) - state_fidelity(dims, noisy.final, target)
+    deficit = fidelity(dims, clean.final, target) - fidelity(dims, noisy.final, target)
     assert 0.0 < deficit <= 6e-3
 
 
@@ -169,7 +171,7 @@ def test_population_record_basics():
     dims = SystemDims(2, 10)
     traj = evolve_pure(single_pulse(), dims, GEOM2, named_state(dims, "uu", 0), T_PI / 40)
     targets = [named_state(dims, "T", 0), spin_state(dims, "S"), spin_state(dims, "dd")]
-    rec = extract_populations(traj, targets, ["F_T", "P_S", "P_dd"])
+    rec, _ = pure_run(traj).record(targets, ["F_T", "P_S", "P_dd"])
     assert np.allclose(rec.p_up_counts[0], [0.0, 0.0, 1.0], atol=1e-12)  # starts in uu
     total = rec.p_up_counts.sum(axis=1) + rec.leak_population
     assert np.max(np.abs(total - 1.0)) < 1e-8
@@ -184,7 +186,7 @@ def test_population_record_on_ideal_triplet():
     dims = SystemDims(2, 4)
     schedule = PulseSchedule((PulseSegment(0.0),))
     traj = evolve_pure(schedule, dims, GEOM2, named_state(dims, "T", 0))
-    rec = extract_populations(traj, [named_state(dims, "T", 0)], ["F_T"])
+    rec, _ = pure_run(traj).record([named_state(dims, "T", 0)], ["F_T"])
     assert abs(rec.p_up_counts[0, 1] - 1.0) < 1e-12
     assert abs(rec.target_fidelity[0] - 1.0) < 1e-12
 
@@ -324,7 +326,7 @@ def test_three_ion_density_matches_full_generator_exponential(monkeypatch):
     for psi, block_diagonal in ((uuu, True), ((uuu + ouu) / np.sqrt(2), False)):
         rho0 = PureState(dims, psi).to_density()
         handed.clear()
-        traj = evolve_density(schedule, dims, geom, noise, rho0, sample_dt=2e-6)
+        traj = density_run(schedule, dims, geom, noise, rho0, sample_dt=2e-6)
         groups = leak_sectors(dims) if block_diagonal else [np.arange(dims.dim)]
         assert len(groups) == (8 if block_diagonal else 1)
         kept = dynamics._Fold(dims, groups).kept
@@ -341,8 +343,9 @@ def test_three_ion_density_matches_full_generator_exponential(monkeypatch):
             for t in (t for t in traj.times if start < t <= stop):
                 vec, t_prev = expm_multiply((t - t_prev) * gen, vec), t
                 reference.append(vec)
-        assert len(reference) == len(traj.states) == 11
-        for ref, state in zip(reference, traj.states):
+        states = list(traj.states())
+        assert len(reference) == len(states) == 11
+        for ref, state in zip(reference, states):
             assert np.max(np.abs(state.matrix - ref.reshape(dims.dim, dims.dim))) < 1e-10
             assert np.all(state.matrix[between] == 0.0) == block_diagonal
         ooo = dims.basis_index((LEAK, LEAK, LEAK), 0)
@@ -362,9 +365,9 @@ def test_stored_samples_mirror_the_computed_triangle_exactly():
     ou[dims.basis_index((LEAK, UP), 0)] = 1.0
     for psi, n_groups in ((uu, len(leak_sectors(dims))), ((uu + ou) / np.sqrt(2), 1)):
         rho0 = PureState(dims, psi).to_density()
-        traj = evolve_density(single_pulse(duration=0.5 * T_PI), dims, GEOM2, noise, rho0, T_PI / 20)
+        traj = density_run(single_pulse(duration=0.5 * T_PI), dims, GEOM2, noise, rho0, T_PI / 20)
         assert len(traj.groups) == n_groups
-        chunks = [blocks for _, _, blocks in traj.fold.chunks(traj.samples)]
+        chunks = [blocks for _, _, blocks in traj.chunks]
         blocks = [np.concatenate(parts) for parts in zip(*chunks)]
         for block in blocks:
             off = ~np.eye(block.shape[-1], dtype=bool)
@@ -373,33 +376,9 @@ def test_stored_samples_mirror_the_computed_triangle_exactly():
         assert np.count_nonzero(widest.imag) > widest.size // 4
 
 
-def test_a_stored_stack_replays_its_runs_chunks_bit_for_bit():
-    """A Trajectory reads its stack back in the shape its run handed it on:
-    a density stack yields the starts, samples and whole blocks of
-    _density_run's chunks, bit for bit, and a pure stack is one chunk with
-    blocks None.  An empty selection reads as no samples."""
-    dims = SystemDims(2, 6, leak_level=True)
-    noise = _full_noise((300.0, 200.0, 150.0, 100.0), 40.0, stark=(2e3, -1e3))
-    start = named_state(dims, "uu", 0)
-    schedule = single_pulse(duration=0.5 * T_PI)
-    _, _, run = dynamics._density_run(schedule, dims, GEOM2, noise, start.to_density(), T_PI / 50)
-    streamed = [(first, samples.copy(), blocks) for first, samples, blocks in run]
-    stored = evolve_density(schedule, dims, GEOM2, noise, start.to_density(), T_PI / 50)
-    replayed = list(stored._chunks())
-    assert len(streamed) == len(replayed) > 2
-    for (s0, x0, b0), (s1, x1, b1) in zip(streamed, replayed):
-        assert s0 == s1 and x0.tobytes() == x1.tobytes()
-        assert len(b0) == len(b1) and all(a.tobytes() == b.tobytes() for a, b in zip(b0, b1))
-    pure = evolve_pure(schedule, dims, GEOM2, start, T_PI / 50)
-    ((first, samples, blocks),) = pure._chunks()
-    assert first == 0 and samples.tobytes() == pure.samples.tobytes() and blocks is None
-    for traj in (stored, pure):  # a selection of no samples reads as none
-        assert traj.spin_matrices(slice(0, 0)).shape == (0, dims.spin_dim, dims.spin_dim)
-
-
 def _whole_blocks(traj):
-    """The (T, n, n) blocks of a density Trajectory, rebuilt here from its
-    stored upper triangles: (a, b) with a <= b, row-major, block after
+    """The (T, n, n) blocks of a density run, rebuilt here from its
+    samples' upper triangles: (a, b) with a <= b, row-major, block after
     block, each entry below the diagonal the conjugate of its mirror."""
     blocks, start = [], 0
     for idx in traj.groups:
@@ -424,14 +403,15 @@ def _whole_blocks(traj):
     n_bar=st.floats(0.0, 0.002),
 )
 def test_readers_of_the_stored_triangles_match_whole_blocks(n_ions, gamma, gamma_heat, stark, n_bar):
-    """Every reader of a density stack gives, bit for bit, what its formula
-    gives on the whole blocks rebuilt here from the stored triangles:
-    populations, leak population, full-space and spin-only fidelities,
-    spin_matrices and states[k].matrix.  The runs have more samples than
-    one check chunk, so the readers' chunk boundaries are crossed.  The
-    draws include equal Stark shifts, so the cycle-symmetry test is
-    switched off: these are the leak-set readers."""
-    from zenosim.protocol import plan_single, plan_three_ion, simulate_plan
+    """Every reader of a density run's chunks gives, bit for bit, what its
+    formula gives on the whole blocks rebuilt here from the samples'
+    triangles: populations, leak population, full-space and spin-only
+    fidelities, the spin matrices of every sample and of the peak one, and
+    the rebuilt rho.  The runs have more samples than one check chunk, so
+    the readers' chunk boundaries are crossed.  The draws include equal
+    Stark shifts, so the cycle-symmetry test is switched off: these are
+    the leak-set readers."""
+    from zenosim.protocol import plan_single, plan_three_ion
 
     if n_ions == 2:
         plan, dims, names = plan_single(OMEGA_S, 2), SystemDims(2, 6, leak_level=True), ("T", "S", "dd")
@@ -442,10 +422,10 @@ def test_readers_of_the_stored_triangles_match_whole_blocks(n_ions, gamma, gamma
     duration = 0.25 * plan.t_pi
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dynamics, "_cycle_symmetry", lambda *args: None)
-        traj = simulate_plan(plan, noise, duration, dims, duration / 11)
+        traj = plan_run(plan, noise, duration, dims, duration / 11)
     assert len(traj.times) > dynamics._CHECK_CHUNK and len(traj.groups) == 2**n_ions
     targets = [named_state(dims, names[0], 0), spin_state(dims, names[1]), spin_state(dims, names[2])]
-    rec = extract_populations(traj, targets)
+    rec, peak_spin = traj.record(targets, peak_spin=True)
 
     blocks = _whole_blocks(traj)
     diag = np.zeros((len(traj.times), dims.dim))
@@ -463,13 +443,13 @@ def test_readers_of_the_stored_triangles_match_whole_blocks(n_ions, gamma, gamma
     v = targets[0].amplitudes
     full = sum(np.vecdot(v[idx], block @ v[idx]).real for idx, block in zip(traj.groups, blocks))
     np.testing.assert_array_equal(rec.aux_populations["target_0"], full)
-    np.testing.assert_array_equal(traj.fidelities(targets[0]), full)
+    np.testing.assert_array_equal(rec.target_fidelity, full)
     np.testing.assert_array_equal(traj.spin_matrices(), spins)
-    np.testing.assert_array_equal(traj.spin_matrices(slice(3, 4)), spins[3:4])
+    np.testing.assert_array_equal(peak_spin, spins[np.argmax(full)])
     for k, target in enumerate(targets[1:], start=1):
         u = target.amplitudes
         np.testing.assert_array_equal(rec.aux_populations[f"target_{k}"], np.vecdot(u, spins @ u).real)
-    for state, rho in zip(traj.states, rhos):
+    for state, rho in zip(traj.states(), rhos, strict=True):
         np.testing.assert_array_equal(state.matrix, rho)
     np.testing.assert_array_equal(traj.final.matrix, rhos[-1])
 
@@ -483,12 +463,12 @@ def _has_identity_basis(fold) -> bool:
 
 
 def _density_runs(schedule, dims, geom, noise, rho0, sample_dt):
-    """The run of evolve_density, and the same run with the cycle-symmetry
-    test switched off: the leak-set path."""
-    traj = evolve_density(schedule, dims, geom, noise, rho0, sample_dt)
+    """The density run, and the same run with the cycle-symmetry test
+    switched off: the leak-set path."""
+    traj = density_run(schedule, dims, geom, noise, rho0, sample_dt)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dynamics, "_cycle_symmetry", lambda *args: None)
-        plain = evolve_density(schedule, dims, geom, noise, rho0, sample_dt)
+        plain = density_run(schedule, dims, geom, noise, rho0, sample_dt)
     return traj, plain
 
 
@@ -506,7 +486,7 @@ def test_a_run_in_the_cycle_sectors_matches_the_plain_run(n_ions, gamma, gamma_h
     propagated in its n_ions sectors; every sample matches the same run
     with the symmetry test switched off, one block over the whole space, to
     1e-12: rho, P_k, the leak population, full-space and spin-only
-    fidelities, the top Fock population and spin_matrices.  The two-ion
+    fidelities, the top Fock population and the spin matrices.  The two-ion
     run crosses the composite sign flip at t1."""
     noise = NoiseModel(gamma_du=gamma[0], gamma_ud=gamma[1], gamma_heat=gamma_heat, stark_shifts=(stark,) * n_ions)
     traj, plain = _assert_sector_run_matches_plain_run(n_ions, False, noise, n_bar)
@@ -537,7 +517,7 @@ def _assert_sector_run_matches_plain_run(n_ions, leak_level, noise, n_bar):
     """The run of _density_runs from all ions up, in the cycle sectors,
     against the plain run on every sample, to 1e-12: rho, P_k, the leak
     population, full-space and spin-only fidelities, the top Fock
-    population and spin_matrices.  Returns both trajectories."""
+    population and the spin matrices.  Returns both runs."""
     from zenosim.protocol import plan_composite, plan_geometry, plan_schedule, plan_three_ion
 
     if n_ions == 2:
@@ -549,10 +529,10 @@ def _assert_sector_run_matches_plain_run(n_ions, leak_level, noise, n_bar):
     rho0 = thermal_product_state(dims, spin_state(dims, names[0]), n_bar)
     traj, plain = _density_runs(plan_schedule(plan, duration), dims, plan_geometry(plan), noise, rho0, duration / 11)
     assert not _has_identity_basis(traj.fold) and _has_identity_basis(plain.fold)
-    for state, ref in zip(traj.states, plain.states, strict=True):
+    for state, ref in zip(traj.states(), plain.states(), strict=True):
         np.testing.assert_allclose(state.matrix, ref.matrix, rtol=0, atol=1e-12)
     targets = [named_state(dims, names[1], 0), spin_state(dims, names[2]), spin_state(dims, names[3])]
-    rec, ref = extract_populations(traj, targets), extract_populations(plain, targets)
+    (rec, _), (ref, _) = traj.record(targets), plain.record(targets)
     pairs = [(rec.p_up_counts, ref.p_up_counts), (rec.leak_population, ref.leak_population)]
     pairs += [(rec.aux_populations[k], ref.aux_populations[k]) for k in ref.aux_populations]
     pairs.append(tuple(t.samples[:, t.fold.tops].real.sum(axis=1) for t in (traj, plain)))  # the Fock limit's series
@@ -582,12 +562,23 @@ def test_a_start_with_coherence_between_leak_sets_takes_the_whole_space():
     assert traj.samples.tobytes() == plain.samples.tobytes()
 
 
+def _assert_zero_between_leak_sets(traj, between):
+    """Every rho rebuilt from a run whose start is block diagonal over the
+    leak sets is 0 between different leak sets: exactly in the identity
+    basis, and to 1e-15 from the cycle sectors, where w R w^dag cancels
+    there only to rounding."""
+    exact = _has_identity_basis(traj.fold)
+    for state in traj.states():
+        residue = np.abs(state.matrix[between]).max()
+        assert residue == 0.0 if exact else residue <= 1e-15
+
+
 def test_rebuilt_states_are_exactly_zero_between_leak_sets_unless_the_start_is_not():
-    """Every state rebuilt from a run in the cycle sectors, from |uu> with
-    leak rates and equal shifts, is exactly 0 between different leak sets,
-    which w R w^dag cancels only to rounding; a start with coherence
-    between them, (|uu> + |oo>) / sqrt(2), runs over the whole space and
-    keeps that coherence in every state."""
+    """Every state rebuilt from a run from |uu> with leak rates and equal
+    shifts is 0 between different leak sets: to 1e-15 from the cycle
+    sectors, and exactly from the same run over the leak sets; a start
+    with coherence between them, (|uu> + |oo>) / sqrt(2), runs over the
+    whole space and keeps that coherence in every state."""
     from zenosim.protocol import plan_composite, plan_geometry, plan_schedule
 
     plan, dims = plan_composite(OMEGA_S, 1), SystemDims(2, 6, leak_level=True)
@@ -595,14 +586,15 @@ def test_rebuilt_states_are_exactly_zero_between_leak_sets_unless_the_start_is_n
     noise = _full_noise((300.0, 200.0, 150.0, 100.0), 20.0, (1e3, 1e3))
     between = _between_leak_sets(dims)
     uu = thermal_product_state(dims, spin_state(dims, "uu"), 0.005)
-    traj = evolve_density(schedule, dims, geom, noise, uu, plan.t_pi / 40)
-    assert not _has_identity_basis(traj.fold)
-    assert all(np.all(state.matrix[between] == 0.0) for state in traj.states)
+    traj, plain = _density_runs(schedule, dims, geom, noise, uu, plan.t_pi / 40)
+    assert not _has_identity_basis(traj.fold) and _has_identity_basis(plain.fold)
+    _assert_zero_between_leak_sets(traj, between)
+    _assert_zero_between_leak_sets(plain, between)
     psi = np.zeros(dims.dim, dtype=complex)
     psi[[dims.basis_index((UP, UP), 0), dims.basis_index((LEAK, LEAK), 0)]] = 1 / np.sqrt(2)
-    traj = evolve_density(schedule, dims, geom, noise, PureState(dims, psi).to_density(), plan.t_pi / 40)
+    traj = density_run(schedule, dims, geom, noise, PureState(dims, psi).to_density(), plan.t_pi / 40)
     assert len(traj.groups) == 1
-    assert all(np.abs(state.matrix[between]).max() > 0.1 for state in traj.states)
+    assert all(np.abs(state.matrix[between]).max() > 0.1 for state in traj.states())
 
 
 def test_the_cycle_symmetry_test_on_hand_built_operators():
@@ -679,13 +671,13 @@ def test_each_leak_block_is_checked():
     rho[uu, uu] = 1.0
     rho[a, b] = rho[b, a] = 0.01  # eigenvalues +-0.01 within ion 1's leak block
     with pytest.raises(NumericsError, match=r"negative eigenvalue -1\.00e-02 at t = 0\.000e\+00 s"):
-        evolve_density(single_pulse(), dims, GEOM2, NoiseModel(), DensityOperator(dims, rho))
+        density_run(single_pulse(), dims, GEOM2, NoiseModel(), DensityOperator(dims, rho))
 
     top = dims.basis_index((LEAK, LEAK), dims.n_fock - 1)
     rho = np.zeros((dims.dim, dims.dim), dtype=complex)
     rho[uu, uu], rho[top, top] = 1.0 - 1e-6, 1e-6
     with pytest.raises(TruncationError, match=r"at t = 0\.00 us"):
-        evolve_density(single_pulse(), dims, GEOM2, NoiseModel(), DensityOperator(dims, rho))
+        density_run(single_pulse(), dims, GEOM2, NoiseModel(), DensityOperator(dims, rho))
 
 
 def test_the_first_non_positive_block_of_the_first_failing_sample_is_reported():
@@ -707,7 +699,7 @@ def test_the_first_non_positive_block_of_the_first_failing_sample_is_reported():
     ]:
         i, j = dims.basis_index(pair[0], 0), dims.basis_index(pair[1], int(pair[0] == pair[1]))
         rhos[k, i, j] = rhos[k, j, i] = x
-    chunk = fold.pack(rhos)
+    chunk = np.stack([fold.pack(rho) for rho in rhos])
     with pytest.raises(NumericsError, match=r"negative eigenvalue -1\.00e-02 at t = 1\.000e-06 s"):
         dynamics._check_density(fold, np.arange(3) * 1e-6, chunk, fold.blocks(chunk))
 
@@ -722,19 +714,22 @@ def test_density_contracts_fail_on_nan():
     def check(fold, chunk):
         dynamics._check_density(fold, times, chunk, fold.blocks(chunk))
 
+    def pack(fold, rhos):
+        return np.stack([fold.pack(rho) for rho in rhos])
+
     with pytest.raises(NumericsError, match=r"trace drift nan at t = 0\.000e\+00 s"):
         check(whole, np.full((3, len(whole.half)), np.nan, dtype=complex))
     rhos = np.repeat(named_state(dims, "uu", 0).to_density().matrix[None], 3, axis=0)
     rhos[2, 0, 1] = np.nan
     with pytest.raises(NumericsError, match=r"Hermiticity defect nan at t = 2\.000e-06 s"):
-        check(whole, whole.pack(rhos))
+        check(whole, pack(whole, rhos))
     for contract in ("trace", "Hermiticity"):  # the leak-sector path checks a NaN in one block
         fold = dynamics._Fold(dims, leak_sectors(dims))
         rhos = np.repeat(named_state(dims, "uu", 0).to_density().matrix[None], 3, axis=0)
         i, j = fold.groups[-1][0], fold.groups[-1][-1]
         rhos[1, i, i if contract == "trace" else j] = np.nan
         with pytest.raises(NumericsError, match=rf"{contract} .* nan at t = 1\.000e-06 s"):
-            check(fold, fold.pack(rhos))
+            check(fold, pack(fold, rhos))
 
 
 def test_a_run_stops_within_one_check_chunk_of_its_failure(monkeypatch):
@@ -761,15 +756,15 @@ def test_a_run_stops_within_one_check_chunk_of_its_failure(monkeypatch):
         reached.clear()
         sample_dt = T_PI / 100  # 101 samples
         with pytest.raises(NumericsError, match=rf"trace drift nan at t = {k * sample_dt:.3e} s"):
-            evolve_density(single_pulse(), dims, GEOM2, noise, rho0, sample_dt)
+            density_run(single_pulse(), dims, GEOM2, noise, rho0, sample_dt)
         assert k < len(reached) <= (k // chunk + 1) * chunk
     assert max(sizes) > 1
     assert min(sizes) < chunk  # a chunk's samples past the cap go to a second call
 
 
 def test_pure_state_contracts_fail_on_nan(monkeypatch):
-    """A NaN amplitude fails the norm contract of evolve_pure and the
-    population sum of extract_populations, not only a finite drift."""
+    """A NaN amplitude fails the norm contract of evolve_pure, not only a
+    finite drift."""
     dims = SystemDims(2, 10)
     psi0 = named_state(dims, "uu", 0)
     real_spectrum = dynamics._segment_spectrum
@@ -781,12 +776,6 @@ def test_pure_state_contracts_fail_on_nan(monkeypatch):
     monkeypatch.setattr(dynamics, "_segment_spectrum", nan_spectrum)
     with pytest.raises(NumericsError, match=r"norm drift nan at t = 0\.000e\+00 s"):
         evolve_pure(single_pulse(), dims, GEOM2, psi0, sample_dt=T_PI / 4)
-    monkeypatch.undo()
-    traj = evolve_pure(single_pulse(), dims, GEOM2, psi0, sample_dt=T_PI / 4)
-    samples = traj.samples.copy()
-    samples[2, 0] = np.nan
-    with pytest.raises(NumericsError, match="populations sum to nan"):
-        extract_populations(Trajectory(traj.times, samples, dims, traj.schedule), [psi0])
 
 
 def test_planned_kernel_work_is_bounded(monkeypatch):
@@ -810,22 +799,22 @@ def test_planned_kernel_work_is_bounded(monkeypatch):
         return real_call(self, offsets, v)
 
     monkeypatch.setattr(dynamics._TaylorExpm, "__call__", counted)
-    evolve_density(schedule, dims, GEOM2, noise, rho0, T_PI / 10)
+    density_run(schedule, dims, GEOM2, noise, rho0, T_PI / 10)
     total = sum(work)
     assert len(work) == 11 and work[0] == 0 and 0 < sum(work[:6]) < total  # samples 0-5, then 6-10
 
     work.clear()
     monkeypatch.setattr(dynamics, "_MAX_MATVECS", total)
-    evolve_density(schedule, dims, GEOM2, noise, rho0, T_PI / 10)
+    density_run(schedule, dims, GEOM2, noise, rho0, T_PI / 10)
     assert len(work) == 11
     work.clear()
     monkeypatch.setattr(dynamics, "_MAX_MATVECS", total - 1)
     with pytest.raises(NumericsError, match=re.escape(f"plans {total:.3g} matvecs up to t = {T_PI:.3e} s")):
-        evolve_density(schedule, dims, GEOM2, noise, rho0, T_PI / 10)
+        density_run(schedule, dims, GEOM2, noise, rho0, T_PI / 10)
     assert len(work) == 6  # the first segment ran, the second never started
     monkeypatch.setattr(dynamics, "_MAX_MATVECS", 10)
     with pytest.raises(NumericsError, match=r"a step of .* needs more than 1e\+01 matvecs"):
-        evolve_density(schedule, dims, GEOM2, noise, rho0, T_PI / 10)
+        density_run(schedule, dims, GEOM2, noise, rho0, T_PI / 10)
 
 
 def _dense_generator(dims, geom, seg, noise):
@@ -862,7 +851,7 @@ def test_truncation_failure_names_the_first_failing_sample():
     k = int(np.argmax(np.array(tops) >= 1e-8))
     assert k == 3 and tops[k - 1] < 0.5e-8 and tops[k] > 2e-8
     with pytest.raises(TruncationError, match=rf"at t = {times[k] * 1e6:.2f} us") as info:
-        evolve_density(schedule, dims, GEOM2, noise, rho0, sample_dt)
+        density_run(schedule, dims, GEOM2, noise, rho0, sample_dt)
     reported = float(str(info.value).split("population ")[1].split()[0])
     assert reported == pytest.approx(tops[k], rel=1e-2)
 
@@ -884,7 +873,7 @@ def test_positivity_failure_names_the_first_failing_sample():
     eig = -1.6e-7 * (1.0 - np.exp(-gamma * t))
     assert -1.6e-7 * (1.0 - np.exp(-gamma * (t - sample_dt))) > -0.95e-7 and eig < -1.1e-7
     with pytest.raises(NumericsError, match=rf"negative eigenvalue {eig:.2e} at t = {t:.3e} s"):
-        evolve_density(schedule, dims, GEOM2, noise, DensityOperator(dims, rho), sample_dt)
+        density_run(schedule, dims, GEOM2, noise, DensityOperator(dims, rho), sample_dt)
 
 
 def test_an_in_loop_failure_reports_an_earlier_positivity_failure(monkeypatch):
@@ -914,7 +903,7 @@ def test_an_in_loop_failure_reports_an_earlier_positivity_failure(monkeypatch):
     eig = -1.6e-7 * (1.0 - np.exp(-gamma * t))
     assert -1.6e-7 * (1.0 - np.exp(-gamma * (t - sample_dt))) > -0.95e-7 and eig < -1.03e-7
     with pytest.raises(NumericsError, match=rf"negative eigenvalue {eig:.2e} at t = {t:.3e} s"):
-        evolve_density(schedule, dims, GEOM2, NoiseModel(gamma_ou=gamma), DensityOperator(dims, rho), sample_dt)
+        density_run(schedule, dims, GEOM2, NoiseModel(gamma_ou=gamma), DensityOperator(dims, rho), sample_dt)
     assert len(reached) == 8  # samples 0-7
 
 
@@ -933,7 +922,7 @@ def test_density_matches_matrix_form_ode_reference():
     seg_b = PulseSegment(0.6 * T_PI, -OMEGA_S, OMEGA_D, -DELTA)
     schedule = PulseSchedule((seg_a, seg_b))
     rho0 = named_state(dims, "uu", 0).to_density()
-    traj = evolve_density(schedule, dims, GEOM2, noise, rho0, sample_dt=T_PI / 25)
+    traj = density_run(schedule, dims, GEOM2, noise, rho0, sample_dt=T_PI / 25)
 
     collapse = [op.matrix for op in lindblad_operators(dims, noise)]
     m = sum(l.conj().T @ l for l in collapse)
@@ -960,14 +949,15 @@ def test_density_matches_matrix_form_ode_reference():
         assert sol.success
         reference += list(sol.y.T)
         y, start = sol.y[:, -1], stop
-    assert len(reference) == len(traj.states)
-    for ref, state in zip(reference, traj.states):
+    states = list(traj.states())
+    assert len(reference) == len(states)
+    for ref, state in zip(reference, states):
         assert np.max(np.abs(state.matrix - ref.reshape(d, d))) < 1e-9
 
 
 def _folded_kernels():
     """The dense vectorized full-noise Lindbladian of a small leak-level
-    space and its Taylor kernels, folded as evolve_density folds them: over
+    space and its Taylor kernels, folded as a density run folds them: over
     the leak-set blocks (rho block diagonal over the leak sets) and over one
     group, the whole space (rho with coherence between leak sets).  Each
     kernel comes with the positions of its computed entries and of its
@@ -1075,7 +1065,7 @@ def test_kernel_calls_stay_within_a_segment_and_a_check_chunk(monkeypatch):
 
     monkeypatch.setattr(dynamics._TaylorExpm, "__call__", recorded)
     rho0 = named_state(dims, "uu", 0).to_density()
-    traj = evolve_density(schedule, dims, GEOM2, noise, rho0, sample_dt=T_PI / 200)
+    traj = density_run(schedule, dims, GEOM2, noise, rho0, sample_dt=T_PI / 200)
     boundary = schedule.boundaries()[1]
     chunk = dynamics._CHECK_CHUNK
     first, t0 = 0, 0.0
@@ -1148,13 +1138,12 @@ def test_density_samples_stay_physical(gamma, gamma_heat, stark, n_bar):
     dims = SystemDims(2, 6, leak_level=True)
     noise = _full_noise(gamma, gamma_heat, stark, n_bar)
     rho0 = thermal_product_state(dims, spin_state(dims, "uu"), n_bar)
-    traj = evolve_density(single_pulse(duration=0.5 * T_PI), dims, GEOM2, noise, rho0, sample_dt=T_PI / 20)
-    between = _between_leak_sets(dims)
-    for rho in (s.matrix for s in traj.states):
+    traj = density_run(single_pulse(duration=0.5 * T_PI), dims, GEOM2, noise, rho0, sample_dt=T_PI / 20)
+    for rho in (s.matrix for s in traj.states()):
         assert abs(np.trace(rho).real - 1.0) < 1e-10
         assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
         assert np.linalg.eigvalsh(rho)[0] >= -1e-10
-        assert np.all(rho[between] == 0.0)
+    _assert_zero_between_leak_sets(traj, _between_leak_sets(dims))
 
 
 @settings(max_examples=20, deadline=None)
@@ -1165,11 +1154,13 @@ def test_density_samples_stay_physical(gamma, gamma_heat, stark, n_bar):
     n_bar=st.floats(0.0, 0.01),
     lindblad=st.booleans(),
 )
+@example(gamma=(300.0, 200.0, 150.0, 100.0), gamma_heat=20.0, stark=(1e3, 1e3), n_bar=0.005, lindblad=True)
 def test_stacked_readout_matches_per_sample_loop(gamma, gamma_heat, stark, n_bar, lindblad):
-    """The stacked readout of two-ion runs against the loop over dense
-    states.  Without rates or a thermal start the run is pure-state, with
-    the Stark shifts; the density run is stored as its leak-set blocks, or,
-    with equal shifts, as one block per cycle sector and leak-set orbit."""
+    """The chunked readout of two-ion runs against the loop over the dense
+    states rebuilt from their chunks.  Without rates or a thermal start the
+    run is pure-state, with the Stark shifts; the density run is handed on
+    as its leak-set blocks, or, with equal shifts (the explicit example),
+    as one block per cycle sector and leak-set orbit."""
     from zenosim.protocol import plan_single
 
     noise = _full_noise(gamma, gamma_heat, stark, n_bar) if lindblad else NoiseModel(stark_shifts=stark)
@@ -1178,8 +1169,8 @@ def test_stacked_readout_matches_per_sample_loop(gamma, gamma_heat, stark, n_bar
 
 
 def test_three_ion_leak_blocks_readout_matches_per_sample_loop():
-    """The stacked readout of a three-ion run with leak rates, stored as
-    its eight leak-set blocks, against the loop over dense states."""
+    """The chunked readout of a three-ion run with leak rates, handed on
+    as its eight leak-set blocks, against the loop over dense states."""
     from zenosim.protocol import plan_three_ion
 
     plan = plan_three_ion(2 * np.pi * 19.0e3, 2 * np.pi * 1.24e3)
@@ -1188,17 +1179,19 @@ def test_three_ion_leak_blocks_readout_matches_per_sample_loop():
 
 
 def _assert_stacked_readout_matches_loop(plan, noise, dims):
-    """extract_populations and simulate_plan_fidelity (peak and end) read
-    the trajectory's stack; an explicit loop over traj.states, with
-    state_fidelity and the diagonal of each sample, gives the same numbers
-    for full-space and spin-only targets, and spin_matrices gives each
-    state's motion-traced matrix.  A density run stores the upper
-    triangles of the blocks of its index groups, the leak sets or the
-    cycle sectors, side by side: (T, n_half) entries."""
-    from zenosim.protocol import simulate_plan, simulate_plan_fidelity
+    """The CLI's readout of a plan's run (_read_populations, with the peak
+    spin matrix) and simulate_plan_fidelity (peak and end) read its chunks;
+    an explicit loop over the states rebuilt from them, with the dense
+    fidelity and the diagonal of each sample, gives the same numbers for
+    full-space and spin-only targets, and the spin matrices of every
+    sample and of the peak one are each state's motion-traced matrix.  A
+    density run hands on the upper triangles of the blocks of its index
+    groups, the leak sets or the cycle sectors, side by side: (T, n_half)
+    entries."""
+    from zenosim.protocol import simulate_plan_fidelity
 
     duration, sample_dt = 0.5 * plan.t_pi, plan.t_pi / 40
-    traj = simulate_plan(plan, noise, duration, dims, sample_dt)
+    traj = plan_run(plan, noise, duration, dims, sample_dt)
     pure = not (noise.has_lindblad or noise.n_bar > 0)
     if pure:
         assert traj.groups == () and traj.samples.shape == (len(traj.times), dims.dim)
@@ -1215,23 +1208,26 @@ def _assert_stacked_readout_matches_loop(plan, noise, dims):
     else:
         labels = ["F_W", "P_Wbar", "P_Wc", "F_uuu1"]
         targets = [named_state(dims, "W", 0), spin_state(dims, "Wbar"), spin_state(dims, "Wc"), named_state(dims, "uuu", 1)]
-    rec = extract_populations(traj, targets, labels)
+    rec, peak_spin = traj.record(targets, labels, peak_spin=True)
     masks = up_count_projectors(dims)
     spins = traj.spin_matrices()
-    for k, state in enumerate(traj.states):
+    states = list(traj.states())
+    for k, state in enumerate(states):
         diag = np.abs(state.amplitudes) ** 2 if pure else np.real(np.diag(state.matrix))
         np.testing.assert_allclose(rec.p_up_counts[k], [diag @ m for m in masks], rtol=0, atol=1e-14)
         assert abs(rec.leak_population[k] - diag @ leak_mask(dims)) <= 1e-14
         for label, target in zip(labels, targets):
-            assert abs(rec.aux_populations[label][k] - state_fidelity(dims, state, target)) <= 1e-14
+            assert abs(rec.aux_populations[label][k] - fidelity(dims, state, target)) <= 1e-14
         np.testing.assert_allclose(spins[k], partial_trace_motion(dims, state), rtol=0, atol=1e-15)
     np.testing.assert_array_equal(rec.target_fidelity, rec.aux_populations[labels[0]])
+    peak_state = states[int(np.argmax(rec.target_fidelity))]
+    np.testing.assert_allclose(peak_spin, partial_trace_motion(dims, peak_state), rtol=0, atol=1e-15)
 
     peak = simulate_plan_fidelity(plan, noise, duration, dims, at_end=False, sample_dt=sample_dt)
-    assert abs(peak - max(state_fidelity(dims, s, targets[0]) for s in traj.states)) <= 1e-14
+    assert abs(peak - max(fidelity(dims, s, targets[0]) for s in states)) <= 1e-14
     end = simulate_plan_fidelity(plan, noise, duration, dims, at_end=True)
-    final = simulate_plan(plan, noise, duration, dims, duration).final
-    assert abs(end - state_fidelity(dims, final, targets[0])) <= 1e-14
+    final = plan_run(plan, noise, duration, dims, duration).final
+    assert abs(end - fidelity(dims, final, targets[0])) <= 1e-14
 
 
 def _blas_threads() -> list[int]:
@@ -1269,34 +1265,15 @@ def test_scenarios_fidelities_and_density_runs_use_one_blas_thread(two_blas_thre
 
         return recorded
 
-    monkeypatch.setattr(dynamics._TaylorExpm, "__call__", spy("evolve_density", dynamics._TaylorExpm.__call__))
     monkeypatch.setattr(protocol, "_pure_walk", spy("simulate_plan_fidelity", protocol._pure_walk))
     monkeypatch.setattr(cli, "_dressed_scan_scenario", spy("run_scenario", cli._dressed_scan_scenario))
-    dims = SystemDims(2, 6, leak_level=True)
-    evolve_density(single_pulse(), dims, GEOM2, NoiseModel(gamma_ou=1e3), named_state(dims, "uu", 0).to_density())
-    assert _blas_threads() == two_blas_threads
     protocol.simulate_plan_fidelity(protocol.plan_single(OMEGA_S, 2))
     assert _blas_threads() == two_blas_threads
     cli.run_scenario(load_preset("fig_s4"), tmp_path)
     assert _blas_threads() == two_blas_threads
     ones = [1] * len(two_blas_threads)
-    assert inside == {"evolve_density": ones, "simulate_plan_fidelity": ones, "run_scenario": ones}
+    assert inside == {"simulate_plan_fidelity": ones, "run_scenario": ones}
     assert dynamics._openblas_controls() is dynamics._openblas_controls()
-
-
-def test_simulate_plan_uses_one_blas_thread_from_either_start(two_blas_threads, monkeypatch):
-    """simulate_plan pins BLAS while it stacks its run, from a pure start
-    as from a density one, and the count is back at two after the call."""
-    from zenosim import protocol
-
-    inside = []
-    stacked = protocol._stacked
-    monkeypatch.setattr(protocol, "_stacked", lambda *args: inside.append(_blas_threads()) or stacked(*args))
-    plan = protocol.plan_single(OMEGA_S, 2)
-    protocol.simulate_plan(plan, None, dims=SystemDims(2, 6))
-    protocol.simulate_plan(plan, NoiseModel(gamma_du=50.0), dims=SystemDims(2, 6), sample_dt=plan.t_pi / 4)
-    assert inside == [[1] * len(two_blas_threads)] * 2
-    assert _blas_threads() == two_blas_threads
 
 
 def test_one_blas_thread_restores_the_count_after_a_return_a_raise_and_a_nested_call(two_blas_threads):

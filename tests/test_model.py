@@ -90,7 +90,8 @@ def test_stark_hamiltonian_basics():
 def test_uniform_stark_matches_restricted_ladder():
     """With the sideband off, uniform shifts tilt the three-level microwave
     ladder; the oracle is its direct 3x3 diagonalization."""
-    from zenosim.dynamics import evolve_pure, state_fidelity
+    from _runs import fidelity
+    from zenosim.dynamics import evolve_pure
 
     dims = SystemDims(2, 2)
     omega_d = 2 * np.pi * 2e3
@@ -99,7 +100,7 @@ def test_uniform_stark_matches_restricted_ladder():
     schedule = PulseSchedule((PulseSegment(t_pi, 0.0, omega_d, 0.0),))
     traj = evolve_pure(schedule, dims, GEOM2, named_state(dims, "uu", 0), t_pi / 60, stark_shifts=[shift, shift])
     target = named_state(dims, "T", 0)
-    fid = np.array([state_fidelity(dims, s, target) for s in traj.states])
+    fid = np.array([fidelity(dims, s, target) for s in traj.states])
 
     # restricted ladder (uu, T, dd) with diagonal (shift, 0, -shift)
     h3 = np.array(
@@ -120,7 +121,8 @@ def test_uniform_stark_matches_restricted_ladder():
 def test_uniform_stark_detunes_the_protected_flop():
     """With the sideband on, a uniform shift detunes the effective two-level
     transition and lowers the peak triplet fidelity of the full protocol."""
-    from zenosim.dynamics import evolve_pure, state_fidelity
+    from _runs import fidelity
+    from zenosim.dynamics import evolve_pure
 
     dims = SystemDims(2, 8)
     omega_s = 2 * np.pi * 17.6e3
@@ -132,7 +134,7 @@ def test_uniform_stark_detunes_the_protected_flop():
 
     def peak(shifts):
         traj = evolve_pure(schedule, dims, GEOM2, named_state(dims, "uu", 0), t_pi / 150, stark_shifts=shifts)
-        return max(state_fidelity(dims, s, target) for s in traj.states)
+        return max(fidelity(dims, s, target) for s in traj.states)
 
     shift = 2 * np.pi * 1.5e3
     peak_shifted = peak([shift, shift])

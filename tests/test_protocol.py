@@ -13,11 +13,12 @@ from zenosim.protocol import (
     plan_schedule,
     plan_single,
     plan_three_ion,
-    simulate_plan,
     simulate_plan_fidelity,
     spontaneous_preset,
     three_ion_preset,
 )
+
+from _runs import density_run, fidelity, plan_run
 
 OMEGA_S = 2 * np.pi * 17.6e3
 
@@ -215,38 +216,49 @@ def test_at_end_run_ignores_the_global_random_state():
 
 
 def test_simulate_plan_picks_the_state_kind():
-    """Pure propagation from |uu,0> unless the noise has rates or a thermal
-    start; Stark shifts reach the pure path too."""
+    """A plan's run (protocol._plan_samples) is a pure propagation from
+    |uu,0> unless the noise has rates or a thermal start; Stark shifts
+    reach the pure path too."""
     plan = plan_single(OMEGA_S, 2)
     dims = SystemDims(2, 8)
     start = named_state(dims, "uu", 0).amplitudes
-    clean = simulate_plan(plan, None, dims=dims)
+    clean = plan_run(plan, None, dims=dims)
     assert len(clean.times) == 401 and clean.times[-1] == plan.t_pi
-    assert all(isinstance(s, PureState) for s in clean.states)
-    np.testing.assert_allclose(clean.states[0].amplitudes, start, rtol=0, atol=1e-12)
-    shifted = simulate_plan(plan, NoiseModel(stark_shifts=(2e3, 0.0)), dims=dims)
+    states = list(clean.states())
+    assert all(isinstance(s, PureState) for s in states)
+    np.testing.assert_allclose(states[0].amplitudes, start, rtol=0, atol=1e-12)
+    shifted = plan_run(plan, NoiseModel(stark_shifts=(2e3, 0.0)), dims=dims)
     assert isinstance(shifted.final, PureState)
     assert np.linalg.norm(shifted.final.amplitudes - clean.final.amplitudes) > 1e-3
     for noise in (NoiseModel(n_bar=0.01), NoiseModel(gamma_du=50.0)):
-        traj = simulate_plan(plan, noise, dims=dims, sample_dt=plan.t_pi / 4)
+        traj = plan_run(plan, noise, dims=dims, sample_dt=plan.t_pi / 4)
         assert len(traj.times) == 5
-        assert all(isinstance(s, DensityOperator) for s in traj.states)
-        assert traj.states[0].matrix[0, 0].real == pytest.approx(1.0 / (1.0 + noise.n_bar))
+        states = list(traj.states())
+        assert all(isinstance(s, DensityOperator) for s in states)
+        assert states[0].matrix[0, 0].real == pytest.approx(1.0 / (1.0 + noise.n_bar))
 
 
 @pytest.mark.parametrize("noise", [None, NoiseModel(gamma_du=50.0)], ids=["pure", "density"])
 def test_simulate_plan_stacks_exactly_the_plans_run(noise):
-    """simulate_plan holds, bit for bit, the samples _plan_samples hands on
-    for the same plan: one chunk of amplitudes from a pure start, the
-    stored triangles of each check chunk from a density start."""
+    """_plan_samples hands on, bit for bit, the run of the plan's schedule
+    from its start state: one chunk of amplitudes from a pure start, the
+    walk of evolve_pure; the triangles of each check chunk from a density
+    start, the stream of dynamics._density_run."""
+    from zenosim.dynamics import evolve_pure
+
     plan = plan_composite(OMEGA_S, 1)
     dims = SystemDims(2, 6)
     sample_dt = plan.total_duration() / 50
-    traj = simulate_plan(plan, noise, None, dims, sample_dt)
+    schedule, geom = plan_schedule(plan), protocol.plan_geometry(plan)
+    state = protocol._start(plan, noise, dims)
+    if noise is None:
+        traj = evolve_pure(schedule, dims, geom, state, sample_dt)
+    else:
+        traj = density_run(schedule, dims, geom, noise, state, sample_dt)
     times, fold, chunks = protocol._plan_samples(plan, noise, None, dims, sample_dt)
     streamed = [(start, samples.copy()) for start, samples, _ in chunks]
-    assert (traj.fold is None) == (fold is None) == (noise is None)
-    assert traj.times.tobytes() == times.tobytes() and traj.schedule == plan_schedule(plan)
+    assert (fold is None) == (noise is None)
+    assert traj.times.tobytes() == times.tobytes()
     assert [start for start, _ in streamed] == ([0] if noise is None else list(range(0, len(times), 8)))
     assert np.concatenate([samples for _, samples in streamed]).tobytes() == traj.samples.tobytes()
 
@@ -257,7 +269,7 @@ def test_a_composite_run_lasts_exactly_its_duration():
     plan = plan_composite(2 * np.pi * 17.3e3, 1)
     cut = plan_schedule(plan, 0.5 * plan.t1)
     assert [(s.duration, s.omega_s) for s in cut.segments] == [(0.5 * plan.t1, plan.omega_s), (0.0, -plan.omega_s)]
-    assert simulate_plan(plan, None, 0.5 * plan.t1, SystemDims(2, 6)).times[-1] == 0.5 * plan.t1
+    assert plan_run(plan, None, 0.5 * plan.t1, SystemDims(2, 6)).times[-1] == 0.5 * plan.t1
     for duration in (plan.t1, 1.5 * plan.t_pi):
         schedule = plan_schedule(plan, duration)
         assert schedule.segments[0].duration == plan.t1
@@ -310,16 +322,20 @@ _STREAMED_RUNS = {
 @pytest.mark.parametrize("run", sorted(_STREAMED_RUNS))
 def test_streamed_fidelity_equals_the_stacked_trajectorys(run):
     """simulate_plan_fidelity reads a density run a check chunk at a time as
-    it is propagated; its peak and end fidelities equal, bit for bit, those
-    read from simulate_plan's stack of the same run."""
+    it is propagated; its peak and end fidelities equal, bit for bit, the
+    target series the CLI's readout (_read_populations) takes from the
+    same run, and, to 1e-14, the dense fidelities of its rebuilt states."""
     plan, noise, dims = _STREAMED_RUNS[run]()
     duration = 1.25 * plan.t_pi if plan.n_ions == 3 else None
     target = named_state(dims, "T" if plan.n_ions == 2 else "W", 0)
-    traj = simulate_plan(plan, noise, duration, dims)
+    traj = plan_run(plan, noise, duration, dims)
     assert traj.fold is not None and len(traj.times) > 8 * 8
-    assert simulate_plan_fidelity(plan, noise, duration, dims, at_end=False) == traj.fidelities(target).max()
-    ends = simulate_plan(plan, noise, duration, dims, plan_schedule(plan, duration).total_duration)
-    assert simulate_plan_fidelity(plan, noise, duration, dims) == ends.fidelities(target)[-1]
+    series = traj.record([target])[0].target_fidelity
+    peak = simulate_plan_fidelity(plan, noise, duration, dims, at_end=False)
+    assert peak == series.max()
+    assert abs(peak - max(fidelity(dims, s, target) for s in traj.states())) <= 1e-14
+    ends = plan_run(plan, noise, duration, dims, plan_schedule(plan, duration).total_duration)
+    assert simulate_plan_fidelity(plan, noise, duration, dims) == ends.record([target])[0].target_fidelity[-1]
 
 
 def test_a_streamed_fidelity_keeps_no_stack():
@@ -332,7 +348,7 @@ def test_a_streamed_fidelity_keeps_no_stack():
 
     plan, noise, dims = _STREAMED_RUNS["composite-leak-scatter"]()
     sample_dt = plan.total_duration() / 400
-    n_half = simulate_plan(plan, noise, dims=dims, sample_dt=plan.total_duration()).samples.shape[1]
+    n_half = plan_run(plan, noise, dims=dims, sample_dt=plan.total_duration()).samples.shape[1]
     simulate_plan_fidelity(plan, noise, dims=dims, at_end=False, sample_dt=sample_dt)  # fills the memos
 
     def peak_bytes(dt):
@@ -370,8 +386,8 @@ def test_a_t1_row_is_one_walk_with_each_cells_own_value(noise, monkeypatch):
     among them, gets its one-at-a-time fidelity within 1e-14."""
     plan = experimental_override(plan_composite(OMEGA_S, 1), omega_d=OMEGA_S / 9.0)
     plans = [experimental_override(plan, t1=f * plan.t_pi, t2=(1 - f) * plan.t_pi) for f in np.linspace(0, 1, 21)]
-    assert [len(simulate_plan(p, noise, sample_dt=p.total_duration()).times) for p in plans[:2]] == [2, 3]
-    assert len(simulate_plan(plans[-1], noise, sample_dt=plans[-1].total_duration()).times) == 2
+    assert [len(plan_run(p, noise, sample_dt=p.total_duration()).times) for p in plans[:2]] == [2, 3]
+    assert len(plan_run(plans[-1], noise, sample_dt=plans[-1].total_duration()).times) == 2
     walks = _counting_walks(monkeypatch)
     row = protocol._plan_fidelities(plans, noise)
     alone = [simulate_plan_fidelity(p, noise) for p in plans]

@@ -1,9 +1,11 @@
 import numpy as np
 
-from zenosim.dynamics import evolve_pure, state_fidelity
+from zenosim.dynamics import evolve_pure
 from zenosim.hilbert import SystemDims, named_state
 from zenosim.model import IonGeometry, PulseSchedule, PulseSegment, carrier_pi_time, sideband_hamiltonian
 from zenosim.threeion import three_ion_ladder
+
+from _runs import fidelity
 
 OMEGA_S = 2 * np.pi * 19.0e3
 OMEGA_D = 2 * np.pi * 1.24e3
@@ -41,8 +43,8 @@ def test_effective_two_level_dynamics():
     traj = evolve_pure(schedule, dims, geom, named_state(dims, "uuu", 0), t_pi / 300)
     w_target = named_state(dims, "W", 0)
     uuu_target = named_state(dims, "uuu", 0)
-    fid_w = np.array([state_fidelity(dims, s, w_target) for s in traj.states])
-    fid_u = np.array([state_fidelity(dims, s, uuu_target) for s in traj.states])
+    fid_w = np.array([fidelity(dims, s, w_target) for s in traj.states])
+    fid_u = np.array([fidelity(dims, s, uuu_target) for s in traj.states])
     assert np.min(fid_w + fid_u) > 0.95
     t_peak = traj.times[np.argmax(fid_w)]
     assert abs(t_peak - t_pi) < 0.02 * t_pi
