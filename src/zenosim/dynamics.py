@@ -485,14 +485,15 @@ def _segment_spectrum(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (evals, evecs) of eigh(segment_hamiltonian(...)).
 
-    The memo of _pure_walk.  seg comes with its duration set to 0, which
+    The memo of _pure_walk, and the one place the pure path makes the
+    Hamiltonian dense, for eigh.  seg comes with its duration set to 0, which
     the Hamiltonian does not depend on, so schedules that differ only in
     their durations (a t1 or t2 edit) share their entries.  It holds at most
     32 spectra: a sweep or fine_tune over the durations of one plan needs
     its two segments, and an entry of the pure-state spaces takes 25 kB
     (dim 40, two ions) to 66 kB (dim 64, three ions).
     """
-    evals, evecs = np.linalg.eigh(segment_hamiltonian(dims, geom, seg, stark_shifts).matrix)
+    evals, evecs = np.linalg.eigh(segment_hamiltonian(dims, geom, seg, stark_shifts).matrix.toarray())
     evals.setflags(write=False)
     evecs.setflags(write=False)
     return evals, evecs
@@ -799,7 +800,9 @@ def _density_run(
     _sector_fold if the start has no entry between different leak sets
     (hilbert.leak_sectors) and the run has the ions' cycle symmetry
     (_cycle_symmetry), else the leak sets for such a start, else the whole
-    space.  Each operator is taken into the fold's basis once.  The
+    space.  The segment Hamiltonians and collapse operators come from
+    model as canonical CSR, no dense dim x dim operator is built, and each
+    is taken into the fold's basis once.  The
     generator is built on those blocks alone, in the fold's kept order, as
     one list of entries turned into one sparse matrix per segment: K x I +
     I x K^* on each block, as K keeps each group, and the feed sum_k L_k x
@@ -808,7 +811,7 @@ def _density_run(
     its entries from each group to the group it moves it to, so no
     rounding of a block that vanishes reaches the generator.  The shift is
     Re(tr L) / dim^2 of the full generator, (sum_k |tr L_k|^2 - dim tr M) /
-    dim^2; a complex shift would not keep rho Hermitian.  vec holds only
+    dim^2, read from the operators' stored entries; a complex shift would not keep rho Hermitian.  vec holds only
     the upper triangle of each block (the fold's half), from which the
     kernel computes those rows alone; the lower triangles are the exact
     conjugates of the upper ones.
@@ -834,15 +837,14 @@ def _density_run(
     if initial.dims != dims:
         raise ValueError("initial state dims do not match")
     shifts = noise.shifts_or_zero(dims.n_ions)
-    hams = [sp.csr_matrix(segment_hamiltonian(dims, geom, seg, shifts).matrix) for seg in schedule.segments]
+    hams = [segment_hamiltonian(dims, geom, seg, shifts).matrix for seg in schedule.segments]
     ops = [op.matrix for op in lindblad_operators(dims, noise)]
-    sparse_ops = [sp.csr_matrix(l) for l in ops]
     fold = _Fold(dims, leak_sectors(dims))
     block_diagonal = not initial.matrix[fold.group[:, None] != fold.group].any()
     symmetry = None
     if block_diagonal:
         with np.errstate(over="ignore", invalid="ignore"):  # a rate or a drive far out of range fails later, in plan
-            symmetry = _cycle_symmetry(dims, geom, shifts, hams, sparse_ops, sp.csr_matrix(initial.matrix))
+            symmetry = _cycle_symmetry(dims, geom, shifts, hams, ops, sp.csr_matrix(initial.matrix))
     moves, targets = [None] * len(ops), {}
     if symmetry is not None:
         step, moves = symmetry
@@ -854,9 +856,9 @@ def _density_run(
     mu, m, jumps = 0.0, sp.csr_matrix((dims.dim, dims.dim), dtype=complex), []
     # here and in generator, an overflow leaves a NaN or inf norm, which _TaylorExpm.plan rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        for l, sparse, move in zip(ops, sparse_ops, moves):
-            mu += abs(np.trace(l)) ** 2 - dims.dim * np.vdot(l, l).real  # tr(L^dag L) = |L|_F^2
-            l = fold.to_basis(sparse).tocoo()
+        for l, move in zip(ops, moves):
+            mu += abs(l.diagonal().sum()) ** 2 - dims.dim * np.vdot(l.data, l.data).real  # tr(L^dag L) = |L|_F^2
+            l = fold.to_basis(l).tocoo()
             keep = l.data != 0
             if move is not None:  # an eigen-operator of U: from each group to its group at move alone
                 keep &= group[l.row] == targets[move][group[l.col]]

@@ -13,6 +13,7 @@ seconds, and hbar = 1.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -147,48 +148,75 @@ class DensityOperator:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
+    """A dim x dim operator held as a complex CSR matrix.
+
+    matrix may be given in any form scipy.sparse.csr_matrix takes; the
+    builders of this module and of model give canonical CSR (sorted
+    indices, no duplicates, no stored zeros).  A non-finite entry raises
+    NumericsError, and an operator flagged Hermitian that is not raises
+    ValueError; both are checked on the stored entries.
+    """
+
     dims: SystemDims
-    matrix: np.ndarray
+    matrix: sp.csr_matrix
     hermitian_flag: bool = False
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", mat)
+        mat = self.matrix
+        if not (isinstance(mat, sp.csr_matrix) and mat.dtype == complex and mat.has_canonical_format):
+            mat = sp.csr_matrix(mat, dtype=complex, copy=True)
+            mat.sum_duplicates()
+            object.__setattr__(self, "matrix", mat)
         d = self.dims.dim
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} != ({d}, {d})")
-        if not np.isfinite(mat).all():
+        largest = float(np.abs(mat.data.view(float)).max(initial=0.0))  # NaN if any entry is NaN
+        if not math.isfinite(largest):
             raise NumericsError("operator has non-finite entries; a frequency or a rate is out of range")
         if self.hermitian_flag:
-            # scaled by a power of two to entries below 1, so no norm
+            # scaled by a power of two to entries below 1, so no square
             # overflows and every rounding, and so the test, is the unscaled one
-            scale = 2.0 ** -max(int(np.frexp(np.abs(np.ascontiguousarray(mat).view(float)).max())[1]), 0)
-            mat = mat * scale
-            if not np.linalg.norm(mat - mat.conj().T) < 1e-12 * max(scale, np.linalg.norm(mat)):
+            scale = 2.0 ** -max(math.frexp(largest)[1], 0)
+            rows, cols, data = csr_entries(mat)
+            data = data * scale
+            keys, mirrors = rows * d + cols, cols * d + rows
+            at = keys.searchsorted(mirrors)
+            found = keys.take(at, mode="clip") == mirrors
+            # mat - mat^dag on mat's entries, then mat^dag's entries where mat has none
+            defect, lost = data - data.take(at, mode="clip").conj() * found, data[~found]
+            squared = np.vdot(defect, defect).real + np.vdot(lost, lost).real
+            if not squared < (1e-12 * max(scale, math.sqrt(np.vdot(data, data).real))) ** 2:
                 raise ValueError("operator flagged Hermitian is not Hermitian")
 
 
-def _single_ion_matrix(levels: int, kind: str) -> np.ndarray:
-    m = np.zeros((levels, levels), dtype=complex)
-    if kind == "lower":
-        m[DOWN, UP] = 1.0
-    elif kind == "raise":
-        m[UP, DOWN] = 1.0
-    elif kind == "x":
-        m[UP, DOWN] = 1.0
-        m[DOWN, UP] = 1.0
-    elif kind == "z":
-        m[UP, UP] = 1.0
-        m[DOWN, DOWN] = -1.0
-    elif kind == "project_o":
-        m[LEAK, LEAK] = 1.0
-    elif kind == "leak_from_up":
-        m[LEAK, UP] = 1.0
-    elif kind == "leak_from_down":
-        m[LEAK, DOWN] = 1.0
-    else:
-        raise ValueError(f"unknown spin operator kind {kind!r}")
+def operator_csr(dim: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> sp.csr_matrix:
+    """Canonical dim x dim CSR matrix of the entries (rows, cols, values),
+    no two at one position; zero values are dropped."""
+    keep = values != 0
+    rows, cols, values = rows[keep], cols[keep], values[keep]
+    order = (rows * dim + cols).argsort()
+    indptr = np.concatenate(([0], np.bincount(rows, minlength=dim).cumsum())).astype(np.int32)
+    m = sp.csr_matrix((values[order], cols[order].astype(np.int32), indptr), shape=(dim, dim))
+    m.has_canonical_format = True  # the keys are distinct and sorted
     return m
+
+
+def csr_entries(m: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, columns, values) of the stored entries of a CSR matrix."""
+    return np.arange(m.shape[0]).repeat(m.indptr[1:] - m.indptr[:-1]), m.indices, m.data
+
+
+# The single-ion matrix of each spin operator kind, as (row level, column
+# level, value) entries
+_SINGLE_ION = {
+    "lower": ((DOWN, UP, 1.0),),
+    "raise": ((UP, DOWN, 1.0),),
+    "x": ((UP, DOWN, 1.0), (DOWN, UP, 1.0)),
+    "z": ((UP, UP, 1.0), (DOWN, DOWN, -1.0)),
+    "project_o": ((LEAK, LEAK, 1.0),),
+    "leak_from_up": ((LEAK, UP, 1.0),),
+    "leak_from_down": ((LEAK, DOWN, 1.0),),
+}
 
 
 def build_spin_op(dims: SystemDims, ion: int, kind: str) -> OperatorMatrix:
@@ -200,7 +228,7 @@ def build_spin_op(dims: SystemDims, ion: int, kind: str) -> OperatorMatrix:
     operators act as zero on the leak level when it is present.
 
     Operators are memoized with build_mode_op's, see _embedded_operator:
-    the result is shared between callers and its matrix is read-only.
+    the result is shared between callers and its CSR arrays are read-only.
     """
     if not 0 <= ion < dims.n_ions:
         raise ValueError(f"ion index {ion} outside 0..{dims.n_ions - 1}")
@@ -217,7 +245,7 @@ def build_mode_op(dims: SystemDims, kind: str) -> OperatorMatrix:
     the top level n_fock-1 is dropped.
 
     Operators are memoized with build_spin_op's, see _embedded_operator:
-    the result is shared between callers and its matrix is read-only.
+    the result is shared between callers and its CSR arrays are read-only.
     """
     if dims.n_fock < 2:
         raise ValueError("mode operators need n_fock >= 2")
@@ -229,37 +257,41 @@ def _embedded_operator(dims: SystemDims, ion: int | None, kind: str) -> Operator
     """The operator of build_spin_op on ion, or of build_mode_op if ion is None.
 
     The memo of both constructors, keyed by (dims, ion, kind), so each
-    operator's kron chain and Hermiticity check run once per key.  It holds
-    at most 32 operators, more than the 24 kinds of one SystemDims (seven
-    per ion of three, three for the mode), so a run on one or two spaces
-    builds each operator once; at dim 324 (three ions, leak level, 12 Fock
-    states) an operator takes 1.7 MB.  The matrix is made read-only because
-    every caller shares it.
+    operator is built and checked once per key.  Its entries, at most one
+    per column, come from index arithmetic on the basis order, and it is
+    held as canonical CSR: at dim 324 (three ions, leak level, 12 Fock
+    states) an operator takes at most 7.3 kB.  The memo holds at most 32
+    operators, more than the 24 kinds of one SystemDims (seven per ion of
+    three, three for the mode).  The CSR arrays are made read-only because
+    every caller shares them.
     """
+    index = np.arange(dims.dim)
     if ion is None:
-        n = dims.n_fock
-        a = np.zeros((n, n), dtype=complex)
-        for k in range(1, n):
-            a[k - 1, k] = np.sqrt(k)
+        n = index % dims.n_fock
         if kind == "annihilate":
-            mode = a
+            keep, shift, values = n > 0, -1, np.sqrt(n)
         elif kind == "create":
-            mode = a.conj().T
+            keep, shift, values = n < dims.n_fock - 1, 1, np.sqrt(n + 1)
         elif kind == "number":
-            mode = np.diag(np.arange(n, dtype=float)).astype(complex)
+            keep, shift, values = n > 0, 0, n.astype(float)
         else:
             raise ValueError(f"unknown mode operator kind {kind!r}")
-        op = np.kron(np.eye(dims.spin_dim), mode)
+        entries = [(index[keep] + shift, index[keep], values[keep])]
         hermitian = kind == "number"
     else:
-        levels = dims.levels_per_ion
-        op = np.array([[1.0 + 0j]])
-        for i in range(dims.n_ions):
-            factor = _single_ion_matrix(levels, kind) if i == ion else np.eye(levels)
-            op = np.kron(op, factor)
-        op = np.kron(op, np.eye(dims.n_fock))
+        if kind not in _SINGLE_ION:
+            raise ValueError(f"unknown spin operator kind {kind!r}")
+        stride = dims.n_fock * dims.levels_per_ion ** (dims.n_ions - 1 - ion)  # between the levels of this ion
+        level = index // stride % dims.levels_per_ion
+        entries = []
+        for row_level, col_level, value in _SINGLE_ION[kind]:
+            cols = index[level == col_level]
+            entries.append((cols + (row_level - col_level) * stride, cols, np.full(len(cols), value)))
         hermitian = kind in ("x", "z", "project_o")
-    op.setflags(write=False)
+    rows, cols, values = (np.concatenate(x) for x in zip(*entries))
+    op = operator_csr(dims.dim, rows, cols, values.astype(complex))
+    for a in (op.data, op.indices, op.indptr):
+        a.setflags(write=False)
     return OperatorMatrix(dims, op, hermitian)
 
 

@@ -14,13 +14,17 @@ phase of the drive at its equilibrium position.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import NumericsError
-from .hilbert import OperatorMatrix, SystemDims, build_mode_op, build_spin_op
+from .hilbert import OperatorMatrix, SystemDims, build_mode_op, build_spin_op, csr_entries, operator_csr
+
+Entries = tuple[np.ndarray, np.ndarray, np.ndarray]  # (rows, columns, values) of an operator's entries
 
 
 @dataclass(frozen=True)
@@ -146,27 +150,31 @@ def sideband_hamiltonian(dims: SystemDims, geom: IonGeometry, seg: PulseSegment)
     pattern; for the three-ion geometry the 2pi/3 phases make the symmetric
     single-excitation state dark.
     """
-    return OperatorMatrix(dims, _sideband(dims, geom, seg), True)
+    with np.errstate(over="ignore", invalid="ignore"):  # see segment_hamiltonian
+        return _hamiltonian(dims, seg.delta * _fock(dims), geom, seg.omega_s * np.exp(1j * seg.laser_phase))
 
 
-def _sideband(dims: SystemDims, geom: IonGeometry, seg: PulseSegment) -> np.ndarray:
-    """The matrix of sideband_hamiltonian, unchecked."""
+@functools.lru_cache(maxsize=8)
+def _fock(dims: SystemDims) -> np.ndarray:
+    """The Fock level of each basis state, as floats: the diagonal of a^dag a; read-only."""
+    fock = (np.arange(dims.dim) % dims.n_fock).astype(float)
+    fock.setflags(write=False)
+    return fock
+
+
+def _sideband_coupling(dims: SystemDims, geom: IonGeometry) -> Entries:
+    """The entries of (sum_i s_i e^{i theta_i} sigma_i^-) a, at most one per column."""
     if geom.n_ions != dims.n_ions:
         raise ValueError(f"geometry is for {geom.n_ions} ions, dims for {dims.n_ions}")
     a = build_mode_op(dims, "annihilate").matrix
-    number = build_mode_op(dims, "number").matrix
-    coupling = np.zeros_like(number)
-    for i in range(dims.n_ions):
-        s = np.sign(geom.mode_amplitudes[i])
-        if s == 0:
-            continue
-        phase = np.exp(1j * geom.phase_per_ion[i])
-        coupling += s * phase * build_spin_op(dims, i, "lower").matrix
-    # a frequency near the float range overflows here; OperatorMatrix rejects
-    # the non-finite entries with NumericsError
-    with np.errstate(over="ignore", invalid="ignore"):
-        term = seg.omega_s * np.exp(1j * seg.laser_phase) * (coupling @ a)
-        return seg.delta * number + term + term.conj().T
+    parts = []
+    for i in range(dims.n_ions):  # an ion off the mode (s_i = 0) gives zeros, which the CSR drops
+        s, phase = np.sign(geom.mode_amplitudes[i]), np.exp(1j * geom.phase_per_ion[i])
+        r, k, v = csr_entries(build_spin_op(dims, i, "lower").matrix)
+        has = a.indptr[k + 1] > a.indptr[k]  # (sigma_i^- a)[r, c] = sigma_i^-[r, k] a[k, c], a's one entry in row k
+        at = a.indptr[k[has]]
+        parts.append((r[has], a.indices[at], (s * phase * v[has]) * a.data[at]))
+    return tuple(np.concatenate(x) for x in zip(*parts))
 
 
 def microwave_hamiltonian(dims: SystemDims, omega_d: float) -> OperatorMatrix:
@@ -175,16 +183,13 @@ def microwave_hamiltonian(dims: SystemDims, omega_d: float) -> OperatorMatrix:
     matrix elements sqrt(2) Omega_d (two ions) and sqrt(3), 2 Omega_d (three
     ions).
     """
-    return OperatorMatrix(dims, _microwave(dims, omega_d), True)
+    return _hamiltonian(dims, np.zeros(dims.dim), omega_d=omega_d)
 
 
-def _microwave(dims: SystemDims, omega_d: float) -> np.ndarray:
-    """The matrix of microwave_hamiltonian, unchecked."""
-    h = np.zeros((dims.dim, dims.dim), dtype=complex)
-    for i in range(dims.n_ions):
-        term = omega_d * build_spin_op(dims, i, "lower").matrix
-        h += term + term.conj().T
-    return h
+def _lowering(dims: SystemDims) -> Entries:
+    """The entries of sum_i sigma_i^-."""
+    parts = [csr_entries(build_spin_op(dims, i, "lower").matrix) for i in range(dims.n_ions)]
+    return tuple(np.concatenate(x) for x in zip(*parts))
 
 
 def carrier_pi_time(omega_d: float, n_ions: int) -> float:
@@ -199,18 +204,55 @@ def carrier_pi_time(omega_d: float, n_ions: int) -> float:
 
 def stark_hamiltonian(dims: SystemDims, shifts: Sequence[float]) -> OperatorMatrix:
     """Static per-ion qubit-frequency shifts, sum_i (shift_i / 2) sigma_i^z."""
-    return OperatorMatrix(dims, _stark(dims, shifts), True)
+    return _hamiltonian(dims, _stark(dims, shifts))
 
 
 def _stark(dims: SystemDims, shifts: Sequence[float]) -> np.ndarray:
-    """The matrix of stark_hamiltonian, unchecked."""
+    """The diagonal of stark_hamiltonian, unchecked: the ions' terms summed in order."""
     if len(shifts) != dims.n_ions:
         raise ValueError(f"expected {dims.n_ions} shifts, got {len(shifts)}")
-    h = np.zeros((dims.dim, dims.dim), dtype=complex)
+    h = np.zeros(dims.dim)
     for i, s in enumerate(shifts):
         if s != 0.0:
-            h += 0.5 * s * build_spin_op(dims, i, "z").matrix
+            h += 0.5 * s * build_spin_op(dims, i, "z").matrix.diagonal().real
     return h
+
+
+def _hamiltonian(
+    dims: SystemDims, diagonal: np.ndarray, geom: IonGeometry | None = None, omega_s: complex = 0.0, omega_d: float = 0.0
+) -> OperatorMatrix:
+    """The Hermitian-flagged operator of a real diagonal, plus omega_s times
+    the sideband coupling of geom (if given) and omega_d times sum_i
+    sigma_i^- (if not 0), each with its adjoint, as canonical CSR, checked
+    once.  The entries are laid out in the pattern _layout sorted once."""
+    terms, order, indices, ends = _layout(dims, geom, omega_d != 0.0)
+    scales = ([omega_s] if geom is not None else []) + ([omega_d] if omega_d != 0.0 else [])
+    parts = [scale * values for scale, (_, _, values) in zip(scales, terms)]
+    # + 0.0 turns a -0.0 part into +0.0, as the sum of dense terms did
+    data = (np.concatenate([diagonal.astype(complex)] + parts + [p.conj() for p in parts]) + 0.0)[order]
+    keep = data != 0
+    indptr = np.zeros(dims.dim + 1, dtype=np.int32)
+    indptr[1:] = keep.cumsum(dtype=np.int32)[ends]
+    m = sp.csr_matrix((data[keep], indices[keep], indptr), shape=(dims.dim, dims.dim))
+    m.has_canonical_format = True
+    return OperatorMatrix(dims, m, True)
+
+
+@functools.lru_cache(maxsize=16)
+def _layout(dims: SystemDims, geom: IonGeometry | None, carrier: bool) -> tuple[tuple[Entries, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """(terms, order, indices, ends) of _hamiltonian's operators on dims
+    with the sideband term of geom (if given) and the carrier (if carrier):
+    the terms' entries, and the canonical CSR pattern of every entry in
+    _hamiltonian's list (the diagonal, the terms, their adjoints), with
+    order, which sorts that list into it, and the place of each row's last
+    entry; every row holds its diagonal entry.  Built once per space and
+    drive, as a sweep builds all its Hamiltonians on one."""
+    terms = ([_sideband_coupling(dims, geom)] if geom is not None else []) + ([_lowering(dims)] if carrier else [])
+    index = np.arange(dims.dim)
+    rows = np.concatenate([index] + [t[0] for t in terms] + [t[1] for t in terms])
+    cols = np.concatenate([index] + [t[1] for t in terms] + [t[0] for t in terms])
+    pattern = operator_csr(dims.dim, rows, cols, np.arange(1, len(rows) + 1))  # each entry labelled by its place
+    return tuple(terms), pattern.data - 1, pattern.indices, pattern.indptr[1:] - 1
 
 
 def segment_hamiltonian(
@@ -220,17 +262,21 @@ def segment_hamiltonian(
     stark_shifts: Sequence[float] | None = None,
 ) -> OperatorMatrix:
     """Full constant Hamiltonian of one segment (sideband + carrier +
-    shifts), its Hermiticity and finiteness checked once, on the sum."""
-    h = _sideband(dims, geom, seg)
-    if seg.omega_d != 0.0:
-        h = h + _microwave(dims, seg.omega_d)
-    if stark_shifts is not None and any(s != 0.0 for s in stark_shifts):
-        h = h + _stark(dims, stark_shifts)
-    return OperatorMatrix(dims, h, True)
+    shifts) as canonical CSR, its Hermiticity and finiteness checked once,
+    on the sum.  Off the diagonal each entry is one term's; on it, the
+    Stark terms are summed first and then added to delta n."""
+    # a frequency near the float range overflows here; OperatorMatrix rejects
+    # the non-finite entries with NumericsError
+    with np.errstate(over="ignore", invalid="ignore"):
+        diagonal = seg.delta * _fock(dims)
+        if stark_shifts is not None and any(s != 0.0 for s in stark_shifts):
+            diagonal = diagonal + _stark(dims, stark_shifts)
+        return _hamiltonian(dims, diagonal, geom, seg.omega_s * np.exp(1j * seg.laser_phase), seg.omega_d)
 
 
 def lindblad_operators(dims: SystemDims, noise: NoiseModel) -> list[OperatorMatrix]:
-    """Collapse operators for spontaneous decay and motional heating.
+    """Collapse operators for spontaneous decay and motional heating, each a
+    scaled operator of hilbert's memo in canonical CSR, at most dim entries.
 
     Per ion: sqrt(gamma_du)|d><u|, sqrt(gamma_ud)|u><d|, sqrt(gamma_ou)
     |o><u|, sqrt(gamma_od)|o><d|.  For the mode: sqrt(gamma_heat) a^dag and
@@ -238,23 +284,16 @@ def lindblad_operators(dims: SystemDims, noise: NoiseModel) -> list[OperatorMatr
     """
     if noise.needs_leak_level and not dims.leak_level:
         raise NumericsError("leak rates require dims with leak_level=True")
-    ops: list[OperatorMatrix] = []
+    channels = []
     for i in range(dims.n_ions):
-        lower = build_spin_op(dims, i, "lower").matrix
-        if noise.gamma_du > 0:
-            ops.append(OperatorMatrix(dims, np.sqrt(noise.gamma_du) * lower))
-        if noise.gamma_ud > 0:
-            ops.append(OperatorMatrix(dims, np.sqrt(noise.gamma_ud) * lower.conj().T))
-        if noise.gamma_ou > 0:
-            ops.append(OperatorMatrix(dims, np.sqrt(noise.gamma_ou) * build_spin_op(dims, i, "leak_from_up").matrix))
-        if noise.gamma_od > 0:
-            ops.append(OperatorMatrix(dims, np.sqrt(noise.gamma_od) * build_spin_op(dims, i, "leak_from_down").matrix))
-    if noise.gamma_heat > 0:
-        create = build_mode_op(dims, "create").matrix
-        annihilate = build_mode_op(dims, "annihilate").matrix
-        ops.append(OperatorMatrix(dims, np.sqrt(noise.gamma_heat) * create))
-        ops.append(OperatorMatrix(dims, np.sqrt(noise.gamma_heat) * annihilate))
-    return ops
+        channels += [
+            (noise.gamma_du, build_spin_op, (i, "lower")),
+            (noise.gamma_ud, build_spin_op, (i, "raise")),
+            (noise.gamma_ou, build_spin_op, (i, "leak_from_up")),
+            (noise.gamma_od, build_spin_op, (i, "leak_from_down")),
+        ]
+    channels += [(noise.gamma_heat, build_mode_op, ("create",)), (noise.gamma_heat, build_mode_op, ("annihilate",))]
+    return [OperatorMatrix(dims, np.sqrt(rate) * build(dims, *args).matrix) for rate, build, args in channels if rate > 0]
 
 
 def decay_rate_all_up(n_ions: int, noise: NoiseModel) -> float:

@@ -92,6 +92,56 @@ print([m for m in slow if m in sys.modules])
     assert out.stdout.split("\n")[:2] == ["[]", "[]"]
 
 
+THREE_ION_PEAK_RSS_MB = 100  # about 20% above the 81 MB measured on a 2-core Linux box with OpenBLAS
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the peak RSS from /proc")
+def test_three_ion_preset_peaks_under_the_rss_bound(tmp_path):
+    """The three_ion preset (dim 324 master equation, 14 collapse operators)
+    peaks under THREE_ION_PEAK_RSS_MB in a fresh process, as CI's step of
+    the same bound checks through the console script.  It peaked at 121 MB
+    while its Hamiltonians, collapse operators and the hilbert memo were
+    dense dim x dim matrices.  The peak is the process's VmHWM: ru_maxrss
+    would also count the RSS of this test process, which the child's
+    address space copies until it execs."""
+    src = str(Path(zenosim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    code = """
+import sys
+from zenosim.cli import run_scenario
+from zenosim.config import load_preset
+
+run_scenario(load_preset("three_ion"), sys.argv[1])
+status = dict(line.split(":", 1) for line in open("/proc/self/status"))
+print(int(status["VmHWM"].split()[0]) / 1024)
+"""
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True, check=True)
+    peak_mb = float(out.stdout.split()[-1])
+    assert peak_mb < THREE_ION_PEAK_RSS_MB, f"three_ion peak RSS {peak_mb:.0f} MB"
+
+
+def test_fig3_run_leaves_only_sparse_operators_in_the_hilbert_memo(tmp_path):
+    """Every operator a fig3 run leaves in the memo of build_spin_op and
+    build_mode_op is a CSR matrix of at most dim entries: asking for every
+    kind on the run's space hits the memo once per operator it holds."""
+    import scipy.sparse as sp
+
+    from zenosim import hilbert
+
+    hilbert._embedded_operator.cache_clear()
+    run_scenario(load_preset("fig3"), tmp_path)
+    held = hilbert._embedded_operator.cache_info().currsize
+    hits = hilbert._embedded_operator.cache_info().hits
+    dims = hilbert.SystemDims(2, 16, leak_level=True)  # the fig3 run's space
+    kinds = ("lower", "raise", "x", "z", "project_o", "leak_from_up", "leak_from_down")
+    ops = [hilbert.build_spin_op(dims, ion, kind) for ion in range(2) for kind in kinds]
+    ops += [hilbert.build_mode_op(dims, kind) for kind in ("annihilate", "create", "number")]
+    assert held > 0 and hilbert._embedded_operator.cache_info().hits - hits == held
+    for op in ops:
+        assert isinstance(op.matrix, sp.csr_matrix) and op.matrix.nnz <= dims.dim
+
+
 def test_parse_and_reject_unknown_keys():
     config = parse_config_text(GOOD_CONFIG)
     assert config.scenario == "two_ion_single"

@@ -821,10 +821,10 @@ def _dense_generator(dims, geom, seg, noise):
     """The vectorized Lindbladian of one segment as a dense matrix."""
     from zenosim.model import lindblad_operators, segment_hamiltonian
 
-    h = segment_hamiltonian(dims, geom, seg, noise.stark_shifts).matrix
+    h = segment_hamiltonian(dims, geom, seg, noise.stark_shifts).matrix.toarray()
     eye = np.eye(dims.dim)
     gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for l in (op.matrix for op in lindblad_operators(dims, noise)):
+    for l in (op.matrix.toarray() for op in lindblad_operators(dims, noise)):
         m = l.conj().T @ l
         gen += np.kron(l, l.conj()) - 0.5 * (np.kron(m, eye) + np.kron(eye, m.T))
     return gen
@@ -924,7 +924,7 @@ def test_density_matches_matrix_form_ode_reference():
     rho0 = named_state(dims, "uu", 0).to_density()
     traj = density_run(schedule, dims, GEOM2, noise, rho0, sample_dt=T_PI / 25)
 
-    collapse = [op.matrix for op in lindblad_operators(dims, noise)]
+    collapse = [op.matrix.toarray() for op in lindblad_operators(dims, noise)]
     m = sum(l.conj().T @ l for l in collapse)
     d = dims.dim
 
@@ -944,7 +944,7 @@ def test_density_matches_matrix_form_ode_reference():
     for seg in schedule.segments:
         stop = start + seg.duration  # every boundary is a sample time
         t_eval = [t for t in traj.times if start < t <= stop]
-        h = segment_hamiltonian(dims, GEOM2, seg).matrix
+        h = segment_hamiltonian(dims, GEOM2, seg).matrix.toarray()
         sol = solve_ivp(rhs_for(h), (start, stop), y, method="DOP853", t_eval=t_eval, rtol=1e-12, atol=1e-14)
         assert sol.success
         reference += list(sol.y.T)

@@ -45,7 +45,7 @@ def test_dimension_bookkeeping():
 
 
 def test_lowering_ion_one_flips_first_ion():
-    lower = build_spin_op(DIMS2, 0, "lower").matrix
+    lower = build_spin_op(DIMS2, 0, "lower").matrix.toarray()
     psi = basis_vector(DIMS2, (UP, UP), 0)
     out = lower @ psi
     expected = basis_vector(DIMS2, (DOWN, UP), 0)
@@ -54,13 +54,13 @@ def test_lowering_ion_one_flips_first_ion():
 
 def test_raise_is_adjoint_of_lower():
     for ion in range(2):
-        lo = build_spin_op(DIMS2, ion, "lower").matrix
-        hi = build_spin_op(DIMS2, ion, "raise").matrix
+        lo = build_spin_op(DIMS2, ion, "lower").matrix.toarray()
+        hi = build_spin_op(DIMS2, ion, "raise").matrix.toarray()
         assert np.array_equal(hi, lo.conj().T)
 
 
 def test_collective_x_creates_triplet():
-    sx = build_spin_op(DIMS2, 0, "x").matrix + build_spin_op(DIMS2, 1, "x").matrix
+    sx = build_spin_op(DIMS2, 0, "x").matrix.toarray() + build_spin_op(DIMS2, 1, "x").matrix.toarray()
     psi = basis_vector(DIMS2, (UP, UP), 0)
     t = named_state(DIMS2, "T", 0).amplitudes
     out = sx @ psi
@@ -73,7 +73,7 @@ def test_project_o_requires_leak_level():
     with pytest.raises(ValueError):
         build_spin_op(DIMS2, 0, "project_o")
     dims = SystemDims(2, 2, leak_level=True)
-    proj = build_spin_op(dims, 1, "project_o").matrix
+    proj = build_spin_op(dims, 1, "project_o").matrix.toarray()
     assert abs(np.trace(proj) - 3 * dims.n_fock) < 1e-12
 
 
@@ -82,7 +82,7 @@ def test_leak_transitions_require_leak_level(kind, source):
     with pytest.raises(ValueError):
         build_spin_op(DIMS2, 0, kind)
     dims = SystemDims(2, 2, leak_level=True)
-    op = build_spin_op(dims, 1, kind).matrix
+    op = build_spin_op(dims, 1, kind).matrix.toarray()
     for spin in (UP, DOWN, LEAK):
         out = op @ basis_vector(dims, (UP, spin), 1)
         want = basis_vector(dims, (UP, LEAK), 1) if spin == source else np.zeros(dims.dim)
@@ -102,12 +102,13 @@ def test_leak_transitions_require_leak_level(kind, source):
 def test_memoized_operator_matrices_are_read_only(build):
     op = build()
     assert build() is op
-    before = op.matrix.copy()
-    with pytest.raises(ValueError):
-        op.matrix[0, 1] = 5.0
+    before = op.matrix.toarray()
+    for stored in (op.matrix.data, op.matrix.indices, op.matrix.indptr):
+        with pytest.raises(ValueError):
+            stored[0] = 5
     with pytest.raises(ValueError):
         op.matrix *= 2.0
-    assert np.array_equal(op.matrix, before)
+    assert np.array_equal(op.matrix.toarray(), before)
 
 
 def test_ion_index_out_of_range():
@@ -120,17 +121,17 @@ def test_embedded_operators_on_distinct_ions_commute():
     kinds = ["lower", "raise", "x", "z"]
     for _ in range(12):
         ka, kb = rng.choice(kinds, size=2)
-        a = build_spin_op(DIMS3, 0, ka).matrix
-        b = build_spin_op(DIMS3, rng.integers(1, 3), kb).matrix
+        a = build_spin_op(DIMS3, 0, ka).matrix.toarray()
+        b = build_spin_op(DIMS3, rng.integers(1, 3), kb).matrix.toarray()
         assert np.linalg.norm(a @ b - b @ a) < 1e-12
 
 
 def test_mode_ladder_action():
-    a = build_mode_op(DIMS2, "annihilate").matrix
+    a = build_mode_op(DIMS2, "annihilate").matrix.toarray()
     psi1 = basis_vector(DIMS2, (UP, UP), 1)
     psi0 = basis_vector(DIMS2, (UP, UP), 0)
     assert np.allclose(a @ psi1, psi0)  # sqrt(1) factor
-    adag = build_mode_op(DIMS2, "create").matrix
+    adag = build_mode_op(DIMS2, "create").matrix.toarray()
     top = basis_vector(DIMS2, (UP, UP), DIMS2.n_fock - 1)
     assert np.linalg.norm(adag @ top) == 0.0  # truncation convention
     assert np.array_equal(adag, a.conj().T)
@@ -140,7 +141,7 @@ def test_number_operator_thermal_expectation():
     dims = SystemDims(2, 16)
     nbar = 0.006
     rho = thermal_product_state(dims, spin_state(dims, "uu"), nbar)
-    number = build_mode_op(dims, "number").matrix
+    number = build_mode_op(dims, "number").matrix.toarray()
     got = np.trace(number @ rho.matrix).real
     # independent oracle: truncated geometric series
     q = nbar / (1 + nbar)

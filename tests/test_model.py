@@ -29,7 +29,7 @@ def ket(dims, name, n):
 def test_sideband_matrix_elements_two_ions():
     omega_s = 2 * np.pi * 17.6e3
     delta = 2 * np.pi * 27.1e3
-    h = sideband_hamiltonian(DIMS2, GEOM2, PulseSegment(1e-4, omega_s, 0.0, delta)).matrix
+    h = sideband_hamiltonian(DIMS2, GEOM2, PulseSegment(1e-4, omega_s, 0.0, delta)).matrix.toarray()
     s1 = ket(DIMS2, "S", 1)
     dd0 = ket(DIMS2, "dd", 0)
     uu2 = ket(DIMS2, "uu", 2)
@@ -38,13 +38,13 @@ def test_sideband_matrix_elements_two_ions():
 
 
 def test_sideband_zero_drive_is_zero():
-    h = sideband_hamiltonian(DIMS2, GEOM2, PulseSegment(1e-4, 0.0, 0.0, 0.0)).matrix
+    h = sideband_hamiltonian(DIMS2, GEOM2, PulseSegment(1e-4, 0.0, 0.0, 0.0)).matrix.toarray()
     assert np.linalg.norm(h) == 0.0
 
 
 def test_three_ion_w_is_dark():
     omega_s = 2 * np.pi * 19.0e3
-    h = sideband_hamiltonian(DIMS3, GEOM3, PulseSegment(1e-4, omega_s, 0.0, 0.0)).matrix
+    h = sideband_hamiltonian(DIMS3, GEOM3, PulseSegment(1e-4, omega_s, 0.0, 0.0)).matrix.toarray()
     w0 = ket(DIMS3, "W", 0)
     assert np.linalg.norm(h @ w0) < 1e-12 * omega_s
 
@@ -52,7 +52,7 @@ def test_three_ion_w_is_dark():
 def test_triplet_row_is_detuning_only():
     omega_s = 1.0
     delta = 0.7
-    h = sideband_hamiltonian(DIMS2, GEOM2, PulseSegment(1.0, omega_s, 0.0, delta)).matrix
+    h = sideband_hamiltonian(DIMS2, GEOM2, PulseSegment(1.0, omega_s, 0.0, delta)).matrix.toarray()
     for n in range(DIMS2.n_fock):
         t_n = ket(DIMS2, "T", n)
         residual = h @ t_n - delta * n * t_n
@@ -60,29 +60,29 @@ def test_triplet_row_is_detuning_only():
 
 
 def test_up_ground_state_annihilated_by_lowering_part():
-    h = sideband_hamiltonian(DIMS2, GEOM2, PulseSegment(1.0, 1.0, 0.0, 0.0)).matrix
+    h = sideband_hamiltonian(DIMS2, GEOM2, PulseSegment(1.0, 1.0, 0.0, 0.0)).matrix.toarray()
     uu0 = ket(DIMS2, "uu", 0)
     assert np.linalg.norm(h @ uu0) < 1e-12
 
 
 def test_microwave_elements():
     omega_d = 2 * np.pi * 1.52e3
-    h2 = microwave_hamiltonian(DIMS2, omega_d).matrix
+    h2 = microwave_hamiltonian(DIMS2, omega_d).matrix.toarray()
     assert abs(np.vdot(ket(DIMS2, "T", 0), h2 @ ket(DIMS2, "uu", 0)) - np.sqrt(2) * omega_d) < 1e-9
-    h3 = microwave_hamiltonian(DIMS3, omega_d).matrix
+    h3 = microwave_hamiltonian(DIMS3, omega_d).matrix.toarray()
     assert abs(np.vdot(ket(DIMS3, "W", 0), h3 @ ket(DIMS3, "uuu", 0)) - np.sqrt(3) * omega_d) < 1e-9
     assert abs(np.vdot(ket(DIMS3, "Wbar", 0), h3 @ ket(DIMS3, "W", 0)) - 2.0 * omega_d) < 1e-9
     got = np.vdot(ket(DIMS3, "Wbar_c", 0), h3 @ ket(DIMS3, "Wc", 0))
     assert abs(got - (-omega_d)) < 1e-9
-    assert np.linalg.norm(microwave_hamiltonian(DIMS2, 0.0).matrix) == 0.0
+    assert np.linalg.norm(microwave_hamiltonian(DIMS2, 0.0).matrix.toarray()) == 0.0
 
 
 def test_stark_hamiltonian_basics():
-    assert np.linalg.norm(stark_hamiltonian(DIMS3, [0.0, 0.0, 0.0]).matrix) == 0.0
+    assert np.linalg.norm(stark_hamiltonian(DIMS3, [0.0, 0.0, 0.0]).matrix.toarray()) == 0.0
     with pytest.raises(ValueError):
         stark_hamiltonian(DIMS2, [1.0])
     s = 2 * np.pi * 5e3
-    h = stark_hamiltonian(DIMS3, [s, 0.0, s]).matrix
+    h = stark_hamiltonian(DIMS3, [s, 0.0, s]).matrix.toarray()
     uuu = ket(DIMS3, "uuu", 0)
     assert abs(np.vdot(uuu, h @ uuu) - s) < 1e-9
 
@@ -184,13 +184,13 @@ def test_scatter_collapse_operators_match_explicit_kron(dims):
     ops = lindblad_operators(dims, noise)
     assert len(ops) == len(expected)
     for op, want in zip(ops, expected):
-        assert op.matrix.tobytes() == want.tobytes()
+        assert op.matrix.toarray().tobytes() == want.tobytes()
 
 
 def test_decay_rates_match_closed_forms():
     noise = NoiseModel(gamma_du=11.0, gamma_ud=7.0, gamma_ou=3.0, gamma_od=2.0)
     dims = SystemDims(2, 2, leak_level=True)
-    ops = [op.matrix for op in lindblad_operators(dims, noise)]
+    ops = [op.matrix.toarray() for op in lindblad_operators(dims, noise)]
     m = sum(op.conj().T @ op for op in ops)
     uu0 = ket(dims, "uu", 0)
     t0 = ket(dims, "T", 0)
@@ -225,9 +225,9 @@ def test_frame_consistency_with_lab_frame_integration():
     seg = PulseSegment(t_end, omega_s, omega_d, delta)
     traj = evolve_pure(PulseSchedule((seg,)), dims, GEOM2, named_state(dims, "uu", 0), t_end / 4)
 
-    a = build_mode_op(dims, "annihilate").matrix
-    coupling = (build_spin_op(dims, 0, "lower").matrix - build_spin_op(dims, 1, "lower").matrix) @ a
-    h_mw = microwave_hamiltonian(dims, omega_d).matrix
+    a = build_mode_op(dims, "annihilate").matrix.toarray()
+    coupling = (build_spin_op(dims, 0, "lower").matrix.toarray() - build_spin_op(dims, 1, "lower").matrix.toarray()) @ a
+    h_mw = microwave_hamiltonian(dims, omega_d).matrix.toarray()
 
     def rhs(t, y):
         term = omega_s * np.exp(-1j * delta * t) * coupling
@@ -242,7 +242,7 @@ def test_frame_consistency_with_lab_frame_integration():
         rtol=1e-10,
         atol=1e-12,
     )
-    number_diag = np.diag(build_mode_op(dims, "number").matrix).real
+    number_diag = np.diag(build_mode_op(dims, "number").matrix.toarray()).real
     for idx, t in enumerate(traj.times):
         psi_lab = sol.y[:, idx]
         psi_rot_expected = np.exp(-1j * delta * t * number_diag) * psi_lab
@@ -258,3 +258,128 @@ def test_frame_consistency_with_lab_frame_integration():
 def test_noise_model_rejects_non_finite_and_negative_values(kwargs):
     with pytest.raises(ValueError, match="must be finite"):
         NoiseModel(**kwargs)
+
+
+def _dense_operators(dims, geom, seg, shifts, noise):
+    """The segment Hamiltonian and the collapse operators as dense np.kron
+    chains, summed term by term over the whole dim x dim matrix."""
+    from zenosim.hilbert import DOWN, LEAK, UP
+
+    levels, nf = dims.levels_per_ion, dims.n_fock
+
+    def spin(ion, *entries):
+        single = np.zeros((levels, levels), dtype=complex)
+        for row, col, value in entries:
+            single[row, col] = value
+        op = np.array([[1.0 + 0j]])
+        for i in range(dims.n_ions):
+            op = np.kron(op, single if i == ion else np.eye(levels))
+        return np.kron(op, np.eye(nf))
+
+    ladder = np.zeros((nf, nf), dtype=complex)
+    for k in range(1, nf):
+        ladder[k - 1, k] = np.sqrt(k)
+    a = np.kron(np.eye(dims.spin_dim), ladder)
+    create = np.kron(np.eye(dims.spin_dim), ladder.conj().T)
+    number = np.kron(np.eye(dims.spin_dim), np.diag(np.arange(nf, dtype=float)).astype(complex))
+    lower = [spin(i, (DOWN, UP, 1.0)) for i in range(dims.n_ions)]
+
+    coupling = np.zeros_like(a)
+    for i in range(dims.n_ions):
+        coupling += np.sign(geom.mode_amplitudes[i]) * np.exp(1j * geom.phase_per_ion[i]) * lower[i]
+    term = seg.omega_s * np.exp(1j * seg.laser_phase) * (coupling @ a)
+    h = seg.delta * number + term + term.conj().T
+    if seg.omega_d != 0.0:
+        carrier = np.zeros_like(h)
+        for op in lower:
+            term = seg.omega_d * op
+            carrier += term + term.conj().T
+        h = h + carrier
+    if shifts is not None and any(s != 0.0 for s in shifts):
+        stark = np.zeros_like(h)
+        for i, s in enumerate(shifts):
+            if s != 0.0:
+                stark += 0.5 * s * spin(i, (UP, UP, 1.0), (DOWN, DOWN, -1.0))
+        h = h + stark
+
+    collapse = []
+    for i in range(dims.n_ions):
+        for rate, op in (
+            (noise.gamma_du, lower[i]),
+            (noise.gamma_ud, lower[i].conj().T),
+            (noise.gamma_ou, spin(i, (LEAK, UP, 1.0)) if dims.leak_level else None),
+            (noise.gamma_od, spin(i, (LEAK, DOWN, 1.0)) if dims.leak_level else None),
+        ):
+            if rate > 0:
+                collapse.append(np.sqrt(rate) * op)
+    if noise.gamma_heat > 0:
+        collapse += [np.sqrt(noise.gamma_heat) * create, np.sqrt(noise.gamma_heat) * a]
+    return h, collapse
+
+
+def _assert_canonical_copy(got, dense):
+    """got is canonical CSR (sorted, distinct, no stored zeros) and holds
+    exactly the entries of dense, bit for bit."""
+    import scipy.sparse as sp
+
+    want = sp.csr_matrix(dense)
+    rows = np.repeat(np.arange(got.shape[0]), np.diff(got.indptr))
+    assert isinstance(got, sp.csr_matrix)
+    assert np.all(np.diff(rows * got.shape[1] + got.indices) > 0)
+    assert np.all(got.data != 0)
+    assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [SystemDims(2, 16, leak_level=True), SystemDims(2, 16), SystemDims(3, 12, leak_level=True), SystemDims(3, 12)],
+    ids=["fig2_fig3", "two_ions_no_leak", "three_ion", "three_ion_heat_only"],
+)
+def test_sparse_operators_match_dense_kron_reference(dims):
+    """At the dims of the fig2, fig3 and three_ion runs, with and without the
+    leak level, every segment Hamiltonian (both composite signs, with and
+    without the carrier, a laser phase, Stark shifts or none) and every
+    collapse operator (scatter and heating) is the canonical CSR of its
+    dense np.kron sum, bit for bit, and a collapse operator stores at most
+    dim entries."""
+    from zenosim.model import segment_hamiltonian
+
+    geom = GEOM2 if dims.n_ions == 2 else GEOM3
+    w = 2 * np.pi
+    segments = [
+        PulseSegment(1e-5, w * 17.6e3, w * 1.52e3, w * 27.1e3),
+        PulseSegment(1e-5, -w * 17.3e3, w * 2.55e3, -w * 26.8e3),
+        PulseSegment(1e-5, w * 19.0e3, w * 1.24e3, 0.0),
+        PulseSegment(1e-5, -w * 19.0e3, 0.0, -w * 7e3, 0.3),
+    ]
+    shift_sets = [None, (4398.0,) * dims.n_ions, (4398.0, 0.0, 4398.0), (1234.5678, -987.6543, 2e3 / 3)]
+    shift_sets = [s if s is None else s[: dims.n_ions] for s in shift_sets]
+    leak = 3.0 if dims.leak_level else 0.0
+    noise = NoiseModel(gamma_du=11.0, gamma_ud=7.0, gamma_ou=leak, gamma_od=leak / 2, gamma_heat=0.7)
+    for seg in segments:
+        for shifts in shift_sets:
+            h, collapse = _dense_operators(dims, geom, seg, shifts, noise)
+            _assert_canonical_copy(segment_hamiltonian(dims, geom, seg, shifts).matrix, h)
+    ops = lindblad_operators(dims, noise)
+    assert len(ops) == len(collapse)
+    for op, want in zip(ops, collapse):
+        _assert_canonical_copy(op.matrix, want)
+        assert op.matrix.nnz <= dims.dim
+
+
+def test_hermiticity_check_reads_the_sparse_entries():
+    """An entry whose mirror is not stored counts in full, and two mirrored
+    entries are compared as conjugates."""
+    import scipy.sparse as sp
+
+    from zenosim.hilbert import OperatorMatrix
+
+    dims = SystemDims(2, 1)
+    one_sided = sp.csr_matrix(([1.0 + 0j], ([0], [1])), shape=(4, 4))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        OperatorMatrix(dims, one_sided, True)
+    OperatorMatrix(dims, one_sided * 1e-14 + sp.identity(4, format="csr"), True)  # below 1e-12 of the norm
+    OperatorMatrix(dims, sp.csr_matrix(([2j, -2j], ([0, 3], [3, 0])), shape=(4, 4)), True)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        OperatorMatrix(dims, sp.csr_matrix(([2j, 2j], ([0, 3], [3, 0])), shape=(4, 4)), True)
